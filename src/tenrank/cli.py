@@ -164,8 +164,7 @@ def cmd_verify(args) -> int:
     t = _read_tensor(args.tensor)
     if t.field != field:
         raise VerificationFailedError("certificate and tensor field tags differ")
-    power_tensor = t.kron_power(d.power) if d.power > 1 else t
-    report = verify_degeneration(d, power_tensor, explain=True)
+    report = verify_degeneration(d, t, power=d.power, explain=True)
     if report.ok:
         _emit(f"verified r={d.claimed_r} power={d.power}", args.out)
         return 0

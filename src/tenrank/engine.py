@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import Elem, Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import Matrix, rank, rank_of_rows, rref
+from .matrix import Matrix, invert, rank, rank_of_rows, rref
 from .spans import (
     MaxRankWitness,
     SliceSpan,
@@ -45,7 +45,10 @@ from .tensor import (
     Restriction,
     Tensor3,
     apply_restriction,
+    contract,
     matmul_tensor,
+    matrix_terms,
+    power_items,
     unit,
     verify_restriction,
 )
@@ -66,14 +69,14 @@ class SubrankCertificate:
     degeneration: Optional[Degeneration] = None
 
     def verify(self, t: Tensor3) -> bool:
-        """Re-check the certificate against the base tensor."""
+        """Re-check the certificate against the base tensor; False also when
+        the dense power would exceed the Kronecker entry guard."""
         try:
-            power_tensor = t.kron_power(self.power) if self.power > 1 else t
+            if self.kind == "restriction":
+                return verify_restriction(self.restriction, t, unit(t.field, self.r), power=self.power)
+            return verify_degeneration(self.degeneration, t, power=self.power)
         except ResourceGuardError:
             return False
-        if self.kind == "restriction":
-            return verify_restriction(self.restriction, power_tensor, unit(t.field, self.r))
-        return verify_degeneration(self.degeneration, power_tensor)
 
     @property
     def bound(self) -> Tuple[int, int]:
@@ -197,11 +200,12 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
 
 def _contract_leg(t: Tensor3, leg: int, m: Matrix) -> Tensor3:
     """Apply a single map on one leg (identity on the others)."""
-    f = t.field
-    maps = [None, None, None]
-    for d, n in enumerate(t.dims):
-        maps[d] = m if d == leg - 1 else Matrix.identity(f, n)
-    return apply_restriction(Restriction(tuple(maps)), t)
+    legs = [None, None, None]
+    legs[leg - 1] = matrix_terms(m)
+    dims = list(t.dims)
+    dims[leg - 1] = m.rows
+    out = contract(power_items(t, 1), legs, t.field)
+    return Tensor3(t.field, tuple(dims), out.get(0, {}))
 
 
 def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
@@ -244,7 +248,8 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
                     tot = a1 + a2 + t12.flattening_rank(3)
                     if best is None or tot < best:
                         best = tot
-    assert best is not None
+    if best is None:
+        raise VerificationFailedError("no subspace triple covers the tensor")  # pragma: no cover
     return best
 
 
@@ -725,7 +730,7 @@ def mamu_cube(t: Tensor3, wit1: MaxRankWitness, wit2: MaxRankWitness, wit3: MaxR
     maps[2] = perm.mul(maps[2])
     restr = Restriction(tuple(maps))
     target = matmul_tensor(f, q2, q3, q1)
-    if not verify_restriction(restr, t.kron_power(3), target):
+    if not verify_restriction(restr, t, target, power=3):
         raise VerificationFailedError("cube composition failed to verify")
     bound = min(q1 * q2, q1 * q3, q2 * q3)
     return restr, bound
@@ -823,7 +828,7 @@ def _narrow_certificate_inner(t: Tensor3, m: int, ell: int, entry_guard: int):
         u_pow = u_pow.kron(dm.u)
         vt_pow = vt_pow.kron(dm.v.transpose())
     to_y = Restriction((u_pow, vt_pow, Matrix(f, g_rows, cols=c**m)))
-    t_y = apply_restriction(to_y, t.kron_power(m))
+    t_y = apply_restriction(to_y, t, power=m)
     cert_inner = subrank_from_minrank(t_y, list(range(len(y))), check_precondition=False)
     final = cert_inner.restriction.compose(to_y)
     cert = SubrankCertificate("restriction", len(y), m, restriction=final)
@@ -836,23 +841,18 @@ def _basis_coefficients(f: Field, span: SliceSpan, dm, all_b: List[Matrix]):
     """Coefficients of each pipeline basis matrix over the oriented slices."""
     from .matrix import solve
 
-    inv_u = _inverse(dm.u)
-    inv_v = _inverse(dm.v)
+    inv_u = invert(dm.u)
+    inv_v = invert(dm.v)
     originals = [m.vectorize() for m in span.basis]
     basis_mat = Matrix(f, list(zip(*originals)), cols=len(originals))
     out = []
     for bm in all_b:
         raw = inv_u.mul(bm).mul(inv_v)
         x = solve(basis_mat, raw.vectorize())
-        assert x is not None
+        if x is None:
+            raise VerificationFailedError("pipeline basis matrix outside the slice span")  # pragma: no cover
         out.append(list(x))
     return out
-
-
-def _inverse(m: Matrix) -> Matrix:
-    from .matrix import invert
-
-    return invert(m)
 
 
 # -- bound aggregation ----------------------------------------------------------

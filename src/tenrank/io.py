@@ -81,6 +81,18 @@ def serialize_certificate(d: Degeneration, field: Field) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _count_line(parts, ln: str, lowest: int) -> int:
+    """The single integer argument of a `power` or `r` line, at least `lowest`."""
+    try:
+        (word,) = parts[1:]
+        value = int(word)
+    except ValueError as exc:
+        raise ParseError(f"bad {parts[0]} line {ln!r}") from exc
+    if value < lowest:
+        raise ParseError(f"{parts[0]} must be at least {lowest} in {ln!r}")
+    return value
+
+
 def parse_certificate(text: str):
     """Returns (Degeneration, Field)."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
@@ -96,9 +108,9 @@ def parse_certificate(text: str):
         if parts[0] == "field":
             field = parse_field(parts[1])
         elif parts[0] == "power":
-            power = int(parts[1])
+            power = _count_line(parts, ln, 1)
         elif parts[0] == "r":
-            r = int(parts[1])
+            r = _count_line(parts, ln, 0)
         elif parts[0] == "map":
             if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
                 raise ParseError(f"bad map header {ln!r}")
@@ -115,8 +127,10 @@ def parse_certificate(text: str):
                 e = int(parts[2])
             except ValueError as exc:
                 raise ParseError(f"bad quadruple {ln!r}") from exc
-            v = parse_value(field, parts[3])
-            cur[2].setdefault((i, j), {})[e] = v
+            poly = cur[2].setdefault((i, j), {})
+            if e in poly:
+                raise ParseError(f"duplicate quadruple in {ln!r}")
+            poly[e] = parse_value(field, parts[3])
     if cur is not None:
         maps.append(cur)
     if field is None or power is None or r is None or len(maps) != 3:

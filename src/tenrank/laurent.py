@@ -20,7 +20,15 @@ from .errors import (
 )
 from .fields import Elem, Field, PrimeField
 from .matrix import Matrix, rank
-from .tensor import Restriction, Tensor3, unit
+from .tensor import (
+    Restriction,
+    Tensor3,
+    apply_restriction,
+    contract,
+    power_dims,
+    power_items,
+    unit,
+)
 
 LaurentPoly = Dict[int, Elem]  # exponent -> nonzero coefficient
 
@@ -130,12 +138,13 @@ class LaurentMatrix:
                 ent[key] = v
         return Matrix.from_entries(f, self.rows, self.cols, ent)
 
-    def columns_index(self):
-        """column -> list of (row, poly), for sparse contraction."""
-        idx: Dict[int, list] = {}
+    def column_terms(self):
+        """Per column, its (row, exponent, coefficient) terms, in the form
+        `tensor.contract` takes."""
+        cols = [[] for _ in range(self.cols)]
         for (i, j), poly in self.entries.items():
-            idx.setdefault(j, []).append((i, poly))
-        return idx
+            cols[j].extend((i, e, v) for e, v in poly.items())
+        return cols
 
 
 @dataclass(frozen=True)
@@ -156,39 +165,15 @@ class Degeneration:
         return cls(tuple(LaurentMatrix.from_matrix(m) for m in r.maps), claimed_r, power)
 
 
-def apply_degeneration(d: Degeneration, t: Tensor3) -> Dict[int, Tensor3]:
-    """Coefficient tensors of (A(e) (x) B(e) (x) C(e)) T per exponent of e.
-
-    `t` must already be the power-m tensor the certificate lives on.
-    """
-    f = t.field
-    a, b, c = d.maps
-    if (a.cols, b.cols, c.cols) != t.dims:
-        raise ShapeMismatchError(
-            f"degeneration expects source dims {(a.cols, b.cols, c.cols)}, tensor has {t.dims}"
-        )
-    ai, bi, ci = a.columns_index(), b.columns_index(), c.columns_index()
-    acc: Dict[int, Dict[tuple, Elem]] = {}
-    for (i, j, k), v in t.nonzero_items():
-        for ra, pa in ai.get(i, ()):
-            for rb, pb in bi.get(j, ()):
-                pab = poly_mul(f, pa, pb)
-                for rc, pc in ci.get(k, ()):
-                    prod = poly_mul(f, pab, pc)
-                    for e, coef in prod.items():
-                        bucket = acc.setdefault(e, {})
-                        key = (ra, rb, rc)
-                        s = f.add(bucket.get(key, f.zero()), f.mul(coef, v))
-                        if f.is_zero(s):
-                            bucket.pop(key, None)
-                        else:
-                            bucket[key] = s
-    dims = d.target_dims
-    return {
-        e: Tensor3(f, dims, bucket)
-        for e, bucket in sorted(acc.items())
-        if bucket
-    }
+def apply_degeneration(d: Degeneration, t: Tensor3, *, power: int = 1) -> Dict[int, Tensor3]:
+    """Coefficient tensors of (A(e) (x) B(e) (x) C(e)) T^(x)power per
+    exponent of e, streamed from t's nonzeros without building the power."""
+    dims = power_dims(t, power)
+    src = tuple(m.cols for m in d.maps)
+    if src != dims:
+        raise ShapeMismatchError(f"degeneration expects source dims {src}, tensor has {dims}")
+    out = contract(power_items(t, power), [m.column_terms() for m in d.maps], t.field)
+    return {e: Tensor3(t.field, d.target_dims, out[e]) for e in sorted(out)}
 
 
 @dataclass(frozen=True)
@@ -197,13 +182,14 @@ class DegenerationReport:
     reason: str = ""
 
 
-def verify_degeneration(d: Degeneration, t: Tensor3, *, explain: bool = False):
-    """True iff no negative exponents appear and the exponent-0 coefficient
-    is exactly the unit tensor of size claimed_r."""
+def verify_degeneration(d: Degeneration, t: Tensor3, *, power: int = 1, explain: bool = False):
+    """True iff, applied to t^(x)power, no negative exponents appear and the
+    exponent-0 coefficient is exactly the unit tensor of size claimed_r."""
+    power_dims(t, power)  # the power guard trips before any other check
     if d.target_dims != (d.claimed_r,) * 3:
         result = DegenerationReport(False, f"target dims {d.target_dims} != unit dims")
         return result if explain else False
-    terms = apply_degeneration(d, t)
+    terms = apply_degeneration(d, t, power=power)
     neg = [e for e in terms if e < 0]
     if neg:
         result = DegenerationReport(False, f"negative exponent {min(neg)} present")
@@ -258,7 +244,7 @@ def border_le_qi_extract(d: Degeneration, t: Tensor3, direction: int):
     for xi in candidates:
         x = f.normalize(xi)
         mats = [m.evaluate(x) for m in d.maps]
-        res = _apply_maps(mats, t)
+        res = apply_restriction(Restriction(tuple(mats)), t)
         summed = _sum_slices(res, direction)
         if rank(summed) == q:
             coeffs = _slice_sum_coeffs(mats[direction - 1], f)
@@ -268,12 +254,6 @@ def border_le_qi_extract(d: Degeneration, t: Tensor3, direction: int):
                 raise VerificationFailedError("combined slice lost rank")  # pragma: no cover
             return x, coeffs, combined, got
     raise FieldTooSmallError("no evaluation point with nonzero determinant found")
-
-
-def _apply_maps(mats: Sequence[Matrix], t: Tensor3) -> Tensor3:
-    from .tensor import apply_restriction
-
-    return apply_restriction(Restriction(tuple(mats)), t)
 
 
 def _sum_slices(t: Tensor3, direction: int) -> Matrix:

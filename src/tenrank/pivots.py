@@ -238,7 +238,8 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
     for s in order:
         row = work[s][s]
         piv = row[s]
-        assert not f.is_zero(piv)
+        if f.is_zero(piv):
+            raise VerificationFailedError("zero pivot on the matched diagonal")  # pragma: no cover
         for u in range(r):
             if u != s and not f.is_zero(row[u]):
                 factor = f.div(row[u], piv)
@@ -353,7 +354,8 @@ def sqrt_certificate(t: Tensor3) -> Degeneration:
     g_a = [p[1] for p in a_piv]
     f_b = [b_piv[pairing[l]][0] for l in range(n)]
     g_b = [b_piv[pairing[l]][1] for l in range(n)]
-    assert f_a == f_b
+    if f_a != f_b:
+        raise VerificationFailedError("paired pivot rows differ")  # pragma: no cover
 
     # base changes: G turns the 1-slices into the A-basis (leg 1),
     # H turns the 3-slices into the reordered B-basis (leg 3)
@@ -375,7 +377,7 @@ def sqrt_certificate(t: Tensor3) -> Degeneration:
     leg2 = LaurentMatrix.from_matrix(p2).scale_rows([f_b[v] + 1 for v in range(n)])
     leg3 = LaurentMatrix.from_matrix(p3.mul(ident.kron(h)))
     d = Degeneration((leg1, leg2, leg3), claimed_r=n, power=2)
-    check = verify_degeneration(d, t.kron_power(2), explain=True)
+    check = verify_degeneration(d, t, power=2, explain=True)
     if not check.ok:
         raise VerificationFailedError(f"sqrt certificate failed: {check.reason}")
     return d

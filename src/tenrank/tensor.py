@@ -3,6 +3,12 @@ products, and the named-tensor catalog.
 
 Entries are stored densely in lexicographic (i, j, k) order; constructors
 accept sparse {(i, j, k): value} input.  All indices in the API are 0-based.
+
+Restrictions and degenerations are applied by one sparse kernel, `contract`,
+which maps a stream of nonzero items ((e, i, j, k), v) one leg at a time.  A
+certificate on T^(x)m is checked from `power_items`, a stream of products of
+T's nonzeros, so the power itself is never built; KRON_ENTRY_GUARD still counts
+the dense entries (n1*n2*n3)^m of the power, as when the power is built.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from .errors import (
     MixedFieldsError,
     ResourceGuardError,
     ShapeMismatchError,
+    VerificationFailedError,
 )
 from .fields import Elem, Field
 from .matrix import Matrix, rank, rank_of_rows, solve
@@ -202,11 +209,7 @@ class Tensor3:
         if self.field != other.field:
             raise MixedFieldsError("kronecker product over mixed fields")
         d = tuple(a * b for a, b in zip(self.dims, other.dims))
-        total = d[0] * d[1] * d[2]
-        if total > KRON_ENTRY_GUARD:
-            raise ResourceGuardError(
-                f"kronecker product would have {total} entries (guard {KRON_ENTRY_GUARD})"
-            )
+        _guard_entries(d[0] * d[1] * d[2])
         f = self.field
         m1, m2, m3 = other.dims
         out: Dict[tuple, Elem] = {}
@@ -222,6 +225,91 @@ class Tensor3:
         for _ in range(m - 1):
             acc = acc.kron(self)
         return acc
+
+
+def _guard_entries(total: int) -> None:
+    if total > KRON_ENTRY_GUARD:
+        raise ResourceGuardError(
+            f"kronecker product would have {total} entries (guard {KRON_ENTRY_GUARD})"
+        )
+
+
+def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
+    """Dims of t^(x)m.  Raises what building the power raises: BadParamsError
+    for m < 1, and ResourceGuardError at the first factor whose dense product
+    would exceed KRON_ENTRY_GUARD entries."""
+    if m < 1:
+        raise BadParamsError("kronecker power needs m >= 1")
+    size = t.dims[0] * t.dims[1] * t.dims[2]
+    total = size
+    for _ in range(m - 1):
+        total *= size
+        _guard_entries(total)
+    return tuple(n**m for n in t.dims)
+
+
+def power_items(t: Tensor3, m: int):
+    """The nonzero items ((0, i, j, k), v) of t^(x)m, as `contract` takes
+    them, without building the power: products of t's nonzeros are streamed
+    with kron's index pairing outer * n + inner.  Callers check the guard
+    with `power_dims` first."""
+    base = [((0, i, j, k), v) for (i, j, k), v in t.nonzero_items()]
+    items = base
+    for _ in range(m - 1):
+        items = _kron_items(items, base, t.dims, t.field.mul)
+    return items
+
+
+def _kron_items(outer, inner, dims, mul):
+    n1, n2, n3 = dims
+    for (_, i, j, k), v in outer:
+        for (_, a, b, c), w in inner:
+            yield (0, i * n1 + a, j * n2 + b, k * n3 + c), mul(v, w)
+
+
+def contract(items, legs, field: Field):
+    """Apply one map per leg to a stream of nonzero items ((e, i, j, k), v).
+
+    legs[l] lists, for each source index of leg l + 1, the terms
+    (row, exponent, coefficient) of that leg's map, or is None to leave the
+    leg as it is.  The legs are contracted one after another, so an item
+    costs one product per term of each leg rather than one per triple of
+    terms; sums that cancel are dropped at the end.  Returns
+    {exponent: {(a, b, c): value}} holding nonzero values only.
+    """
+    add, mul = field.add, field.mul
+    for terms in legs:
+        # contracting the first leg moves it to the back, (e, i, j, k) ->
+        # (e, j, k, a), so after three legs the key is (e, a, b, c) again
+        if terms is None:
+            items = (((e, j, k, i), v) for (e, i, j, k), v in items)
+            continue
+        acc: Dict[tuple, Elem] = {}
+        get = acc.get
+        for (e, i, j, k), v in items:
+            for a, x, c in terms[i]:
+                key = (e + x, j, k, a)
+                w = mul(c, v)
+                prev = get(key)
+                acc[key] = w if prev is None else add(prev, w)
+        items = acc.items()
+    out: Dict[int, Dict[tuple, Elem]] = {}
+    for (e, a, b, c), v in items:
+        if not field.is_zero(v):
+            out.setdefault(e, {})[(a, b, c)] = v
+    return out
+
+
+def matrix_terms(m: Matrix):
+    """Per column of m, its nonzero entries as (row, 0, value) terms: the
+    exponent-0 case of a Laurent map, in the form `contract` takes."""
+    f = m.field
+    cols = [[] for _ in range(m.cols)]
+    for a, row in enumerate(m.data):
+        for i, v in enumerate(row):
+            if not f.is_zero(v):
+                cols[i].append((a, 0, v))
+    return cols
 
 
 def check_concise_format(n1: int, n2: int, n3: int) -> bool:
@@ -263,35 +351,22 @@ class Restriction:
         return Restriction(tuple(a.kron(b) for a, b in zip(self.maps, other.maps)))
 
 
-def apply_restriction(r: Restriction, t: Tensor3) -> Tensor3:
-    l1, l2, l3 = r.maps
-    if (l1.cols, l2.cols, l3.cols) != t.dims:
+def apply_restriction(r: Restriction, t: Tensor3, *, power: int = 1) -> Tensor3:
+    """(L1 (x) L2 (x) L3) applied to t^(x)power, streamed from t's nonzeros."""
+    dims = power_dims(t, power)
+    if r.source_dims != dims:
         raise ShapeMismatchError(
-            f"restriction expects source dims {(l1.cols, l2.cols, l3.cols)}, tensor has {t.dims}"
+            f"restriction expects source dims {r.source_dims}, tensor has {dims}"
         )
-    f = t.field
-    out: Dict[tuple, Elem] = {}
-    rows1 = [[(a, v) for a, v in enumerate(l1.col(i)) if not f.is_zero(v)] for i in range(l1.cols)]
-    rows2 = [[(b, v) for b, v in enumerate(l2.col(j)) if not f.is_zero(v)] for j in range(l2.cols)]
-    rows3 = [[(c, v) for c, v in enumerate(l3.col(k)) if not f.is_zero(v)] for k in range(l3.cols)]
-    for (i, j, k), v in t.nonzero_items():
-        for a, va in rows1[i]:
-            va_v = f.mul(va, v)
-            for b, vb in rows2[j]:
-                vab = f.mul(va_v, vb)
-                for c, vc in rows3[k]:
-                    key = (a, b, c)
-                    cur = out.get(key)
-                    out[key] = f.mul(vab, vc) if cur is None else f.add(cur, f.mul(vab, vc))
-    out = {k: v for k, v in out.items() if not f.is_zero(v)}
-    return Tensor3(f, r.target_dims, out)
+    out = contract(power_items(t, power), [matrix_terms(m) for m in r.maps], t.field)
+    return Tensor3(t.field, r.target_dims, out.get(0, {}))
 
 
-def verify_restriction(r: Restriction, t: Tensor3, s: Tensor3) -> bool:
-    """Entrywise check that (L1 (x) L2 (x) L3) t = s."""
-    if r.target_dims != s.dims or r.source_dims != t.dims:
+def verify_restriction(r: Restriction, t: Tensor3, s: Tensor3, *, power: int = 1) -> bool:
+    """Entrywise check that (L1 (x) L2 (x) L3) t^(x)power = s."""
+    if r.target_dims != s.dims or r.source_dims != power_dims(t, power):
         return False
-    return apply_restriction(r, t) == s
+    return apply_restriction(r, t, power=power) == s
 
 
 # -- conciseness reduction ----------------------------------------------------
@@ -316,7 +391,8 @@ def _greedy_independent_slices(t: Tensor3, direction: int):
     coeffs = []
     for s in slices:
         x = solve(basis_mat, s.vectorize())
-        assert x is not None, "slice not in span of chosen independent slices"
+        if x is None:
+            raise VerificationFailedError("slice not in span of chosen independent slices")  # pragma: no cover
         coeffs.append(x)
     return chosen, coeffs
 

@@ -1,0 +1,253 @@
+"""The leg-by-leg contraction kernel against the triple loops it replaced,
+and certificate checks on Kronecker powers that never build the power."""
+
+from fractions import Fraction
+from typing import Dict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tenrank.cli import main
+from tenrank.engine import (
+    SubrankCertificate,
+    _contract_leg,
+    mamu_cube,
+    subrank_exact,
+    two_direction_square,
+)
+from tenrank.errors import ResourceGuardError
+from tenrank.fields import GF, QQ
+from tenrank.io import serialize_certificate, serialize_tensor
+from tenrank.laurent import (
+    Degeneration,
+    LaurentMatrix,
+    apply_degeneration,
+    poly_mul,
+    verify_degeneration,
+)
+from tenrank.matrix import Matrix
+from tenrank.pivots import sqrt_certificate
+from tenrank.spans import max_rank_exhaustive, slice_span
+from tenrank.tensor import (
+    Restriction,
+    Tensor3,
+    apply_restriction,
+    balanced_pivot,
+    null_algebra,
+    unit,
+    verify_restriction,
+)
+
+FIELDS = (GF(2), GF(7), QQ)
+
+
+# -- the triple loops the kernel replaced, kept as the reference ---------------
+
+
+def ref_apply_restriction(r: Restriction, t: Tensor3) -> Tensor3:
+    l1, l2, l3 = r.maps
+    f = t.field
+    out: Dict[tuple, object] = {}
+    rows1 = [[(a, v) for a, v in enumerate(l1.col(i)) if not f.is_zero(v)] for i in range(l1.cols)]
+    rows2 = [[(b, v) for b, v in enumerate(l2.col(j)) if not f.is_zero(v)] for j in range(l2.cols)]
+    rows3 = [[(c, v) for c, v in enumerate(l3.col(k)) if not f.is_zero(v)] for k in range(l3.cols)]
+    for (i, j, k), v in t.nonzero_items():
+        for a, va in rows1[i]:
+            va_v = f.mul(va, v)
+            for b, vb in rows2[j]:
+                vab = f.mul(va_v, vb)
+                for c, vc in rows3[k]:
+                    key = (a, b, c)
+                    cur = out.get(key)
+                    out[key] = f.mul(vab, vc) if cur is None else f.add(cur, f.mul(vab, vc))
+    out = {k: v for k, v in out.items() if not f.is_zero(v)}
+    return Tensor3(f, r.target_dims, out)
+
+
+def ref_apply_degeneration(d: Degeneration, t: Tensor3) -> Dict[int, Tensor3]:
+    f = t.field
+    index = []
+    for m in d.maps:
+        idx: Dict[int, list] = {}
+        for (i, j), poly in m.entries.items():
+            idx.setdefault(j, []).append((i, poly))
+        index.append(idx)
+    ai, bi, ci = index
+    acc: Dict[int, Dict[tuple, object]] = {}
+    for (i, j, k), v in t.nonzero_items():
+        for ra, pa in ai.get(i, ()):
+            for rb, pb in bi.get(j, ()):
+                pab = poly_mul(f, pa, pb)
+                for rc, pc in ci.get(k, ()):
+                    prod = poly_mul(f, pab, pc)
+                    for e, coef in prod.items():
+                        bucket = acc.setdefault(e, {})
+                        key = (ra, rb, rc)
+                        s = f.add(bucket.get(key, f.zero()), f.mul(coef, v))
+                        if f.is_zero(s):
+                            bucket.pop(key, None)
+                        else:
+                            bucket[key] = s
+    return {e: Tensor3(f, d.target_dims, b) for e, b in sorted(acc.items()) if b}
+
+
+# -- strategies -----------------------------------------------------------------
+
+
+def elements(f):
+    if f == QQ:
+        return st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    return st.integers(0, f.p - 1)
+
+
+@st.composite
+def tensor_and_power(draw):
+    f = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3 if m == 1 else 2)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    t = Tensor3(f, dims, draw(st.lists(elements(f), min_size=n, max_size=n)), normalize=True)
+    return t, m
+
+
+@st.composite
+def restriction_case(draw):
+    t, m = draw(tensor_and_power())
+    f = t.field
+    maps = []
+    for n in t.dims:
+        rows = draw(st.integers(1, 3))
+        data = draw(st.lists(st.lists(elements(f), min_size=n**m, max_size=n**m),
+                             min_size=rows, max_size=rows))
+        maps.append(Matrix(f, data, normalize=True))
+    return t, m, Restriction(tuple(maps))
+
+
+@st.composite
+def degeneration_case(draw):
+    t, m = draw(tensor_and_power())
+    f = t.field
+    r = draw(st.integers(1, 3))
+    maps = []
+    for n in t.dims:
+        ent = {}
+        for row in range(r):
+            for col in range(n**m):
+                terms = draw(st.lists(st.tuples(st.integers(-2, 2), elements(f)), max_size=2))
+                if terms:
+                    ent[(row, col)] = dict(terms)
+        maps.append(LaurentMatrix(f, r, n**m, ent))
+    return t, m, Degeneration(tuple(maps), claimed_r=r, power=m)
+
+
+# -- differential tests ---------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(restriction_case())
+def test_restriction_matches_triple_loop(case):
+    t, m, r = case
+    power = t.kron_power(m)
+    expected = ref_apply_restriction(r, power)
+    assert apply_restriction(r, t, power=m) == expected
+    assert verify_restriction(r, t, expected, power=m)
+    assert verify_restriction(r, power, expected)
+    if r.target_dims == (1, 1, 1):
+        other = Tensor3(t.field, (1, 1, 1), [t.field.add(expected[0, 0, 0], t.field.one())])
+        assert not verify_restriction(r, t, other, power=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degeneration_case())
+def test_degeneration_matches_triple_loop(case):
+    t, m, d = case
+    power = t.kron_power(m)
+    assert apply_degeneration(d, t, power=m) == ref_apply_degeneration(d, power)
+    assert verify_degeneration(d, t, power=m, explain=True) == verify_degeneration(
+        d, power, explain=True
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_and_power(), st.integers(1, 3), st.data())
+def test_single_leg_contraction_matches_identity_restriction(case, leg, data):
+    t, _ = case
+    f = t.field
+    n = t.dims[leg - 1]
+    rows = data.draw(st.integers(1, 3))
+    m = Matrix(f, data.draw(st.lists(st.lists(elements(f), min_size=n, max_size=n),
+                                      min_size=rows, max_size=rows)), normalize=True)
+    maps = [Matrix.identity(f, n) for n in t.dims]
+    maps[leg - 1] = m
+    assert _contract_leg(t, leg, m) == ref_apply_restriction(Restriction(tuple(maps)), t)
+
+
+# -- certificates on powers never build the power ---------------------------------
+
+
+def _witnesses(t):
+    wits = []
+    for d in (1, 2, 3):
+        rd, cd = [x for x in (1, 2, 3) if x != d]
+        wits.append(max_rank_exhaustive(slice_span(t, rd, cd))[1])
+    return wits
+
+
+@pytest.fixture
+def no_kron(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a Kronecker product of tensors was built")
+
+    monkeypatch.setattr(Tensor3, "kron", refuse)
+
+
+def test_square_and_cube_certificates_verify_without_the_power(no_kron):
+    t = null_algebra(GF(7), 4)
+    w1, _, w3 = _witnesses(t)
+    square = two_direction_square(t, 1, 3, w1, w3)
+    assert square.power == 2 and square.verify(t)
+
+    u = unit(GF(5), 2)
+    restr, bound = mamu_cube(u, *_witnesses(u))
+    assert bound == 4
+    _, base = subrank_exact(u)
+    res = base.restriction
+    cube = res.kron(res).kron(res)
+    assert SubrankCertificate("restriction", 8, 3, restriction=cube).verify(u)
+    assert not SubrankCertificate("restriction", 8, 3, restriction=cube).verify(null_algebra(GF(5), 2))
+    deg = Degeneration.from_restriction(cube, 8, 3)
+    assert SubrankCertificate("degeneration", 8, 3, degeneration=deg).verify(u)
+
+
+def test_cli_verifies_power_two_certificate_without_the_power(no_kron, tmp_path, capsys):
+    t = balanced_pivot(GF(7), 4)
+    d = sqrt_certificate(t)
+    assert d.power == 2
+    cert, tens = tmp_path / "sqrt.cert", tmp_path / "t.tensor"
+    cert.write_text(serialize_certificate(d, t.field))
+    tens.write_text(serialize_tensor(t))
+    assert main(["verify", str(cert), str(tens)]) == 0
+    assert capsys.readouterr().out.strip() == "verified r=4 power=2"
+
+
+def test_guard_counts_dense_entries_of_the_power(tmp_path, capsys):
+    t = unit(GF(2), 4)  # 64 entries: 64^4 = 2^24 is allowed, 64^5 is not
+    with pytest.raises(ResourceGuardError) as built:
+        t.kron_power(5)
+    sel = Matrix.from_entries(GF(2), 1, 4**5, {(0, 0): 1})
+    with pytest.raises(ResourceGuardError) as streamed:
+        apply_restriction(Restriction((sel, sel, sel)), t, power=5)
+    assert str(streamed.value) == str(built.value)
+
+    deg = Degeneration.from_restriction(Restriction((sel, sel, sel)), 1, 5)
+    assert not SubrankCertificate("degeneration", 1, 5, degeneration=deg).verify(t)
+    sel4 = Matrix.from_entries(GF(2), 1, 4**4, {(0, 0): 1})
+    deg4 = Degeneration.from_restriction(Restriction((sel4, sel4, sel4)), 1, 4)
+    assert SubrankCertificate("degeneration", 1, 4, degeneration=deg4).verify(t)
+
+    cert, tens = tmp_path / "big.cert", tmp_path / "t.tensor"
+    cert.write_text(serialize_certificate(deg, t.field))
+    tens.write_text(serialize_tensor(t))
+    assert main(["verify", str(cert), str(tens)]) == 3
+    assert str(built.value) in capsys.readouterr().err

@@ -73,6 +73,46 @@ def test_certificate_of_restriction_roundtrip():
     assert verify_degeneration(d2, t)
 
 
+def _w_certificate_text():
+    from tenrank.engine import subrank_exact
+
+    t = w_tensor(GF(2))
+    _, cert = subrank_exact(t)
+    d = certificate_of_restriction(cert.restriction, cert.r, cert.power)
+    return t, serialize_certificate(d, t.field)
+
+
+def test_certificate_parse_rejects_bad_power_r_and_duplicates():
+    _, text = _w_certificate_text()
+    assert "\npower 1\n" in text and "\nr 1\n" in text
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, ln in enumerate(lines) if ln[0].isdigit())
+    duplicate = "".join(lines[: first + 1] + [lines[first]] + lines[first + 1:])
+    bad = [
+        text.replace("power 1\n", "power 0\n"),
+        text.replace("power 1\n", "power -3\n"),
+        text.replace("power 1\n", "power x\n"),
+        text.replace("power 1\n", "power\n"),
+        text.replace("\nr 1\n", "\nr -1\n"),
+        text.replace("\nr 1\n", "\nr x\n"),
+        duplicate,
+    ]
+    for variant in bad:
+        with pytest.raises(ParseError):
+            parse_certificate(variant)
+
+
+def test_cli_power_zero_certificate_is_not_verified(tmp_path, capsys):
+    t, text = _w_certificate_text()
+    tpath = tmp_path / "w.tensor"
+    cpath = tmp_path / "w.cert"
+    tpath.write_text(serialize_tensor(t))
+    cpath.write_text(text.replace("power 1\n", "power 0\n"))
+    assert run_cli("verify", str(cpath), str(tpath)) == 2
+    out = capsys.readouterr()
+    assert "verified" not in out.out and "parse error" in out.err
+
+
 def run_cli(*argv):
     return main(list(argv))
 
