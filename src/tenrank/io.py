@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .errors import ParseError
+from .errors import BadParamsError, ParseError
 from .fields import Field, format_value, parse_field, parse_value
 from .laurent import Degeneration, LaurentMatrix
 from .tensor import Restriction, Tensor3
@@ -28,6 +28,26 @@ def serialize_tensor(t: Tensor3) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _field_line(parts, ln: str) -> Field:
+    if len(parts) != 2:
+        raise ParseError(f"bad field line {ln!r}")
+    try:
+        return parse_field(parts[1])
+    except BadParamsError as exc:
+        raise ParseError(f"bad field line {ln!r}: {exc}") from exc
+
+
+def _ints(words, ln: str, lowest: int) -> list:
+    """The integers spelled by `words` of line `ln`, each at least `lowest`."""
+    try:
+        values = [int(w) for w in words]
+    except ValueError as exc:
+        raise ParseError(f"non-integer value in {ln!r}") from exc
+    if any(v < lowest for v in values):
+        raise ParseError(f"value below {lowest} in {ln!r}")
+    return values
+
+
 def parse_tensor(text: str) -> Tensor3:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != TENSOR_HEADER:
@@ -38,11 +58,11 @@ def parse_tensor(text: str) -> Tensor3:
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "field":
-            field = parse_field(parts[1])
+            field = _field_line(parts, ln)
         elif parts[0] == "dims":
             if len(parts) != 4:
                 raise ParseError(f"bad dims line: {ln!r}")
-            dims = tuple(int(x) for x in parts[1:])
+            dims = tuple(_ints(parts[1:], ln, 0))
         else:
             if field is None or dims is None:
                 raise ParseError("entry line before field/dims header")
@@ -83,14 +103,9 @@ def serialize_certificate(d: Degeneration, field: Field) -> str:
 
 def _count_line(parts, ln: str, lowest: int) -> int:
     """The single integer argument of a `power` or `r` line, at least `lowest`."""
-    try:
-        (word,) = parts[1:]
-        value = int(word)
-    except ValueError as exc:
-        raise ParseError(f"bad {parts[0]} line {ln!r}") from exc
-    if value < lowest:
-        raise ParseError(f"{parts[0]} must be at least {lowest} in {ln!r}")
-    return value
+    if len(parts) != 2:
+        raise ParseError(f"bad {parts[0]} line {ln!r}")
+    return _ints(parts[1:], ln, lowest)[0]
 
 
 def parse_certificate(text: str):
@@ -106,7 +121,7 @@ def parse_certificate(text: str):
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "field":
-            field = parse_field(parts[1])
+            field = _field_line(parts, ln)
         elif parts[0] == "power":
             power = _count_line(parts, ln, 1)
         elif parts[0] == "r":
@@ -116,7 +131,8 @@ def parse_certificate(text: str):
                 raise ParseError(f"bad map header {ln!r}")
             if cur is not None:
                 maps.append(cur)
-            cur = (int(parts[3]), int(parts[5]), {})
+            rows, cols = _ints((parts[3], parts[5]), ln, 0)
+            cur = (rows, cols, {})
         else:
             if cur is None or field is None:
                 raise ParseError(f"entry line outside a map block: {ln!r}")
@@ -127,6 +143,8 @@ def parse_certificate(text: str):
                 e = int(parts[2])
             except ValueError as exc:
                 raise ParseError(f"bad quadruple {ln!r}") from exc
+            if not (0 <= i < cur[0] and 0 <= j < cur[1]):
+                raise ParseError(f"quadruple outside its {cur[0]}x{cur[1]} map in {ln!r}")
             poly = cur[2].setdefault((i, j), {})
             if e in poly:
                 raise ParseError(f"duplicate quadruple in {ln!r}")

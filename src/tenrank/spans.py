@@ -111,7 +111,7 @@ class MaxRankWitness:
     rank: int
 
 
-def _combine(span: SliceSpan, coeffs: Sequence[Elem]) -> Matrix:
+def combine(span: SliceSpan, coeffs: Sequence[Elem]) -> Matrix:
     f = span.field
     rows, cols = span.shape
     if isinstance(f, PrimeField):
@@ -132,10 +132,6 @@ def _combine(span: SliceSpan, coeffs: Sequence[Elem]) -> Matrix:
                 for j, v in enumerate(row):
                     ai[j] = f.add(ai[j], f.mul(c, v))
     return Matrix(f, acc, cols=cols)
-
-
-def combine(span: SliceSpan, coeffs: Sequence[Elem]) -> Matrix:
-    return _combine(span, coeffs)
 
 
 def _lift_coeffs(reduced_coeffs, reduction: Matrix, field: Field):
@@ -160,7 +156,7 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
             raise ZeroSpanError("min-rank of the zero span")
         return 0, tuple(f.zero() for _ in span.basis)
     q = f.p
-    from ._batch import projective_count, projective_vectors
+    from ._batch import MAX_BATCH_PRIME, projective_count, projective_vectors
 
     count = projective_count(q, c)
     if count > guard:
@@ -170,18 +166,13 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     red = SliceSpan(f, tuple(mats))
     rows, cols = span.shape
     upper = min(rows, cols)
-    if count >= _BATCH_THRESHOLD and q <= 2**15:
-        value, idx = _enumerate_ranks_batched(red, q, c, minimize)
-        vec = None
-        for i, v in enumerate(projective_vectors(q, c)):
-            if i == idx:
-                vec = v
-                break
+    if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
+        value, vec = _enumerate_ranks_batched(red, q, c, minimize)
         return value, _lift_coeffs(vec, reduction, f)
     best = None
     best_vec = None
     for vec in projective_vectors(q, c):
-        r = rank(_combine(red, vec))
+        r = rank(combine(red, vec))
         if best is None or (r < best if minimize else r > best):
             best, best_vec = r, vec
             if (minimize and best == 1) or (not minimize and best == upper):
@@ -190,6 +181,7 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
 
 
 def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool):
+    """(best rank, the first projective vector attaining it, as ints)."""
     import numpy as np
 
     from ._batch import batched_rank_mod_p, projective_array
@@ -211,7 +203,7 @@ def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool):
             best_idx = lo + i
             if (minimize and best == 1) or (not minimize and best == min(rows, cols)):
                 break
-    return best, best_idx
+    return best, tuple(int(x) for x in vecs[best_idx])
 
 
 def max_rank_exhaustive(span: SliceSpan, *, guard: int = PROJECTIVE_GUARD):
@@ -247,7 +239,7 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
             coeffs = tuple(rng.randrange(f.p) for _ in range(n))
         else:
             coeffs = tuple(Fraction(rng.randrange(h)) for _ in range(n))
-        r = rank(_combine(span, coeffs))
+        r = rank(combine(span, coeffs))
         if r > best:
             best, best_coeffs = r, coeffs
             if best == upper:
@@ -292,20 +284,24 @@ def subspace_count(q: int, n: int, dim: int) -> int:
 
 def _annihilator(basis: Matrix) -> Matrix:
     """Rows spanning {y : y . v = 0 for all v in row span of basis}."""
-    f = basis.field
-    n = basis.cols
     res = rref(basis)
-    piv = set(res.pivot_cols)
-    rows = []
+    rows = _rref_annihilator(basis.field, res.rref.data, res.pivot_cols, basis.cols)
+    return Matrix(basis.field, rows, cols=basis.cols)
+
+
+def _rref_annihilator(f: Field, rows, pivot_cols, n: int) -> List[list]:
+    """Annihilator rows of the row space of reduced rows with these pivots."""
+    piv = set(pivot_cols)
+    out = []
     for c in range(n):
         if c in piv:
             continue
         vec = [f.zero()] * n
         vec[c] = f.one()
-        for r, pc in enumerate(res.pivot_cols):
-            vec[pc] = f.neg(res.rref.data[r][c])
-        rows.append(vec)
-    return Matrix(f, rows, cols=n)
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = f.neg(rows[r][c])
+        out.append(vec)
+    return out
 
 
 def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
@@ -318,8 +314,13 @@ def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
 def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     """Smallest dim V1 + dim V2 with the span inside V1 (x) F + F (x) V2.
 
-    Returns (value, (V1 basis matrix, V2 basis matrix)).  Exhausts subspace
-    pairs in order of increasing total dimension, so the first hit is optimal.
+    Returns (value, (V1 basis matrix, V2 basis matrix)).  Only V1 is
+    enumerated, in order of increasing dimension: for a fixed V1 the
+    smallest valid V2 is the row span W of the matrices ann(V1) * M, so the
+    best total with that V1 is dim V1 + dim W, and V2 is the rref basis of
+    W.  The first V1 reaching the minimum wins, which gives the same pair as
+    a search over (V1, V2) in order of increasing total.  The guard still
+    counts the (V1, V2) subspace pairs, so the same spans are refused.
     """
     f = span.field
     if not isinstance(f, PrimeField):
@@ -337,15 +338,23 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
         raise ResourceGuardError(
             f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
         )
-    for total in range(1, n1 + n2 + 1):
-        for a in range(max(0, total - n2), min(n1, total) + 1):
-            b = total - a
-            for v1 in subspaces(f, n1, a):
-                ann1 = _annihilator(v1)
-                for v2 in subspaces(f, n2, b):
-                    if _covered(span, ann1, _annihilator(v2)):
-                        return total, (v1, v2)
-    raise VerificationFailedError("mincov search exhausted without a cover")  # pragma: no cover
+    columns = [list(zip(*m.data)) for m in span.basis]
+    best = n1 + n2 + 1
+    for a in range(n1 + 1):
+        if a >= best:
+            break
+        for v1 in subspaces(f, n1, a):
+            # subspaces yields reduced rows, whose first nonzero entry is the pivot 1
+            ann1 = _rref_annihilator(f, v1.data, [row.index(1) for row in v1.data], n1)
+            w = [[sum(x * y for x, y in zip(row, col)) % q for col in cols]
+                 for cols in columns for row in ann1]
+            total = a + rank_of_rows(f, w, n2)
+            if total < best:
+                best, best_v1, best_w = total, v1, w
+                if total == a:
+                    break
+    res = rref(Matrix(f, best_w, cols=n2))
+    return best, (best_v1, Matrix(f, res.rref.data[:res.rank], cols=n2))
 
 
 def verify_cover(span: SliceSpan, v1: Matrix, v2: Matrix) -> bool:
@@ -734,7 +743,8 @@ def _minsupp_argmin_q(field: Field, rows: List[tuple], n: int):
         if all(vec[i] != 0 for i in live):
             seed = vec
             break
-    assert seed is not None
+    if seed is None:
+        raise VerificationFailedError("no full-support seed among the Vandermonde candidates")
     best, best_v = len(live), tuple(seed)
     for i in live:
         sub = Matrix(field, [[r[i]] for r in rows], cols=1)
@@ -805,7 +815,8 @@ def basis_extension(field: Field, mats: Sequence[Matrix], j_set: Sequence[int]):
         if idx in chosen:
             continue
         x = solve(basis_mat, restr_vecs[idx])
-        assert x is not None
+        if x is None:
+            raise VerificationFailedError("J x J restriction outside the span of the chosen ones")
         m = reduced[idx]
         for coef, bm in zip(x, front):
             if not field.is_zero(coef):
@@ -895,9 +906,10 @@ def minrk_diag_pipeline(span: SliceSpan, *, trials: int = 64, seed: int = 0,
             k_val, wit = max_rank_randomized(red_span, trials, seed)
     else:
         k_val, wit = max_rank_randomized(red_span, trials, seed)
-    a_star = _combine(red_span, wit.coeffs)
+    a_star = combine(red_span, wit.coeffs)
     p, q, k = rank_normal_form(a_star)
-    assert k == k_val
+    if k != k_val:
+        raise VerificationFailedError(f"witness has rank {k}, not the max-rank {k_val}")
     # reorder basis to start with the max-rank element
     rest = [m for m in reduced]
     basis = [a_star]
@@ -908,10 +920,12 @@ def minrk_diag_pipeline(span: SliceSpan, *, trials: int = 64, seed: int = 0,
         if rank_of_rows(f, vecs + [v], width) > len(vecs):
             basis.append(m)
             vecs.append(v)
-    assert len(basis) == c
+    if len(basis) != c:
+        raise VerificationFailedError("max-rank witness did not extend to a basis")
     transformed = [p.mul(m).mul(q) for m in basis]
     blocks = [m.submatrix(range(k), range(k)) for m in transformed]
-    assert blocks[0] == Matrix.identity(f, k)
+    if blocks[0] != Matrix.identity(f, k):
+        raise VerificationFailedError("rank normal form is not the identity block")
     u_k, v_k, kept = diagonalize_principal(f, blocks)
     diag_vectors = []
     for blk in blocks:
@@ -968,7 +982,8 @@ def _minsupp_restrict_exact_q(field: Field, vectors: Sequence[tuple], c: int):
         # lift the witness back to a full vector via its coefficients
         full_rows = _reduce_rows(field, vectors)
         coeffs = solve(Matrix(field, list(zip(*[tuple(r[x] for x in i_set) for r in full_rows])), cols=len(full_rows)), list(vec))
-        assert coeffs is not None
+        if coeffs is None:
+            raise VerificationFailedError("restricted witness does not lift to the full space")
         full = [field.zero()] * n
         for coef, r in zip(coeffs, full_rows):
             if coef != 0:
@@ -989,8 +1004,6 @@ def _pad_block(field: Field, m: Matrix, n: int) -> Matrix:
 
 
 def mixed_kron_count(b: int, c: int, m: int, l: int) -> int:
-    from math import comb
-
     return sum(comb(m, t) * b**t * (c - b) ** (m - t) for t in range(l, m + 1))
 
 

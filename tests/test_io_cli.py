@@ -117,6 +117,53 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+_BAD_CERTIFICATE_EDITS = {
+    "bare field": lambda text, header, first, rows: text.replace("field gf:2\n", "field\n"),
+    "bad field tag": lambda text, header, first, rows: text.replace("field gf:2\n", "field gf:4\n"),
+    "non-integer map header": lambda text, header, first, rows: text.replace(header, "map 1 rows x cols 2"),
+    "negative map rows": lambda text, header, first, rows: text.replace(header, "map 1 rows -1 cols 2"),
+    "row outside map": lambda text, header, first, rows: text.replace(first, f"{rows + 1} 1 0 1", 1),
+    "column outside map": lambda text, header, first, rows: text.replace(first, "1 0 0 1", 1),
+}
+_BAD_TENSOR_EDITS = {
+    "bare field": ("field gf:2\n", "field\n"),
+    "non-integer dims": ("dims 2 2 2\n", "dims x 1 1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CERTIFICATE_EDITS))
+def test_malformed_certificate_is_a_parse_error(case, tmp_path, capsys):
+    t, cert = _w_certificate_text()
+    header = next(ln for ln in cert.splitlines() if ln.startswith("map 1 "))
+    first = next(ln for ln in cert.splitlines() if ln[0].isdigit())
+    text = _BAD_CERTIFICATE_EDITS[case](cert, header, first, int(header.split()[3]))
+    assert text != cert
+    with pytest.raises(ParseError):
+        parse_certificate(text)
+    tpath = tmp_path / "w.tensor"
+    cpath = tmp_path / "w.cert"
+    tpath.write_text(serialize_tensor(t))
+    cpath.write_text(text)
+    assert run_cli("verify", str(cpath), str(tpath)) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TENSOR_EDITS))
+def test_malformed_tensor_is_a_parse_error(case, tmp_path, capsys):
+    t, cert = _w_certificate_text()
+    old, new = _BAD_TENSOR_EDITS[case]
+    text = serialize_tensor(t).replace(old, new)
+    assert new in text
+    with pytest.raises(ParseError):
+        parse_tensor(text)
+    tpath = tmp_path / "w.tensor"
+    cpath = tmp_path / "w.cert"
+    tpath.write_text(text)
+    cpath.write_text(cert)
+    assert run_cli("verify", str(cpath), str(tpath)) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_workflow(tmp_path):
     tpath = tmp_path / "w.tensor"
     cpath = tmp_path / "w.cert"

@@ -1,9 +1,14 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import tenrank.spans
 from tenrank.errors import (
     FieldTooSmallError,
     InfiniteFieldError,
@@ -14,7 +19,10 @@ from tenrank.errors import (
 from tenrank.fields import GF, QQ
 from tenrank.matrix import Matrix, rank
 from tenrank.spans import (
+    SUBSPACE_PAIR_GUARD,
     SliceSpan,
+    _annihilator,
+    _covered,
     basis_extension,
     combine,
     diag_minrank_restrict,
@@ -249,6 +257,73 @@ def brute_mincov(field, mats):
                     continue
                 break
     return best
+
+
+def ref_mincov_two_sided(span, guard=SUBSPACE_PAIR_GUARD):
+    """The two-sided (V1, V2) search mincov_exhaustive replaced, kept as the
+    reference: pairs in order of increasing total, first cover wins."""
+    f = span.field
+    n1, n2 = span.shape
+    if all(m.is_zero() for m in span.basis):
+        return 0, (Matrix.zeros(f, 0, n1), Matrix.zeros(f, 0, n2))
+    q = f.p
+    total_pairs = sum(
+        subspace_count(q, n1, a) * subspace_count(q, n2, b)
+        for a in range(n1 + 1)
+        for b in range(n2 + 1)
+    )
+    if total_pairs > guard:
+        raise ResourceGuardError(
+            f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
+        )
+    for total in range(1, n1 + n2 + 1):
+        for a in range(max(0, total - n2), min(n1, total) + 1):
+            b = total - a
+            for v1 in subspaces(f, n1, a):
+                ann1 = _annihilator(v1)
+                for v2 in subspaces(f, n2, b):
+                    if _covered(span, ann1, _annihilator(v2)):
+                        return total, (v1, v2)
+    raise AssertionError("two-sided search found no cover")
+
+
+@st.composite
+def small_spans(draw):
+    f = GF(draw(st.sampled_from([2, 3, 5])))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gens = draw(st.integers(1, 3))
+    entries = st.lists(st.integers(0, f.p - 1), min_size=rows * cols, max_size=rows * cols)
+    mats = [Matrix(f, [e[i * cols:(i + 1) * cols] for i in range(rows)]) for e in draw(
+        st.lists(entries, min_size=gens, max_size=gens))]
+    return span_of(f, mats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_spans())
+@example(span_of(GF(3), [Matrix.zeros(GF(3), 2, 3)]))
+@example(span_of(GF(5), [Matrix.identity(GF(5), 3)]))
+def test_mincov_one_sided_matches_two_sided(span):
+    got, (v1, v2) = mincov_exhaustive(span)
+    want, (w1, w2) = ref_mincov_two_sided(span)
+    assert got == want
+    assert v1.data == w1.data and v1.cols == w1.cols
+    assert v2.data == w2.data and v2.cols == w2.cols
+    assert verify_cover(span, v1, v2)
+
+
+def test_mincov_guard_counts_pairs():
+    f = GF(2)
+    span = span_of(f, [Matrix.identity(f, 3)])
+    pairs = sum(subspace_count(2, 3, d) for d in range(4))
+    with pytest.raises(ResourceGuardError, match=f"{pairs * pairs} pairs exceeds guard"):
+        mincov_exhaustive(span, guard=pairs * pairs - 1)
+    assert mincov_exhaustive(span, guard=pairs * pairs)[0] == 3
+
+
+def test_spans_has_no_assert_statements():
+    tree = ast.parse(Path(tenrank.spans.__file__).read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 def test_mincov_matches_brute_force():
