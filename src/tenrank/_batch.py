@@ -1,56 +1,61 @@
 """Vectorized exact kernels for GF(p) enumeration workloads.
 
-Everything here is integer arithmetic mod p in int64 numpy arrays; no
-floating point is involved.  Used by the span-enumeration operations when the
-batch is large enough to amortize the numpy overhead; the pure-Python paths
-in matrix.py/spans.py remain the reference implementation.
+Everything here is integer arithmetic mod p in numpy arrays; no floating
+point is involved.  Elimination runs in int32: with p <= MAX_BATCH_PRIME =
+2^15 every product of two residues stays below p^2 < 2^30.  Used by the
+span-enumeration operations when the batch is large enough to amortize the
+numpy overhead; the pure-Python paths in matrix.py/spans.py remain the
+reference implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# p*p must stay well inside int64 during elimination; desk-scale fields are tiny
+# p*p must stay inside int32 during elimination; desk-scale fields are tiny
 MAX_BATCH_PRIME = 1 << 15
 
 
 def inverse_table(p: int) -> np.ndarray:
     """inv[x] = x^-1 mod p for x in 1..p-1 (inv[0] unused)."""
-    inv = np.zeros(p, dtype=np.int64)
+    inv = np.zeros(p, dtype=np.int32)
     inv[1:] = [pow(x, p - 2, p) for x in range(1, p)]
     return inv
 
 
 def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a (B, m, n) int64 batch of matrices over GF(p)."""
-    a = np.ascontiguousarray(mats % p)
-    if a.ndim != 3:
+    """Ranks of a (B, m, n) integer batch of matrices over GF(p), p <= MAX_BATCH_PRIME.
+
+    Elimination runs one column at a time over the whole batch, along the
+    shorter side.  Rows are not swapped: each matrix takes its first free row
+    that is nonzero in the column as the pivot and clears that column from
+    its other free rows; the rank is the number of rows taken.
+    """
+    if p > MAX_BATCH_PRIME:
+        raise ValueError(f"prime {p} above MAX_BATCH_PRIME")
+    if mats.ndim != 3:
         raise ValueError("expected a (B, m, n) array")
+    a = mats % p
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1)
+    a = np.ascontiguousarray(a, dtype=np.int32)
     nb, m, n = a.shape
-    if m == 0 or n == 0 or nb == 0:
-        return np.zeros(nb, dtype=np.int64)
     inv = inverse_table(p)
-    piv = np.zeros(nb, dtype=np.int64)
-    rows = np.arange(m)
+    free = np.ones((nb, m), dtype=bool)
+    at = np.arange(nb)
     for col in range(n):
-        colvals = a[:, :, col]
-        cand = (colvals != 0) & (rows[None, :] >= piv[:, None])
-        has = cand.any(axis=1)
-        idx = np.flatnonzero(has & (piv < m))
-        if idx.size == 0:
-            continue
-        first = np.argmax(cand[idx], axis=1)
-        r = piv[idx]
-        # swap the found row into pivot position
-        tmp = a[idx, first, :].copy()
-        a[idx, first, :] = a[idx, r, :]
-        a[idx, r, :] = tmp
-        pr = (a[idx, r, :] * inv[a[idx, r, col]][:, None]) % p
-        factors = a[idx, :, col]
-        a[idx] = (a[idx] - factors[:, :, None] * pr[:, None, :]) % p
-        a[idx, r, :] = pr
-        piv[idx] = r + 1
-    return piv
+        colv = a[:, :, col]
+        cand = (colv != 0) & free
+        first = np.argmax(cand, axis=1)
+        free[at, first] &= ~cand[at, first]
+        if col + 1 == n:
+            break
+        # rows without a pivot get factor 0: they have no free nonzero entry
+        factors = np.where(free, colv, 0) * inv[colv[at, first]][:, None] % p
+        rest = a[:, :, col + 1:]
+        rest -= factors[:, :, None] * a[at, first, col + 1:][:, None, :]
+        rest %= p
+    return m - free.sum(axis=1)
 
 
 def projective_vectors(q: int, dim: int):
@@ -71,8 +76,18 @@ def projective_count(q: int, dim: int) -> int:
 
 
 def projective_array(q: int, dim: int) -> np.ndarray:
-    """projective_vectors as an (N, dim) int64 array (same order)."""
-    out = np.empty((projective_count(q, dim), dim), dtype=np.int64)
-    for i, v in enumerate(projective_vectors(q, dim)):
-        out[i] = v
+    """projective_vectors as an (N, dim) int64 array (same order).
+
+    The block with leading 1 at position `lead` counts 0 .. q^k - 1 in base q
+    over its k = dim - lead - 1 tail positions, last position fastest.
+    """
+    out = np.zeros((projective_count(q, dim), dim), dtype=np.int64)
+    lo = 0
+    for lead in range(dim):
+        k = dim - lead - 1
+        hi = lo + q**k
+        out[lo:hi, lead] = 1
+        place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        out[lo:hi, lead + 1:] = np.arange(q**k, dtype=np.int64)[:, None] // place % q
+        lo = hi
     return out

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .errors import BadParamsError, ParseError
-from .fields import Field, format_value, parse_field, parse_value
+from .errors import BadParamsError, ParseError, ResourceGuardError
+from .fields import Elem, Field, format_value, parse_field, parse_value
 from .laurent import Degeneration, LaurentMatrix
-from .tensor import Restriction, Tensor3
+from .tensor import KRON_ENTRY_GUARD, Restriction, Tensor3
 
 TENSOR_HEADER = "tensor v1"
 CERT_HEADER = "certificate v1"
@@ -48,6 +48,14 @@ def _ints(words, ln: str, lowest: int) -> list:
     return values
 
 
+def _value(field: Field, word: str, ln: str) -> Elem:
+    """The scalar spelled by `word` of line `ln`."""
+    try:
+        return parse_value(field, word)
+    except BadParamsError as exc:
+        raise ParseError(f"bad value in {ln!r}: {exc}") from exc
+
+
 def parse_tensor(text: str) -> Tensor3:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != TENSOR_HEADER:
@@ -63,6 +71,11 @@ def parse_tensor(text: str) -> Tensor3:
             if len(parts) != 4:
                 raise ParseError(f"bad dims line: {ln!r}")
             dims = tuple(_ints(parts[1:], ln, 0))
+            if dims[0] * dims[1] * dims[2] > KRON_ENTRY_GUARD:
+                raise ResourceGuardError(
+                    f"tensor would have {dims[0] * dims[1] * dims[2]} entries "
+                    f"(guard {KRON_ENTRY_GUARD})"
+                )
         else:
             if field is None or dims is None:
                 raise ParseError("entry line before field/dims header")
@@ -76,7 +89,7 @@ def parse_tensor(text: str) -> Tensor3:
                 raise ParseError(f"index out of range in {ln!r}")
             if (i, j, k) in entries:
                 raise ParseError(f"duplicate coordinate in {ln!r}")
-            v = parse_value(field, parts[3])
+            v = _value(field, parts[3], ln)
             if field.is_zero(v):
                 raise ParseError(f"explicit zero entry in {ln!r}")
             entries[(i, j, k)] = v
@@ -148,7 +161,7 @@ def parse_certificate(text: str):
             poly = cur[2].setdefault((i, j), {})
             if e in poly:
                 raise ParseError(f"duplicate quadruple in {ln!r}")
-            poly[e] = parse_value(field, parts[3])
+            poly[e] = _value(field, parts[3], ln)
     if cur is not None:
         maps.append(cur)
     if field is None or power is None or r is None or len(maps) != 3:

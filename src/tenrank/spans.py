@@ -191,7 +191,7 @@ def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool):
     vecs = projective_array(q, c)
     best = None
     best_idx = None
-    chunk = 1 << 15
+    chunk = 1 << 12  # 4096 int32 6x6 matrices take 0.6 MB, so a chunk stays in cache
     for lo in range(0, vecs.shape[0], chunk):
         part = vecs[lo: lo + chunk]
         mats = (part @ basis % q).reshape(-1, rows, cols)
@@ -304,6 +304,19 @@ def _rref_annihilator(f: Field, rows, pivot_cols, n: int) -> List[list]:
     return out
 
 
+def _subspace_annihilator(v: Matrix) -> List[list]:
+    """Annihilator rows of a subspace given by the reduced basis `subspaces` yields."""
+    # reduced rows: the first nonzero entry of each is its pivot 1
+    return _rref_annihilator(v.field, v.data, [row.index(1) for row in v.data], v.cols)
+
+
+def _ann_rows(ann, columns, q: int) -> List[list]:
+    """The rows of ann * M mod q, stacked over the matrices M, each given as
+    its list of columns."""
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols]
+            for cols in columns for row in ann]
+
+
 def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
     for m in span.basis:
         if not ann1.mul(m).mul(ann2.transpose()).is_zero():
@@ -344,10 +357,7 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
         if a >= best:
             break
         for v1 in subspaces(f, n1, a):
-            # subspaces yields reduced rows, whose first nonzero entry is the pivot 1
-            ann1 = _rref_annihilator(f, v1.data, [row.index(1) for row in v1.data], n1)
-            w = [[sum(x * y for x, y in zip(row, col)) % q for col in cols]
-                 for cols in columns for row in ann1]
+            w = _ann_rows(_subspace_annihilator(v1), columns, q)
             total = a + rank_of_rows(f, w, n2)
             if total < best:
                 best, best_v1, best_w = total, v1, w

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tenrank.errors import (
     BadDimsError,
@@ -17,6 +19,7 @@ from tenrank.fields import GF, QQ
 from tenrank.engine import (
     Bound,
     SubrankCertificate,
+    _contract_leg,
     asymptotic_bounds,
     compute_n_threshold,
     exists_unit_restriction,
@@ -32,11 +35,14 @@ from tenrank.engine import (
 from tenrank.matrix import Matrix, rank
 from tenrank.spans import (
     MaxRankWitness,
+    _annihilator,
     max_rank_exhaustive,
     min_rank_exhaustive,
     slice_span,
     span_of,
     staircase,
+    subspace_count,
+    subspaces,
 )
 from tenrank.tensor import (
     Restriction,
@@ -110,6 +116,76 @@ def test_slicerank_values():
     assert slicerank_exact(Tensor3.zeros(GF(2), (2, 2, 2))) == 0
     with pytest.raises(InfiniteFieldError):
         slicerank_exact(unit(QQ, 2))
+
+
+def ref_slicerank_pairs(t):
+    """The (V1, V2) loop slicerank_exact replaced, kept as the reference: each
+    pair contracts both quotient maps into a tensor and takes its
+    direction-3 flattening rank."""
+    f = t.field
+    if t.is_zero():
+        return 0
+    n1, n2, n3 = t.dims
+    best = None
+    for a1 in range(n1 + 1):
+        if best is not None and a1 >= best:
+            break
+        for v1 in subspaces(f, n1, a1):
+            t1 = _contract_leg(t, 1, _annihilator(v1))
+            for a2 in range(n2 + 1):
+                if best is not None and a1 + a2 >= best:
+                    break
+                for v2 in subspaces(f, n2, a2):
+                    t12 = _contract_leg(t1, 2, _annihilator(v2))
+                    tot = a1 + a2 + t12.flattening_rank(3)
+                    if best is None or tot < best:
+                        best = tot
+    return best
+
+
+@st.composite
+def small_tensors(draw):
+    f = GF(draw(st.sampled_from([2, 3, 5])))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    return Tensor3(f, dims, draw(st.lists(st.integers(0, f.p - 1), min_size=n, max_size=n)))
+
+
+@st.composite
+def low_slicerank_tensors(draw):
+    """Sums of a few slice-rank-one terms x (x) M, one leg x and a matrix M
+    on the other two legs, so the slice rank often lies below min(dims)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    vals = st.integers(0, p - 1)
+    ent = {}
+    for leg in range(3):
+        rest = [d for x, d in enumerate(dims) if x != leg]
+        for _ in range(draw(st.integers(0, 2))):
+            x = draw(st.lists(vals, min_size=dims[leg], max_size=dims[leg]))
+            m = draw(st.lists(vals, min_size=rest[0] * rest[1], max_size=rest[0] * rest[1]))
+            for ijk in itertools.product(*(range(d) for d in dims)):
+                a, b = [ijk[y] for y in range(3) if y != leg]
+                ent[ijk] = ent.get(ijk, 0) + x[ijk[leg]] * m[a * rest[1] + b]
+    return Tensor3(GF(p), dims, ent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_tensors(), low_slicerank_tensors()))
+@example(Tensor3.zeros(GF(3), (2, 3, 2)))
+@example(unit(GF(5), 3))
+@example(w_tensor(GF(2)))
+@example(w_tensor(GF(3)))
+def test_slicerank_matches_pair_loop(t):
+    assert slicerank_exact(t) == ref_slicerank_pairs(t)
+
+
+def test_slicerank_guard_counts_pairs():
+    t = unit(GF(2), 3)
+    pairs = sum(subspace_count(2, 3, d) for d in range(4)) ** 2
+    with pytest.raises(ResourceGuardError, match=f"{pairs} pairs exceeds guard {pairs - 1}"):
+        slicerank_exact(t, guard=pairs - 1)
+    assert slicerank_exact(t, guard=pairs) == 3
 
 
 def test_chain_on_exhaustive_gf2_222():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tenrank.cli import main, scan_format
-from tenrank.errors import ParseError
+from tenrank.errors import ParseError, ResourceGuardError
 from tenrank.fields import GF, QQ
 from tenrank.io import (
     certificate_of_restriction,
@@ -124,10 +124,13 @@ _BAD_CERTIFICATE_EDITS = {
     "negative map rows": lambda text, header, first, rows: text.replace(header, "map 1 rows -1 cols 2"),
     "row outside map": lambda text, header, first, rows: text.replace(first, f"{rows + 1} 1 0 1", 1),
     "column outside map": lambda text, header, first, rows: text.replace(first, "1 0 0 1", 1),
+    "bad quadruple value": lambda text, header, first, rows: text.replace(
+        first, first.rsplit(" ", 1)[0] + " x", 1),
 }
 _BAD_TENSOR_EDITS = {
     "bare field": ("field gf:2\n", "field\n"),
     "non-integer dims": ("dims 2 2 2\n", "dims x 1 1\n"),
+    "bad entry value": ("1 2 2 1\n", "1 2 2 x\n"),
 }
 
 
@@ -162,6 +165,22 @@ def test_malformed_tensor_is_a_parse_error(case, tmp_path, capsys):
     cpath.write_text(cert)
     assert run_cli("verify", str(cpath), str(tpath)) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["x", "1/0", "1/x", "1.5"])
+def test_bad_rational_entry_is_a_parse_error(value):
+    with pytest.raises(ParseError):
+        parse_tensor(f"tensor v1\nfield q\ndims 1 1 1\n1 1 1 {value}\n")
+
+
+def test_huge_dims_refused_before_allocating(tmp_path, capsys):
+    text = "tensor v1\nfield gf:2\ndims 100000 100000 100000\n1 1 1 1\n"
+    with pytest.raises(ResourceGuardError, match="guard"):
+        parse_tensor(text)
+    tpath = tmp_path / "huge.tensor"
+    tpath.write_text(text)
+    assert run_cli("info", str(tpath)) == 3
+    assert "resource guard" in capsys.readouterr().err
 
 
 def test_cli_workflow(tmp_path):

@@ -151,3 +151,36 @@ def test_batched_rank_matches_scalar():
         for row in arr:
             nz = [x for x in row if x]
             assert nz and row[list(row != 0).index(True)] == 1
+
+
+def _low_rank_matrix(field, rows, cols, r, rng):
+    """A random rows x cols product of a rows x r and an r x cols factor."""
+    return rand_matrix(field, rows, r, rng).mul(rand_matrix(field, r, cols, rng))
+
+
+def test_batched_rank_at_largest_batch_prime():
+    """p = 32749 is the largest prime below 2^15: residue products near p^2
+    would show an int32 overflow as a wrong rank."""
+    import numpy as np
+
+    from tenrank._batch import MAX_BATCH_PRIME, batched_rank_mod_p
+
+    p = 32749
+    assert p < MAX_BATCH_PRIME
+    f = GF(p)
+    rng = random.Random(5)
+    for rows, cols in ((1, 1), (2, 5), (4, 4), (5, 3), (6, 6)):
+        mats = [_low_rank_matrix(f, rows, cols, rng.randrange(1, min(rows, cols) + 1), rng)
+                for _ in range(30)]
+        mats += [rand_matrix(f, rows, cols, rng) for _ in range(10)]
+        mats += [Matrix.zeros(f, rows, cols), Matrix(f, [[p - 1] * cols for _ in range(rows)])]
+        got = batched_rank_mod_p(np.array([m.data for m in mats], dtype=np.int64), p)
+        assert got.tolist() == [rank(m) for m in mats]
+
+
+@pytest.mark.parametrize("q", [2, 3, 11])
+def test_projective_array_matches_generator(q):
+    from tenrank._batch import projective_array, projective_vectors
+
+    for d in range(6):
+        assert projective_array(q, d).tolist() == [list(v) for v in projective_vectors(q, d)]

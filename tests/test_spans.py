@@ -311,6 +311,27 @@ def test_mincov_one_sided_matches_two_sided(span):
     assert verify_cover(span, v1, v2)
 
 
+def test_batched_and_scalar_rank_search_agree(monkeypatch):
+    """max/min-rank give the same value and witness on the numpy batch path
+    and on the pure-Python path."""
+    rng = random.Random(11)
+    cases = []
+    for p, dims in ((5, (3, 3, 4)), (11, (3, 4, 3)), (7, (2, 3, 5)), (3, (4, 4, 4))):
+        f = GF(p)
+        for _ in range(4):
+            n = dims[0] * dims[1] * dims[2]
+            t = Tensor3(f, dims, [rng.randrange(p) for _ in range(n)])
+            cases += [slice_span(t, 1, 2), slice_span(t, 2, 3), slice_span(t, 3, 1)]
+    cases.append(slice_span(null_algebra(GF(11), 4), 2, 3))
+    for span in cases:
+        monkeypatch.setattr(tenrank.spans, "_BATCH_THRESHOLD", 0)
+        batched = [max_rank_exhaustive(span), min_rank_exhaustive(span)]
+        monkeypatch.setattr(tenrank.spans, "_BATCH_THRESHOLD", 10**9)
+        scalar = [max_rank_exhaustive(span), min_rank_exhaustive(span)]
+        for (bv, bw), (sv, sw) in zip(batched, scalar):
+            assert bv == sv and bw.coeffs == sw.coeffs and bw.rank == sw.rank
+
+
 def test_mincov_guard_counts_pairs():
     f = GF(2)
     span = span_of(f, [Matrix.identity(f, 3)])
