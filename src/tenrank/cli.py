@@ -12,6 +12,7 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
+    BadParamsError,
     FieldTooSmallError,
     ParseError,
     ResourceGuardError,
@@ -241,6 +242,8 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
     """
     if not isinstance(field, PrimeField):
         raise ResourceGuardError("scan needs a prime field")
+    if offset < 0 or (limit is not None and limit < 0):
+        raise BadParamsError(f"scan offset {offset} and limit {limit} must not be negative")
     n = dims[0] * dims[1] * dims[2]
     total = field.p**n
     if total > cap:
@@ -273,9 +276,12 @@ def format_scan_report(field, dims, counts: Dict[tuple, int], scanned: int) -> s
 
 def cmd_scan(args) -> int:
     field = parse_field(args.field)
-    dims = tuple(int(x) for x in args.dims.split(","))
-    if len(dims) != 3:
-        raise ParseError("scan needs --dims a,b,c")
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError as exc:
+        raise ParseError(f"non-integer --dims {args.dims!r}") from exc
+    if len(dims) != 3 or min(dims) < 0:
+        raise ParseError("scan needs --dims a,b,c of non-negative integers")
     counts, scanned = scan_format(
         field, dims, offset=args.offset, limit=args.limit, workers=args.workers,
         cap=args.guard if args.guard else SCAN_CAP,

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import Elem, Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import Matrix, invert, rank, rank_of_rows, rref
+from .matrix import Matrix, invert, rank, rank_of_rows, rref, solve
 from .spans import (
     MaxRankWitness,
     SliceSpan,
@@ -91,19 +91,53 @@ def _count_full_rank(q: int, r: int, n: int) -> int:
     return total
 
 
-def _full_rank_maps(field: PrimeField, r: int, n: int):
-    """All rank-r r x n matrices over GF(p), rows enumerated canonically."""
-    q = field.p
-    vectors = list(itertools.product(range(q), repeat=n))
-    for rows in itertools.product(vectors, repeat=r):
-        if rank_of_rows(field, rows, n) == r:
-            yield Matrix(field, rows, cols=n)
+def _leading_one_rows(q: int, n: int) -> list:
+    """The vectors of GF(q)^n whose first nonzero entry is 1, in
+    itertools.product order."""
+    return [v for v in itertools.product(range(q), repeat=n) if next((x for x in v if x), 0) == 1]
+
+
+def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
+    """Whether every E_aa (row-major, length r*r) lies in the span of `vecs`
+    over GF(p).  The vectors are reduced in place to reduced echelon form; a
+    unit vector lies in the span exactly when it is one of its rows."""
+    top = 0
+    for c in range(r * r):
+        sel = next((i for i in range(top, len(vecs)) if vecs[i][c]), None)
+        if sel is None:
+            continue
+        vecs[top], vecs[sel] = vecs[sel], vecs[top]
+        row = vecs[top]
+        inv = pow(row[c], p - 2, p)
+        row[:] = [x * inv % p for x in row]
+        for i, other in enumerate(vecs):
+            factor = other[c]
+            if i != top and factor:
+                other[:] = [(x - factor * y) % p for x, y in zip(other, row)]
+        top += 1
+    basis = {tuple(v) for v in vecs[:top]}
+    return all(tuple(int(c == a * (r + 1)) for c in range(r * r)) in basis for a in range(r))
 
 
 def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restriction]:
-    """Search (L2, L3) surjective pairs, solving for L1 row by row."""
+    """Search (L2, L3) surjective pairs up to scaling and a shared row order,
+    then solve for L1 row by row.
+
+    A pair is accepted when every E_aa lies in span_i{L2 S_i L3^T}, with S_i
+    the direction-1 slices.  Replacing (L2, L3) by (D P L2, D' P L3), with D,
+    D' invertible diagonal and P one row permutation, only permutes and
+    rescales the targets, so the accepted set is closed under these moves.
+    The first accepted pair in the order of all full-rank pairs (L2 major,
+    rows in itertools.product order) is therefore the least of its orbit: L2
+    has increasing rows with leading entry 1 and L3 has rows with leading
+    entry 1.  Only such pairs are enumerated, in the same relative order, so
+    the witness is the one the full search finds.  The guard still counts
+    all full-rank pairs, so it refuses the same searches as before.  Each
+    pair costs one elimination of n1 integer vectors; the scalar `solve` runs
+    only on the accepted pair.
+    """
     f = t.field
-    n1, n2, n3 = t.dims
+    _, n2, n3 = t.dims
     q = f.p
     pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)
     if pairs > guard:
@@ -111,30 +145,40 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
             f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
         )
     slices = t.slices(1)
-    targets = [
-        Matrix.from_entries(f, r, r, {(a, a): f.one()}).vectorize() for a in range(r)
+    l3_choices = [
+        rows for rows in itertools.product(_leading_one_rows(q, n3), repeat=r)
+        if rank_of_rows(f, rows, n3) == r
     ]
-    for l2 in _full_rank_maps(f, r, n2):
-        l3t = None
-        transformed_left = [l2.mul(s) for s in slices]
-        for l3 in _full_rank_maps(f, r, n3):
-            l3t = l3.transpose()
-            trans = [m.mul(l3t) for m in transformed_left]
-            # solve sum_i x_i * trans[i] = E_aa for each a
-            cols = [m.vectorize() for m in trans]
-            a_mat = Matrix(f, list(zip(*cols)), cols=n1)
-            from .matrix import solve
-
-            rows1 = []
-            for tgt in targets:
-                x = solve(a_mat, tgt)
-                if x is None:
-                    rows1 = None
-                    break
-                rows1.append(x)
-            if rows1 is not None:
-                return Restriction((Matrix(f, rows1, cols=n1), l2, l3))
+    for l2_rows in itertools.combinations(_leading_one_rows(q, n2), r):
+        if rank_of_rows(f, l2_rows, n2) != r:
+            continue
+        # L2 S_i as integer rows, once per L2
+        left = [
+            [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*s.data)] for row in l2_rows]
+            for s in slices
+        ]
+        for l3_rows in l3_choices:
+            # vec(L2 S_i L3^T), row-major, one vector per slice
+            vecs = [[sum(a * b for a, b in zip(x, y)) % q for x in m for y in l3_rows] for m in left]
+            if _units_in_span(vecs, r, q):
+                l2, l3 = Matrix(f, l2_rows, cols=n2), Matrix(f, l3_rows, cols=n3)
+                return _solve_first_leg(f, slices, l2, l3, r)
     return None
+
+
+def _solve_first_leg(f: PrimeField, slices, l2: Matrix, l3: Matrix, r: int) -> Restriction:
+    """L1's rows for an accepted (L2, L3): row a solves
+    sum_i x_i * L2 S_i L3^T = E_aa."""
+    l3t = l3.transpose()
+    cols = [l2.mul(s).mul(l3t).vectorize() for s in slices]
+    a_mat = Matrix(f, list(zip(*cols)), cols=len(slices))
+    rows1 = []
+    for a in range(r):
+        x = solve(a_mat, Matrix.from_entries(f, r, r, {(a, a): f.one()}).vectorize())
+        if x is None:
+            raise VerificationFailedError("accepted map pair has no first-leg solution")  # pragma: no cover
+        rows1.append(x)
+    return Restriction((Matrix(f, rows1, cols=len(slices)), l2, l3))
 
 
 def _gf2_small(t: Tensor3, r: int) -> bool:
@@ -184,7 +228,11 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
 
     Returns (value, SubrankCertificate).  The search enumerates surjective
     maps on two legs and solves for the third leg linearly, so the value is
-    exact; the witness restriction is verified before returning.
+    exact; the witness restriction is verified before returning.  Outside
+    the packed GF(2) path the map pairs are visited only up to row scaling
+    and a shared row order (see `_unit_restriction_generic`), which finds
+    the same first witness; `guard` still bounds the count of all full-rank
+    pairs.
     """
     if t.is_zero():
         return 0, SubrankCertificate(
@@ -849,8 +897,6 @@ def _narrow_certificate_inner(t: Tensor3, m: int, ell: int, entry_guard: int):
 
 def _basis_coefficients(f: Field, span: SliceSpan, dm, all_b: List[Matrix]):
     """Coefficients of each pipeline basis matrix over the oriented slices."""
-    from .matrix import solve
-
     inv_u = invert(dm.u)
     inv_v = invert(dm.v)
     originals = [m.vectorize() for m in span.basis]

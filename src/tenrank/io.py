@@ -161,7 +161,10 @@ def parse_certificate(text: str):
             poly = cur[2].setdefault((i, j), {})
             if e in poly:
                 raise ParseError(f"duplicate quadruple in {ln!r}")
-            poly[e] = _value(field, parts[3], ln)
+            v = _value(field, parts[3], ln)
+            if field.is_zero(v):
+                raise ParseError(f"explicit zero quadruple in {ln!r}")
+            poly[e] = v
     if cur is not None:
         maps.append(cur)
     if field is None or power is None or r is None or len(maps) != 3:

@@ -20,6 +20,8 @@ from tenrank.engine import (
     Bound,
     SubrankCertificate,
     _contract_leg,
+    _count_full_rank,
+    _unit_restriction_generic,
     asymptotic_bounds,
     compute_n_threshold,
     exists_unit_restriction,
@@ -32,7 +34,7 @@ from tenrank.engine import (
     subrank_from_minrank,
     two_direction_square,
 )
-from tenrank.matrix import Matrix, rank
+from tenrank.matrix import Matrix, rank, rank_of_rows, solve
 from tenrank.spans import (
     MaxRankWitness,
     _annihilator,
@@ -108,6 +110,107 @@ def _brute_subrank_gf2_222(t):
                     if apply_restriction(Restriction((l1, l2, l3)), t) == tgt:
                         return r
     return 0
+
+
+def ref_unit_restriction_pairs(t, r):
+    """The (L2, L3) loop _unit_restriction_generic replaced, kept as the
+    reference: every pair of full-rank maps in itertools.product row order,
+    L2 major, solving for each of L1's rows."""
+    f = t.field
+    n1, n2, n3 = t.dims
+
+    def full_rank_maps(n):
+        vectors = list(itertools.product(range(f.p), repeat=n))
+        for rows in itertools.product(vectors, repeat=r):
+            if rank_of_rows(f, rows, n) == r:
+                yield Matrix(f, rows, cols=n)
+
+    slices = t.slices(1)
+    targets = [Matrix.from_entries(f, r, r, {(a, a): f.one()}).vectorize() for a in range(r)]
+    for l2 in full_rank_maps(n2):
+        transformed_left = [l2.mul(s) for s in slices]
+        for l3 in full_rank_maps(n3):
+            l3t = l3.transpose()
+            cols = [m.mul(l3t).vectorize() for m in transformed_left]
+            a_mat = Matrix(f, list(zip(*cols)), cols=n1)
+            rows1 = []
+            for tgt in targets:
+                x = solve(a_mat, tgt)
+                if x is None:
+                    rows1 = None
+                    break
+                rows1.append(x)
+            if rows1 is not None:
+                return Restriction((Matrix(f, rows1, cols=n1), l2, l3))
+    return None
+
+
+_UNIT_PAIR_TEST_GUARD = 20_000
+
+
+def _unit_search_ranks(p, dims):
+    """The r whose full (L2, L3) pair count the reference loop can afford."""
+    return [
+        r for r in range(1, min(dims) + 1)
+        if _count_full_rank(p, r, dims[1]) * _count_full_rank(p, r, dims[2]) <= _UNIT_PAIR_TEST_GUARD
+    ]
+
+
+_ANY_FORMAT = st.tuples(st.sampled_from([2, 3, 5, 7]), st.tuples(*[st.integers(1, 3)] * 3))
+# Only r >= 2 tests the shared row order, and few random formats afford it.
+_MULTI_R_FORMATS = st.sampled_from([
+    (p, dims) for p in (2, 3, 5, 7) for dims in itertools.product((1, 2, 3), repeat=3)
+    if len(_unit_search_ranks(p, dims)) >= 2
+])
+
+
+@st.composite
+def unit_search_tensors(draw):
+    """Half uniform tensors, half a size-r unit tensor under random maps
+    plus sparse noise, so that the search hits as well as misses.  The
+    planted r is the largest affordable one half the time, since r = 1 hits
+    almost always."""
+    p, dims = draw(st.one_of(_ANY_FORMAT, _MULTI_R_FORMATS))
+    vals = st.integers(0, p - 1)
+    n = dims[0] * dims[1] * dims[2]
+    ranks = _unit_search_ranks(p, dims)
+    if not ranks or draw(st.booleans()):
+        return Tensor3(GF(p), dims, draw(st.lists(vals, min_size=n, max_size=n)))
+    r = ranks[-1] if draw(st.booleans()) else draw(st.sampled_from(ranks))
+    legs = [draw(st.lists(vals, min_size=d * r, max_size=d * r)) for d in dims]
+    noise = draw(st.dictionaries(st.integers(0, n - 1), vals, max_size=2))
+    ent = []
+    for idx, (i, j, k) in enumerate(itertools.product(*(range(d) for d in dims))):
+        v = sum(legs[0][i * r + a] * legs[1][j * r + a] * legs[2][k * r + a] for a in range(r))
+        ent.append((v + noise.get(idx, 0)) % p)
+    return Tensor3(GF(p), dims, ent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_search_tensors())
+@example(unit(GF(3), 2))
+@example(w_tensor(GF(3)))
+@example(Tensor3.zeros(GF(7), (2, 2, 1)))
+@example(Tensor3(GF(3), (2, 2, 2), [0, 0, 1, 0, 0, 1, 0, 0]))
+def test_unit_restriction_matches_pair_loop(t):
+    for r in _unit_search_ranks(t.field.p, t.dims):
+        got = _unit_restriction_generic(t, r, _UNIT_PAIR_TEST_GUARD)
+        want = ref_unit_restriction_pairs(t, r)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [m.data for m in got.maps] == [m.data for m in want.maps]
+
+
+def test_unit_restriction_guard_counts_full_rank_pairs():
+    t = unit(GF(3), 2)
+    pairs = _count_full_rank(3, 2, 2) ** 2
+    assert pairs == 2304
+    with pytest.raises(
+        ResourceGuardError,
+        match=f"^unit-restriction search over {pairs} map pairs exceeds guard {pairs - 1}$",
+    ):
+        exists_unit_restriction(t, 2, guard=pairs - 1)
+    assert exists_unit_restriction(t, 2, guard=pairs) is not None
 
 
 def test_slicerank_values():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tenrank.cli import main, scan_format
-from tenrank.errors import ParseError, ResourceGuardError
+from tenrank.errors import BadParamsError, ParseError, ResourceGuardError
 from tenrank.fields import GF, QQ
 from tenrank.io import (
     certificate_of_restriction,
@@ -126,6 +126,7 @@ _BAD_CERTIFICATE_EDITS = {
     "column outside map": lambda text, header, first, rows: text.replace(first, "1 0 0 1", 1),
     "bad quadruple value": lambda text, header, first, rows: text.replace(
         first, first.rsplit(" ", 1)[0] + " x", 1),
+    "zero quadruple": lambda text, header, first, rows: text.replace(first, first + "\n1 1 9 0", 1),
 }
 _BAD_TENSOR_EDITS = {
     "bare field": ("field gf:2\n", "field\n"),
@@ -282,6 +283,41 @@ def test_scan_resumable_chunks():
         for k, v in part.items():
             merged[k] = merged.get(k, 0) + v
     assert merged == full
+
+
+def test_scan_rejects_negative_offset_and_limit(capsys):
+    for offset, limit in ((-5, 2), (0, -1)):
+        with pytest.raises(BadParamsError):
+            scan_format(GF(3), (2, 2, 2), offset=offset, limit=limit)
+    assert run_cli("scan", "--dims", "2,2,2", "--field", "gf:3", "--offset", "-5", "--limit", "2") == 1
+    out = capsys.readouterr()
+    assert "total" not in out.out and "BadParamsError" in out.err
+
+
+@pytest.mark.parametrize("dims", ["a,2,2", "2,2", "2,-1,2"])
+def test_scan_bad_dims_is_a_parse_error(dims, capsys):
+    assert run_cli("scan", f"--dims={dims}", "--field", "gf:3") == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+# Written by `subrank --certify` for this tensor before the generic search
+# enumerated map pairs up to scaling and row order; the witness must not move.
+_GF3_222_ENTRIES = [0, 2, 0, 2, 1, 2, 2, 0]
+_GF3_222_CERTIFICATE = (
+    "certificate v1\nfield gf:3\npower 1\nr 2\n"
+    "map 1 rows 2 cols 2\n1 1 0 2\n2 1 0 2\n2 2 0 2\n"
+    "map 2 rows 2 cols 2\n1 1 0 1\n1 2 0 1\n2 1 0 1\n2 2 0 2\n"
+    "map 3 rows 2 cols 2\n1 1 0 1\n1 2 0 2\n2 1 0 1\n"
+)
+
+
+def test_subrank_certificate_bytes_gf3_222(tmp_path):
+    tpath = tmp_path / "t.tensor"
+    cpath = tmp_path / "t.cert"
+    tpath.write_text(serialize_tensor(Tensor3(GF(3), (2, 2, 2), _GF3_222_ENTRIES)))
+    assert run_cli("subrank", str(tpath), "--certify", str(cpath)) == 0
+    assert cpath.read_text() == _GF3_222_CERTIFICATE
+    assert run_cli("verify", str(cpath), str(tpath)) == 0
 
 
 def test_scan_chain_inequalities_gf3_tiny():
