@@ -182,12 +182,3 @@ def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
         if rows1 is not None:
             return (tuple(rows1), l2, l3)
     return None
-
-
-def subrank_gf2(word: int, dims) -> Tuple[int, Optional[tuple]]:
-    """(subrank, witness maps) for a packed GF(2) tensor."""
-    for r in range(min(dims), 0, -1):
-        maps = exists_unit_restriction_gf2(word, dims, r)
-        if maps is not None:
-            return r, maps
-    return 0, ((), (), ())

@@ -1,8 +1,8 @@
 """Command-line interface: inspect tensors, compute and certify rank
 parameters, verify certificate files, and run exhaustive format scans.
 
-Exit codes: 0 success, 2 parse error, 3 resource guard, 4 field too small,
-5 verification failure, 1 any other library error.
+Exit codes: 0 success, 2 parse or file error, 3 resource guard, 4 field too
+small, 5 verification failure, 1 any other library error.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def cmd_bounds(args) -> int:
 
 
 def _guard_kw(args) -> dict:
-    return {"guard": args.guard} if args.guard else {}
+    return {} if args.guard is None else {"guard": args.guard}
 
 
 def cmd_subrank(args) -> int:
@@ -180,7 +180,10 @@ def cmd_power(args) -> int:
 
 def cmd_catalog(args) -> int:
     field = parse_field(args.field)
-    params = [int(x) for x in args.params]
+    try:
+        params = [int(x) for x in args.params]
+    except ValueError as exc:
+        raise ParseError(f"non-integer catalog parameters {args.params}") from exc
     t = catalog(field, args.name, *params)
     if args.expect:
         from .tensor import catalog_entry
@@ -236,9 +239,10 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
 
     Returns (counts, scanned) where counts maps
     (subrank, slicerank, flattening ranks, concise) to a tally.  The index
-    range [offset, offset+limit) supports resumable chunked scans; workers
-    split the range into deterministic chunks whose commutative merge makes
-    the result independent of the worker count.
+    range [offset, offset+limit) supports resumable chunked scans.  `workers`
+    only splits the range into interleaved chunks, visited one after another
+    in this process; the tally is a commutative merge, so it does not depend
+    on the value.
     """
     if not isinstance(field, PrimeField):
         raise ResourceGuardError("scan needs a prime field")
@@ -283,8 +287,8 @@ def cmd_scan(args) -> int:
     if len(dims) != 3 or min(dims) < 0:
         raise ParseError("scan needs --dims a,b,c of non-negative integers")
     counts, scanned = scan_format(
-        field, dims, offset=args.offset, limit=args.limit, workers=args.workers,
-        cap=args.guard if args.guard else SCAN_CAP,
+        field, dims, offset=args.offset, limit=args.limit,
+        cap=SCAN_CAP if args.guard is None else args.guard,
     )
     # chain inequalities inside every bucket
     violations = sum(
@@ -371,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True)
     sp.add_argument("--offset", type=int, default=0)
     sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--guard", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_scan)
@@ -382,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "guard", None) is not None and args.guard < 1:
+            raise BadParamsError(f"--guard {args.guard} must be at least 1")
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -395,8 +400,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VerificationFailedError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 5
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except TenrankError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import Elem, Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import Matrix, invert, rank, rank_of_rows, rref, solve
+from .matrix import Matrix, _eliminate, invert, rank, rank_of_rows, rref, solve
 from .spans import (
     MaxRankWitness,
     SliceSpan,
@@ -101,20 +101,7 @@ def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
     """Whether every E_aa (row-major, length r*r) lies in the span of `vecs`
     over GF(p).  The vectors are reduced in place to reduced echelon form; a
     unit vector lies in the span exactly when it is one of its rows."""
-    top = 0
-    for c in range(r * r):
-        sel = next((i for i in range(top, len(vecs)) if vecs[i][c]), None)
-        if sel is None:
-            continue
-        vecs[top], vecs[sel] = vecs[sel], vecs[top]
-        row = vecs[top]
-        inv = pow(row[c], p - 2, p)
-        row[:] = [x * inv % p for x in row]
-        for i, other in enumerate(vecs):
-            factor = other[c]
-            if i != top and factor:
-                other[:] = [(x - factor * y) % p for x, y in zip(other, row)]
-        top += 1
+    top = len(_eliminate(vecs, r * r, p, True))
     basis = {tuple(v) for v in vecs[:top]}
     return all(tuple(int(c == a * (r + 1)) for c in range(r * r)) in basis for a in range(r))
 

@@ -9,7 +9,8 @@ out of the zero tensor).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     IndexOutOfRangeError,
@@ -198,6 +199,67 @@ class RrefResult:
     rank: int
 
 
+def _eliminate(a: list, cols: int, p: Optional[int], full: bool) -> list:
+    """Row-reduce `a` in place and return its pivot columns.
+
+    `a` is a list of equal-length row lists: ints mod p, or Fractions when p
+    is None.  The pivot of column c is the first row from the top, among
+    those without a pivot yet, whose entry in column c is nonzero; columns
+    < cols are scanned left to right.  Row operations span the whole row, so
+    columns from `cols` on carry the transform of any block appended there.
+    With `full` the pivot rows are scaled to 1 and cleared above and below
+    (reduced echelon form); without it elimination runs forward only and
+    pivot rows keep their scale.  Left of column c the pivot row is zero, so
+    every operation starts at c.
+    """
+    n = len(a)
+    width = len(a[0]) if a else 0
+    pivots = []
+    for c in range(cols):
+        top = len(pivots)
+        if top == n:
+            break
+        sel = top
+        while sel < n and not (a[sel][c] % p if p else a[sel][c]):
+            sel += 1
+        if sel == n:
+            continue
+        row = a[sel]
+        a[sel], a[top] = a[top], row
+        inv = pow(row[c], p - 2, p) if p else Fraction(1) / row[c]
+        if full and inv != 1:
+            if p:
+                for j in range(c, width):
+                    row[j] = row[j] * inv % p
+            else:
+                for j in range(c, width):
+                    row[j] *= inv
+        for i in range(0 if full else top + 1, n):
+            other = a[i]
+            factor = other[c] if full else other[c] * inv
+            if i == top or not (factor % p if p else factor):
+                continue
+            if p:
+                for j in range(c, width):
+                    other[j] = (other[j] - factor * row[j]) % p
+            else:
+                for j in range(c, width):
+                    other[j] -= factor * row[j]
+        pivots.append(c)
+    return pivots
+
+
+def _work_rows(field: Field, rows: Sequence[Sequence[Elem]], extra=None):
+    """Mutable copies of `rows`, each followed by its row of `extra` if given,
+    and the modulus to eliminate them with; over Q every entry becomes a
+    Fraction and the modulus is None."""
+    if extra is not None:
+        rows = [(*row, *e) for row, e in zip(rows, extra)]
+    if isinstance(field, PrimeField):
+        return [list(row) for row in rows], field.p
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows], None
+
+
 def rref(m: Matrix) -> RrefResult:
     """Reduced row-echelon form with a recorded invertible row transform.
 
@@ -205,114 +267,34 @@ def rref(m: Matrix) -> RrefResult:
     columns left-right.
     """
     f = m.field
-    a = [list(row) for row in m.data]
-    t = [list(row) for row in Matrix.identity(f, m.rows).data]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        sel = None
-        for i in range(r, m.rows):
-            if not f.is_zero(a[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        t[r], t[sel] = t[sel], t[r]
-        inv = f.inv(a[r][c])
-        if inv != f.one():
-            a[r] = [f.mul(inv, x) for x in a[r]]
-            t[r] = [f.mul(inv, x) for x in t[r]]
-        for i in range(m.rows):
-            if i != r:
-                factor = a[i][c]
-                if not f.is_zero(factor):
-                    a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
-                    t[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(t[i], t[r])]
-        pivots.append(c)
-        r += 1
-    return RrefResult(Matrix(f, a), Matrix(f, t), tuple(pivots), r)
+    a, p = _work_rows(f, m.data, Matrix.identity(f, m.rows).data)
+    pivots = _eliminate(a, m.cols, p, True)
+    red = Matrix(f, [row[:m.cols] for row in a], cols=m.cols)
+    transform = Matrix(f, [row[m.cols:] for row in a], cols=m.rows)
+    return RrefResult(red, transform, tuple(pivots), len(pivots))
 
 
 def rank(m: Matrix) -> int:
-    """Matrix rank by Gaussian elimination (no transform bookkeeping)."""
-    f = m.field
-    if isinstance(f, PrimeField):
-        return _rank_mod_p([list(row) for row in m.data], m.cols, f.p)
-    a = [list(row) for row in m.data]
-    r = 0
-    rows_n = len(a)
-    for c in range(m.cols):
-        if r == rows_n:
-            break
-        sel = None
-        for i in range(r, rows_n):
-            if a[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        pr = a[r]
-        pivinv = 1 / pr[c]
-        for i in range(r + 1, rows_n):
-            factor = a[i][c]
-            if factor != 0:
-                factor *= pivinv
-                ai = a[i]
-                for j in range(c, m.cols):
-                    ai[j] -= factor * pr[j]
-        r += 1
-    return r
-
-
-def _rank_mod_p(a: list, cols: int, p: int) -> int:
-    """In-place row elimination mod p on lists of ints."""
-    r = 0
-    rows_n = len(a)
-    for c in range(cols):
-        if r == rows_n:
-            break
-        sel = None
-        for i in range(r, rows_n):
-            if a[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        pr = a[r]
-        pivinv = pow(pr[c], p - 2, p)
-        for i in range(r + 1, rows_n):
-            factor = a[i][c]
-            if factor % p:
-                factor = factor * pivinv % p
-                ai = a[i]
-                for j in range(c, cols):
-                    ai[j] = (ai[j] - factor * pr[j]) % p
-        r += 1
-    return r
+    """Matrix rank by forward elimination (no transform bookkeeping)."""
+    return rank_of_rows(m.field, m.data, m.cols)
 
 
 def rank_of_rows(field: Field, rows: Sequence[Sequence[Elem]], cols: int) -> int:
     """Rank of a list of row vectors without building a Matrix."""
-    if isinstance(field, PrimeField):
-        return _rank_mod_p([list(r) for r in rows], cols, field.p)
-    return rank(Matrix(field, rows)) if rows else 0
+    a, p = _work_rows(field, rows)
+    return len(_eliminate(a, cols, p, False))
 
 
 def solve(a: Matrix, b: Sequence[Elem]):
     """One solution x of a x = b, or None if inconsistent."""
     f = a.field
-    aug = Matrix(f, [list(row) + [bv] for row, bv in zip(a.data, b)])
-    rr = rref(aug)
+    aug, p = _work_rows(f, a.data, [[bv] for bv in b])
+    pivots = _eliminate(aug, a.cols + 1, p, True)
+    if pivots and pivots[-1] == a.cols:
+        return None  # pivot in the augmented column: inconsistent
     x = [f.zero()] * a.cols
-    for r_i, c in enumerate(rr.pivot_cols):
-        if c == a.cols:
-            return None  # pivot in the augmented column: inconsistent
-        x[c] = rr.rref.data[r_i][a.cols]
+    for row, c in zip(aug, pivots):
+        x[c] = row[a.cols]
     return x
 
 

@@ -97,12 +97,6 @@ def independent_basis(span: SliceSpan):
     return mats, Matrix(f, coeffs, cols=len(vecs))
 
 
-def span_dim(span: SliceSpan) -> int:
-    f = span.field
-    vecs = [m.vectorize() for m in span.basis]
-    return rank_of_rows(f, vecs, len(vecs[0])) if vecs and vecs[0] else 0
-
-
 @dataclass(frozen=True)
 class MaxRankWitness:
     """A linear combination of span generators attaining a rank value."""
@@ -421,10 +415,6 @@ class StaircaseResult:
     witness_maxrank2: Tuple[Matrix, int]  # (first-columns matrix, rank)
     coeffs3: Tuple[Elem, ...]
     coeffs2: Tuple[Elem, ...]
-
-
-def _col_space_rank(field: Field, cols: List[tuple]) -> int:
-    return rank_of_rows(field, cols, len(cols[0])) if cols else 0
 
 
 def staircase(t: Tensor3, *, seed: int = 0, retries: int = 32) -> StaircaseResult:

@@ -536,22 +536,34 @@ def w_tensor(field: Field) -> Tensor3:
     return Tensor3(field, (2, 2, 2), {(0, 1, 1): one, (1, 0, 1): one, (1, 1, 0): one})
 
 
+def _cube_dims(n: int, *_) -> Tuple[int, int, int]:
+    return (n, n, n)
+
+
+# name -> (constructor, parameter names, dims from the parameters)
 CATALOG = {
-    "unit": (unit, ("r",)),
-    "matmul": (matmul_tensor, ("a", "b", "c")),
-    "null_algebra": (null_algebra, ("n",)),
-    "gen_null_algebra": (gen_null_algebra, ("n", "c")),
-    "balanced_pivot": (balanced_pivot, ("n",)),
-    "w_tensor": (w_tensor, ()),
+    "unit": (unit, ("r",), _cube_dims),
+    "matmul": (matmul_tensor, ("a", "b", "c"), lambda a, b, c: (a * b, b * c, c * a)),
+    "null_algebra": (null_algebra, ("n",), _cube_dims),
+    "gen_null_algebra": (gen_null_algebra, ("n", "c"), _cube_dims),
+    "balanced_pivot": (balanced_pivot, ("n",), _cube_dims),
+    "w_tensor": (w_tensor, (), lambda: (2, 2, 2)),
 }
 
 
 def catalog(field: Field, name: str, *params: int) -> Tensor3:
+    """The named catalog tensor.  Raises ResourceGuardError, before any entry
+    is built, when it would have more than KRON_ENTRY_GUARD dense entries."""
     if name not in CATALOG:
         raise BadParamsError(f"unknown catalog tensor {name!r} (have {sorted(CATALOG)})")
-    ctor, argnames = CATALOG[name]
+    ctor, argnames, dims_of = CATALOG[name]
     if len(params) != len(argnames):
         raise BadParamsError(f"{name} expects parameters {argnames}, got {params}")
+    n1, n2, n3 = dims_of(*params)
+    if min(n1, n2, n3) > 0 and n1 * n2 * n3 > KRON_ENTRY_GUARD:
+        raise ResourceGuardError(
+            f"catalog tensor {name} would have {n1 * n2 * n3} entries (guard {KRON_ENTRY_GUARD})"
+        )
     return ctor(field, *params)
 
 

@@ -256,6 +256,48 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("scan", "--dims", "2,2,2", "--field", "gf:3", "--guard", "100") == 3
 
 
+@pytest.mark.parametrize("guard", ["0", "-1"])
+def test_guard_below_one_is_rejected(guard, tmp_path, capsys):
+    tpath = tmp_path / "u.tensor"
+    tpath.write_text(serialize_tensor(unit(GF(3), 2)))
+    assert run_cli("subrank", str(tpath), "--guard", guard) == 1
+    assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:3", "--guard", guard) == 1
+    assert run_cli("maxrank", str(tpath), "--trials", "3", "--guard", guard) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"--guard {guard} must be at least 1") == 3
+    assert run_cli("subrank", str(tpath), "--guard", "1") == 3
+    assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:3", "--guard", "1") == 3
+
+
+def test_scan_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("scan", "--dims", "2,2,1", "--field", "gf:2", "--workers", "2")
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+def test_unreadable_input_is_a_file_error(command, tmp_path, capsys):
+    good = tmp_path / "w.tensor"
+    good.write_text(serialize_tensor(w_tensor(GF(2))))
+    binary = tmp_path / "bad.bin"
+    binary.write_bytes(b"tensor v1\n\xff\n")
+    for bad in (tmp_path, binary):  # a directory, then a file that is not UTF-8
+        argv = [command, str(bad)] if command == "info" else [command, str(bad), str(good)]
+        assert run_cli(*argv) == 2
+        assert "file error" in capsys.readouterr().err
+
+
+def test_catalog_size_guard_before_building(capsys):
+    from tenrank.tensor import catalog
+
+    with pytest.raises(ResourceGuardError, match="16974593 entries"):
+        catalog(GF(2), "unit", 257)  # 257^3 is just over 2^24
+    assert run_cli("catalog", "unit", "257") == 3
+    assert "resource guard" in capsys.readouterr().err
+    assert run_cli("catalog", "unit", "x") == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_cli_power(tmp_path):
     t = unit(GF(3), 2)
     tpath = tmp_path / "u.tensor"

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tenrank.engine import _units_in_span
 from tenrank.errors import MixedFieldsError, ShapeMismatchError
-from tenrank.fields import GF, QQ
-from tenrank.matrix import Matrix, concat_cols, invert, rank, rref, solve
+from tenrank.fields import GF, QQ, PrimeField
+from tenrank.matrix import Matrix, RrefResult, concat_cols, invert, rank, rref, solve
 
 
 def rand_matrix(field, rows, cols, rng):
@@ -184,3 +187,207 @@ def test_projective_array_matches_generator(q):
 
     for d in range(6):
         assert projective_array(q, d).tolist() == [list(v) for v in projective_vectors(q, d)]
+
+
+# -- the four row-reduction loops that `matrix._eliminate` replaced -------------
+
+
+def ref_rank_mod_p(a: list, cols: int, p: int) -> int:
+    r = 0
+    rows_n = len(a)
+    for c in range(cols):
+        if r == rows_n:
+            break
+        sel = None
+        for i in range(r, rows_n):
+            if a[i][c] % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        pr = a[r]
+        pivinv = pow(pr[c], p - 2, p)
+        for i in range(r + 1, rows_n):
+            factor = a[i][c]
+            if factor % p:
+                factor = factor * pivinv % p
+                ai = a[i]
+                for j in range(c, cols):
+                    ai[j] = (ai[j] - factor * pr[j]) % p
+        r += 1
+    return r
+
+
+def ref_rank_q(m: Matrix) -> int:
+    a = [list(row) for row in m.data]
+    r = 0
+    rows_n = len(a)
+    for c in range(m.cols):
+        if r == rows_n:
+            break
+        sel = None
+        for i in range(r, rows_n):
+            if a[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        pr = a[r]
+        pivinv = 1 / pr[c]
+        for i in range(r + 1, rows_n):
+            factor = a[i][c]
+            if factor != 0:
+                factor *= pivinv
+                ai = a[i]
+                for j in range(c, m.cols):
+                    ai[j] -= factor * pr[j]
+        r += 1
+    return r
+
+
+def ref_rref(m: Matrix) -> RrefResult:
+    f = m.field
+    a = [list(row) for row in m.data]
+    t = [list(row) for row in Matrix.identity(f, m.rows).data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        sel = None
+        for i in range(r, m.rows):
+            if not f.is_zero(a[i][c]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        t[r], t[sel] = t[sel], t[r]
+        inv = f.inv(a[r][c])
+        if inv != f.one():
+            a[r] = [f.mul(inv, x) for x in a[r]]
+            t[r] = [f.mul(inv, x) for x in t[r]]
+        for i in range(m.rows):
+            if i != r:
+                factor = a[i][c]
+                if not f.is_zero(factor):
+                    a[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(a[i], a[r])]
+                    t[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(t[i], t[r])]
+        pivots.append(c)
+        r += 1
+    return RrefResult(Matrix(f, a), Matrix(f, t), tuple(pivots), r)
+
+
+def ref_solve(a: Matrix, b):
+    f = a.field
+    aug = Matrix(f, [list(row) + [bv] for row, bv in zip(a.data, b)])
+    rr = ref_rref(aug)
+    x = [f.zero()] * a.cols
+    for r_i, c in enumerate(rr.pivot_cols):
+        if c == a.cols:
+            return None
+        x[c] = rr.rref.data[r_i][a.cols]
+    return x
+
+
+def ref_units_in_span(vecs, r: int, p: int) -> bool:
+    top = 0
+    for c in range(r * r):
+        sel = next((i for i in range(top, len(vecs)) if vecs[i][c]), None)
+        if sel is None:
+            continue
+        vecs[top], vecs[sel] = vecs[sel], vecs[top]
+        row = vecs[top]
+        inv = pow(row[c], p - 2, p)
+        row[:] = [x * inv % p for x in row]
+        for i, other in enumerate(vecs):
+            factor = other[c]
+            if i != top and factor:
+                other[:] = [(x - factor * y) % p for x, y in zip(other, row)]
+        top += 1
+    basis = {tuple(v) for v in vecs[:top]}
+    return all(tuple(int(c == a * (r + 1)) for c in range(r * r)) in basis for a in range(r))
+
+
+_DIFF_FIELDS = (GF(2), GF(3), GF(7), GF(32749), QQ)
+
+
+@st.composite
+def field_matrices(draw, max_dim=6):
+    """(field, matrix, right-hand side): uniform, low-rank products and zero
+    matrices of every shape up to max_dim x max_dim."""
+    f = draw(st.sampled_from(_DIFF_FIELDS))
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    if isinstance(f, PrimeField):
+        elem = st.integers(0, f.p - 1)
+    else:
+        elem = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+    def block(r, c):
+        return draw(st.lists(st.lists(elem, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    kind = draw(st.sampled_from(["uniform", "low rank", "zero"]))
+    if kind == "zero":
+        m = Matrix.zeros(f, rows, cols)
+    elif kind == "low rank":
+        k = draw(st.integers(0, min(rows, cols)))
+        m = Matrix(f, block(rows, k), cols=k).mul(Matrix(f, block(k, cols), cols=cols))
+    else:
+        m = Matrix(f, block(rows, cols), cols=cols)
+    if draw(st.booleans()):  # a consistent right-hand side
+        b = m.mul(Matrix(f, block(cols, 1), cols=1)).col(0) if rows else ()
+    else:
+        b = tuple(block(1, rows)[0])
+    return f, m, list(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_matrices())
+def test_kernel_matches_reference_loops(case):
+    f, m, b = case
+    if isinstance(f, PrimeField):
+        assert rank(m) == ref_rank_mod_p([list(row) for row in m.data], m.cols, f.p)
+    else:
+        assert rank(m) == ref_rank_q(m)
+    got, want = rref(m), ref_rref(m)
+    assert (got.rref, got.transform, got.pivot_cols, got.rank) == (
+        want.rref, want.transform, want.pivot_cols, want.rank)
+    assert solve(m, b) == ref_solve(m, b)
+
+
+@st.composite
+def span_vectors(draw):
+    p = draw(st.sampled_from([2, 3, 7, 32749]))
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 6))
+    elem = st.integers(0, p - 1)
+    vecs = draw(st.lists(st.lists(elem, min_size=r * r, max_size=r * r), min_size=n, max_size=n))
+    if draw(st.booleans()):  # plant the unit vectors E_aa among mixed rows
+        for a in range(min(r, n)):
+            vecs[a] = [int(c == a * (r + 1)) for c in range(r * r)]
+    return vecs, r, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_vectors())
+def test_units_in_span_matches_reference_loop(case):
+    vecs, r, p = case
+    got = [list(v) for v in vecs]
+    want = [list(v) for v in vecs]
+    assert _units_in_span(got, r, p) == ref_units_in_span(want, r, p)
+    assert got == want  # both leave the same reduced echelon form
+
+
+def test_q_results_are_fractions_for_int_entries():
+    m = Matrix(QQ, [[1, 2], [3, 4]])
+    res = rref(m)
+    assert res.rref == Matrix.identity(QQ, 2)
+    assert res.transform == Matrix(QQ, [[Fraction(-2), Fraction(1)], [Fraction(3, 2), Fraction(-1, 2)]])
+    entries = [x for mat in (res.rref, res.transform) for row in mat.data for x in row]
+    entries += solve(m, [1, 1]) + list(invert(m).vectorize())
+    assert all(type(x) is Fraction for x in entries)
+    assert solve(m, [1, 1]) == [Fraction(-1), Fraction(1)]
+    assert rank(Matrix(QQ, [[10**20, 1], [10**20 + 1, 1]])) == 2
