@@ -29,7 +29,7 @@ from .io import (
 )
 from .laurent import verify_degeneration
 from .spans import max_rank_exhaustive, max_rank_randomized, min_rank_exhaustive, slice_span
-from .tensor import CATALOG, Tensor3, catalog
+from .tensor import CATALOG, Tensor3, catalog, catalog_dims, catalog_entry
 from . import engine, pivots
 
 DEFAULT_SEED = 2024
@@ -184,10 +184,8 @@ def cmd_catalog(args) -> int:
         params = [int(x) for x in args.params]
     except ValueError as exc:
         raise ParseError(f"non-integer catalog parameters {args.params}") from exc
-    t = catalog(field, args.name, *params)
+    catalog_dims(args.name, *params)  # name and parameter count, checked for both branches
     if args.expect:
-        from .tensor import catalog_entry
-
         entry = catalog_entry(args.name, *params)
         lines = [f"dims {entry.dims}", f"flattening_ranks {entry.flattening_ranks}"]
         for d, v in sorted(entry.q_exact.items()):
@@ -204,7 +202,7 @@ def cmd_catalog(args) -> int:
             lines.append(f"note: {a}")
         _emit("\n".join(lines), args.out)
         return 0
-    _emit(serialize_tensor(t), args.out)
+    _emit(serialize_tensor(catalog(field, args.name, *params)), args.out)
     return 0
 
 
@@ -305,12 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tenrank", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, tensor=True):
-        if tensor:
-            sp.add_argument("tensor", help="tensor file")
+    def common(sp, guard=False):
+        sp.add_argument("tensor", help="tensor file")
         sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--guard", type=int, default=None, help="resource guard override")
+        if guard:
+            sp.add_argument("--guard", type=int, default=None, help="resource guard override")
 
     sp = sub.add_parser("info", help="dimensions, field, ranks, conciseness")
     common(sp)
@@ -318,26 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="certified asymptotic subrank interval")
     common(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=["text", "kv"], default="text")
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("subrank", help="exact subrank (exhaustive search)")
-    common(sp)
+    common(sp, guard=True)
     sp.add_argument("--certify", default=None, help="also write a certificate file")
     sp.set_defaults(fn=cmd_subrank)
 
     sp = sub.add_parser("slicerank", help="exact slice rank (exhaustive search)")
-    common(sp)
+    common(sp, guard=True)
     sp.set_defaults(fn=cmd_slicerank)
 
     sp = sub.add_parser("maxrank", help="max-rank of an oriented slice span")
-    common(sp)
+    common(sp, guard=True)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--orient", default="1,2", help="row,col directions")
     sp.add_argument("--trials", type=int, default=0, help="randomized trials (0 = exhaustive)")
     sp.set_defaults(fn=cmd_maxrank)
 
     sp = sub.add_parser("minrank", help="min-rank of an oriented slice span")
-    common(sp)
+    common(sp, guard=True)
     sp.add_argument("--orient", default="1,2")
     sp.set_defaults(fn=cmd_minrank)
 
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="emit a certificate file")
     sp.add_argument("kind", choices=["rho", "sqrt", "subrank", "c2"])
-    common(sp)
+    common(sp, guard=True)
     sp.add_argument("--orient", default="1,2")
     sp.set_defaults(fn=cmd_certify)
 

@@ -25,9 +25,9 @@ from .errors import (
     VerificationFailedError,
     WitnessInvalidError,
 )
-from .fields import Elem, Field, PrimeField
+from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import Matrix, _eliminate, invert, rank, rank_of_rows, rref, solve
+from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _Working, invert, rank, rank_of_rows, rref, solve
 from .spans import (
     MaxRankWitness,
     SliceSpan,
@@ -298,136 +298,7 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     return best
 
 
-# -- tracked restriction state for the elimination proofs ------------------------
-
-
-class _Working:
-    """Slices of (M1 (x) M2 (x) M3) T under tracked row, column and slice
-    operations (including row/column deletions)."""
-
-    def __init__(self, t: Tensor3, slice_indices: Sequence[int]):
-        f = t.field
-        self.f = f
-        self.t = t
-        self.slices = [
-            [list(row) for row in t.slice(3, idx).data] for idx in slice_indices
-        ]
-        n1, n2, n3 = t.dims
-        self.m1 = [list(row) for row in Matrix.identity(f, n1).data]
-        self.m2 = [list(row) for row in Matrix.identity(f, n2).data]
-        self.m3 = [
-            [f.one() if j == idx else f.zero() for j in range(n3)]
-            for idx in slice_indices
-        ]
-
-    @property
-    def nrows(self):
-        return len(self.m1)
-
-    @property
-    def ncols(self):
-        return len(self.m2)
-
-    def row_swap(self, a, b):
-        if a == b:
-            return
-        for s in self.slices:
-            s[a], s[b] = s[b], s[a]
-        self.m1[a], self.m1[b] = self.m1[b], self.m1[a]
-
-    def col_swap(self, a, b):
-        if a == b:
-            return
-        for s in self.slices:
-            for row in s:
-                row[a], row[b] = row[b], row[a]
-        self.m2[a], self.m2[b] = self.m2[b], self.m2[a]
-
-    def row_scale(self, a, c):
-        f = self.f
-        for s in self.slices:
-            s[a] = [f.mul(c, x) for x in s[a]]
-        self.m1[a] = [f.mul(c, x) for x in self.m1[a]]
-
-    def row_addmul(self, dst, src, c):
-        f = self.f
-        for s in self.slices:
-            s[dst] = [f.add(x, f.mul(c, y)) for x, y in zip(s[dst], s[src])]
-        self.m1[dst] = [f.add(x, f.mul(c, y)) for x, y in zip(self.m1[dst], self.m1[src])]
-
-    def col_addmul(self, dst, src, c):
-        f = self.f
-        for s in self.slices:
-            for row in s:
-                row[dst] = f.add(row[dst], f.mul(c, row[src]))
-        self.m2[dst] = [f.add(x, f.mul(c, y)) for x, y in zip(self.m2[dst], self.m2[src])]
-
-    def slice_swap(self, a, b):
-        if a == b:
-            return
-        self.slices[a], self.slices[b] = self.slices[b], self.slices[a]
-        self.m3[a], self.m3[b] = self.m3[b], self.m3[a]
-
-    def slice_scale(self, a, c):
-        f = self.f
-        self.slices[a] = [[f.mul(c, x) for x in row] for row in self.slices[a]]
-        self.m3[a] = [f.mul(c, x) for x in self.m3[a]]
-
-    def slice_addmul(self, dst, src, c):
-        f = self.f
-        self.slices[dst] = [
-            [f.add(x, f.mul(c, y)) for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.slices[dst], self.slices[src])
-        ]
-        self.m3[dst] = [f.add(x, f.mul(c, y)) for x, y in zip(self.m3[dst], self.m3[src])]
-
-    def slice_transform(self, l: Sequence[Sequence[Elem]]):
-        f = self.f
-        new_slices = []
-        new_m3 = []
-        for row in l:
-            acc = [[f.zero()] * self.ncols for _ in range(self.nrows)]
-            accm = [f.zero()] * len(self.m3[0])
-            for c, s, m3row in zip(row, self.slices, self.m3):
-                if not f.is_zero(c):
-                    for a in range(self.nrows):
-                        sa = s[a]
-                        aa = acc[a]
-                        for b in range(self.ncols):
-                            aa[b] = f.add(aa[b], f.mul(c, sa[b]))
-                    accm = [f.add(x, f.mul(c, y)) for x, y in zip(accm, m3row)]
-            new_slices.append(acc)
-            new_m3.append(accm)
-        self.slices = new_slices
-        self.m3 = new_m3
-
-    def delete_row(self, a):
-        for s in self.slices:
-            del s[a]
-        del self.m1[a]
-
-    def delete_col(self, a):
-        for s in self.slices:
-            for row in s:
-                del row[a]
-        del self.m2[a]
-
-    def select(self, rows: Sequence[int], cols: Sequence[int]):
-        self.slices = [[[s[a][b] for b in cols] for a in rows] for s in self.slices]
-        self.m1 = [self.m1[a] for a in rows]
-        self.m2 = [self.m2[b] for b in cols]
-
-    def restriction(self) -> Restriction:
-        f = self.f
-        n1, n2, n3 = self.t.dims
-        return Restriction((
-            Matrix(f, self.m1, cols=n1),
-            Matrix(f, self.m2, cols=n2),
-            Matrix(f, self.m3, cols=n3),
-        ))
-
-    def entry(self, s, a, b):
-        return self.slices[s][a][b]
+# -- elimination proofs on tracked slices -------------------------------------------
 
 
 def subrank_from_minrank(t: Tensor3, slice_indices: Sequence[int], *,
@@ -456,7 +327,10 @@ def subrank_from_minrank(t: Tensor3, slice_indices: Sequence[int], *,
             except ResourceGuardError:
                 pass
 
-    w = _Working(t, slice_indices)
+    n3 = t.dims[2]
+    w = _Working(f, t.slices(3), [[f.one() if k == idx else f.zero() for k in range(n3)]
+                                  for idx in slice_indices])
+    x, rows, cols = w.slices, w.maps[_ROW], w.maps[_COL]
 
     def fail(msg):
         if prechecked:
@@ -465,59 +339,60 @@ def subrank_from_minrank(t: Tensor3, slice_indices: Sequence[int], *,
 
     for i in range(c):
         found = None
-        for a in range(i, w.nrows):
-            for b in range(i, w.ncols):
-                if not f.is_zero(w.entry(i, a, b)):
+        for a in range(i, len(rows)):
+            for b in range(i, len(cols)):
+                if not f.is_zero(x[i][a][b]):
                     found = (a, b)
                     break
             if found:
                 break
         if found is None:
             fail(f"slice {i} vanished during elimination")
-        w.row_swap(i, found[0])
-        w.col_swap(i, found[1])
-        w.slice_scale(i, f.inv(w.entry(i, i, i)))
-        for a in range(i + 1, w.nrows):
-            v = w.entry(i, a, i)
+        w.swap(_ROW, i, found[0])
+        w.swap(_COL, i, found[1])
+        w.scale(_SLICE, i, f.inv(x[i][i][i]))
+        for a in range(i + 1, len(rows)):
+            v = x[i][a][i]
             if not f.is_zero(v):
-                w.row_addmul(a, i, f.neg(v))
-        for b in range(i + 1, w.ncols):
-            v = w.entry(i, i, b)
+                w.addmul(_ROW, a, i, f.neg(v))
+        for b in range(i + 1, len(cols)):
+            v = x[i][i][b]
             if not f.is_zero(v):
-                w.col_addmul(b, i, f.neg(v))
+                w.addmul(_COL, b, i, f.neg(v))
         for s in range(c):
             if s == i:
                 continue
-            v = w.entry(s, i, i)
+            v = x[s][i][i]
             if not f.is_zero(v):
-                w.slice_addmul(s, i, f.neg(v))
+                w.addmul(_SLICE, s, i, f.neg(v))
             # clear row i of slice s, then remove the helper column
             helper = None
-            for b in range(i + 1, w.ncols):
-                if not f.is_zero(w.entry(s, i, b)):
+            for b in range(i + 1, len(cols)):
+                if not f.is_zero(x[s][i][b]):
                     helper = b
                     break
             if helper is not None:
-                hv = w.entry(s, i, helper)
-                for b in range(i + 1, w.ncols):
-                    if b != helper and not f.is_zero(w.entry(s, i, b)):
-                        w.col_addmul(b, helper, f.neg(f.div(w.entry(s, i, b), hv)))
-                w.delete_col(helper)
+                hv = x[s][i][helper]
+                for b in range(i + 1, len(cols)):
+                    if b != helper and not f.is_zero(x[s][i][b]):
+                        w.addmul(_COL, b, helper, f.neg(f.div(x[s][i][b], hv)))
+                w.delete(_COL, helper)
             helper = None
-            for a in range(i + 1, w.nrows):
-                if not f.is_zero(w.entry(s, a, i)):
+            for a in range(i + 1, len(rows)):
+                if not f.is_zero(x[s][a][i]):
                     helper = a
                     break
             if helper is not None:
-                hv = w.entry(s, helper, i)
-                for a in range(i + 1, w.nrows):
-                    if a != helper and not f.is_zero(w.entry(s, a, i)):
-                        w.row_addmul(a, helper, f.neg(f.div(w.entry(s, a, i), hv)))
-                w.delete_row(helper)
-        if w.nrows < c or w.ncols < c:
+                hv = x[s][helper][i]
+                for a in range(i + 1, len(rows)):
+                    if a != helper and not f.is_zero(x[s][a][i]):
+                        w.addmul(_ROW, a, helper, f.neg(f.div(x[s][a][i], hv)))
+                w.delete(_ROW, helper)
+        if len(rows) < c or len(cols) < c:
             fail("ran out of rows or columns during elimination")
-    w.select(list(range(c)), list(range(c)))
-    res = w.restriction()
+    w.take(_ROW, range(c))
+    w.take(_COL, range(c))
+    res = Restriction(w.matrices((_ROW, _COL, _SLICE)))
     if not verify_restriction(res, t, unit(f, c)):
         fail("eliminated slices do not form the unit tensor")
     return SubrankCertificate("restriction", c, 1, restriction=res)
@@ -537,51 +412,47 @@ def subrank_c2(t: Tensor3) -> SubrankCertificate:
     if not t.is_concise():
         raise NotConciseError("the dimension-2 construction needs a concise tensor")
     f = t.field
-    w = _Working(t, [0, 1])
+    w = _Working(f, t.slices(3))
+    x, rows, cols = w.slices, w.maps[_ROW], w.maps[_COL]
 
-    def mat(s):
-        return Matrix(f, [list(r) for r in w.slices[s]], cols=w.ncols)
-
-    if rank(mat(0)) == 1:
-        w.slice_swap(0, 1)
+    if rank_of_rows(f, x[0], n2) == 1:
+        w.swap(_SLICE, 0, 1)
     # diagonalize slice 0 to [[Id_r, 0], [0, 0]]
     r_ = 0
-    for col in range(w.ncols):
+    for col in range(n2):
         sel = None
-        for a in range(r_, w.nrows):
-            if not f.is_zero(w.entry(0, a, col)):
+        for a in range(r_, n1):
+            if not f.is_zero(x[0][a][col]):
                 sel = a
                 break
         if sel is None:
             continue
-        w.row_swap(r_, sel)
-        w.row_scale(r_, f.inv(w.entry(0, r_, col)))
-        for a in range(w.nrows):
-            if a != r_ and not f.is_zero(w.entry(0, a, col)):
-                w.row_addmul(a, r_, f.neg(w.entry(0, a, col)))
+        w.swap(_ROW, r_, sel)
+        w.scale(_ROW, r_, f.inv(x[0][r_][col]))
+        for a in range(n1):
+            if a != r_ and not f.is_zero(x[0][a][col]):
+                w.addmul(_ROW, a, r_, f.neg(x[0][a][col]))
         r_ += 1
-        if r_ == w.nrows:
+        if r_ == n1:
             break
     # clear non-pivot columns, then move pivots onto the diagonal
-    pivots = []
     for a in range(r_):
-        pc = next(b for b in range(w.ncols) if not f.is_zero(w.entry(0, a, b)))
-        pivots.append(pc)
-        for b in range(w.ncols):
-            if b != pc and not f.is_zero(w.entry(0, a, b)):
-                w.col_addmul(b, pc, f.neg(w.entry(0, a, b)))
+        pc = next(b for b in range(n2) if not f.is_zero(x[0][a][b]))
+        for b in range(n2):
+            if b != pc and not f.is_zero(x[0][a][b]):
+                w.addmul(_COL, b, pc, f.neg(x[0][a][b]))
     for a in range(r_):
-        pc = next(b for b in range(w.ncols) if not f.is_zero(w.entry(0, a, b)))
-        w.col_swap(a, pc)
+        pc = next(b for b in range(n2) if not f.is_zero(x[0][a][b]))
+        w.swap(_COL, a, pc)
 
     r = r_
-    if 1 < r < min(w.nrows, w.ncols):
+    if 1 < r < min(n1, n2):
         _c2_case_middle_rank(w, r)
-    elif r == min(w.nrows, w.ncols):
+    elif r == min(n1, n2):
         _c2_case_full_rank(w, r)
     else:
         raise VerificationFailedError(f"unexpected first-slice rank {r}")  # pragma: no cover
-    res = w.restriction()
+    res = Restriction(w.matrices((_ROW, _COL, _SLICE)))
     if not verify_restriction(res, t, unit(f, 2)):
         raise VerificationFailedError("dimension-2 construction failed to verify")
     return SubrankCertificate("restriction", 2, 1, restriction=res)
@@ -589,12 +460,13 @@ def subrank_c2(t: Tensor3) -> SubrankCertificate:
 
 def _c2_case_middle_rank(w: _Working, r: int):
     """1 < rank < min(n1, n2): use a nonzero below-block entry of slice 2."""
-    f = w.f
+    f, x = w.f, w.slices
+    n1, n2 = len(w.maps[_ROW]), len(w.maps[_COL])
 
     def find():
-        for a in range(r, w.nrows):
-            for b in range(w.ncols):
-                if b != r - 1 and not f.is_zero(w.entry(1, a, b)):
+        for a in range(r, n1):
+            for b in range(n2):
+                if b != r - 1 and not f.is_zero(x[1][a][b]):
                     return a, b
         return None
 
@@ -602,62 +474,65 @@ def _c2_case_middle_rank(w: _Working, r: int):
     if spot is None:
         # all bottom support sits in column r-1: swap it with another
         # diagonal index (rows and columns together keep slice 0 intact)
-        w.row_swap(0, r - 1)
-        w.col_swap(0, r - 1)
+        w.swap(_ROW, 0, r - 1)
+        w.swap(_COL, 0, r - 1)
         spot = find()
         if spot is None:
             raise VerificationFailedError("no usable entry below the diagonal block")  # pragma: no cover
     a, b = spot
-    w.row_scale(a, f.inv(w.entry(1, a, b)))
-    v = w.entry(1, r - 1, b)
+    w.scale(_ROW, a, f.inv(x[1][a][b]))
+    v = x[1][r - 1][b]
     if not f.is_zero(v):
-        w.row_addmul(r - 1, a, f.neg(v))
-    w.select([r - 1, a], [r - 1, b])
+        w.addmul(_ROW, r - 1, a, f.neg(v))
+    w.take(_ROW, [r - 1, a])
+    w.take(_COL, [r - 1, b])
     # slices now [[1,0],[0,0]] and [[t,0],[s,1]]
-    s_val = w.entry(1, 1, 0)
+    s_val = x[1][1][0]
     if not f.is_zero(s_val):
-        w.col_addmul(0, 1, f.neg(s_val))
-    t_val = w.entry(1, 0, 0)
+        w.addmul(_COL, 0, 1, f.neg(s_val))
+    t_val = x[1][0][0]
     if not f.is_zero(t_val):
-        w.slice_addmul(1, 0, f.neg(t_val))
+        w.addmul(_SLICE, 1, 0, f.neg(t_val))
 
 
 def _c2_case_full_rank(w: _Working, r: int):
     """rank = min(n1, n2) >= 3: either an off-diagonal entry of slice 2
     exists, or slice 2 is diagonal and two diagonal values differ."""
-    f = w.f
+    f, x = w.f, w.slices
+    n1, n2 = len(w.maps[_ROW]), len(w.maps[_COL])
     off = None
-    for a in range(w.nrows):
-        for b in range(w.ncols):
-            if a != b and not f.is_zero(w.entry(1, a, b)):
+    for a in range(n1):
+        for b in range(n2):
+            if a != b and not f.is_zero(x[1][a][b]):
                 off = (a, b)
                 break
         if off:
             break
     if off is not None:
         i0, j0 = off
-        k = next(x for x in range(r) if x not in (i0, j0))
-        t_val = w.entry(1, i0, j0)
-        w.select([i0, k], [j0, k])
-        w.row_swap(0, 1)
-        w.col_swap(0, 1)
+        k = next(y for y in range(r) if y not in (i0, j0))
+        t_val = x[1][i0][j0]
+        w.take(_ROW, [i0, k])
+        w.take(_COL, [j0, k])
+        w.swap(_ROW, 0, 1)
+        w.swap(_COL, 0, 1)
         # slices: [[1,0],[0,0]] and [[*,*],[*,t]]
-        w.slice_scale(1, f.inv(t_val))
-        s_val = w.entry(1, 1, 0)
+        w.scale(_SLICE, 1, f.inv(t_val))
+        s_val = x[1][1][0]
         if not f.is_zero(s_val):
-            w.col_addmul(0, 1, f.neg(s_val))
-        u_val = w.entry(1, 0, 1)
+            w.addmul(_COL, 0, 1, f.neg(s_val))
+        u_val = x[1][0][1]
         if not f.is_zero(u_val):
-            w.row_addmul(0, 1, f.neg(u_val))
-        rem = w.entry(1, 0, 0)
+            w.addmul(_ROW, 0, 1, f.neg(u_val))
+        rem = x[1][0][0]
         if not f.is_zero(rem):
-            w.slice_addmul(1, 0, f.neg(rem))
+            w.addmul(_SLICE, 1, 0, f.neg(rem))
         return
     # slice 2 diagonal: two diagonal entries differ by linear independence
     pair = None
     for a in range(r):
         for b in range(a + 1, r):
-            if w.entry(1, a, a) != w.entry(1, b, b):
+            if x[1][a][a] != x[1][b][b]:
                 pair = (a, b)
                 break
         if pair:
@@ -665,9 +540,10 @@ def _c2_case_full_rank(w: _Working, r: int):
     if pair is None:
         raise VerificationFailedError("slice 2 is a multiple of slice 1")  # pragma: no cover
     i0, j0 = pair
-    a_val = w.entry(1, i0, i0)
-    b_val = w.entry(1, j0, j0)
-    w.select([i0, j0], [i0, j0])
+    a_val = x[1][i0][i0]
+    b_val = x[1][j0][j0]
+    w.take(_ROW, [i0, j0])
+    w.take(_COL, [i0, j0])
     d = f.sub(a_val, b_val)
     alpha = f.neg(f.div(b_val, d))
     beta = f.div(f.one(), d)

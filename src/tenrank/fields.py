@@ -186,7 +186,7 @@ class RationalField(Field):
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:
             raise DivisionByZeroError("inverse of zero in Q")
-        return 1 / a
+        return Fraction(1) / a
 
     def is_zero(self, a: Fraction) -> bool:
         return a == 0

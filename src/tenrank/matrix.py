@@ -306,3 +306,99 @@ def invert(m: Matrix) -> Matrix:
     if res.rank != m.rows:
         raise ShapeMismatchError("matrix is singular")
     return res.transform
+
+
+# -- tracked elimination ------------------------------------------------------
+
+_ROW, _COL, _SLICE = 0, 1, 2
+
+
+def _scaled(x, c, p: Optional[int]):
+    """c * x for a scalar, a vector or a matrix (a list of row lists)."""
+    if type(x) is not list:
+        return c * x % p if p else c * x
+    if x and type(x[0]) is list:
+        return [_scaled(row, c, p) for row in x]
+    return [c * a % p for a in x] if p else [c * a for a in x]
+
+
+def _axpy(x, y, c, p: Optional[int]):
+    """x + c * y for two scalars, vectors or matrices of one shape."""
+    if type(x) is not list:
+        return (x + c * y) % p if p else x + c * y
+    if x and type(x[0]) is list:
+        return [_axpy(a, b, c, p) for a, b in zip(x, y)]
+    if p:
+        return [(a + c * b) % p for a, b in zip(x, y)]
+    return [a + c * b for a, b in zip(x, y)]
+
+
+class _Working:
+    """Matrices under tracked row, column and slice operations.
+
+    Built from matrices X_0, ..., X_{m-1} of one shape and an optional slice
+    map (rows of length m, the identity by default).  Every operation keeps
+
+        slices[s] = sum_k maps[_SLICE][s][k] * maps[_ROW] . X_k . maps[_COL]^T
+
+    by acting on every list indexed along its axis: the slice data and that
+    axis's map.  `_ROW` indexes the rows of each slice, `_COL` the entries of
+    each row and `_SLICE` the slices themselves.  The lists are updated in
+    place, so aliases of `slices` and of the maps stay current.
+    """
+
+    def __init__(self, field: Field, mats: Sequence[Matrix], slice_map=None):
+        self.f = field
+        self.p = field.p if isinstance(field, PrimeField) else None
+        self.widths = (mats[0].rows, mats[0].cols, len(mats))
+        z, o = field.zero(), field.one()
+        self.maps = [[[o if i == j else z for j in range(n)] for i in range(n)] for n in self.widths]
+        self.slices = [[list(row) for row in m.data] for m in mats]
+        if slice_map is not None:
+            self.slice_transform(slice_map)
+
+    def _along(self, axis: int) -> list:
+        if axis == _SLICE:
+            return [self.slices, self.maps[_SLICE]]
+        if axis == _ROW:
+            return [*self.slices, self.maps[_ROW]]
+        return [row for s in self.slices for row in s] + [self.maps[_COL]]
+
+    def swap(self, axis: int, a: int, b: int):
+        for lst in self._along(axis):
+            lst[a], lst[b] = lst[b], lst[a]
+
+    def scale(self, axis: int, a: int, c: Elem):
+        for lst in self._along(axis):
+            lst[a] = _scaled(lst[a], c, self.p)
+
+    def addmul(self, axis: int, dst: int, src: int, c: Elem):
+        """Add c times index `src` to index `dst`."""
+        for lst in self._along(axis):
+            lst[dst] = _axpy(lst[dst], lst[src], c, self.p)
+
+    def delete(self, axis: int, a: int):
+        for lst in self._along(axis):
+            del lst[a]
+
+    def take(self, axis: int, idxs: Sequence[int]):
+        """Keep the distinct indices `idxs`, in that order."""
+        for lst in self._along(axis):
+            lst[:] = [lst[i] for i in idxs]
+
+    def slice_transform(self, coeffs: Sequence[Sequence[Elem]]):
+        """Replace slice s by sum_k coeffs[s][k] * slice k."""
+        f, p = self.f, self.p
+        for lst in self._along(_SLICE):
+            new = []
+            for row in coeffs:
+                acc = _scaled(lst[0], f.zero(), p)
+                for c, x in zip(row, lst):
+                    if not f.is_zero(c):
+                        acc = _axpy(acc, x, c, p)
+                new.append(acc)
+            lst[:] = new
+
+    def matrices(self, axes: Sequence[int]) -> tuple:
+        """The maps of `axes`, in that order, as matrices."""
+        return tuple(Matrix(self.f, self.maps[a], cols=self.widths[a]) for a in axes)

@@ -19,7 +19,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .laurent import Degeneration, LaurentMatrix, verify_degeneration
-from .matrix import Matrix, rref
+from .matrix import _COL, _ROW, _SLICE, Matrix, _Working, rref
 from .spans import SliceSpan, max_rank_exhaustive, slice_span
 from .tensor import Tensor3
 
@@ -216,61 +216,42 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
     data = rho_sigma(span)
     r = data.rho
     slice_dir = ({1, 2, 3} - {i, j}).pop()
-    mats, pivots = data.basis, list(data.pivots)
+    pivots = list(data.pivots)
     # matched pivots, sorted by row
     matched = sorted(data.matching)
-    sel = [pivots.index(p) for p in matched]
-    # basis matrices are combinations of the oriented slices; recover the
-    # combination coefficients from the rref transform
+    # basis matrices are combinations of the oriented slices; the rref
+    # transform holds the combination coefficients
     vecs = [m.vectorize() for m in span.basis]
     res = rref(Matrix(f, vecs, cols=len(vecs[0])))
-    slice_map_rows = [res.transform.data[pivots_index] for pivots_index in sel]
-    rows_sel = [p[0] for p in matched]
-    cols_sel = [p[1] for p in matched]
-    chosen = [mats[s] for s in sel]
-    # order columns by the permutation sending matched pivot t -> diagonal
-    sub = [m.submatrix(rows_sel, cols_sel) for m in chosen]
+    w = _Working(f, span.basis, [res.transform.data[pivots.index(p)] for p in matched])
+    # restrict to the pivot rows/columns so matched pivot s sits at (s, s)
+    w.take(_ROW, [p[0] for p in matched])
+    w.take(_COL, [p[1] for p in matched])
     # clear pivot rows right of the pivot: process slices by decreasing
     # pivot column value; column operations use the pivot column only
-    order = sorted(range(r), key=lambda s: -matched[s][1])
-    col_ops = Matrix.identity(f, r)
-    work = [list(map(list, m.data)) for m in sub]
-    for s in order:
-        row = work[s][s]
-        piv = row[s]
+    x = w.slices
+    for s in sorted(range(r), key=lambda s: -matched[s][1]):
+        piv = x[s][s][s]
         if f.is_zero(piv):
             raise VerificationFailedError("zero pivot on the matched diagonal")  # pragma: no cover
         for u in range(r):
-            if u != s and not f.is_zero(row[u]):
-                factor = f.div(row[u], piv)
-                for w in work:
-                    for a in range(r):
-                        w[a][u] = f.sub(w[a][u], f.mul(factor, w[a][s]))
-                ent = {(x, x): f.one() for x in range(r)}
-                ent[(s, u)] = f.neg(factor)
-                col_ops = col_ops.mul(Matrix.from_entries(f, r, r, ent))
-    # sanity: slice s now has pivot row s equal to e_s and zero rows above
+            if u != s and not f.is_zero(x[s][s][u]):
+                w.addmul(_COL, u, s, f.neg(f.div(x[s][s][u], piv)))
+    # sanity: slice s now has pivot row s equal to e_s and zero rows above;
+    # scale each slice so its pivot value is 1
     for s in range(r):
-        piv = work[s][s][s]
+        piv = x[s][s][s]
         if f.is_zero(piv):
             raise VerificationFailedError("pivot vanished during clearing")  # pragma: no cover
-    # scale each slice so its pivot value is 1 (slice-leg diagonal map)
-    scale = [f.inv(work[s][s][s]) for s in range(r)]
-
-    # assemble the three numeric maps in tensor-leg order
-    sel_rows = Matrix.from_entries(f, r, t.dims[i - 1], {(a, rows_sel[a]): f.one() for a in range(r)})
-    sel_cols = Matrix.from_entries(f, r, t.dims[j - 1], {(a, cols_sel[a]): f.one() for a in range(r)})
-    col_map = col_ops.transpose().mul(sel_cols)
-    slice_combo = Matrix(f, [
-        [f.mul(scale[a], v) for v in slice_map_rows[a]] for a in range(r)
-    ], cols=t.dims[slice_dir - 1])
+        w.scale(_SLICE, s, f.inv(piv))
+    rows, cols, slices = w.matrices((_ROW, _COL, _SLICE))
 
     # epsilon scalings: slice leg gets e^-s, row leg e^+a (the exponent-0
     # part is then exactly the diagonal; everything else has row > slice)
     legs: List[LaurentMatrix] = [None, None, None]
-    legs[slice_dir - 1] = LaurentMatrix.from_matrix(slice_combo).scale_rows([-s for s in range(1, r + 1)])
-    legs[i - 1] = LaurentMatrix.from_matrix(sel_rows).scale_rows(list(range(1, r + 1)))
-    legs[j - 1] = LaurentMatrix.from_matrix(col_map)
+    legs[slice_dir - 1] = LaurentMatrix.from_matrix(slices).scale_rows([-s for s in range(1, r + 1)])
+    legs[i - 1] = LaurentMatrix.from_matrix(rows).scale_rows(list(range(1, r + 1)))
+    legs[j - 1] = LaurentMatrix.from_matrix(cols)
     d = Degeneration(tuple(legs), claimed_r=r, power=1)
     check = verify_degeneration(d, t, explain=True)
     if not check.ok:

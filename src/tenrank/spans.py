@@ -24,7 +24,7 @@ from .errors import (
     ZeroSpanError,
 )
 from .fields import Elem, Field, PrimeField
-from .matrix import Matrix, concat_cols, rank, rank_of_rows, rref, solve
+from .matrix import _COL, _ROW, Matrix, _Working, concat_cols, rank, rank_of_rows, rref, solve
 from .tensor import Tensor3
 
 PROJECTIVE_GUARD = 10_000_000
@@ -516,76 +516,42 @@ def high_rank_slice(t: Tensor3) -> Tuple[int, int]:
 # -- diagonalization pipeline ---------------------------------------------------
 
 
-def _embed(field: Field, small: Matrix, labels: Sequence[int], n: int) -> Matrix:
-    """Embed a transform acting on the `labels` coordinates into GL(F^n)."""
-    ent = {(i, i): field.one() for i in range(n)}
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            ent[(la, lb)] = small[a, b]
-    return Matrix.from_entries(field, n, n, ent)
+def _diagonalize(w: _Working, s: int, kept: List[int]) -> List[int]:
+    """Clear slice s off the diagonal on a subset of the indices `kept`, with
+    tracked row and column operations that leave a diagonal slice unchanged
+    on that subset; returns the subset, of size at least |kept| / 3.
 
-
-def _diag_step(field: Field, a: List[List[Elem]]):
-    """One head-clearing step on a d x d block.
-
-    Returns (U, V, drops): row/col transforms with U = Id + (column i stuff),
-    V = Id + (row j stuff), i != j, such that in U a V the first row and
-    column are zero outside (0,0) at all positions not in drops.
+    Each step takes the first active index h, clears row h with one column j
+    and column h with one row i (i != j), and drops i and j.
     """
-    d = len(a)
-    one = field.one()
-    u = Matrix.identity(field, d)
-    v = Matrix.identity(field, d)
-    drops = set()
-    xs = [l for l in range(1, d) if not field.is_zero(a[0][l])]
-    j = None
-    if xs:
-        j = xs[0]
-        inv = field.inv(a[0][j])
-        ent = {(i, i): one for i in range(d)}
-        for l in xs:
-            if l != j:
-                ent[(j, l)] = field.neg(field.mul(inv, a[0][l]))
-        v = Matrix.from_entries(field, d, d, ent)
-        drops.add(j)
-    ys = [l for l in range(1, d) if not field.is_zero(a[l][0])]
-    ys_p = [l for l in ys if l != j]
-    if ys_p:
-        i = ys_p[0]
-        inv = field.inv(a[i][0])
-        ent = {(r, r): one for r in range(d)}
-        for l in ys:
-            if l not in (i, j):
-                ent[(l, i)] = field.neg(field.mul(inv, a[l][0]))
-        u = Matrix.from_entries(field, d, d, ent)
-        drops.add(i)
-    return u, v, drops
-
-
-def diagonalize_single(field: Field, a: Matrix):
-    """U, V invertible and kept indices with (U a V) diagonal on kept x kept,
-    |kept| >= ceil(d/3), and diagonal matrices unchanged on kept x kept."""
-    d = a.rows
-    u_tot = Matrix.identity(field, d)
-    v_tot = Matrix.identity(field, d)
-    cur = a
-    active = list(range(d))
+    f, a = w.f, w.slices[s]
+    active = list(kept)
     prefix = []
     while active:
-        block = [[cur[r, c] for c in active] for r in active]
-        u_s, v_s, drops = _diag_step(field, block)
-        if drops:
-            u_f = _embed(field, u_s, active, d)
-            v_f = _embed(field, v_s, active, d)
-            u_tot = u_f.mul(u_tot)
-            v_tot = v_tot.mul(v_f)
-            cur = u_f.mul(cur).mul(v_f)
-        prefix.append(active[0])
-        active = [active[l] for l in range(1, len(active)) if l not in drops]
-    kept = sorted(prefix)
-    if len(kept) < -(-d // 3):
+        h, rest = active[0], active[1:]
+        drops = set()
+        xs = [l for l in rest if not f.is_zero(a[h][l])]
+        j = None
+        if xs:
+            j = xs[0]
+            inv = f.inv(a[h][j])
+            for l in xs[1:]:
+                w.addmul(_COL, l, j, f.neg(f.mul(inv, a[h][l])))
+            drops.add(j)
+        ys = [l for l in rest if not f.is_zero(a[l][h])]
+        ys_p = [l for l in ys if l != j]
+        if ys_p:
+            i = ys_p[0]
+            inv = f.inv(a[i][h])
+            for l in ys:
+                if l not in (i, j):
+                    w.addmul(_ROW, l, i, f.neg(f.mul(inv, a[l][h])))
+            drops.add(i)
+        prefix.append(h)
+        active = [l for l in rest if l not in drops]
+    if len(prefix) < -(-len(kept) // 3):
         raise VerificationFailedError("diagonalization kept fewer than d/3 indices")  # pragma: no cover
-    return u_tot, v_tot, kept
+    return sorted(prefix)
 
 
 def diagonalize_principal(field: Field, mats: Sequence[Matrix]):
@@ -597,16 +563,12 @@ def diagonalize_principal(field: Field, mats: Sequence[Matrix]):
     n = mats[0].rows
     if mats[0] != Matrix.identity(field, n):
         raise BadParamsError("diagonalize_principal expects mats[0] = Id")
-    u_tot = Matrix.identity(field, n)
-    v_tot = Matrix.identity(field, n)
+    w = _Working(field, mats)
     kept = list(range(n))
-    for m in mats[1:]:
-        cur = u_tot.mul(m).mul(v_tot)
-        block = cur.submatrix(kept, kept)
-        u_s, v_s, kept_rel = diagonalize_single(field, block)
-        u_tot = _embed(field, u_s, kept, n).mul(u_tot)
-        v_tot = v_tot.mul(_embed(field, v_s, kept, n))
-        kept = [kept[i] for i in kept_rel]
+    for s in range(1, len(mats)):
+        kept = _diagonalize(w, s, kept)
+    u_tot, v_t = w.matrices((_ROW, _COL))
+    v_tot = v_t.transpose()
     c = len(mats)
     bound = -(-n // 3 ** (c - 1))
     if len(kept) < bound:
@@ -857,33 +819,16 @@ def rank_normal_form(a: Matrix):
     """Invertible P, Q with P a Q = [[Id_k, 0], [0, 0]]; returns (P, Q, k)."""
     f = a.field
     res = rref(a)
-    k = res.rank
-    p = res.transform
-    q_ops = Matrix.identity(f, a.cols)
-    work = res.rref
-    for r in range(k):
-        pc = res.pivot_cols[r]
-        ent = {(i, i): f.one() for i in range(a.cols)}
-        touched = False
+    w = _Working(f, [res.rref])
+    x = w.slices[0]
+    for r, pc in enumerate(res.pivot_cols):
         for c in range(a.cols):
-            if c != pc and not f.is_zero(work[r, c]):
-                ent[(pc, c)] = f.neg(work[r, c])
-                touched = True
-        if touched:
-            e = Matrix.from_entries(f, a.cols, a.cols, ent)
-            work = work.mul(e)
-            q_ops = q_ops.mul(e)
-    perm_ent = {}
-    used = set()
-    for r in range(k):
-        perm_ent[(res.pivot_cols[r], r)] = f.one()
-        used.add(res.pivot_cols[r])
-    free = [c for c in range(a.cols) if c not in used]
-    for t, c in enumerate(free):
-        perm_ent[(c, k + t)] = f.one()
-    perm = Matrix.from_entries(f, a.cols, a.cols, perm_ent)
-    q = q_ops.mul(perm)
-    return p, q, k
+            if c != pc and not f.is_zero(x[r][c]):
+                w.addmul(_COL, c, pc, f.neg(x[r][c]))
+    # pivot columns first, in row order, then the free columns
+    w.take(_COL, [*res.pivot_cols, *(c for c in range(a.cols) if c not in res.pivot_cols)])
+    (q_t,) = w.matrices((_COL,))
+    return res.transform, q_t.transpose(), res.rank
 
 
 def minrk_diag_pipeline(span: SliceSpan, *, trials: int = 64, seed: int = 0,
@@ -997,7 +942,10 @@ def _minsupp_restrict_exact_q(field: Field, vectors: Sequence[tuple], c: int):
 
 def _pad_block(field: Field, m: Matrix, n: int) -> Matrix:
     """Extend a k x k transform to n x n, identity on the complement."""
-    return _embed(field, m, list(range(m.rows)), n)
+    k = m.rows
+    z, o = field.zero(), field.one()
+    return Matrix(field, [list(row) + [z] * (n - k) for row in m.data]
+                  + [[o if j == i else z for j in range(n)] for i in range(k, n)], cols=n)
 
 
 # -- mixed Kronecker products -----------------------------------------------------

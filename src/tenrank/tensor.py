@@ -551,20 +551,26 @@ CATALOG = {
 }
 
 
+def catalog_dims(name: str, *params: int) -> Tuple[int, int, int]:
+    """Dimensions of the named catalog tensor, after checking the name and
+    the number of parameters."""
+    if name not in CATALOG:
+        raise BadParamsError(f"unknown catalog tensor {name!r} (have {sorted(CATALOG)})")
+    _, argnames, dims_of = CATALOG[name]
+    if len(params) != len(argnames):
+        raise BadParamsError(f"{name} expects parameters {argnames}, got {params}")
+    return dims_of(*params)
+
+
 def catalog(field: Field, name: str, *params: int) -> Tensor3:
     """The named catalog tensor.  Raises ResourceGuardError, before any entry
     is built, when it would have more than KRON_ENTRY_GUARD dense entries."""
-    if name not in CATALOG:
-        raise BadParamsError(f"unknown catalog tensor {name!r} (have {sorted(CATALOG)})")
-    ctor, argnames, dims_of = CATALOG[name]
-    if len(params) != len(argnames):
-        raise BadParamsError(f"{name} expects parameters {argnames}, got {params}")
-    n1, n2, n3 = dims_of(*params)
+    n1, n2, n3 = catalog_dims(name, *params)
     if min(n1, n2, n3) > 0 and n1 * n2 * n3 > KRON_ENTRY_GUARD:
         raise ResourceGuardError(
             f"catalog tensor {name} would have {n1 * n2 * n3} entries (guard {KRON_ENTRY_GUARD})"
         )
-    return ctor(field, *params)
+    return CATALOG[name][0](field, *params)
 
 
 @dataclass(frozen=True)

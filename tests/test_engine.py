@@ -402,6 +402,16 @@ def test_subrank_c2_random_gf2():
         done += 1
 
 
+def test_subrank_c2_q_with_int_entries():
+    # Tensor3 keeps int entries over Q; inverting one must give a Fraction,
+    # not a float, or the certificate's maps stop being exact
+    t = Tensor3(QQ, (3, 3, 2), [1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1])
+    cert = subrank_c2(t)
+    assert cert.r == 2 and cert.verify(t)
+    assert all(type(x) is not float for m in cert.restriction.maps for row in m.data for x in row)
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+
+
 def test_subrank_c2_sampled_gf3_342():
     rng = random.Random(13)
     done = 0

@@ -275,6 +275,16 @@ def test_scan_has_no_workers_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("info", "--guard", "5"), ("verify", "c.cert", "--seed", "3")])
+def test_flags_only_where_read(argv, tmp_path, capsys):
+    tpath = tmp_path / "w.tensor"
+    tpath.write_text(serialize_tensor(w_tensor(GF(2))))
+    command, *rest = argv
+    with pytest.raises(SystemExit):
+        run_cli(command, *rest, str(tpath))
+    assert rest[-2] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["info", "verify"])
 def test_unreadable_input_is_a_file_error(command, tmp_path, capsys):
     good = tmp_path / "w.tensor"
@@ -386,3 +396,10 @@ def test_cli_catalog_expect(capsys):
     assert run_cli("catalog", "null_algebra", "5", "--expect") == 0
     out = capsys.readouterr().out
     assert "q2 2" in out and "literature" in out
+
+
+def test_cli_catalog_expect_does_not_build(capsys):
+    assert run_cli("catalog", "unit", "257", "--expect") == 0
+    assert "dims (257, 257, 257)" in capsys.readouterr().out
+    assert run_cli("catalog", "unit", "--expect") == 1
+    assert "expects parameters" in capsys.readouterr().err
