@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="certified asymptotic subrank interval")
     common(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=["text", "kv"], default="text")
     sp.set_defaults(fn=cmd_bounds)
 

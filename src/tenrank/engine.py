@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _Working, invert, rank, rank_of_rows, rref, solve
+from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _Working, invert, rank, rank_of_rows, rref, solve_all
 from .spans import (
     MaxRankWitness,
     SliceSpan,
@@ -40,6 +40,7 @@ from .spans import (
     mixed_kron_set,
     slice_span,
     span_of,
+    subspace_pair_count,
 )
 from .tensor import (
     Restriction,
@@ -91,6 +92,11 @@ def _count_full_rank(q: int, r: int, n: int) -> int:
     return total
 
 
+def _full_rank_pair_count(q: int, r: int, n2: int, n3: int) -> int:
+    """The pairs (L2, L3) of full-rank r x n2 and r x n3 maps over GF(q)."""
+    return _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)
+
+
 def _leading_one_rows(q: int, n: int) -> list:
     """The vectors of GF(q)^n whose first nonzero entry is 1, in
     itertools.product order."""
@@ -108,7 +114,7 @@ def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
 
 def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restriction]:
     """Search (L2, L3) surjective pairs up to scaling and a shared row order,
-    then solve for L1 row by row.
+    then solve for L1's rows together.
 
     A pair is accepted when every E_aa lies in span_i{L2 S_i L3^T}, with S_i
     the direction-1 slices.  Replacing (L2, L3) by (D P L2, D' P L3), with D,
@@ -120,13 +126,13 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     entry 1.  Only such pairs are enumerated, in the same relative order, so
     the witness is the one the full search finds.  The guard still counts
     all full-rank pairs, so it refuses the same searches as before.  Each
-    pair costs one elimination of n1 integer vectors; the scalar `solve` runs
-    only on the accepted pair.
+    pair costs one elimination of n1 integer vectors; L1 is solved for only
+    on the accepted pair.
     """
     f = t.field
     _, n2, n3 = t.dims
     q = f.p
-    pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)
+    pairs = _full_rank_pair_count(q, r, n2, n3)
     if pairs > guard:
         raise ResourceGuardError(
             f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
@@ -155,16 +161,13 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
 
 def _solve_first_leg(f: PrimeField, slices, l2: Matrix, l3: Matrix, r: int) -> Restriction:
     """L1's rows for an accepted (L2, L3): row a solves
-    sum_i x_i * L2 S_i L3^T = E_aa."""
+    sum_i x_i * L2 S_i L3^T = E_aa, all r rows from one elimination."""
     l3t = l3.transpose()
     cols = [l2.mul(s).mul(l3t).vectorize() for s in slices]
     a_mat = Matrix(f, list(zip(*cols)), cols=len(slices))
-    rows1 = []
-    for a in range(r):
-        x = solve(a_mat, Matrix.from_entries(f, r, r, {(a, a): f.one()}).vectorize())
-        if x is None:
-            raise VerificationFailedError("accepted map pair has no first-leg solution")  # pragma: no cover
-        rows1.append(x)
+    rows1 = solve_all(a_mat, [[int(c == a * (r + 1)) for c in range(r * r)] for a in range(r)])
+    if None in rows1:
+        raise VerificationFailedError("accepted map pair has no first-leg solution")  # pragma: no cover
     return Restriction((Matrix(f, rows1, cols=len(slices)), l2, l3))
 
 
@@ -261,15 +264,11 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
         raise InfiniteFieldError("exhaustive slice rank needs a finite field")
     if t.is_zero():
         return 0
-    from .spans import _ann_rows, _subspace_annihilator, subspace_count, subspaces
+    from .spans import _ann_rows, _subspace_annihilator, subspaces
 
     n1, n2, n3 = t.dims
     q = f.p
-    pair_total = sum(
-        subspace_count(q, n1, a1) * subspace_count(q, n2, a2)
-        for a1 in range(n1 + 1)
-        for a2 in range(n2 + 1)
-    )
+    pair_total = subspace_pair_count(q, n1, n2)
     if pair_total > guard:
         raise ResourceGuardError(
             f"subspace-pair enumeration of {pair_total} pairs exceeds guard {guard}"
@@ -764,13 +763,9 @@ def _basis_coefficients(f: Field, span: SliceSpan, dm, all_b: List[Matrix]):
     inv_v = invert(dm.v)
     originals = [m.vectorize() for m in span.basis]
     basis_mat = Matrix(f, list(zip(*originals)), cols=len(originals))
-    out = []
-    for bm in all_b:
-        raw = inv_u.mul(bm).mul(inv_v)
-        x = solve(basis_mat, raw.vectorize())
-        if x is None:
-            raise VerificationFailedError("pipeline basis matrix outside the slice span")  # pragma: no cover
-        out.append(list(x))
+    out = solve_all(basis_mat, [inv_u.mul(bm).mul(inv_v).vectorize() for bm in all_b])
+    if None in out:
+        raise VerificationFailedError("pipeline basis matrix outside the slice span")  # pragma: no cover
     return out
 
 
@@ -878,7 +873,7 @@ def _oracle_feasible(t: Tensor3, guard: int) -> bool:
     n1, n2, n3 = t.dims
     r = min(t.dims)
     try:
-        pairs = _count_full_rank(f.p, r, n2) * _count_full_rank(f.p, r, n3)
+        pairs = _full_rank_pair_count(f.p, r, n2, n3)
     except OverflowError:  # pragma: no cover
         return False
     return pairs <= guard or _gf2_small(t, r)
@@ -888,15 +883,8 @@ def _slicerank_feasible(t: Tensor3, guard: int) -> bool:
     f = t.field
     if not isinstance(f, PrimeField):
         return False
-    from .spans import subspace_count
-
-    n1, n2, n3 = t.dims
-    total = sum(
-        subspace_count(f.p, n1, a1) * subspace_count(f.p, n2, a2)
-        for a1 in range(n1 + 1)
-        for a2 in range(n2 + 1)
-    )
-    return total <= guard
+    n1, n2, _ = t.dims
+    return subspace_pair_count(f.p, n1, n2) <= guard
 
 
 def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
@@ -992,20 +980,18 @@ def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
     # sqrt path for pivot-matched cubical tensors
     if concise and t.dims[0] == t.dims[1] == t.dims[2]:
         from .errors import NotPivotMatchedError
-        from .pivots import is_pivot_matched, sqrt_certificate
+        from .pivots import sqrt_certificate
 
         try:
-            matched, _, _ = is_pivot_matched(t)
-            if matched:
-                d = sqrt_certificate(t)
-                candidates.append(Bound(
-                    Fraction(d.claimed_r), 2, "paired-pivot degeneration on the square",
-                    "certificate",
-                    SubrankCertificate("degeneration", d.claimed_r, 2, degeneration=d),
-                ))
-            else:
-                skipped.append("sqrt path: not pivot-matched in the given basis")
-        except (ResourceGuardError, NotPivotMatchedError) as exc:
+            d = sqrt_certificate(t)  # it runs is_pivot_matched's test on its own pivot bases
+            candidates.append(Bound(
+                Fraction(d.claimed_r), 2, "paired-pivot degeneration on the square",
+                "certificate",
+                SubrankCertificate("degeneration", d.claimed_r, 2, degeneration=d),
+            ))
+        except NotPivotMatchedError:
+            skipped.append("sqrt path: not pivot-matched in the given basis")
+        except ResourceGuardError as exc:
             skipped.append(f"sqrt path: {exc}")
 
     # slice-rank based bounds

@@ -185,22 +185,29 @@ class DegenerationReport:
 def verify_degeneration(d: Degeneration, t: Tensor3, *, power: int = 1, explain: bool = False):
     """True iff, applied to t^(x)power, no negative exponents appear and the
     exponent-0 coefficient is exactly the unit tensor of size claimed_r."""
-    power_dims(t, power)  # the power guard trips before any other check
+    reason = _degeneration_failure(d, t, power)
+    return DegenerationReport(not reason, reason) if explain else not reason
+
+
+def _degeneration_failure(d: Degeneration, t: Tensor3, power: int) -> str:
+    """Why d does not verify on t^(x)power, or "" when it does."""
+    dims = power_dims(t, power)  # the power guard trips before any other check
+    src = tuple(m.cols for m in d.maps)
+    if d.claimed_r > min(dims):
+        # a degeneration onto the unit tensor of size r needs r <= every
+        # flattening rank, so a larger claim fails before anything is built
+        return f"claimed r {d.claimed_r} exceeds the smallest dimension {min(dims)}"
     if d.target_dims != (d.claimed_r,) * 3:
-        result = DegenerationReport(False, f"target dims {d.target_dims} != unit dims")
-        return result if explain else False
+        return f"target dims {d.target_dims} != unit dims"
+    if src != dims:
+        return f"source dims {src} != tensor dims {dims}"
     terms = apply_degeneration(d, t, power=power)
     neg = [e for e in terms if e < 0]
     if neg:
-        result = DegenerationReport(False, f"negative exponent {min(neg)} present")
-        return result if explain else False
-    expected = unit(t.field, d.claimed_r)
-    got = terms.get(0, Tensor3.zeros(t.field, d.target_dims))
-    if got != expected:
-        result = DegenerationReport(False, "exponent-0 coefficient is not the unit tensor")
-        return result if explain else False
-    result = DegenerationReport(True)
-    return result if explain else True
+        return f"negative exponent {min(neg)} present"
+    if terms.get(0, Tensor3.zeros(t.field, d.target_dims)) != unit(t.field, d.claimed_r):
+        return "exponent-0 coefficient is not the unit tensor"
+    return ""
 
 
 def mamu_border_lb(e: int, h: int, l: int) -> int:

@@ -287,15 +287,41 @@ def rank_of_rows(field: Field, rows: Sequence[Sequence[Elem]], cols: int) -> int
 
 def solve(a: Matrix, b: Sequence[Elem]):
     """One solution x of a x = b, or None if inconsistent."""
-    f = a.field
-    aug, p = _work_rows(f, a.data, [[bv] for bv in b])
-    pivots = _eliminate(aug, a.cols + 1, p, True)
-    if pivots and pivots[-1] == a.cols:
-        return None  # pivot in the augmented column: inconsistent
-    x = [f.zero()] * a.cols
-    for row, c in zip(aug, pivots):
-        x[c] = row[a.cols]
-    return x
+    return solve_all(a, [b])[0]
+
+
+def solve_all(a: Matrix, bs: Sequence[Sequence[Elem]]) -> list:
+    """solve(a, b) for every b in bs, from one elimination of [a | b...].
+
+    Pivots are taken in a's columns only; b is consistent exactly when its
+    reduced column is zero below the pivot rows."""
+    f, n = a.field, a.cols
+    aug, p = _work_rows(f, a.data, [[b[i] for b in bs] for i in range(a.rows)])
+    pivots = _eliminate(aug, n, p, True)
+    out = []
+    for j in range(n, n + len(bs)):
+        if any(row[j] % p if p else row[j] for row in aug[len(pivots):]):
+            out.append(None)
+            continue
+        x = [f.zero()] * n
+        for row, c in zip(aug, pivots):
+            x[c] = row[j]
+        out.append(x)
+    return out
+
+
+def column_basis(field: Field, vectors: Sequence[Sequence[Elem]]):
+    """The greedy basis of `vectors` and every vector's coordinates in it.
+
+    Returns (chosen, coords): `chosen` lists the indices of the vectors
+    outside the span of those before them, and vectors[j] equals
+    sum_k coords[j][k] * vectors[chosen[k]].  One elimination of the matrix
+    whose columns are the vectors gives both: its pivot columns are the
+    greedy choice, and reduced column j holds the unique coordinates of
+    vector j."""
+    a, p = _work_rows(field, list(zip(*vectors)))
+    chosen = _eliminate(a, len(vectors), p, True)
+    return chosen, [[row[j] for row in a[:len(chosen)]] for j in range(len(vectors))]
 
 
 def invert(m: Matrix) -> Matrix:

@@ -51,20 +51,21 @@ def pivot_basis(span: SliceSpan):
     The returned basis is normalized: each matrix is 1 at its own pivot and
     0 at every other basis matrix's pivot.
     """
+    return _pivot_basis(span)[:2]
+
+
+def _pivot_basis(span: SliceSpan):
+    """pivot_basis(span) and the RrefResult it is read from, whose transform
+    expresses each basis matrix in span.basis."""
     f = span.field
     vecs = [m.vectorize() for m in span.basis]
     if not vecs or all(all(f.is_zero(x) for x in v) for v in vecs):
         raise ZeroSpanError("pivot basis of the zero span")
     rows, cols = span.shape
     res = rref(Matrix(f, vecs, cols=rows * cols))
-    mats = []
-    pivots = []
-    for r in range(res.rank):
-        row = res.rref.data[r]
-        mats.append(Matrix(f, [row[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols))
-        pc = res.pivot_cols[r]
-        pivots.append((pc // cols, pc % cols))
-    return mats, pivots
+    mats = [Matrix(f, [row[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+            for row in res.rref.data[:res.rank]]
+    return mats, [divmod(pc, cols) for pc in res.pivot_cols], res
 
 
 def max_pivot_matching(pivots: Sequence[Tuple[int, int]]):
@@ -127,7 +128,12 @@ def rho_sigma(span: SliceSpan) -> PivotData:
 
     Equality rho = sigma (Konig) is asserted; a mismatch is a bug.
     """
-    mats, pivots = pivot_basis(span)
+    return _rho_sigma(span)[0]
+
+
+def _rho_sigma(span: SliceSpan):
+    """rho_sigma(span) and the RrefResult of its pivot basis."""
+    mats, pivots, res = _pivot_basis(span)
     matching, match_col = max_pivot_matching(pivots)
     cover_rows, cover_cols = konig_cover(pivots, match_col)
     rho = len(cover_rows) + len(cover_cols)
@@ -144,7 +150,7 @@ def rho_sigma(span: SliceSpan) -> PivotData:
         sigma=sigma,
         cover=(cover_rows, cover_cols),
         matching=tuple(matching),
-    )
+    ), res
 
 
 def rho_ij(t: Tensor3, i: int, j: int) -> int:
@@ -213,7 +219,7 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
         raise ZeroTensorError("degeneration of the zero tensor")
     f = t.field
     span = slice_span(t, i, j)
-    data = rho_sigma(span)
+    data, res = _rho_sigma(span)
     r = data.rho
     slice_dir = ({1, 2, 3} - {i, j}).pop()
     pivots = list(data.pivots)
@@ -221,8 +227,6 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
     matched = sorted(data.matching)
     # basis matrices are combinations of the oriented slices; the rref
     # transform holds the combination coefficients
-    vecs = [m.vectorize() for m in span.basis]
-    res = rref(Matrix(f, vecs, cols=len(vecs[0])))
     w = _Working(f, span.basis, [res.transform.data[pivots.index(p)] for p in matched])
     # restrict to the pivot rows/columns so matched pivot s sits at (s, s)
     w.take(_ROW, [p[0] for p in matched])
@@ -306,17 +310,13 @@ def sqrt_certificate(t: Tensor3) -> Degeneration:
     n = n1
     if not t.is_concise():
         raise NotConciseError("sqrt certificate needs a concise tensor")
-    matched, _, _ = is_pivot_matched(t)
-    if not matched:
-        raise NotPivotMatchedError("pivot rows of 1- and 3-slice bases differ")
     f = t.field
-
-    a_span = slice_span(t, 2, 3)
-    b_span = slice_span(t, 1, 2)
-    a_res = rref(Matrix(f, [m.vectorize() for m in a_span.basis], cols=n * n))
-    b_res = rref(Matrix(f, [m.vectorize() for m in b_span.basis], cols=n * n))
-    a_piv = [(pc // n, pc % n) for pc in a_res.pivot_cols]
-    b_piv = [(pc // n, pc % n) for pc in b_res.pivot_cols]
+    # is_pivot_matched's test, on the pivot bases the certificate is built
+    # from; conciseness already gives the full slice spans it checks for
+    _, a_piv, a_res = _pivot_basis(slice_span(t, 2, 3))
+    _, b_piv, b_res = _pivot_basis(slice_span(t, 1, 2))
+    if sorted(p[0] for p in a_piv) != sorted(p[0] for p in b_piv):
+        raise NotPivotMatchedError("pivot rows of 1- and 3-slice bases differ")
     # pair A-slices and B-slices with equal pivot row, in pivot order
     by_row: Dict[int, List[int]] = {}
     for idx, (pr, _) in enumerate(b_piv):

@@ -24,7 +24,8 @@ from .errors import (
     ZeroSpanError,
 )
 from .fields import Elem, Field, PrimeField
-from .matrix import _COL, _ROW, Matrix, _Working, concat_cols, rank, rank_of_rows, rref, solve
+from .matrix import (_COL, _ROW, Matrix, _eliminate, _work_rows, _Working, column_basis, concat_cols,
+                     rank, rank_of_rows, rref, solve)
 from .tensor import Tensor3
 
 PROJECTIVE_GUARD = 10_000_000
@@ -82,16 +83,16 @@ def independent_basis(span: SliceSpan):
     """
     f = span.field
     vecs = [m.vectorize() for m in span.basis]
-    aug = Matrix(f, [list(v) + list(row) for v, row in zip(vecs, Matrix.identity(f, len(vecs)).data)])
-    res = rref(aug)
     n = len(vecs[0])
+    # [V | I] in reduced echelon form: each row's tail records its combination
+    a, p = _work_rows(f, vecs, Matrix.identity(f, len(vecs)).data)
+    pivots = _eliminate(a, n + len(vecs), p, True)
     rows, cols = span.shape
     mats = []
     coeffs = []
-    for r in range(res.rank):
-        if res.pivot_cols[r] >= n:
+    for row, pc in zip(a, pivots):
+        if pc >= n:
             break  # rows whose pivot lies in the bookkeeping block span nothing
-        row = res.rref.data[r]
         mats.append(Matrix(f, [row[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols))
         coeffs.append(row[n:])
     return mats, Matrix(f, coeffs, cols=len(vecs))
@@ -276,6 +277,12 @@ def subspace_count(q: int, n: int, dim: int) -> int:
     return num // den
 
 
+def subspace_pair_count(q: int, n1: int, n2: int) -> int:
+    """Number of pairs (V1, V2) of subspaces of GF(q)^n1 and GF(q)^n2."""
+    return sum(subspace_count(q, n1, a) * subspace_count(q, n2, b)
+               for a in range(n1 + 1) for b in range(n2 + 1))
+
+
 def _annihilator(basis: Matrix) -> Matrix:
     """Rows spanning {y : y . v = 0 for all v in row span of basis}."""
     res = rref(basis)
@@ -336,11 +343,7 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     if all(m.is_zero() for m in span.basis):
         return 0, (Matrix.zeros(f, 0, n1), Matrix.zeros(f, 0, n2))
     q = f.p
-    total_pairs = sum(
-        subspace_count(q, n1, a) * subspace_count(q, n2, b)
-        for a in range(n1 + 1)
-        for b in range(n2 + 1)
-    )
+    total_pairs = subspace_pair_count(q, n1, n2)
     if total_pairs > guard:
         raise ResourceGuardError(
             f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
@@ -429,16 +432,7 @@ def staircase(t: Tensor3, *, seed: int = 0, retries: int = 32) -> StaircaseResul
     if f.size() is not None and f.size() <= n1:
         raise FieldTooSmallError(f"staircase needs |F| > {n1}, have {f.size()}")
     slices = t.slices(3)
-    s = []
-    basis: List[tuple] = []
-    r_prev = 0
-    for a in slices:
-        cols = [a.col(j) for j in range(n2)]
-        for cvec in cols:
-            if rank_of_rows(f, basis + [cvec], n1) > len(basis):
-                basis.append(cvec)
-        s.append(len(basis) - r_prev)
-        r_prev = len(basis)
+    s = _pivots_per_block(slices)
     if sum(s) != n1:
         raise NotConciseError("cumulative column ranks do not reach n1")  # pragma: no cover
 
@@ -489,6 +483,18 @@ def staircase(t: Tensor3, *, seed: int = 0, retries: int = 32) -> StaircaseResul
     return StaircaseResult(u, tuple(s), (i_star, w3_rank), (m, w2_rank), coeffs3, coeffs2)
 
 
+def _pivots_per_block(mats: Sequence[Matrix]) -> List[int]:
+    """For each matrix, how many of its columns are pivot columns of
+    concat_cols(mats), that is, lie outside the span of every column before
+    them."""
+    cat = concat_cols(mats)
+    a, p = _work_rows(cat.field, cat.data)
+    counts = [0] * len(mats)
+    for c in _eliminate(a, cat.cols, p, False):
+        counts[c // mats[0].cols] += 1
+    return counts
+
+
 def high_rank_slice(t: Tensor3) -> Tuple[int, int]:
     """A 3-slice of rank at least ceil(max(n1, n2) / n3), by pigeonhole on
     the pivot columns of the concatenated slices."""
@@ -496,15 +502,7 @@ def high_rank_slice(t: Tensor3) -> Tuple[int, int]:
         raise NotConciseError("high_rank_slice needs a concise tensor")
     n1, n2, c = t.dims
     slices = t.slices(3)
-    if n1 >= n2:
-        cat = concat_cols(slices)
-    else:
-        cat = concat_cols([a.transpose() for a in slices])
-    res = rref(cat)
-    width = n2 if n1 >= n2 else n1
-    counts = [0] * c
-    for pc in res.pivot_cols:
-        counts[pc // width] += 1
+    counts = _pivots_per_block(slices if n1 >= n2 else [a.transpose() for a in slices])
     best = max(range(c), key=lambda i: counts[i])
     need = -(-max(n1, n2) // c)
     got = rank(slices[best])
@@ -601,10 +599,7 @@ def _span_vectors(field: Field, basis: Sequence[tuple], *, guard: int = PROJECTI
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("cannot enumerate a subspace over the rationals")
     n = len(basis[0])
-    red = [list(v) for v in basis]
-    m = Matrix(field, red, cols=n)
-    res = rref(m)
-    rows = [res.rref.data[i] for i in range(res.rank)]
+    rows = _reduce_rows(field, basis)
     from ._batch import projective_count, projective_vectors
 
     if projective_count(field.p, len(rows)) > guard:
@@ -656,9 +651,8 @@ def minsupp_restrict(field: Field, basis: Sequence[tuple], c: Optional[int] = No
 
 def _reduce_rows(field: Field, rows: Sequence[tuple]):
     """Independent row basis of a set of vectors (rref rows)."""
-    n = len(rows[0])
-    res = rref(Matrix(field, rows, cols=n))
-    return [res.rref.data[i] for i in range(res.rank)]
+    a, p = _work_rows(field, rows)
+    return [tuple(row) for row in a[:len(_eliminate(a, len(rows[0]), p, True))]]
 
 
 def _minsupp_argmin(field: Field, basis: Sequence[tuple]):
@@ -761,25 +755,13 @@ def basis_extension(field: Field, mats: Sequence[Matrix], j_set: Sequence[int]):
     """Basis (B_1..B_b, B_{b+1}..B_c) of span(mats) with the first b
     restrictions to J x J linearly independent and the rest zero there."""
     reduced, _ = independent_basis(span_of(field, list(mats)))
-    c = len(reduced)
     j_list = list(j_set)
-    restr_vecs = [m.submatrix(j_list, j_list).vectorize() for m in reduced]
-    width = len(j_list) * len(j_list)
-    chosen: List[int] = []
-    for idx in range(c):
-        if rank_of_rows(field, [restr_vecs[i] for i in chosen] + [restr_vecs[idx]], width) > len(chosen):
-            chosen.append(idx)
-    b = len(chosen)
+    chosen, coords = column_basis(field, [m.submatrix(j_list, j_list).vectorize() for m in reduced])
     front = [reduced[i] for i in chosen]
     back = []
-    basis_mat = Matrix(field, list(zip(*[restr_vecs[i] for i in chosen])), cols=b)
-    for idx in range(c):
+    for idx, (m, x) in enumerate(zip(reduced, coords)):
         if idx in chosen:
             continue
-        x = solve(basis_mat, restr_vecs[idx])
-        if x is None:
-            raise VerificationFailedError("J x J restriction outside the span of the chosen ones")
-        m = reduced[idx]
         for coef, bm in zip(x, front):
             if not field.is_zero(coef):
                 m = m.sub(bm.scale(coef))
@@ -856,15 +838,9 @@ def minrk_diag_pipeline(span: SliceSpan, *, trials: int = 64, seed: int = 0,
     if k != k_val:
         raise VerificationFailedError(f"witness has rank {k}, not the max-rank {k_val}")
     # reorder basis to start with the max-rank element
-    rest = [m for m in reduced]
-    basis = [a_star]
-    vecs = [a_star.vectorize()]
-    width = len(vecs[0])
-    for m in rest:
-        v = m.vectorize()
-        if rank_of_rows(f, vecs + [v], width) > len(vecs):
-            basis.append(m)
-            vecs.append(v)
+    candidates = [a_star, *reduced]
+    chosen, _ = column_basis(f, [m.vectorize() for m in candidates])
+    basis = [candidates[i] for i in chosen]
     if len(basis) != c:
         raise VerificationFailedError("max-rank witness did not extend to a basis")
     transformed = [p.mul(m).mul(q) for m in basis]
@@ -911,21 +887,20 @@ def _minsupp_restrict_exact_q(field: Field, vectors: Sequence[tuple], c: int):
     the restricted space has a vector of support below k/c, absorb its full
     support into the removed set."""
     n = len(vectors[0])
-    if rank_of_rows(field, vectors, n) == 0:
+    full_rows = _reduce_rows(field, vectors)
+    if not full_rows:
         raise ZeroSpanError("minsupp restriction of the zero space")
-    k = maxsupp_exact(field, vectors)
+    k = maxsupp_exact(field, full_rows)
     j: set = set()
     while True:
         i_set = [x for x in range(n) if x not in j]
-        basis_i = [tuple(v[x] for x in i_set) for v in vectors]
-        if rank_of_rows(field, basis_i, len(i_set)) == 0:
+        rows = _reduce_rows(field, [tuple(v[x] for x in i_set) for v in vectors])
+        if not rows:
             raise VerificationFailedError("restricted space collapsed to zero")  # pragma: no cover
-        rows = _reduce_rows(field, basis_i)
         val, vec = _minsupp_argmin(field, rows)
         if val * c >= k:
             return i_set
         # lift the witness back to a full vector via its coefficients
-        full_rows = _reduce_rows(field, vectors)
         coeffs = solve(Matrix(field, list(zip(*[tuple(r[x] for x in i_set) for r in full_rows])), cols=len(full_rows)), list(vec))
         if coeffs is None:
             raise VerificationFailedError("restricted witness does not lift to the full space")

@@ -23,10 +23,9 @@ from .errors import (
     MixedFieldsError,
     ResourceGuardError,
     ShapeMismatchError,
-    VerificationFailedError,
 )
 from .fields import Elem, Field
-from .matrix import Matrix, rank, rank_of_rows, solve
+from .matrix import Matrix, column_basis, rank
 
 # Dense tensors beyond this entry count are refused rather than thrashed.
 KRON_ENTRY_GUARD = 1 << 24
@@ -219,8 +218,7 @@ class Tensor3:
         return Tensor3(f, d, out)
 
     def kron_power(self, m: int) -> "Tensor3":
-        if m < 1:
-            raise BadParamsError("kronecker power needs m >= 1")
+        power_dims(self, m)  # refuses what the loop below would refuse, first
         acc = self
         for _ in range(m - 1):
             acc = acc.kron(self)
@@ -237,14 +235,19 @@ def _guard_entries(total: int) -> None:
 def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
     """Dims of t^(x)m.  Raises what building the power raises: BadParamsError
     for m < 1, and ResourceGuardError at the first factor whose dense product
-    would exceed KRON_ENTRY_GUARD entries."""
+    would exceed KRON_ENTRY_GUARD entries.  Past m = 24 every tensor of two or
+    more entries has tripped that guard, so larger m is refused for the rest
+    too, before anything loops m times."""
     if m < 1:
         raise BadParamsError("kronecker power needs m >= 1")
+    limit = KRON_ENTRY_GUARD.bit_length() - 1
     size = t.dims[0] * t.dims[1] * t.dims[2]
     total = size
-    for _ in range(m - 1):
+    for _ in range(min(m, limit + 1) - 1):
         total *= size
         _guard_entries(total)
+    if m > limit:
+        raise ResourceGuardError(f"kronecker power {m} exceeds the power limit {limit}")
     return tuple(n**m for n in t.dims)
 
 
@@ -372,31 +375,6 @@ def verify_restriction(r: Restriction, t: Tensor3, s: Tensor3, *, power: int = 1
 # -- conciseness reduction ----------------------------------------------------
 
 
-def _greedy_independent_slices(t: Tensor3, direction: int):
-    """Indices of a greedy maximal independent set of slices, plus, for each
-    remaining slice, its coordinates in that basis."""
-    f = t.field
-    slices = t.slices(direction)
-    chosen = []
-    basis_rows = []
-    cols = 0
-    for idx, s in enumerate(slices):
-        v = s.vectorize()
-        cols = len(v)
-        if rank_of_rows(f, basis_rows + [v], cols) > len(basis_rows):
-            basis_rows.append(v)
-            chosen.append(idx)
-    # coefficients of every slice in the chosen basis
-    basis_mat = Matrix(f, list(zip(*basis_rows)), cols=len(basis_rows))
-    coeffs = []
-    for s in slices:
-        x = solve(basis_mat, s.vectorize())
-        if x is None:
-            raise VerificationFailedError("slice not in span of chosen independent slices")  # pragma: no cover
-        coeffs.append(x)
-    return chosen, coeffs
-
-
 def concise_reduce(t: Tensor3):
     """Reduce to an equivalent concise subtensor.
 
@@ -414,25 +392,17 @@ def concise_reduce(t: Tensor3):
     downs = []
     ups = []
     for direction in (1, 2, 3):
-        chosen, coeffs = _greedy_independent_slices(cur, direction)
+        # the greedy slice basis and every slice's coordinates in it
+        chosen, coeffs = column_basis(f, [s.vectorize() for s in cur.slices(direction)])
         n = cur.dims[direction - 1]
-        r = len(chosen)
-        sel = Matrix.from_entries(f, r, n, {(a, i): f.one() for a, i in enumerate(chosen)})
-        exp = Matrix(f, [coeffs[i] for i in range(n)])  # n x r, rows = coordinates
-        maps_d = [Matrix.identity(f, cur.dims[0]), Matrix.identity(f, cur.dims[1]), Matrix.identity(f, cur.dims[2])]
-        maps_u = list(maps_d)
-        maps_d[direction - 1] = sel
-        maps_u[direction - 1] = exp
+        maps_d = [Matrix.identity(f, m) for m in cur.dims]
+        maps_d[direction - 1] = Matrix.from_entries(f, len(chosen), n, {(a, i): f.one() for a, i in enumerate(chosen)})
         down_r = Restriction(tuple(maps_d))
         cur = apply_restriction(down_r, cur)
-        maps_u_fixed = []
-        for li, mu in enumerate(maps_u):
-            if li == direction - 1:
-                maps_u_fixed.append(exp)
-            else:
-                maps_u_fixed.append(Matrix.identity(f, cur.dims[li]))
+        maps_u = [Matrix.identity(f, m) for m in cur.dims]
+        maps_u[direction - 1] = Matrix(f, coeffs)  # n x r, rows = coordinates
         downs.append(down_r)
-        ups.append(Restriction(tuple(maps_u_fixed)))
+        ups.append(Restriction(tuple(maps_u)))
     down = downs[2].compose(downs[1]).compose(downs[0])
     up = ups[0].compose(ups[1]).compose(ups[2])
     return cur, down, up

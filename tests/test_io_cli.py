@@ -1,8 +1,16 @@
+import contextlib
+import io as _stdio
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tenrank
 from tenrank.cli import main, scan_format
 from tenrank.errors import BadParamsError, ParseError, ResourceGuardError
 from tenrank.fields import GF, QQ
@@ -15,7 +23,7 @@ from tenrank.io import (
 )
 from tenrank.laurent import verify_degeneration
 from tenrank.pivots import rho_degeneration
-from tenrank.tensor import Tensor3, null_algebra, unit, w_tensor
+from tenrank.tensor import Tensor3, null_algebra, power_dims, unit, w_tensor
 
 
 def rand_tensor(field, dims, rng):
@@ -275,7 +283,8 @@ def test_scan_has_no_workers_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [("info", "--guard", "5"), ("verify", "c.cert", "--seed", "3")])
+@pytest.mark.parametrize("argv", [("info", "--guard", "5"), ("verify", "c.cert", "--seed", "3"),
+                                  ("bounds", "--seed", "3")])
 def test_flags_only_where_read(argv, tmp_path, capsys):
     tpath = tmp_path / "w.tensor"
     tpath.write_text(serialize_tensor(w_tensor(GF(2))))
@@ -403,3 +412,140 @@ def test_cli_catalog_expect_does_not_build(capsys):
     assert "dims (257, 257, 257)" in capsys.readouterr().out
     assert run_cli("catalog", "unit", "--expect") == 1
     assert "expects parameters" in capsys.readouterr().err
+
+
+def test_claimed_r_beyond_the_dims_fails_before_building(tmp_path, capsys):
+    tpath, cpath = tmp_path / "w.tensor", tmp_path / "big.cert"
+    tpath.write_text(serialize_tensor(w_tensor(GF(2))))
+    maps = "".join(f"map {leg} rows 1000000 cols 2\n" for leg in (1, 2, 3))
+    cpath.write_text(f"certificate v1\nfield gf:2\npower 1\nr 1000000\n{maps}")
+    assert run_cli("verify", str(cpath), str(tpath)) == 5
+    assert "claimed r 1000000 exceeds the smallest dimension 2" in capsys.readouterr().err
+
+
+def _cli_process(*argv):
+    """`tenrank` in its own process, so that a hang is cut by the timeout
+    and a crash shows as a return code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tenrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "tenrank.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize("command", ["power", "verify"])
+@pytest.mark.parametrize("m", [1000, 10**12])
+def test_power_beyond_the_limit_is_refused_at_once(command, m, tmp_path):
+    tpath, cpath = tmp_path / "one.tensor", tmp_path / "one.cert"
+    tpath.write_text("tensor v1\nfield gf:2\ndims 1 1 1\n1 1 1 1\n")
+    maps = "".join(f"map {leg} rows 1 cols 1\n1 1 0 1\n" for leg in (1, 2, 3))
+    cpath.write_text(f"certificate v1\nfield gf:2\npower {m}\nr 1\n{maps}")
+    argv = ["power", str(tpath), str(m)] if command == "power" else ["verify", str(cpath), str(tpath)]
+    done = _cli_process(*argv)
+    assert done.returncode == 3
+    assert f"kronecker power {m} exceeds the power limit 24" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_power_limit_leaves_the_entry_guard_message():
+    one = Tensor3(GF(2), (1, 1, 1), [1])
+    assert power_dims(one, 24) == (1, 1, 1)
+    with pytest.raises(ResourceGuardError, match="^kronecker power 25 exceeds the power limit 24$"):
+        one.kron_power(25)
+    two = Tensor3(GF(2), (2, 1, 1), [1, 1])  # 2^24 entries at m = 24, over the guard at 25
+    assert power_dims(two, 24) == (2**24, 1, 1)
+    for m in (25, 10**12):
+        with pytest.raises(ResourceGuardError, match="^kronecker product would have 33554432 entries"):
+            power_dims(two, m)
+
+
+# -- parsers and `verify` on any text ---------------------------------------------
+
+# counts far beyond every guard, and counts near the edges
+_HUGE = st.sampled_from([10**6, 10**12, 2**64])
+_COUNTS = st.one_of(st.integers(-2, 12), _HUGE)
+_LINE_NOISE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16)
+_FIELD_TAGS = st.sampled_from(["gf:2"] * 6 + ["gf:3", "q", "gf:4", "gf:0", "x"])
+_VALUES = st.sampled_from(["1"] * 4 + ["2", "0", "-1", "1/2", "x", "1/0"])
+
+
+def _mix(draw, lines):
+    """Insert noise lines, then maybe shuffle or drop lines."""
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_LINE_NOISE))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    if lines and draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines) + "\n"
+
+
+def _entry(draw, ranges, values):
+    return " ".join(str(draw(x)) for x in ranges) + " " + draw(values)
+
+
+@st.composite
+def tensor_texts(draw):
+    lines = [draw(st.sampled_from(["tensor v1", "tensor v1", "tensor v2"])),
+             "field " + draw(_FIELD_TAGS),
+             "dims " + " ".join(str(draw(_COUNTS)) for _ in range(3))]
+    lines += [_entry(draw, [st.integers(-1, 4)] * 3, _VALUES) for _ in range(draw(st.integers(0, 4)))]
+    return _mix(draw, lines)
+
+
+@st.composite
+def certificate_texts(draw, n=2):
+    """Certificate texts for a GF(2) tensor of dims (n, n, n).  Half are well
+    formed, with every count at least 1, small or huge; of those, half have
+    maps of the shape a size-r unit degeneration of the power has, so they
+    reach the checks past the parser.  The rest may break any line."""
+    clean = draw(st.booleans())
+    counts = st.one_of(st.integers(1, 12), _HUGE) if clean else _COUNTS
+    power, r = draw(counts), draw(counts)
+    fit = clean and draw(st.booleans())
+    lines = ["certificate v1" if clean else draw(st.sampled_from(["certificate v1", "certificate v2"])),
+             "field " + ("gf:2" if clean else draw(_FIELD_TAGS)), f"power {power}", f"r {r}"]
+    for leg in (1, 2, 3):
+        rows = r if fit else draw(counts)
+        cols = n ** min(power, 24) if fit else draw(counts)
+        inside = [st.integers(1, max(1, min(rows, 3))), st.integers(1, max(1, min(cols, 3))),
+                  st.integers(-1, 2)]
+        lines.append(f"map {leg} rows {rows} cols {cols}")
+        lines += [_entry(draw, inside, st.just("1") if clean else _VALUES)
+                  for _ in range(draw(st.integers(0, 2)))]
+    return "\n".join(lines) + "\n" if clean else _mix(draw, lines)
+
+
+_ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tensor_texts(), _ANY_TEXT))
+def test_parse_tensor_ends_in_a_value_or_a_named_error(text):
+    try:
+        assert isinstance(parse_tensor(text), Tensor3)
+    except (ParseError, ResourceGuardError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(certificate_texts(), _ANY_TEXT))
+def test_parse_certificate_ends_in_a_value_or_a_named_error(text):
+    try:
+        parse_certificate(text)
+    except (ParseError, ResourceGuardError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 1]).flatmap(lambda n: st.tuples(
+    st.just(n), st.one_of(certificate_texts(n), _ANY_TEXT))))
+def test_verify_ends_in_an_exit_code(tmp_path_factory, case):
+    n, text = case
+    base = tmp_path_factory.mktemp("verify")
+    tpath, cpath = base / "t.tensor", base / "c.cert"
+    t = w_tensor(GF(2)) if n == 2 else Tensor3(GF(2), (1, 1, 1), [1])
+    tpath.write_text(serialize_tensor(t), encoding="utf-8")
+    cpath.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(_stdio.StringIO()), contextlib.redirect_stderr(_stdio.StringIO()):
+        code = run_cli("verify", str(cpath), str(tpath))
+    assert code in (0, 2, 3, 5)
