@@ -29,7 +29,7 @@ from .io import (
 )
 from .laurent import verify_degeneration
 from .spans import max_rank_exhaustive, max_rank_randomized, min_rank_exhaustive, slice_span
-from .tensor import CATALOG, Tensor3, catalog, catalog_dims, catalog_entry
+from .tensor import CATALOG, Tensor3, catalog, catalog_dims, catalog_entry, guard_dims
 from . import engine, pivots
 
 DEFAULT_SEED = 2024
@@ -246,10 +246,11 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
         raise ResourceGuardError("scan needs a prime field")
     if offset < 0 or (limit is not None and limit < 0):
         raise BadParamsError(f"scan offset {offset} and limit {limit} must not be negative")
+    guard_dims(dims, "scan format")
     n = dims[0] * dims[1] * dims[2]
+    if n >= cap.bit_length() or field.p**n > cap:  # p^n > cap once n reaches cap's bit length
+        raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {cap}")
     total = field.p**n
-    if total > cap:
-        raise ResourceGuardError(f"scan of {total} tensors exceeds cap {cap}")
     end = total if limit is None else min(total, offset + limit)
     counts: Dict[tuple, int] = {}
     # deterministic commutative aggregation over worker chunks

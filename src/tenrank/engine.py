@@ -31,6 +31,9 @@ from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _Working, invert, ra
 from .spans import (
     MaxRankWitness,
     SliceSpan,
+    _ann_rows,
+    _min_cover,
+    _subspace_annihilator,
     combine,
     max_rank_exhaustive,
     max_rank_randomized,
@@ -41,6 +44,7 @@ from .spans import (
     slice_span,
     span_of,
     subspace_pair_count,
+    subspaces,
 )
 from .tensor import (
     Restriction,
@@ -49,6 +53,7 @@ from .tensor import (
     contract,
     matmul_tensor,
     matrix_terms,
+    power_dims,
     power_items,
     unit,
     verify_restriction,
@@ -70,14 +75,12 @@ class SubrankCertificate:
     degeneration: Optional[Degeneration] = None
 
     def verify(self, t: Tensor3) -> bool:
-        """Re-check the certificate against the base tensor; False also when
-        the dense power would exceed the Kronecker entry guard."""
-        try:
-            if self.kind == "restriction":
-                return verify_restriction(self.restriction, t, unit(t.field, self.r), power=self.power)
-            return verify_degeneration(self.degeneration, t, power=self.power)
-        except ResourceGuardError:
-            return False
+        """Re-check the certificate against the base tensor.  Raises
+        ResourceGuardError when the dense power would exceed the Kronecker
+        entry guard: too large to check is not the same as invalid."""
+        if self.kind == "restriction":
+            return verify_restriction(self.restriction, t, unit(t.field, self.r), power=self.power)
+        return verify_degeneration(self.degeneration, t, power=self.power)
 
     @property
     def bound(self) -> Tuple[int, int]:
@@ -90,11 +93,6 @@ def _count_full_rank(q: int, r: int, n: int) -> int:
     for i in range(r):
         total *= q**n - q**i
     return total
-
-
-def _full_rank_pair_count(q: int, r: int, n2: int, n3: int) -> int:
-    """The pairs (L2, L3) of full-rank r x n2 and r x n3 maps over GF(q)."""
-    return _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)
 
 
 def _leading_one_rows(q: int, n: int) -> list:
@@ -132,7 +130,7 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     f = t.field
     _, n2, n3 = t.dims
     q = f.p
-    pairs = _full_rank_pair_count(q, r, n2, n3)
+    pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)  # full-rank (L2, L3)
     if pairs > guard:
         raise ResourceGuardError(
             f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
@@ -171,17 +169,6 @@ def _solve_first_leg(f: PrimeField, slices, l2: Matrix, l3: Matrix, r: int) -> R
     return Restriction((Matrix(f, rows1, cols=len(slices)), l2, l3))
 
 
-def _gf2_small(t: Tensor3, r: int) -> bool:
-    n1, n2, n3 = t.dims
-    return (
-        isinstance(t.field, PrimeField)
-        and t.field.p == 2
-        and n1 <= 16
-        and r * n2 <= 12
-        and r * n3 <= 12
-    )
-
-
 def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> Optional[Restriction]:
     """A restriction of t onto the size-r unit tensor, if one exists."""
     if r == 0:
@@ -191,13 +178,13 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
     f = t.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive subrank search needs a finite field")
-    if _gf2_small(t, r):
+    n1, n2, n3 = t.dims
+    if f.p == 2 and n1 <= 16 and r * n2 <= 12 and r * n3 <= 12:  # the packed search
         word = _gf2.pack_tensor(t.entries, t.dims)
         maps = _gf2.exists_unit_restriction_gf2(word, t.dims, r)
         if maps is None:
             return None
         l1_rows, l2_rows, l3_rows = maps
-        n1, n2, n3 = t.dims
         mk = lambda bits, n: [[(b >> j) & 1 for j in range(n)] for b in bits]
         res = Restriction((
             Matrix(f, mk(l1_rows, n1), cols=n1),
@@ -250,13 +237,12 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     """Exact slice rank: the smallest a1 + a2 + a3 over subspace triples
     covering the tensor.
 
-    Only the first two subspaces are enumerated, and only V1 is contracted
-    with the tensor: for each V1 the direction-1 slices S_r of ann(V1) * T
-    are formed once.  For a fixed (V1, V2) the smallest valid dim V3 is the
-    rank of the stacked rows of ann(V2) * S_r, which is the direction-3
-    flattening rank of the tensor contracted with both quotient maps.
-    min(dims) is always a cover, so the search starts from it and skips every
-    (dim V1, dim V2) that cannot beat the best total.  The guard counts the
+    Only V1 is enumerated here and contracted with the tensor: for each V1
+    the direction-1 slices S_r of ann(V1) * T are formed once.  The rest of
+    the slice rank is the cover number of those slices, the smallest
+    dim V2 + dim W with W the row span of ann(V2) * S_r, which
+    `spans._min_cover` searches below the best total left.  min(dims) is
+    always a cover, so the search starts from it.  The guard counts the
     (V1, V2) subspace pairs.
     """
     f = t.field
@@ -264,8 +250,6 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
         raise InfiniteFieldError("exhaustive slice rank needs a finite field")
     if t.is_zero():
         return 0
-    from .spans import _ann_rows, _subspace_annihilator, subspaces
-
     n1, n2, n3 = t.dims
     q = f.p
     pair_total = subspace_pair_count(q, n1, n2)
@@ -275,7 +259,7 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
         )
     # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _ann_rows call
     fibers = [list(zip(*t.flattening(1).data))]
-    ann2_by_dim: Dict[int, List[List[list]]] = {}
+    v2_cache: dict = {}  # the (V2, ann(V2)) pairs, built once for every V1
     best = min(t.dims)
     for a1 in range(n1 + 1):
         if a1 >= best:
@@ -283,17 +267,9 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
         for v1 in subspaces(f, n1, a1):
             s_cols = [[row[k::n3] for k in range(n3)]
                       for row in _ann_rows(_subspace_annihilator(v1), fibers, q)]
-            for a2 in range(n2 + 1):
-                if a1 + a2 >= best:
-                    break
-                if a2 not in ann2_by_dim:
-                    ann2_by_dim[a2] = [_subspace_annihilator(v2) for v2 in subspaces(f, n2, a2)]
-                for ann2 in ann2_by_dim[a2]:
-                    tot = a1 + a2 + rank_of_rows(f, _ann_rows(ann2, s_cols, q), n3)
-                    if tot < best:
-                        best = tot
-                        if tot == a1 + a2:
-                            break
+            cover = _min_cover(f, s_cols, n2, n3, best - a1, v2_cache)
+            if cover is not None:
+                best = a1 + cover[0]
     return best
 
 
@@ -618,6 +594,7 @@ def two_direction_square(t: Tensor3, i: int, j: int,
         raise WitnessInvalidError("witness ranks must be positive")
     ra = matmul_form_restriction(t, i, wit_i, r)
     rb = matmul_form_restriction(t, j, wit_j, r)
+    power_dims(t, 2)  # the guard the check below would trip, before the maps are built
     prod = ra.kron(rb)
     k = ({1, 2, 3} - {i, j}).pop()
     proj = _diag_projection(t.field, r)
@@ -639,6 +616,7 @@ def mamu_cube(t: Tensor3, wit1: MaxRankWitness, wit2: MaxRankWitness, wit3: MaxR
     r2 = matmul_form_restriction(t, 2, wit2)
     r3 = matmul_form_restriction(t, 3, wit3)
     r1 = matmul_form_restriction(t, 1, wit1)
+    power_dims(t, 3)  # the guard the check below would trip, before the maps are built
     prod = r2.kron(r3).kron(r1)
     # leg 3 of the product carries pairs (i, k) in [q2] x [q1]; the matmul
     # tensor wants (k, i) row-major
@@ -866,27 +844,6 @@ class BoundsReport:
         return "\n".join(parts)
 
 
-def _oracle_feasible(t: Tensor3, guard: int) -> bool:
-    f = t.field
-    if not isinstance(f, PrimeField):
-        return False
-    n1, n2, n3 = t.dims
-    r = min(t.dims)
-    try:
-        pairs = _full_rank_pair_count(f.p, r, n2, n3)
-    except OverflowError:  # pragma: no cover
-        return False
-    return pairs <= guard or _gf2_small(t, r)
-
-
-def _slicerank_feasible(t: Tensor3, guard: int) -> bool:
-    f = t.field
-    if not isinstance(f, PrimeField):
-        return False
-    n1, n2, _ = t.dims
-    return subspace_pair_count(f.p, n1, n2) <= guard
-
-
 def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
                       slicerank_guard: int = 300_000,
                       span_guard: int = 2_000_000) -> BoundsReport:
@@ -929,15 +886,17 @@ def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
                 witnesses[d] = wit
 
     # exact oracles
-    if _oracle_feasible(t, oracle_guard):
-        subrank_val, cert = subrank_exact(t)
+    # r = min(dims) is tried first and has the most map pairs, so the guard
+    # refuses a search before it starts; Q raises InfiniteFieldError
+    try:
+        subrank_val, cert = subrank_exact(t, guard=oracle_guard)
         candidates.append(Bound(Fraction(subrank_val), 1, "exhaustive subrank search",
                                 "exact-oracle", cert))
-    else:
+    except (InfiniteFieldError, ResourceGuardError):
         skipped.append("exact subrank oracle: search space above guard")
-    if _slicerank_feasible(t, slicerank_guard):
-        slicerank_val = slicerank_exact(t)
-    else:
+    try:
+        slicerank_val = slicerank_exact(t, guard=slicerank_guard)
+    except (InfiniteFieldError, ResourceGuardError):
         skipped.append("exact slice rank oracle: search space above guard")
 
     # pivot cover degeneration: rho <= border <= asymptotic

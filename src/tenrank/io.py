@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .errors import BadParamsError, ParseError, ResourceGuardError
+from .errors import BadParamsError, ParseError
 from .fields import Elem, Field, format_value, parse_field, parse_value
 from .laurent import Degeneration, LaurentMatrix
-from .tensor import KRON_ENTRY_GUARD, Restriction, Tensor3
+from .tensor import Restriction, Tensor3, guard_dims
 
 TENSOR_HEADER = "tensor v1"
 CERT_HEADER = "certificate v1"
@@ -71,11 +71,7 @@ def parse_tensor(text: str) -> Tensor3:
             if len(parts) != 4:
                 raise ParseError(f"bad dims line: {ln!r}")
             dims = tuple(_ints(parts[1:], ln, 0))
-            if dims[0] * dims[1] * dims[2] > KRON_ENTRY_GUARD:
-                raise ResourceGuardError(
-                    f"tensor would have {dims[0] * dims[1] * dims[2]} entries "
-                    f"(guard {KRON_ENTRY_GUARD})"
-                )
+            guard_dims(dims)
         else:
             if field is None or dims is None:
                 raise ParseError("entry line before field/dims header")

@@ -325,16 +325,45 @@ def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
     return True
 
 
+def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Optional[dict] = None):
+    """The first subspace V of F^n, in order of increasing dimension, whose
+    total dim V + dim W is least and below `bound`, with W the row span of
+    the matrices ann(V) * M (each n x m matrix M given as its m columns).
+    Returns (total, V, rows spanning W), or None when no total is below
+    `bound`.  The search stops once dim V alone reaches the best total, so
+    also at the first V with W = 0.  A caller that searches the same F^n
+    many times passes one `cache` dict, which keeps the (V, ann(V)) pairs of
+    each dimension the search reaches."""
+    q = f.p
+    best = None
+    for a in range(n + 1):
+        if a >= bound:
+            break
+        layer = cache.get(a) if cache is not None else None
+        if layer is None:
+            layer = ((v, _subspace_annihilator(v)) for v in subspaces(f, n, a))
+            if cache is not None:
+                layer = cache[a] = list(layer)
+        for v, ann in layer:
+            w = _ann_rows(ann, columns, q)
+            total = a + rank_of_rows(f, w, m)
+            if total < bound:
+                bound, best = total, (total, v, w)
+                if total == a:
+                    break
+    return best
+
+
 def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     """Smallest dim V1 + dim V2 with the span inside V1 (x) F + F (x) V2.
 
     Returns (value, (V1 basis matrix, V2 basis matrix)).  Only V1 is
-    enumerated, in order of increasing dimension: for a fixed V1 the
-    smallest valid V2 is the row span W of the matrices ann(V1) * M, so the
-    best total with that V1 is dim V1 + dim W, and V2 is the rref basis of
-    W.  The first V1 reaching the minimum wins, which gives the same pair as
-    a search over (V1, V2) in order of increasing total.  The guard still
-    counts the (V1, V2) subspace pairs, so the same spans are refused.
+    enumerated (`_min_cover`): for a fixed V1 the smallest valid V2 is the
+    row span W of the matrices ann(V1) * M, so the best total with that V1
+    is dim V1 + dim W, and V2 is the rref basis of W.  The first V1 reaching
+    the minimum wins, which gives the same pair as a search over (V1, V2) in
+    order of increasing total.  The guard still counts the (V1, V2) subspace
+    pairs, so the same spans are refused.
     """
     f = span.field
     if not isinstance(f, PrimeField):
@@ -342,26 +371,14 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     n1, n2 = span.shape
     if all(m.is_zero() for m in span.basis):
         return 0, (Matrix.zeros(f, 0, n1), Matrix.zeros(f, 0, n2))
-    q = f.p
-    total_pairs = subspace_pair_count(q, n1, n2)
+    total_pairs = subspace_pair_count(f.p, n1, n2)
     if total_pairs > guard:
         raise ResourceGuardError(
             f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
         )
     columns = [list(zip(*m.data)) for m in span.basis]
-    best = n1 + n2 + 1
-    for a in range(n1 + 1):
-        if a >= best:
-            break
-        for v1 in subspaces(f, n1, a):
-            w = _ann_rows(_subspace_annihilator(v1), columns, q)
-            total = a + rank_of_rows(f, w, n2)
-            if total < best:
-                best, best_v1, best_w = total, v1, w
-                if total == a:
-                    break
-    res = rref(Matrix(f, best_w, cols=n2))
-    return best, (best_v1, Matrix(f, res.rref.data[:res.rank], cols=n2))
+    best, v1, w = _min_cover(f, columns, n1, n2, n1 + n2 + 1)
+    return best, (v1, Matrix(f, _reduce_rows(f, w, n2), cols=n2))
 
 
 def verify_cover(span: SliceSpan, v1: Matrix, v2: Matrix) -> bool:
@@ -599,7 +616,7 @@ def _span_vectors(field: Field, basis: Sequence[tuple], *, guard: int = PROJECTI
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("cannot enumerate a subspace over the rationals")
     n = len(basis[0])
-    rows = _reduce_rows(field, basis)
+    rows = _reduce_rows(field, basis, n)
     from ._batch import projective_count, projective_vectors
 
     if projective_count(field.p, len(rows)) > guard:
@@ -649,10 +666,10 @@ def minsupp_restrict(field: Field, basis: Sequence[tuple], c: Optional[int] = No
     return i_set
 
 
-def _reduce_rows(field: Field, rows: Sequence[tuple]):
-    """Independent row basis of a set of vectors (rref rows)."""
+def _reduce_rows(field: Field, rows: Sequence[tuple], n: int):
+    """Independent row basis of a set of vectors of length n (rref rows)."""
     a, p = _work_rows(field, rows)
-    return [tuple(row) for row in a[:len(_eliminate(a, len(rows[0]), p, True))]]
+    return [tuple(row) for row in a[:len(_eliminate(a, n, p, True))]]
 
 
 def _minsupp_argmin(field: Field, basis: Sequence[tuple]):
@@ -664,7 +681,7 @@ def _minsupp_argmin(field: Field, basis: Sequence[tuple]):
     an infinite field, so the minimum is found exactly.
     """
     n = len(basis[0])
-    rows = _reduce_rows(field, basis)
+    rows = _reduce_rows(field, basis, n)
     if not rows:
         raise ZeroSpanError("minsupp of the zero space")
     if isinstance(field, PrimeField):
@@ -715,7 +732,7 @@ def _minsupp_argmin_q(field: Field, rows: List[tuple], n: int):
             if any(x != 0 for x in vec):
                 kernel_rows.append(tuple(vec))
         if kernel_rows:
-            val, vec = _minsupp_argmin_q(field, _reduce_rows(field, kernel_rows), n)
+            val, vec = _minsupp_argmin_q(field, _reduce_rows(field, kernel_rows, n), n)
             if val < best:
                 best, best_v = val, vec
                 if best == 1:
@@ -732,7 +749,7 @@ def maxsupp_exact(field: Field, basis: Sequence[tuple]) -> int:
     """Exact maximum support size; over Q this is the number of live
     coordinates (a finite union of proper subspaces cannot cover the span)."""
     n = len(basis[0])
-    rows = _reduce_rows(field, basis)
+    rows = _reduce_rows(field, basis, n)
     if not rows:
         raise ZeroSpanError("maxsupp of the zero space")
     if isinstance(field, PrimeField):
@@ -887,14 +904,14 @@ def _minsupp_restrict_exact_q(field: Field, vectors: Sequence[tuple], c: int):
     the restricted space has a vector of support below k/c, absorb its full
     support into the removed set."""
     n = len(vectors[0])
-    full_rows = _reduce_rows(field, vectors)
+    full_rows = _reduce_rows(field, vectors, n)
     if not full_rows:
         raise ZeroSpanError("minsupp restriction of the zero space")
     k = maxsupp_exact(field, full_rows)
     j: set = set()
     while True:
         i_set = [x for x in range(n) if x not in j]
-        rows = _reduce_rows(field, [tuple(v[x] for x in i_set) for v in vectors])
+        rows = _reduce_rows(field, [tuple(v[x] for x in i_set) for v in vectors], len(i_set))
         if not rows:
             raise VerificationFailedError("restricted space collapsed to zero")  # pragma: no cover
         val, vec = _minsupp_argmin(field, rows)

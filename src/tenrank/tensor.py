@@ -232,6 +232,22 @@ def _guard_entries(total: int) -> None:
         )
 
 
+def guard_dims(dims: Tuple[int, int, int], what: str = "tensor") -> None:
+    """Refuse a format from outside before anything is built: its dense
+    entries n1*n2*n3 and each flattening width n_i*n_j are bounded by
+    KRON_ENTRY_GUARD.  The widths matter when a dimension is 0: there are no
+    entries, but a flattening still has one row or column per pair."""
+    n1, n2, n3 = dims
+    entries = n1 * n2 * n3
+    if entries > KRON_ENTRY_GUARD:
+        raise ResourceGuardError(f"{what} would have {entries} entries (guard {KRON_ENTRY_GUARD})")
+    width = max(n1 * n2, n1 * n3, n2 * n3)
+    if width > KRON_ENTRY_GUARD:
+        raise ResourceGuardError(
+            f"{what} would have a flattening of width {width} (guard {KRON_ENTRY_GUARD})"
+        )
+
+
 def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
     """Dims of t^(x)m.  Raises what building the power raises: BadParamsError
     for m < 1, and ResourceGuardError at the first factor whose dense product
@@ -534,12 +550,8 @@ def catalog_dims(name: str, *params: int) -> Tuple[int, int, int]:
 
 def catalog(field: Field, name: str, *params: int) -> Tensor3:
     """The named catalog tensor.  Raises ResourceGuardError, before any entry
-    is built, when it would have more than KRON_ENTRY_GUARD dense entries."""
-    n1, n2, n3 = catalog_dims(name, *params)
-    if min(n1, n2, n3) > 0 and n1 * n2 * n3 > KRON_ENTRY_GUARD:
-        raise ResourceGuardError(
-            f"catalog tensor {name} would have {n1 * n2 * n3} entries (guard {KRON_ENTRY_GUARD})"
-        )
+    is built, when its format fails `guard_dims`."""
+    guard_dims(catalog_dims(name, *params), f"catalog tensor {name}")
     return CATALOG[name][0](field, *params)
 
 

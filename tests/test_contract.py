@@ -241,7 +241,8 @@ def test_guard_counts_dense_entries_of_the_power(tmp_path, capsys):
     assert str(streamed.value) == str(built.value)
 
     deg = Degeneration.from_restriction(Restriction((sel, sel, sel)), 1, 5)
-    assert not SubrankCertificate("degeneration", 1, 5, degeneration=deg).verify(t)
+    with pytest.raises(ResourceGuardError):  # too large to check is not "invalid"
+        SubrankCertificate("degeneration", 1, 5, degeneration=deg).verify(t)
     sel4 = Matrix.from_entries(GF(2), 1, 4**4, {(0, 0): 1})
     deg4 = Degeneration.from_restriction(Restriction((sel4, sel4, sel4)), 1, 4)
     assert SubrankCertificate("degeneration", 1, 4, degeneration=deg4).verify(t)

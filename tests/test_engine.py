@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -663,6 +664,53 @@ def test_bounds_report_formats():
     assert "subrank = 1" in text
     assert "slicerank=2" in kv
     assert rep.q_values[1][0] == 2  # the off-diagonal slice pair has rank 2
+
+
+def _seeded_tensor(field, dims, seed):
+    return rand_tensor(field, dims, random.Random(seed))
+
+
+# tensor, whether the subrank and slice-rank oracles run, and the sha256 of
+# to_kv and to_text, recorded before `bounds` asked the oracles themselves
+# whether a search fits its guard (oracle_guard 60,000 map pairs at
+# r = min(dims), slicerank_guard 300,000 subspace pairs)
+BOUNDS_AT_THE_GUARDS = {
+    # 29,952 map pairs: the subrank oracle runs
+    "gf3_2x2x3": (lambda: _seeded_tensor(GF(3), (2, 2, 3), 1), True, True,
+                  "f6da674bee5ca5dbed00b3007f474310767194c020d4c984ad917f516b08b29e",
+                  "06431d6838bcf195926347da0d046b32b2da25075be6a1b046ffaff04e31de12"),
+    # 389,376 map pairs: skipped
+    "gf3_2x3x3": (lambda: _seeded_tensor(GF(3), (2, 3, 3), 2), False, True,
+                  "28af1aac51d4aef87e5a94e98460a2090abb1a47f480df1bb61c3488afb12517",
+                  "69974c3c3d88dafbfad98c3f6d2c387e743f1dc679efb58e39469b6a7c51a55e"),
+    # 195,300 map pairs, but the packed GF(2) search checks no guard
+    "gf2_2x4x5": (lambda: _seeded_tensor(GF(2), (2, 4, 5), 3), True, True,
+                  "093e224b1a498f95af107e485293438d8608118081215818205d2cac9c898894",
+                  "65b1240beced8931542776e2a43da904d5d1e7264c8699ec619d2b75c5c646b8"),
+    # no finite field: both oracles skipped
+    "q_2x2x2": (lambda: Tensor3(QQ, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): Fraction(1, 2),
+                                                (1, 0, 1): -3, (1, 1, 0): 2}), False, False,
+                "85bdd9a7fee5aef3e67a57f8e7536f25abecf8d5e2a9472e515189067cb7e30e",
+                "dbf94c5f298c709d07f8ad890e354e654f5d557b78d8b4ea42b67ebe6c5a1564"),
+    # 71,680 subspace pairs: slice rank runs
+    "gf5_4x3x2": (lambda: _seeded_tensor(GF(5), (4, 3, 2), 5), False, True,
+                  "f90573a13024910b44b1156a0d94c0656a43adc3c2f1c8963a3ce691aa8b5230",
+                  "e44c3a882a2f2237c9f5a089af9d96d21fcb9d5bc3e1adf1ec989ebdec1e0034"),
+    # 423,632 subspace pairs: skipped
+    "gf7_4x3x2": (lambda: _seeded_tensor(GF(7), (4, 3, 2), 7), False, False,
+                  "e506d9e2c145ee487e95a907a166d0555eb72a9d80d759aa7e5f14da6f17dbf4",
+                  "122cdbde65a74e8f924be90a9ee913706f9a2f2dad909b05d9befec55b07bb30"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_AT_THE_GUARDS))
+def test_bounds_reports_on_each_side_of_the_oracle_guards(name):
+    make, subrank_runs, slicerank_runs, kv_sha, text_sha = BOUNDS_AT_THE_GUARDS[name]
+    rep = asymptotic_bounds(make())
+    assert (rep.subrank is not None) == subrank_runs
+    assert (rep.slicerank is not None) == slicerank_runs
+    assert hashlib.sha256(rep.to_kv().encode()).hexdigest() == kv_sha
+    assert hashlib.sha256(rep.to_text().encode()).hexdigest() == text_sha
 
 
 def test_compositions_verify_on_catalog_entries():

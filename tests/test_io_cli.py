@@ -23,7 +23,7 @@ from tenrank.io import (
 )
 from tenrank.laurent import verify_degeneration
 from tenrank.pivots import rho_degeneration
-from tenrank.tensor import Tensor3, null_algebra, power_dims, unit, w_tensor
+from tenrank.tensor import Tensor3, guard_dims, null_algebra, power_dims, unit, w_tensor
 
 
 def rand_tensor(field, dims, rng):
@@ -444,6 +444,50 @@ def test_power_beyond_the_limit_is_refused_at_once(command, m, tmp_path):
     assert done.returncode == 3
     assert f"kronecker power {m} exceeds the power limit 24" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["info", "scan"])
+def test_zero_dimension_format_is_refused_at_once(command, tmp_path):
+    """A zero dimension leaves no entries, but a flattening of width 10^16."""
+    tpath = tmp_path / "zero.tensor"
+    tpath.write_text("tensor v1\nfield gf:2\ndims 0 100000000 100000000\n")
+    argv = (["info", str(tpath)] if command == "info"
+            else ["scan", "--dims", "0,100000000,100000000", "--field", "gf:2"])
+    done = _cli_process(*argv)
+    assert done.returncode == 3
+    assert "would have a flattening of width 10000000000000000" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_scan_cap_names_the_count_without_writing_it_out(capsys):
+    """2^20000 has more digits than Python converts to a string by default."""
+    assert run_cli("scan", "--dims", "1,1,20000", "--field", "gf:2") == 3
+    assert "scan of 2^20000 tensors exceeds cap 1048576" in capsys.readouterr().err
+    assert run_cli("scan", "--dims", "2,2,3", "--field", "gf:2", "--guard", "4095") == 3
+    assert "scan of 2^12 tensors exceeds cap 4095" in capsys.readouterr().err
+
+
+def test_dims_guard_bounds_entries_and_flattening_widths():
+    guard_dims((0, 4096, 4096))
+    guard_dims((1, 1, 1 << 24))
+    with pytest.raises(ResourceGuardError, match="^tensor would have 16777217 entries"):
+        guard_dims((1, 1, (1 << 24) + 1))
+    with pytest.raises(ResourceGuardError, match="^scan format would have a flattening of width 16781312"):
+        guard_dims((4096, 0, 4097), "scan format")
+    with pytest.raises(ResourceGuardError, match="flattening of width"):
+        scan_format(GF(2), (1 << 24, 0, 2))
+
+
+def test_bounds_skips_certificates_past_the_power_guard(tmp_path):
+    """The squares and cube of unit 17 have 17^6 > 2^24 entries: their
+    certificates are too large to check, so `bounds` skips them instead of
+    calling them invalid."""
+    tpath = tmp_path / "u17.tensor"
+    assert run_cli("catalog", "unit", "17", "--field", "gf:11", "--out", str(tpath)) == 0
+    done = _cli_process("bounds", str(tpath))
+    assert done.returncode == 0, done.stderr
+    for path in ("square composition", "cube composition", "sqrt path"):
+        assert f"skipped: {path}: kronecker product would have 24137569 entries" in done.stdout
 
 
 def test_power_limit_leaves_the_entry_guard_message():

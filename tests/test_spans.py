@@ -235,6 +235,12 @@ def test_mincov_examples():
     assert verify_cover(span_of(f, [e11]), v1, v2)
     v, _ = mincov_exhaustive(span_of(f, [Matrix.zeros(f, 2, 2)]))
     assert v == 0
+    # {[1 0], [0 1]}: V1 = F^1 covers it alone, so W, and V2, have no rows
+    rows_1x2 = span_of(f, [Matrix(f, [[1, 0]]), Matrix(f, [[0, 1]])])
+    v, (v1, v2) = mincov_exhaustive(rows_1x2)
+    assert v == 1 and v1.data == ((1,),)
+    assert v2.rows == 0 and v2.cols == 2
+    assert verify_cover(rows_1x2, v1, v2)
 
 
 def brute_mincov(field, mats):
