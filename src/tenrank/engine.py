@@ -54,7 +54,6 @@ from .tensor import (
     matmul_tensor,
     matrix_terms,
     power_dims,
-    power_items,
     unit,
     verify_restriction,
 )
@@ -229,7 +228,7 @@ def _contract_leg(t: Tensor3, leg: int, m: Matrix) -> Tensor3:
     legs[leg - 1] = matrix_terms(m)
     dims = list(t.dims)
     dims[leg - 1] = m.rows
-    out = contract(power_items(t, 1), legs, t.field)
+    out = contract(t, legs)
     return Tensor3(t.field, tuple(dims), out.get(0, {}))
 
 
@@ -576,11 +575,6 @@ def matmul_form_restriction(t: Tensor3, direction: int, witness: MaxRankWitness,
     return restr
 
 
-def _diag_projection(field: Field, r: int) -> Matrix:
-    """r x r^2 projection pairing (a, b) -> a when a == b, else 0."""
-    return Matrix.from_entries(field, r, r * r, {(a, a * r + a): field.one() for a in range(r)})
-
-
 def two_direction_square(t: Tensor3, i: int, j: int,
                          wit_i: MaxRankWitness, wit_j: MaxRankWitness,
                          r: Optional[int] = None) -> SubrankCertificate:
@@ -597,9 +591,10 @@ def two_direction_square(t: Tensor3, i: int, j: int,
     power_dims(t, 2)  # the guard the check below would trip, before the maps are built
     prod = ra.kron(rb)
     k = ({1, 2, 3} - {i, j}).pop()
-    proj = _diag_projection(t.field, r)
     maps = list(prod.maps)
-    maps[k - 1] = proj.mul(maps[k - 1])
+    # leg k of the product carries pairs (a, b) in [r] x [r]; keep a == b
+    leg = maps[k - 1]
+    maps[k - 1] = leg.submatrix([a * r + a for a in range(r)], range(leg.cols))
     cert = SubrankCertificate("restriction", r, 2, restriction=Restriction(tuple(maps)))
     if not cert.verify(t):
         raise VerificationFailedError("square composition failed to verify")
@@ -620,12 +615,9 @@ def mamu_cube(t: Tensor3, wit1: MaxRankWitness, wit2: MaxRankWitness, wit3: MaxR
     prod = r2.kron(r3).kron(r1)
     # leg 3 of the product carries pairs (i, k) in [q2] x [q1]; the matmul
     # tensor wants (k, i) row-major
-    perm = Matrix.from_entries(
-        f, q1 * q2, q1 * q2,
-        {(k * q2 + i, i * q1 + k): f.one() for i in range(q2) for k in range(q1)},
-    )
     maps = list(prod.maps)
-    maps[2] = perm.mul(maps[2])
+    leg = maps[2]
+    maps[2] = leg.submatrix([i * q1 + k for k in range(q1) for i in range(q2)], range(leg.cols))
     restr = Restriction(tuple(maps))
     target = matmul_tensor(f, q2, q3, q1)
     if not verify_restriction(restr, t, target, power=3):
@@ -663,6 +655,7 @@ def narrow_certificate(t: Tensor3, m: int, *,
     f = t.field
     if c == 1:
         # any nonzero tensor restricts to <1>; amplify to the requested power
+        power_dims(t, m)  # the guard the check below would trip, before the maps are built
         pos, val = next(iter(t.nonzero_items()))
         one = f.one()
         maps = []

@@ -26,7 +26,6 @@ from .tensor import (
     apply_restriction,
     contract,
     power_dims,
-    power_items,
     unit,
 )
 
@@ -172,7 +171,7 @@ def apply_degeneration(d: Degeneration, t: Tensor3, *, power: int = 1) -> Dict[i
     src = tuple(m.cols for m in d.maps)
     if src != dims:
         raise ShapeMismatchError(f"degeneration expects source dims {src}, tensor has {dims}")
-    out = contract(power_items(t, power), [m.column_terms() for m in d.maps], t.field)
+    out = contract(t, [m.column_terms() for m in d.maps], power=power)
     return {e: Tensor3(t.field, d.target_dims, out[e]) for e in sorted(out)}
 
 

@@ -5,16 +5,20 @@ Entries are stored densely in lexicographic (i, j, k) order; constructors
 accept sparse {(i, j, k): value} input.  All indices in the API are 0-based.
 
 Restrictions and degenerations are applied by one sparse kernel, `contract`,
-which maps a stream of nonzero items ((e, i, j, k), v) one leg at a time.  A
-certificate on T^(x)m is checked from `power_items`, a stream of products of
-T's nonzeros, so the power itself is never built; KRON_ENTRY_GUARD still counts
-the dense entries (n1*n2*n3)^m of the power, as when the power is built.
+which maps the nonzero items ((e, i, j, k), v) of a tensor one leg at a time.
+A certificate on T^(x)m is checked by the same call with power=m: the
+kernel streams the products of T's nonzeros itself, so the power is never
+built, and KRON_ENTRY_GUARD still counts the dense entries (n1*n2*n3)^m of
+the power, as when the power is built.  Its sums run on Python ints: over
+GF(p) on unreduced residues, over Q fraction-free on numerators scaled by
+the lcm of the denominators, with one division per output entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .errors import (
@@ -24,7 +28,7 @@ from .errors import (
     ResourceGuardError,
     ShapeMismatchError,
 )
-from .fields import Elem, Field
+from .fields import Elem, Field, PrimeField
 from .matrix import Matrix, column_basis, rank
 
 # Dense tensors beyond this entry count are refused rather than thrashed.
@@ -267,56 +271,95 @@ def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
     return tuple(n**m for n in t.dims)
 
 
-def power_items(t: Tensor3, m: int):
-    """The nonzero items ((0, i, j, k), v) of t^(x)m, as `contract` takes
-    them, without building the power: products of t's nonzeros are streamed
-    with kron's index pairing outer * n + inner.  Callers check the guard
-    with `power_dims` first."""
-    base = [((0, i, j, k), v) for (i, j, k), v in t.nonzero_items()]
-    items = base
-    for _ in range(m - 1):
-        items = _kron_items(items, base, t.dims, t.field.mul)
-    return items
-
-
-def _kron_items(outer, inner, dims, mul):
-    n1, n2, n3 = dims
-    for (_, i, j, k), v in outer:
-        for (_, a, b, c), w in inner:
-            yield (0, i * n1 + a, j * n2 + b, k * n3 + c), mul(v, w)
-
-
-def contract(items, legs, field: Field):
-    """Apply one map per leg to a stream of nonzero items ((e, i, j, k), v).
+def contract(t: Tensor3, legs, *, power: int = 1):
+    """Apply one map per leg to t^(x)power, streamed from t's nonzeros.
 
     legs[l] lists, for each source index of leg l + 1, the terms
     (row, exponent, coefficient) of that leg's map, or is None to leave the
-    leg as it is.  The legs are contracted one after another, so an item
-    costs one product per term of each leg rather than one per triple of
-    terms; sums that cancel are dropped at the end.  Returns
+    leg as it is.  The nonzero items of the power are products of t's
+    nonzeros, with kron's index pairing outer * n + inner, and are never
+    stored; callers check the guard with `power_dims` first.  The legs are
+    contracted one after another, so an item costs one product per term of
+    each leg rather than one per triple of terms.  On a power the
+    sparsest map goes first, so that fewer items reach the others.
+
+    All sums are on Python ints.  Over GF(p) they run unreduced and are
+    reduced once per key as they pass to the next leg.  Over Q, t's values
+    are scaled by the lcm D of their denominators (D^power on the power) and
+    each leg's coefficients by that leg's own lcm, and each output entry is
+    divided once by the product of the scales.  Returns
     {exponent: {(a, b, c): value}} holding nonzero values only.
     """
-    add, mul = field.add, field.mul
+    p = t.field.p if isinstance(t.field, PrimeField) else None
+    base = [((0, i, j, k), v) for (i, j, k), v in t.nonzero_items()]
+    s = 0
+    if power > 1:
+        # start at the leg whose map has the fewest terms per source index,
+        # so that the long stream of the power shrinks first: the keys are
+        # rotated by s, and 3 - s more rotations at the end undo it
+        s = min(range(3), key=lambda leg: _terms_per_index(legs[leg]))
+        legs = [*legs[s:], *legs[:s], *[None] * (-s % 3)]
+        base = [((0, *ijk[s:], *ijk[:s]), v) for (_, *ijk), v in base]
+    n1, n2, n3 = t.dims[s:] + t.dims[:s]
+    scale = 1
+    if p is None:
+        scale = _denominator_lcm(v for _, v in base)
+        base = [(key, _times(v, scale)) for key, v in base]
+        scale **= power
+    items = base
+    for _ in range(power - 1):
+        items = (((0, i * n1 + a, j * n2 + b, k * n3 + c), v * w)
+                 for (_, i, j, k), v in items for (_, a, b, c), w in base)
     for terms in legs:
         # contracting the first leg moves it to the back, (e, i, j, k) ->
         # (e, j, k, a), so after three legs the key is (e, a, b, c) again
         if terms is None:
             items = (((e, j, k, i), v) for (e, i, j, k), v in items)
             continue
-        acc: Dict[tuple, Elem] = {}
+        if p is None:
+            leg_scale = _denominator_lcm(c for col in terms for _, _, c in col)
+            terms = [[(a, x, _times(c, leg_scale)) for a, x, c in col] for col in terms]
+            scale *= leg_scale
+        acc: Dict[tuple, int] = {}
         get = acc.get
         for (e, i, j, k), v in items:
             for a, x, c in terms[i]:
                 key = (e + x, j, k, a)
-                w = mul(c, v)
-                prev = get(key)
-                acc[key] = w if prev is None else add(prev, w)
-        items = acc.items()
+                acc[key] = get(key, 0) + c * v
+        items = _settled(acc, p)
     out: Dict[int, Dict[tuple, Elem]] = {}
     for (e, a, b, c), v in items:
-        if not field.is_zero(v):
-            out.setdefault(e, {})[(a, b, c)] = v
+        out.setdefault(e, {})[(a, b, c)] = v if p else Fraction(v, scale)
     return out
+
+
+def _terms_per_index(terms) -> float:
+    """A leg's terms per source index: 1 for the identity (None)."""
+    return 1 if terms is None else sum(map(len, terms)) / max(len(terms), 1)
+
+
+def _denominator_lcm(values) -> int:
+    return math.lcm(*(Fraction(v).denominator for v in values))
+
+
+def _times(v, scale: int) -> int:
+    """v * scale for a rational v whose denominator divides scale."""
+    v = Fraction(v)
+    return v.numerator * (scale // v.denominator)
+
+
+def _settled(acc, p):
+    """The accumulated sums that are nonzero, as items for the next leg;
+    over GF(p) reduced mod p."""
+    if p is None:
+        for key, v in acc.items():
+            if v:
+                yield key, v
+    else:
+        for key, v in acc.items():
+            v %= p
+            if v:
+                yield key, v
 
 
 def matrix_terms(m: Matrix):
@@ -377,7 +420,7 @@ def apply_restriction(r: Restriction, t: Tensor3, *, power: int = 1) -> Tensor3:
         raise ShapeMismatchError(
             f"restriction expects source dims {r.source_dims}, tensor has {dims}"
         )
-    out = contract(power_items(t, power), [matrix_terms(m) for m in r.maps], t.field)
+    out = contract(t, [matrix_terms(m) for m in r.maps], power=power)
     return Tensor3(t.field, r.target_dims, out.get(0, {}))
 
 

@@ -1,6 +1,7 @@
 """The leg-by-leg contraction kernel against the triple loops it replaced,
 and certificate checks on Kronecker powers that never build the power."""
 
+import random
 from fractions import Fraction
 from typing import Dict
 
@@ -17,7 +18,7 @@ from tenrank.engine import (
     two_direction_square,
 )
 from tenrank.errors import ResourceGuardError
-from tenrank.fields import GF, QQ
+from tenrank.fields import GF, QQ, PrimeField, RationalField
 from tenrank.io import serialize_certificate, serialize_tensor
 from tenrank.laurent import (
     Degeneration,
@@ -34,6 +35,8 @@ from tenrank.tensor import (
     Tensor3,
     apply_restriction,
     balanced_pivot,
+    contract,
+    matrix_terms,
     null_algebra,
     unit,
     verify_restriction,
@@ -95,38 +98,38 @@ def ref_apply_degeneration(d: Degeneration, t: Tensor3) -> Dict[int, Tensor3]:
 # -- strategies -----------------------------------------------------------------
 
 
-def elements(f):
+def elements(f, max_den=3):
     if f == QQ:
-        return st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+        return st.builds(Fraction, st.integers(-2, 2), st.integers(1, max_den))
     return st.integers(0, f.p - 1)
 
 
 @st.composite
-def tensor_and_power(draw):
-    f = draw(st.sampled_from(FIELDS))
+def tensor_and_power(draw, fields=FIELDS, max_den=3):
+    f = draw(st.sampled_from(fields))
     m = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(1, 3 if m == 1 else 2)) for _ in range(3))
     n = dims[0] * dims[1] * dims[2]
-    t = Tensor3(f, dims, draw(st.lists(elements(f), min_size=n, max_size=n)), normalize=True)
+    t = Tensor3(f, dims, draw(st.lists(elements(f, max_den), min_size=n, max_size=n)), normalize=True)
     return t, m
 
 
 @st.composite
-def restriction_case(draw):
-    t, m = draw(tensor_and_power())
+def restriction_case(draw, fields=FIELDS, max_den=3):
+    t, m = draw(tensor_and_power(fields, max_den))
     f = t.field
     maps = []
     for n in t.dims:
         rows = draw(st.integers(1, 3))
-        data = draw(st.lists(st.lists(elements(f), min_size=n**m, max_size=n**m),
+        data = draw(st.lists(st.lists(elements(f, max_den), min_size=n**m, max_size=n**m),
                              min_size=rows, max_size=rows))
         maps.append(Matrix(f, data, normalize=True))
     return t, m, Restriction(tuple(maps))
 
 
 @st.composite
-def degeneration_case(draw):
-    t, m = draw(tensor_and_power())
+def degeneration_case(draw, fields=FIELDS, max_den=3):
+    t, m = draw(tensor_and_power(fields, max_den))
     f = t.field
     r = draw(st.integers(1, 3))
     maps = []
@@ -134,7 +137,7 @@ def degeneration_case(draw):
         ent = {}
         for row in range(r):
             for col in range(n**m):
-                terms = draw(st.lists(st.tuples(st.integers(-2, 2), elements(f)), max_size=2))
+                terms = draw(st.lists(st.tuples(st.integers(-2, 2), elements(f, max_den)), max_size=2))
                 if terms:
                     ent[(row, col)] = dict(terms)
         maps.append(LaurentMatrix(f, r, n**m, ent))
@@ -181,6 +184,60 @@ def test_single_leg_contraction_matches_identity_restriction(case, leg, data):
     maps = [Matrix.identity(f, n) for n in t.dims]
     maps[leg - 1] = m
     assert _contract_leg(t, leg, m) == ref_apply_restriction(Restriction(tuple(maps)), t)
+
+
+# -- the integer kernel: wide denominators and residues, no field calls -------------
+
+# denominators up to 50, so coprime ones make a leg's lcm grow; residues up to
+# 2^31 - 2, so unreduced sums of products run far past the modulus
+WIDE = (QQ, GF(2**31 - 1))
+
+
+def assert_element_types(f, out):
+    elem = Fraction if f == QQ else int
+    assert all(type(v) is elem for terms in out.values() for v in terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(restriction_case(WIDE, max_den=50))
+def test_restriction_with_wide_denominators_and_residues(case):
+    t, m, r = case
+    assert apply_restriction(r, t, power=m) == ref_apply_restriction(r, t.kron_power(m))
+    assert_element_types(t.field, contract(t, [matrix_terms(x) for x in r.maps], power=m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degeneration_case(WIDE, max_den=50))
+def test_degeneration_with_wide_denominators_and_residues(case):
+    t, m, d = case
+    assert apply_degeneration(d, t, power=m) == ref_apply_degeneration(d, t.kron_power(m))
+    assert_element_types(t.field, contract(t, [x.column_terms() for x in d.maps], power=m))
+
+
+@pytest.mark.parametrize("f", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_power_two_checks_make_no_field_calls(f, monkeypatch):
+    rng = random.Random(10)
+
+    def value():
+        return f.normalize(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if f == QQ else rng.randrange(7))
+
+    t = Tensor3(f, (2, 2, 2), [value() for _ in range(8)])
+    r = Restriction(tuple(Matrix(f, [[value() for _ in range(4)] for _ in range(3)]) for _ in range(3)))
+    d = Degeneration(tuple(
+        LaurentMatrix(f, 2, 4, {(a, b): {rng.randint(-1, 1): value()} for a in range(2) for b in range(4)})
+        for _ in range(3)), claimed_r=2, power=2)
+    square = t.kron_power(2)
+    restricted, degenerated = ref_apply_restriction(r, square), ref_apply_degeneration(d, square)
+    assert not restricted.is_zero() and degenerated
+
+    def refuse(self, a, b):
+        raise AssertionError("field arithmetic called per term")
+
+    for cls in (RationalField, PrimeField):
+        monkeypatch.setattr(cls, "mul", refuse)
+        monkeypatch.setattr(cls, "add", refuse)
+    assert apply_restriction(r, t, power=2) == restricted
+    assert apply_degeneration(d, t, power=2) == degenerated
 
 
 # -- certificates on powers never build the power ---------------------------------

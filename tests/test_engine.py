@@ -1,12 +1,16 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tenrank
 from tenrank.errors import (
     BadDimsError,
     BadParamsError,
@@ -583,6 +587,33 @@ def test_narrow_certificate_c1():
     cert = narrow_certificate(t, 3)
     assert cert.r == 1 and cert.power == 3
     assert cert.verify(t)
+
+
+_NARROW_C1_POWER_40 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+from tenrank.engine import narrow_certificate
+from tenrank.fields import GF
+from tenrank.tensor import Tensor3
+t = Tensor3(GF(5), (2, 2, 1), {(0, 1, 0): 3, (1, 0, 0): 1})
+try:
+    narrow_certificate(t, 40)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_narrow_certificate_c1_refuses_a_large_power_at_once():
+    """4^40 dense entries are past the guard: the c = 1 branch must refuse
+    before it builds 39 Kronecker products of its maps.  It runs in its own
+    process under a 1.5 GB address-space limit, so that building them ends in
+    MemoryError or the timeout instead of filling the memory."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tenrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _NARROW_C1_POWER_40],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ResourceGuardError kronecker product would have")
 
 
 def test_narrow_certificate_guards():
