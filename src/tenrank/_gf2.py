@@ -3,6 +3,11 @@
 Tensors of format (n1, n2, n3) over GF(2) are packed into integers with bit
 index ((i*n2)+j)*n3+k; slices pack row-major.  These kernels are exact and
 are cross-checked against the generic implementations in the test suite.
+
+The packed unit-restriction search visits the map pairs that
+`unit_pair_candidates` defines, the rule the generic search in `engine`
+shares, with rows in word order; on small formats each pair's action on
+every packed slice is read from a cached lookup table.
 """
 
 from __future__ import annotations
@@ -82,31 +87,42 @@ def is_concise(word: int, dims) -> bool:
     return flattening_ranks(word, dims) == dims
 
 
-@lru_cache(maxsize=None)
-def _surjective_maps(r: int, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """All full-rank r x n GF(2) matrices as tuples of n-bit row words."""
+def unit_pair_candidates(rows2, rows3, r: int, rank):
+    """The (L2, L3) map pairs an exact size-r unit-restriction search visits.
+
+    Given each leg's candidate rows in the search's row order and a rank
+    function on tuples of rows: L2 runs over the full-rank increasing r-subsets
+    of rows2 (itertools.combinations order), L3 over the full-rank r-tuples of
+    rows3 (itertools.product order), L2 major.  Returns (an iterator over L2,
+    the list of L3).  Why the first witness lies among these pairs is argued
+    in `engine._unit_restriction_generic`.
+    """
+    l3s = [rows for rows in itertools.product(rows3, repeat=r) if rank(rows) == r]
+    return (rows for rows in itertools.combinations(rows2, r) if rank(rows) == r), l3s
+
+
+def _left_rows(slice_word: int, l2, n2: int, n3: int) -> List[int]:
+    """L2 * S for a packed (n2 x n3) slice S, as one n3-bit word per row of L2."""
+    mask = (1 << n3) - 1
+    srows = [(slice_word >> (j * n3)) & mask for j in range(n2)]
     out = []
-    for rows in itertools.product(range(1, 1 << n), repeat=r):
-        if gf2_rank(list(rows)) == r:
-            out.append(rows)
-    return tuple(out)
+    for rowmask in l2:
+        acc = 0
+        for j, srow in enumerate(srows):
+            if (rowmask >> j) & 1:
+                acc ^= srow
+        out.append(acc)
+    return out
 
 
-def _apply_pair(slice_word: int, n2: int, n3: int, l2, l3, r: int) -> int:
-    """L2 * S * L3^T for a packed (n2 x n3) slice; result packed r x r."""
+def _times_transpose(left, l3) -> int:
+    """(L2 S) * L3^T from the rows of L2 S, packed r x r row-major: one
+    parity per (L2 row, L3 row)."""
     out = 0
     bit = 0
-    for b in range(r):
-        rowmask = l2[b]
-        for c in range(r):
-            colmask = l3[c]
-            acc = 0
-            for j in range(n2):
-                if (rowmask >> j) & 1:
-                    srow = (slice_word >> (j * n3)) & ((1 << n3) - 1)
-                    acc ^= (srow & colmask)
-            if bin(acc).count("1") & 1:
-                out |= 1 << bit
+    for x in left:
+        for y in l3:
+            out |= ((x & y).bit_count() & 1) << bit
             bit += 1
     return out
 
@@ -116,21 +132,23 @@ _TABLE_COST_CAP = 2_000_000
 
 @lru_cache(maxsize=None)
 def _pair_tables(n2: int, n3: int, r: int):
-    """For each (L2, L3) pair: a lookup table from packed slice to packed
-    transformed r x r slice.  Only built when the total table size is small
-    (the exhaustive-format workloads); None entries mean "apply on the fly"."""
-    l2s = _surjective_maps(r, n2)
-    l3s = _surjective_maps(r, n3)
+    """The packed search's candidate pairs as (L2s, L3s, tables).
+
+    tables[x][y] maps every packed (n2 x n3) slice S to the packed
+    L2s[x] S L3s[y]^T.  The tables are built only when their total size is
+    small (the exhaustive-format workloads); otherwise tables is None and
+    the search applies the pairs on the fly.
+    """
+    l2s, l3s = unit_pair_candidates(range(1, 1 << n2), range(1, 1 << n3), r, gf2_rank)
+    l2s = tuple(l2s)
     width = n2 * n3
-    build = width <= 12 and len(l2s) * len(l3s) * (1 << width) <= _TABLE_COST_CAP
+    if width > 12 or len(l2s) * len(l3s) * (1 << width) > _TABLE_COST_CAP:
+        return l2s, l3s, None
     tables = []
     for l2 in l2s:
-        for l3 in l3s:
-            tbl = None
-            if build:
-                tbl = [_apply_pair(s, n2, n3, l2, l3, r) for s in range(1 << width)]
-            tables.append((l2, l3, tbl))
-    return tables
+        lefts = [_left_rows(s, l2, n2, n3) for s in range(1 << width)]
+        tables.append([[_times_transpose(left, l3) for left in lefts] for l3 in l3s])
+    return l2s, l3s, tables
 
 
 def _unit_targets(r: int) -> Tuple[int, ...]:
@@ -141,44 +159,41 @@ def _unit_targets(r: int) -> Tuple[int, ...]:
 def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
     """Decide whether the packed tensor restricts to the size-r unit tensor.
 
-    Enumerates surjective maps on legs 2 and 3 and solves for leg 1 row by
-    row in the XOR span of the transformed 1-slices.  Returns
-    (l1_rows, l2_rows, l3_rows) as bit-row tuples, or None.
+    Visits the map pairs of `unit_pair_candidates` with rows in word order
+    (range(1, 1 << n)) and solves for leg 1 row by row in the XOR span of
+    the transformed 1-slices.  Returns (l1_rows, l2_rows, l3_rows) as
+    bit-row tuples, or None.
     """
     n1, n2, n3 = dims
-    if r > min(dims):
-        return None
-    if r == 0:
-        return ((), (), ())
     slices = tensor_slices1(word, dims)
     targets = _unit_targets(r)
-    size = 1 << n1
-    vals = [0] * size
-    for l2, l3, tbl in _pair_tables(n2, n3, r):
-        if tbl is not None:
-            trans = [tbl[s] for s in slices]
-        else:
-            trans = [_apply_pair(s, n2, n3, l2, l3, r) for s in slices]
-        # vals[m] = XOR of transformed slices selected by bitmask m, so a
-        # matching index is itself the corresponding row of the solved map
-        for idx in range(n1):
-            tv = trans[idx]
-            step = 1 << idx
-            if tv:
-                for m in range(step):
-                    vals[m | step] = vals[m] ^ tv
+    vals = [0] * (1 << n1)
+    l2s, l3s, tables = _pair_tables(n2, n3, r)
+    for x, l2 in enumerate(l2s):
+        if tables is None:
+            lefts = [_left_rows(s, l2, n2, n3) for s in slices]
+        for y, l3 in enumerate(l3s):
+            if tables is None:
+                trans = [_times_transpose(left, l3) for left in lefts]
             else:
-                for m in range(step):
-                    vals[m | step] = vals[m]
-        rows1 = []
-        for tgt in targets:
-            for m in range(size):
-                if vals[m] == tgt:
-                    rows1.append(m)
+                tbl = tables[x][y]
+                trans = [tbl[s] for s in slices]
+            # vals[m] = XOR of transformed slices selected by bitmask m, so a
+            # matching index is itself the corresponding row of the solved map
+            for idx in range(n1):
+                tv = trans[idx]
+                step = 1 << idx
+                if tv:
+                    for m in range(step):
+                        vals[m | step] = vals[m] ^ tv
+                else:
+                    for m in range(step):
+                        vals[m | step] = vals[m]
+            rows1 = []
+            for tgt in targets:
+                if tgt not in vals:
                     break
+                rows1.append(vals.index(tgt))
             else:
-                rows1 = None
-                break
-        if rows1 is not None:
-            return (tuple(rows1), l2, l3)
+                return (tuple(rows1), l2, l3)
     return None

@@ -50,9 +50,7 @@ from .tensor import (
     Restriction,
     Tensor3,
     apply_restriction,
-    contract,
     matmul_tensor,
-    matrix_terms,
     power_dims,
     unit,
     verify_restriction,
@@ -120,7 +118,8 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     The first accepted pair in the order of all full-rank pairs (L2 major,
     rows in itertools.product order) is therefore the least of its orbit: L2
     has increasing rows with leading entry 1 and L3 has rows with leading
-    entry 1.  Only such pairs are enumerated, in the same relative order, so
+    entry 1.  Only such pairs are enumerated (`_gf2.unit_pair_candidates`,
+    which the packed GF(2) search shares), in the same relative order, so
     the witness is the one the full search finds.  The guard still counts
     all full-rank pairs, so it refuses the same searches as before.  Each
     pair costs one elimination of n1 integer vectors; L1 is solved for only
@@ -135,13 +134,11 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
             f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
         )
     slices = t.slices(1)
-    l3_choices = [
-        rows for rows in itertools.product(_leading_one_rows(q, n3), repeat=r)
-        if rank_of_rows(f, rows, n3) == r
-    ]
-    for l2_rows in itertools.combinations(_leading_one_rows(q, n2), r):
-        if rank_of_rows(f, l2_rows, n2) != r:
-            continue
+    l2_choices, l3_choices = _gf2.unit_pair_candidates(
+        _leading_one_rows(q, n2), _leading_one_rows(q, n3), r,
+        lambda rows: rank_of_rows(f, rows, len(rows[0])),
+    )
+    for l2_rows in l2_choices:
         # L2 S_i as integer rows, once per L2
         left = [
             [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*s.data)] for row in l2_rows]
@@ -204,11 +201,12 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
 
     Returns (value, SubrankCertificate).  The search enumerates surjective
     maps on two legs and solves for the third leg linearly, so the value is
-    exact; the witness restriction is verified before returning.  Outside
-    the packed GF(2) path the map pairs are visited only up to row scaling
-    and a shared row order (see `_unit_restriction_generic`), which finds
-    the same first witness; `guard` still bounds the count of all full-rank
-    pairs.
+    exact; the witness restriction is verified before returning.  Both the
+    packed GF(2) path and the generic one visit the map pairs only up to
+    row scaling and a shared row order (`_gf2.unit_pair_candidates`; see
+    `_unit_restriction_generic`), which finds the same first witness.
+    Outside the packed path `guard` still bounds the count of all full-rank
+    pairs; the packed path checks no guard.
     """
     if t.is_zero():
         return 0, SubrankCertificate(
@@ -220,16 +218,6 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
         if res is not None:
             return r, SubrankCertificate("restriction", r, 1, restriction=res)
     raise VerificationFailedError("nonzero tensor without a unit restriction")  # pragma: no cover
-
-
-def _contract_leg(t: Tensor3, leg: int, m: Matrix) -> Tensor3:
-    """Apply a single map on one leg (identity on the others)."""
-    legs = [None, None, None]
-    legs[leg - 1] = matrix_terms(m)
-    dims = list(t.dims)
-    dims[leg - 1] = m.rows
-    out = contract(t, legs)
-    return Tensor3(t.field, tuple(dims), out.get(0, {}))
 
 
 def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:

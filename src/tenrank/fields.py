@@ -76,10 +76,6 @@ class Field:
             raise DivisionByZeroError("division by zero field element")
         return self.mul(a, self.inv(b))
 
-    def arith(self, a: Elem, b: Elem, op: str) -> Elem:
-        """Dispatch one of 'add', 'sub', 'mul', 'div'."""
-        return {"add": self.add, "sub": self.sub, "mul": self.mul, "div": self.div}[op](a, b)
-
     def is_zero(self, a: Elem) -> bool:
         raise NotImplementedError
 

@@ -166,11 +166,6 @@ class Matrix:
                 raise IndexOutOfRangeError(f"col {j} out of range")
         return Matrix(self.field, [[self.data[i][j] for j in colset] for i in rowset], cols=len(colset))
 
-    def col_prefix(self, d: int) -> "Matrix":
-        if not 0 <= d <= self.cols:
-            raise IndexOutOfRangeError(f"column prefix {d} out of range")
-        return Matrix(self.field, [row[:d] for row in self.data], cols=d)
-
     def vectorize(self) -> tuple:
         """Row-major flattening."""
         return tuple(x for row in self.data for x in row)

@@ -757,14 +757,6 @@ def maxsupp_exact(field: Field, basis: Sequence[tuple]) -> int:
     return sum(1 for i in range(n) if any(r[i] != 0 for r in rows))
 
 
-def diag_minrank_restrict(field: Field, mats: Sequence[Matrix], c: Optional[int] = None):
-    """Index set I with minrank of the I x I restriction at least
-    maxrank/c, for a span of diagonal matrices."""
-    d = min(mats[0].rows, mats[0].cols)
-    vectors = [tuple(m[i, i] for i in range(d)) for m in mats]
-    return minsupp_restrict(field, vectors, c)
-
-
 # -- basis extension -------------------------------------------------------------
 
 

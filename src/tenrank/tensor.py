@@ -177,17 +177,6 @@ class Tensor3:
 
     # -- structural operations ----------------------------------------------
 
-    def permute(self, perm: Tuple[int, int, int]) -> "Tensor3":
-        """Relabel legs: result leg t carries what was leg perm[t] (1-based)."""
-        if sorted(perm) != [1, 2, 3]:
-            raise BadParamsError(f"bad leg permutation {perm}")
-        dims = tuple(self.dims[p - 1] for p in perm)
-        out: Dict[tuple, Elem] = {}
-        for (i, j, k), v in self.nonzero_items():
-            old = (i, j, k)
-            out[tuple(old[p - 1] for p in perm)] = v
-        return Tensor3(self.field, dims, out)
-
     def is_symmetric(self) -> bool:
         """True iff cubical and invariant under all six leg permutations."""
         n1, n2, n3 = self.dims

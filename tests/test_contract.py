@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tenrank.cli import main
 from tenrank.engine import (
     SubrankCertificate,
-    _contract_leg,
     mamu_cube,
     subrank_exact,
     two_direction_square,
@@ -183,7 +182,12 @@ def test_single_leg_contraction_matches_identity_restriction(case, leg, data):
                                       min_size=rows, max_size=rows)), normalize=True)
     maps = [Matrix.identity(f, n) for n in t.dims]
     maps[leg - 1] = m
-    assert _contract_leg(t, leg, m) == ref_apply_restriction(Restriction(tuple(maps)), t)
+    legs = [None, None, None]
+    legs[leg - 1] = matrix_terms(m)
+    dims = list(t.dims)
+    dims[leg - 1] = m.rows
+    got = Tensor3(f, tuple(dims), contract(t, legs).get(0, {}))
+    assert got == ref_apply_restriction(Restriction(tuple(maps)), t)
 
 
 # -- the integer kernel: wide denominators and residues, no field calls -------------

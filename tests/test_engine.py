@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,10 +22,11 @@ from tenrank.errors import (
     ResourceGuardError,
 )
 from tenrank.fields import GF, QQ
+from tenrank import _gf2
 from tenrank.engine import (
+    PAIR_GUARD,
     Bound,
     SubrankCertificate,
-    _contract_leg,
     _count_full_rank,
     _unit_restriction_generic,
     asymptotic_bounds,
@@ -92,10 +94,12 @@ def test_subrank_gf2_matches_generic_gf3():
         t2 = rand_tensor(GF(2), (2, 2, 2), rng)
         v2, cert = subrank_exact(t2)
         assert cert.verify(t2)
-        # recompute over GF(3) lifting the same 0/1 entries: not necessarily
-        # equal, so instead cross-check GF(2) against brute-force pair search
-        got = _brute_subrank_gf2_222(t2)
-        assert v2 == got
+        assert v2 == _brute_subrank_gf2_222(t2)
+        # the two arms order their rows differently, so only existence is compared
+        for r in range(1, 3):
+            packed = exists_unit_restriction(t2, r)
+            generic = _unit_restriction_generic(t2, r, PAIR_GUARD)
+            assert (packed is None) == (generic is None)
 
 
 def _brute_subrank_gf2_222(t):
@@ -206,6 +210,124 @@ def test_unit_restriction_matches_pair_loop(t):
             assert [m.data for m in got.maps] == [m.data for m in want.maps]
 
 
+@lru_cache(maxsize=None)
+def ref_surjective_maps(r, n):
+    """All full-rank r x n GF(2) matrices as tuples of n-bit row words."""
+    out = []
+    for rows in itertools.product(range(1, 1 << n), repeat=r):
+        if _gf2.gf2_rank(list(rows)) == r:
+            out.append(rows)
+    return tuple(out)
+
+
+def ref_apply_pair(slice_word, n2, n3, l2, l3, r):
+    """L2 * S * L3^T for a packed (n2 x n3) slice; result packed r x r."""
+    out = 0
+    bit = 0
+    for b in range(r):
+        rowmask = l2[b]
+        for c in range(r):
+            colmask = l3[c]
+            acc = 0
+            for j in range(n2):
+                if (rowmask >> j) & 1:
+                    srow = (slice_word >> (j * n3)) & ((1 << n3) - 1)
+                    acc ^= (srow & colmask)
+            if bin(acc).count("1") & 1:
+                out |= 1 << bit
+            bit += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def ref_pair_tables(n2, n3, r):
+    """For each (L2, L3) pair: a lookup table from packed slice to packed
+    transformed r x r slice.  Only built when the total table size is small
+    (the exhaustive-format workloads); None entries mean "apply on the fly"."""
+    l2s = ref_surjective_maps(r, n2)
+    l3s = ref_surjective_maps(r, n3)
+    width = n2 * n3
+    build = width <= 12 and len(l2s) * len(l3s) * (1 << width) <= _gf2._TABLE_COST_CAP
+    tables = []
+    for l2 in l2s:
+        for l3 in l3s:
+            tbl = None
+            if build:
+                tbl = [ref_apply_pair(s, n2, n3, l2, l3, r) for s in range(1 << width)]
+            tables.append((l2, l3, tbl))
+    return tables
+
+
+def ref_exists_unit_restriction_gf2(word, dims, r):
+    """The packed search before it shared the generic search's candidate
+    pairs, kept as the reference: every pair of full-rank maps, rows in word
+    order, L2 major, solving for leg 1 in the XOR span of the transformed
+    1-slices."""
+    n1, n2, n3 = dims
+    if r > min(dims):
+        return None
+    if r == 0:
+        return ((), (), ())
+    slices = _gf2.tensor_slices1(word, dims)
+    targets = _gf2._unit_targets(r)
+    size = 1 << n1
+    vals = [0] * size
+    for l2, l3, tbl in ref_pair_tables(n2, n3, r):
+        if tbl is not None:
+            trans = [tbl[s] for s in slices]
+        else:
+            trans = [ref_apply_pair(s, n2, n3, l2, l3, r) for s in slices]
+        # vals[m] = XOR of transformed slices selected by bitmask m, so a
+        # matching index is itself the corresponding row of the solved map
+        for idx in range(n1):
+            tv = trans[idx]
+            step = 1 << idx
+            if tv:
+                for m in range(step):
+                    vals[m | step] = vals[m] ^ tv
+            else:
+                for m in range(step):
+                    vals[m | step] = vals[m]
+        rows1 = []
+        for tgt in targets:
+            for m in range(size):
+                if vals[m] == tgt:
+                    rows1.append(m)
+                    break
+            else:
+                rows1 = None
+                break
+        if rows1 is not None:
+            return (tuple(rows1), l2, l3)
+    return None
+
+
+def _same_packed_witness(word, dims, rs):
+    for r in rs:
+        assert _gf2.exists_unit_restriction_gf2(word, dims, r) == ref_exists_unit_restriction_gf2(word, dims, r)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3)])
+def test_packed_unit_search_matches_full_pair_loop_exhaustively(dims):
+    for word in range(1 << (dims[0] * dims[1] * dims[2])):
+        _same_packed_witness(word, dims, range(min(dims) + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(3, 3, 2), (2, 3, 3)]).flatmap(
+    lambda dims: st.tuples(st.just(dims), st.integers(0, (1 << (dims[0] * dims[1] * dims[2])) - 1))))
+def test_packed_unit_search_matches_full_pair_loop(case):
+    dims, word = case
+    _same_packed_witness(word, dims, range(1, min(dims) + 1))
+
+
+# 3x3x3 at r = 3 builds no tables: a unit tensor under invertible maps, whose
+# witness has L2 rows (2, 6, 7), and a concise tensor with no unit restriction
+@pytest.mark.parametrize("word", [0x53A0802, 0x39E792B], ids=["unit_under_maps", "no_unit"])
+def test_packed_unit_search_matches_full_pair_loop_without_tables(word):
+    _same_packed_witness(word, (3, 3, 3), [3])
+
+
 def test_unit_restriction_guard_counts_full_rank_pairs():
     t = unit(GF(3), 2)
     pairs = _count_full_rank(3, 2, 2) ** 2
@@ -226,6 +348,13 @@ def test_slicerank_values():
         slicerank_exact(unit(QQ, 2))
 
 
+def _contract_one_leg(t, leg, m):
+    """m applied on one leg of t, the identity on the other two."""
+    maps = [Matrix.identity(t.field, n) for n in t.dims]
+    maps[leg - 1] = m
+    return apply_restriction(Restriction(tuple(maps)), t)
+
+
 def ref_slicerank_pairs(t):
     """The (V1, V2) loop slicerank_exact replaced, kept as the reference: each
     pair contracts both quotient maps into a tensor and takes its
@@ -239,12 +368,12 @@ def ref_slicerank_pairs(t):
         if best is not None and a1 >= best:
             break
         for v1 in subspaces(f, n1, a1):
-            t1 = _contract_leg(t, 1, _annihilator(v1))
+            t1 = _contract_one_leg(t, 1, _annihilator(v1))
             for a2 in range(n2 + 1):
                 if best is not None and a1 + a2 >= best:
                     break
                 for v2 in subspaces(f, n2, a2):
-                    t12 = _contract_leg(t1, 2, _annihilator(v2))
+                    t12 = _contract_one_leg(t1, 2, _annihilator(v2))
                     tot = a1 + a2 + t12.flattening_rank(3)
                     if best is None or tot < best:
                         best = tot

@@ -95,11 +95,3 @@ def test_parse_and_format():
     assert format_value(Fraction(1, 2)) == "1/2"
     assert format_value(Fraction(3)) == "3"
     assert format_value(5) == "5"
-
-
-def test_arith_dispatch():
-    f = GF(5)
-    assert f.arith(3, 4, "add") == 2
-    assert f.arith(3, 4, "sub") == 4
-    assert f.arith(3, 4, "mul") == 2
-    assert f.arith(3, 4, "div") == 2

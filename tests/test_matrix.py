@@ -96,7 +96,7 @@ def test_submatrix_and_prefix():
     f = GF(7)
     m = Matrix.identity(f, 3)
     assert m.submatrix([0, 1], [0, 1]) == Matrix.identity(f, 2)
-    p0 = m.col_prefix(0)
+    p0 = m.submatrix(range(3), range(0))
     assert (p0.rows, p0.cols) == (3, 0)
     assert rank(p0) == 0
 

@@ -239,14 +239,6 @@ def test_kron_guard():
         t.kron_power(4)
 
 
-def test_permute():
-    t = matmul_tensor(GF(3), 1, 2, 3)
-    p = t.permute((2, 3, 1))
-    assert p.dims == (t.dims[1], t.dims[2], t.dims[0])
-    for (i, j, k), v in t.nonzero_items():
-        assert p[j, k, i] == v
-
-
 def test_balanced_pivot_unit_subtensor():
     f = GF(7)
     t = balanced_pivot(f, 9)
