@@ -20,14 +20,18 @@ from .errors import (
     BelowThresholdError,
     InfiniteFieldError,
     NotConciseError,
+    NotPivotMatchedError,
     PreconditionFailedError,
     ResourceGuardError,
     VerificationFailedError,
     WitnessInvalidError,
+    ZeroSpanError,
+    ZeroTensorError,
 )
 from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
 from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _Working, invert, rank, rank_of_rows, rref, solve_all
+from .pivots import all_rho, rho_degeneration, sqrt_certificate
 from .spans import (
     MaxRankWitness,
     SliceSpan,
@@ -881,9 +885,6 @@ def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
         skipped.append("exact slice rank oracle: search space above guard")
 
     # pivot cover degeneration: rho <= border <= asymptotic
-    from .errors import ZeroSpanError, ZeroTensorError
-    from .pivots import all_rho, rho_degeneration
-
     try:
         rho_values = all_rho(t)
         best_or = max(rho_values, key=lambda k: rho_values[k])
@@ -919,9 +920,6 @@ def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
 
     # sqrt path for pivot-matched cubical tensors
     if concise and t.dims[0] == t.dims[1] == t.dims[2]:
-        from .errors import NotPivotMatchedError
-        from .pivots import sqrt_certificate
-
         try:
             d = sqrt_certificate(t)  # it runs is_pivot_matched's test on its own pivot bases
             candidates.append(Bound(

@@ -19,7 +19,8 @@ from .errors import (
     VerificationFailedError,
 )
 from .fields import Elem, Field, PrimeField
-from .matrix import Matrix, rank
+from .matrix import Matrix, _combination, rank
+from .spans import combine, span_of
 from .tensor import (
     Restriction,
     Tensor3,
@@ -250,46 +251,15 @@ def border_le_qi_extract(d: Degeneration, t: Tensor3, direction: int):
     for xi in candidates:
         x = f.normalize(xi)
         mats = [m.evaluate(x) for m in d.maps]
-        res = apply_restriction(Restriction(tuple(mats)), t)
-        summed = _sum_slices(res, direction)
-        if rank(summed) == q:
-            coeffs = _slice_sum_coeffs(mats[direction - 1], f)
-            combined = _combine_tensor_slices(t, direction, coeffs)
+        slices = apply_restriction(Restriction(tuple(mats)), t).slices(direction)
+        if rank(combine(span_of(f, slices), [f.one()] * len(slices))) == q:
+            # the combined slice's coefficients: column sums of the evaluated map
+            evaluated = mats[direction - 1]
+            coeffs = tuple(_combination(f, [f.one()] * evaluated.rows, [(row,) for row in evaluated.data])[0])
+            combined = combine(span_of(f, t.slices(direction)), coeffs)
             got = rank(combined)
             if got < q:
                 raise VerificationFailedError("combined slice lost rank")  # pragma: no cover
             return x, coeffs, combined, got
     raise FieldTooSmallError("no evaluation point with nonzero determinant found")
 
-
-def _sum_slices(t: Tensor3, direction: int) -> Matrix:
-    mats = t.slices(direction)
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc.add(m)
-    return acc
-
-
-def _slice_sum_coeffs(evaluated_map: Matrix, f: Field):
-    """Coefficients of the combined slice: column sums of the evaluated map."""
-    return tuple(
-        _sum_elems(f, [evaluated_map[i, j] for i in range(evaluated_map.rows)])
-        for j in range(evaluated_map.cols)
-    )
-
-
-def _sum_elems(f: Field, xs):
-    acc = f.zero()
-    for x in xs:
-        acc = f.add(acc, x)
-    return acc
-
-
-def _combine_tensor_slices(t: Tensor3, direction: int, coeffs) -> Matrix:
-    f = t.field
-    mats = t.slices(direction)
-    acc = Matrix.zeros(f, mats[0].rows, mats[0].cols)
-    for c, m in zip(coeffs, mats):
-        if not f.is_zero(c):
-            acc = acc.add(m.scale(c))
-    return acc

@@ -244,6 +244,33 @@ def _eliminate(a: list, cols: int, p: Optional[int], full: bool) -> list:
     return pivots
 
 
+def _combination(field: Field, coeffs: Sequence[Elem], terms: Sequence[Sequence[Sequence[Elem]]]) -> list:
+    """sum_k coeffs[k] * terms[k] as a list of row lists.
+
+    Each term is a sequence of rows, all terms of one shape; a vector is a
+    term of one row.  Terms with a zero coefficient are skipped, and the
+    entries come out canonical: residues in range(p) over GF(p), Fractions
+    over Q.  No matrix is flattened: `spans.combine` runs this once per
+    candidate of the exhaustive rank searches.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        acc = [[0] * len(row) for row in terms[0]]
+        for c, term in zip(coeffs, terms):
+            if c % p:
+                for out, row in zip(acc, term):
+                    for j, x in enumerate(row):
+                        out[j] = (out[j] + c * x) % p
+        return acc
+    acc = [[Fraction(0)] * len(row) for row in terms[0]]
+    for c, term in zip(coeffs, terms):
+        if c:
+            for out, row in zip(acc, term):
+                for j, x in enumerate(row):
+                    out[j] += c * x
+    return acc
+
+
 def _work_rows(field: Field, rows: Sequence[Sequence[Elem]], extra=None):
     """Mutable copies of `rows`, each followed by its row of `extra` if given,
     and the modulus to eliminate them with; over Q every entry becomes a

@@ -24,8 +24,8 @@ from .errors import (
     ZeroSpanError,
 )
 from .fields import Elem, Field, PrimeField
-from .matrix import (_COL, _ROW, Matrix, _eliminate, _work_rows, _Working, column_basis, concat_cols,
-                     rank, rank_of_rows, rref, solve)
+from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _work_rows, _Working, column_basis,
+                     concat_cols, rank, rank_of_rows, rref, solve)
 from .tensor import Tensor3
 
 PROJECTIVE_GUARD = 10_000_000
@@ -107,36 +107,8 @@ class MaxRankWitness:
 
 
 def combine(span: SliceSpan, coeffs: Sequence[Elem]) -> Matrix:
-    f = span.field
-    rows, cols = span.shape
-    if isinstance(f, PrimeField):
-        p = f.p
-        acc = [[0] * cols for _ in range(rows)]
-        for c, m in zip(coeffs, span.basis):
-            if c % p:
-                for i, row in enumerate(m.data):
-                    ai = acc[i]
-                    for j, v in enumerate(row):
-                        ai[j] = (ai[j] + c * v) % p
-        return Matrix(f, acc, cols=cols)
-    acc = [[f.zero()] * cols for _ in range(rows)]
-    for c, m in zip(coeffs, span.basis):
-        if not f.is_zero(c):
-            for i, row in enumerate(m.data):
-                ai = acc[i]
-                for j, v in enumerate(row):
-                    ai[j] = f.add(ai[j], f.mul(c, v))
-    return Matrix(f, acc, cols=cols)
-
-
-def _lift_coeffs(reduced_coeffs, reduction: Matrix, field: Field):
-    """Coefficients over the reduced basis -> coefficients over span.basis."""
-    out = [field.zero()] * reduction.cols
-    for c, row in zip(reduced_coeffs, reduction.data):
-        if not field.is_zero(c):
-            for j, v in enumerate(row):
-                out[j] = field.add(out[j], field.mul(c, v))
-    return tuple(out)
+    """sum_k coeffs[k] * span.basis[k]."""
+    return Matrix(span.field, _combination(span.field, coeffs, [m.data for m in span.basis]), cols=span.shape[1])
 
 
 def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
@@ -162,17 +134,19 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     rows, cols = span.shape
     upper = min(rows, cols)
     if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
-        value, vec = _enumerate_ranks_batched(red, q, c, minimize)
-        return value, _lift_coeffs(vec, reduction, f)
-    best = None
-    best_vec = None
-    for vec in projective_vectors(q, c):
-        r = rank(combine(red, vec))
-        if best is None or (r < best if minimize else r > best):
-            best, best_vec = r, vec
-            if (minimize and best == 1) or (not minimize and best == upper):
-                break
-    return best, _lift_coeffs(best_vec, reduction, f)
+        best, best_vec = _enumerate_ranks_batched(red, q, c, minimize)
+    else:
+        best = None
+        best_vec = None
+        for vec in projective_vectors(q, c):
+            r = rank(combine(red, vec))
+            if best is None or (r < best if minimize else r > best):
+                best, best_vec = r, vec
+                if (minimize and best == 1) or (not minimize and best == upper):
+                    break
+    # coefficients over the reduced basis -> coefficients over span.basis
+    (lifted,) = _combination(f, best_vec, [(row,) for row in reduction.data])
+    return best, tuple(lifted)
 
 
 def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool):
@@ -621,13 +595,9 @@ def _span_vectors(field: Field, basis: Sequence[tuple], *, guard: int = PROJECTI
 
     if projective_count(field.p, len(rows)) > guard:
         raise ResourceGuardError("subspace enumeration exceeds guard")
+    terms = [(row,) for row in rows]
     for coeffs in projective_vectors(field.p, len(rows)):
-        out = [0] * n
-        for c, row in zip(coeffs, rows):
-            if c:
-                for j, x in enumerate(row):
-                    out[j] = (out[j] + c * x) % field.p
-        yield tuple(out)
+        yield tuple(_combination(field, coeffs, terms)[0])
 
 
 def minsupp_restrict(field: Field, basis: Sequence[tuple], c: Optional[int] = None):
@@ -703,16 +673,11 @@ def _minsupp_argmin_q(field: Field, rows: List[tuple], n: int):
         return len(_supp(rows[0])), tuple(rows[0])
     # full-support seed: sum_t t^i row_i avoids all coordinate kernels for
     # some t among (d-1)*|live|+1 candidates (Vandermonde root counting)
+    terms = [(r,) for r in rows]
     seed = None
     for t in range(1, (d - 1) * len(live) + 2):
-        vec = [field.zero()] * n
-        w = field.one()
         tt = field.normalize(t)
-        for r in rows:
-            for jj, x in enumerate(r):
-                if x != 0:
-                    vec[jj] = field.add(vec[jj], field.mul(w, x))
-            w = field.mul(w, tt)
+        (vec,) = _combination(field, [tt ** i for i in range(d)], terms)
         if all(vec[i] != 0 for i in live):
             seed = vec
             break
@@ -724,11 +689,7 @@ def _minsupp_argmin_q(field: Field, rows: List[tuple], n: int):
         ann = _annihilator(sub.transpose())
         kernel_rows = []
         for krow in ann.data:
-            vec = [field.zero()] * n
-            for coef, r in zip(krow, rows):
-                if coef != 0:
-                    for jj, x in enumerate(r):
-                        vec[jj] = field.add(vec[jj], field.mul(coef, x))
+            (vec,) = _combination(field, krow, terms)
             if any(x != 0 for x in vec):
                 kernel_rows.append(tuple(vec))
         if kernel_rows:
@@ -771,9 +732,7 @@ def basis_extension(field: Field, mats: Sequence[Matrix], j_set: Sequence[int]):
     for idx, (m, x) in enumerate(zip(reduced, coords)):
         if idx in chosen:
             continue
-        for coef, bm in zip(x, front):
-            if not field.is_zero(coef):
-                m = m.sub(bm.scale(coef))
+        m = combine(span_of(field, [m, *front]), [field.one(), *(field.neg(coef) for coef in x)])
         if not m.submatrix(j_list, j_list).is_zero():
             raise VerificationFailedError("basis extension residue on J x J")  # pragma: no cover
         back.append(m)
@@ -913,11 +872,7 @@ def _minsupp_restrict_exact_q(field: Field, vectors: Sequence[tuple], c: int):
         coeffs = solve(Matrix(field, list(zip(*[tuple(r[x] for x in i_set) for r in full_rows])), cols=len(full_rows)), list(vec))
         if coeffs is None:
             raise VerificationFailedError("restricted witness does not lift to the full space")
-        full = [field.zero()] * n
-        for coef, r in zip(coeffs, full_rows):
-            if coef != 0:
-                for jj, x in enumerate(r):
-                    full[jj] = field.add(full[jj], field.mul(coef, x))
+        (full,) = _combination(field, coeffs, [(r,) for r in full_rows])
         new = _supp(full) - j
         if not new:
             raise VerificationFailedError("greedy restriction made no progress")  # pragma: no cover

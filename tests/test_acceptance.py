@@ -8,12 +8,9 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from tenrank import _gf2
 from tenrank.engine import (
     asymptotic_bounds,
-    mamu_cube,
     slicerank_exact,
     subrank_c2,
     subrank_exact,
@@ -24,7 +21,6 @@ from tenrank.laurent import border_le_qi_extract, mamu_border_lb, verify_degener
 from tenrank.matrix import Matrix, rank, rank_of_rows
 from tenrank.pivots import (
     is_pivot_matched,
-    pivot_basis,
     rho_degeneration,
     rho_ij,
     rho_sigma,

@@ -1,10 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from tenrank.errors import BadParamsError, FieldTooSmallError
-from tenrank.fields import GF, QQ
+from tenrank.fields import GF
 from tenrank.laurent import (
     Degeneration,
     LaurentMatrix,
@@ -16,8 +15,8 @@ from tenrank.laurent import (
     poly_mul,
     verify_degeneration,
 )
-from tenrank.matrix import Matrix, rank
-from tenrank.pivots import rho_degeneration, rho_ij
+from tenrank.matrix import Matrix
+from tenrank.pivots import rho_degeneration
 from tenrank.spans import max_rank_exhaustive, slice_span
 from tenrank.tensor import Restriction, Tensor3, unit
 

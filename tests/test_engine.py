@@ -25,8 +25,6 @@ from tenrank.fields import GF, QQ
 from tenrank import _gf2
 from tenrank.engine import (
     PAIR_GUARD,
-    Bound,
-    SubrankCertificate,
     _count_full_rank,
     _unit_restriction_generic,
     asymptotic_bounds,

@@ -4,20 +4,17 @@ import random
 import pytest
 
 from tenrank.errors import (
-    BadDimsError,
     NotConciseError,
     NotCubicalError,
     ZeroMatrixError,
-    ZeroSpanError,
     ZeroTensorError,
 )
 from tenrank.fields import GF
 from tenrank.laurent import apply_degeneration, verify_degeneration
-from tenrank.matrix import Matrix, invert, rank
+from tenrank.matrix import Matrix, rank
 from tenrank.pivots import (
     all_rho,
     is_pivot_matched,
-    max_pivot_matching,
     pivot_basis,
     pivot_of,
     pivot_uncertainty_check,
@@ -31,9 +28,7 @@ from tenrank.tensor import (
     Tensor3,
     balanced_pivot,
     matmul_tensor,
-    null_algebra,
     unit,
-    w_tensor,
 )
 
 

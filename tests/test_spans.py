@@ -20,7 +20,6 @@ from tenrank.fields import GF, QQ
 from tenrank.matrix import Matrix, rank
 from tenrank.spans import (
     SUBSPACE_PAIR_GUARD,
-    SliceSpan,
     _annihilator,
     _covered,
     basis_extension,

@@ -4,7 +4,7 @@ import pytest
 
 from tenrank.errors import BadParamsError, ResourceGuardError
 from tenrank.fields import GF, QQ
-from tenrank.matrix import Matrix, rank
+from tenrank.matrix import Matrix
 from tenrank.tensor import (
     Restriction,
     Tensor3,
