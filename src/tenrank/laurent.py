@@ -252,10 +252,12 @@ def border_le_qi_extract(d: Degeneration, t: Tensor3, direction: int):
         x = f.normalize(xi)
         mats = [m.evaluate(x) for m in d.maps]
         slices = apply_restriction(Restriction(tuple(mats)), t).slices(direction)
-        if rank(combine(span_of(f, slices), [f.one()] * len(slices))) == q:
-            # the combined slice's coefficients: column sums of the evaluated map
+        if not slices or rank(combine(span_of(f, slices), [f.one()] * len(slices))) == q:
+            # the combined slice's coefficients: column sums of the evaluated
+            # map (all zero for the maps of a claimed_r = 0 degeneration)
             evaluated = mats[direction - 1]
-            coeffs = tuple(_combination(f, [f.one()] * evaluated.rows, [(row,) for row in evaluated.data])[0])
+            rows = evaluated.data or Matrix.zeros(f, 1, evaluated.cols).data
+            coeffs = tuple(_combination(f, [f.one()] * evaluated.rows, [(row,) for row in rows])[0])
             combined = combine(span_of(f, t.slices(direction)), coeffs)
             got = rank(combined)
             if got < q:

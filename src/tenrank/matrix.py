@@ -58,7 +58,7 @@ class Matrix:
         data = [[z] * cols for _ in range(rows)]
         for (i, j), v in entries.items():
             data[i][j] = field.normalize(v)
-        return cls(field, data)
+        return cls(field, data, cols=cols)
 
     # -- basics ------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .laurent import Degeneration, LaurentMatrix, verify_degeneration
 from .matrix import _COL, _ROW, _SLICE, Matrix, _Working, rref
-from .spans import SliceSpan, max_rank_exhaustive, slice_span
+from .spans import SliceSpan, _max_matching, max_rank_exhaustive, slice_span
 from .tensor import Tensor3
 
 
@@ -69,30 +69,10 @@ def _pivot_basis(span: SliceSpan):
 
 
 def max_pivot_matching(pivots: Sequence[Tuple[int, int]]):
-    """Maximum set of pivots pairwise distinct in rows and columns
-    (bipartite augmenting-path matching)."""
-    rows = sorted({p[0] for p in pivots})
-    adj: Dict[int, List[int]] = {r: [] for r in rows}
-    for (r, c) in pivots:
-        adj[r].append(c)
-    match_col: Dict[int, int] = {}
-
-    def augment(r, seen):
-        for c in adj[r]:
-            if c in seen:
-                continue
-            seen.add(c)
-            if c not in match_col or augment(match_col[c], seen):
-                match_col[c] = r
-                return True
-        return False
-
-    for r in rows:
-        augment(r, set())
-    pairs = sorted((r, c) for c, r in match_col.items())
-    piv_set = set(pivots)
-    pairs = [p for p in pairs if p in piv_set]
-    return pairs, match_col
+    """Maximum set of pivots pairwise distinct in rows and columns, sorted,
+    and the matching as {col: row}."""
+    match_col = _max_matching(pivots)
+    return sorted((r, c) for c, r in match_col.items()), match_col
 
 
 def konig_cover(pivots: Sequence[Tuple[int, int]], match_col: Dict[int, int]):

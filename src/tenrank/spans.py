@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadParamsError,
@@ -111,6 +111,48 @@ def combine(span: SliceSpan, coeffs: Sequence[Elem]) -> Matrix:
     return Matrix(span.field, _combination(span.field, coeffs, [m.data for m in span.basis]), cols=span.shape[1])
 
 
+def _max_matching(edges) -> Dict[int, int]:
+    """A maximum matching of the bipartite graph with these (row, col) edges,
+    as {col: row}.  Augmenting paths are searched depth first from each row
+    in increasing order, trying a row's columns in edge order; the search
+    keeps its path on a list, so long paths need no recursion."""
+    adj: Dict[int, List[int]] = {}
+    for r, c in edges:
+        adj.setdefault(r, []).append(c)
+    row_of: Dict[int, int] = {}
+    for root in sorted(adj):
+        seen = set()
+        path = [(root, iter(adj[root]))]  # the path's rows, each with its untried columns
+        cols = []  # cols[k] leads from path[k] to path[k + 1]
+        while path:
+            for c in path[-1][1]:
+                if c not in seen:
+                    break
+            else:  # a dead end: back up one row
+                path.pop()
+                if cols:
+                    cols.pop()
+                continue
+            seen.add(c)
+            cols.append(c)
+            if c not in row_of:  # augment: each row on the path takes its next column
+                for (r, _), c in zip(path, cols):
+                    row_of[c] = r
+                break
+            path.append((row_of[c], iter(adj[row_of[c]])))
+    return row_of
+
+
+def _term_rank(span: SliceSpan) -> int:
+    """Term rank of the span's union support: the size of a largest matching
+    of rows to columns among the positions nonzero in some generator.  By
+    Konig's theorem it is also the least number of rows and columns covering
+    that support, so no matrix of the span has a larger rank."""
+    support = ((i, j) for i, row in enumerate(zip(*(m.data for m in span.basis)))
+               for j, xs in enumerate(zip(*row)) if any(xs))
+    return len(_max_matching(support))
+
+
 def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     """Shared projective enumeration for max/min rank over GF(p)."""
     f = span.field
@@ -131,10 +173,9 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
             f"projective enumeration of {count} combinations exceeds guard {guard}"
         )
     red = SliceSpan(f, tuple(mats))
-    rows, cols = span.shape
-    upper = min(rows, cols)
+    stop = 1 if minimize else _term_rank(red)  # no combination can do better
     if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
-        best, best_vec = _enumerate_ranks_batched(red, q, c, minimize)
+        best, best_vec = _enumerate_ranks_batched(red, q, c, minimize, stop)
     else:
         best = None
         best_vec = None
@@ -142,15 +183,16 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
             r = rank(combine(red, vec))
             if best is None or (r < best if minimize else r > best):
                 best, best_vec = r, vec
-                if (minimize and best == 1) or (not minimize and best == upper):
+                if best == stop:
                     break
     # coefficients over the reduced basis -> coefficients over span.basis
     (lifted,) = _combination(f, best_vec, [(row,) for row in reduction.data])
     return best, tuple(lifted)
 
 
-def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool):
-    """(best rank, the first projective vector attaining it, as ints)."""
+def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int):
+    """(best rank, the first projective vector attaining it, as ints),
+    stopping once a chunk reaches `stop`."""
     import numpy as np
 
     from ._batch import batched_rank_mod_p, projective_array
@@ -170,13 +212,19 @@ def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool):
         if best is None or (v < best if minimize else v > best):
             best = v
             best_idx = lo + i
-            if (minimize and best == 1) or (not minimize and best == min(rows, cols)):
+            if best == stop:
                 break
     return best, tuple(int(x) for x in vecs[best_idx])
 
 
 def max_rank_exhaustive(span: SliceSpan, *, guard: int = PROJECTIVE_GUARD):
-    """Exact max-rank over a finite field with a witness combination."""
+    """Exact max-rank over a finite field with a witness combination.
+
+    The search stops at the term rank of the span's union support (at most
+    min(shape)), which no element's rank exceeds.  The guard still counts
+    every projective combination, and the witness is the first combination
+    attaining the max-rank, the one the full search returns.
+    """
     value, coeffs = _enumerate_ranks(span, minimize=False, guard=guard)
     return value, MaxRankWitness(coeffs, value)
 
@@ -194,7 +242,9 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
     with probability at most maxrank/p per trial (Schwartz-Zippel on a
     nonzero maxrank x maxrank minor); over Q integer coefficients of height
     2*min(shape)+1 give the same bound.  The returned value never exceeds
-    the true max-rank.
+    the true max-rank.  The trials stop at the term rank of the span's union
+    support, which no element's rank exceeds; the witness is the first trial
+    attaining the best value, the one all `trials` trials return.
     """
     f = span.field
     rng = random.Random(seed)
@@ -202,7 +252,7 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
     h = 2 * min(span.shape) + 1
     best = 0
     best_coeffs = tuple([f.zero()] * n)
-    upper = min(span.shape)
+    upper = _term_rank(span)
     for _ in range(max(1, trials)):
         if isinstance(f, PrimeField):
             coeffs = tuple(rng.randrange(f.p) for _ in range(n))

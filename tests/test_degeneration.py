@@ -106,6 +106,22 @@ def test_border_extraction_random_vs_exhaustive():
         done += 1
 
 
+def test_border_extraction_of_empty_degeneration():
+    """A claimed_r = 0 degeneration (three maps with no rows) verifies; its
+    maps evaluate to 0 x 2 matrices, not 0 x 0, so the extraction returns the
+    zero combination of rank 0 in every direction."""
+    f = GF(5)
+    t = unit(f, 2)
+    empty = LaurentMatrix(f, 0, 2, {})
+    assert empty.evaluate(1).rows == 0 and empty.evaluate(1).cols == 2
+    d = Degeneration((empty, empty, empty), 0)
+    assert verify_degeneration(d, t)
+    for direction in (1, 2, 3):
+        x, coeffs, combined, got = border_le_qi_extract(d, t, direction)
+        assert (x, coeffs, got) == (1, (0, 0), 0)
+        assert combined == Matrix.zeros(f, 2, 2)
+
+
 def test_border_extraction_field_too_small():
     t = unit(GF(2), 2)
     d = Degeneration.from_restriction(Restriction.identity(GF(2), t.dims), 2)

@@ -16,6 +16,13 @@ def rand_matrix(field, rows, cols, rng):
     return Matrix(field, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
 
 
+def test_from_entries_keeps_cols_of_zero_rows():
+    for f in (GF(5), QQ):
+        m = Matrix.from_entries(f, 0, 2, {})
+        assert (m.rows, m.cols) == (0, 2)
+    assert Matrix.from_entries(GF(5), 2, 3, {(1, 2): 7}).data == ((0, 0, 0), (0, 0, 2))
+
+
 def test_rref_identity():
     m = Matrix.identity(GF(2), 3)
     res = rref(m)

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenrank.errors import (
     NotConciseError,
@@ -15,6 +17,7 @@ from tenrank.matrix import Matrix, rank
 from tenrank.pivots import (
     all_rho,
     is_pivot_matched,
+    max_pivot_matching,
     pivot_basis,
     pivot_of,
     pivot_uncertainty_check,
@@ -114,6 +117,44 @@ def brute_min_cover(pivots):
                         best = ra + ca if best is None else min(best, ra + ca)
                         break
     return best or 0
+
+
+def ref_max_pivot_matching(pivots):
+    """The recursive augmenting-path matching `max_pivot_matching` ran on
+    before it moved to the list-based search of `spans._max_matching`."""
+    rows = sorted({p[0] for p in pivots})
+    adj = {r: [] for r in rows}
+    for (r, c) in pivots:
+        adj[r].append(c)
+    match_col = {}
+
+    def augment(r, seen):
+        for c in adj[r]:
+            if c in seen:
+                continue
+            seen.add(c)
+            if c not in match_col or augment(match_col[c], seen):
+                match_col[c] = r
+                return True
+        return False
+
+    for r in rows:
+        augment(r, set())
+    pairs = sorted((r, c) for c, r in match_col.items())
+    piv_set = set(pivots)
+    pairs = [p for p in pairs if p in piv_set]
+    return pairs, match_col
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=30))
+def test_max_pivot_matching_matches_recursive_matching(pivots):
+    """The same pairs, and the same {col: row} in the same insertion order,
+    on any edge list: shuffled, with repeats, rows and columns unbalanced."""
+    got_pairs, got = max_pivot_matching(pivots)
+    want_pairs, want = ref_max_pivot_matching(pivots)
+    assert got_pairs == want_pairs
+    assert list(got.items()) == list(want.items())
 
 
 def test_konig_on_all_small_pivot_patterns():
