@@ -75,19 +75,28 @@ def projective_count(q: int, dim: int) -> int:
     return (q**dim - 1) // (q - 1)
 
 
-def projective_array(q: int, dim: int) -> np.ndarray:
-    """projective_vectors as an (N, dim) int64 array (same order).
+def projective_chunks(q: int, dim: int):
+    """projective_vectors as consecutive (n, dim) int64 blocks, in the same order.
 
-    The block with leading 1 at position `lead` counts 0 .. q^k - 1 in base q
-    over its k = dim - lead - 1 tail positions, last position fastest.
+    Each row is computed from its index: the block with leading 1 at
+    position `lead` lists the numbers q^k .. 2q^k - 1 (k = dim - lead - 1)
+    in base q, last position fastest.  The first block has 64 rows and each
+    next one 4x as many, up to 4096 (4096 int32 6x6 matrices take 0.6 MB, so
+    a block's batch stays in cache), so a search that stops early builds
+    only the rows it ranks.
     """
-    out = np.zeros((projective_count(q, dim), dim), dtype=np.int64)
-    lo = 0
-    for lead in range(dim):
-        k = dim - lead - 1
-        hi = lo + q**k
-        out[lo:hi, lead] = 1
-        place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        out[lo:hi, lead + 1:] = np.arange(q**k, dtype=np.int64)[:, None] // place % q
-        lo = hi
-    return out
+    count = projective_count(q, dim)
+    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)  # q^k for lead = 0 .. dim - 1
+    starts = np.cumsum(place) - place  # index of each lead's first row
+    lo, size = 0, 64
+    while lo < count:
+        idx = np.arange(lo, min(count, lo + size), dtype=np.int64)
+        lead = np.searchsorted(starts, idx, side="right") - 1
+        yield (idx - starts[lead] + place[lead])[:, None] // place % q
+        lo += size
+        size = min(4 * size, 4096)
+
+
+def projective_array(q: int, dim: int) -> np.ndarray:
+    """projective_vectors as an (N, dim) int64 array: projective_chunks joined."""
+    return np.concatenate([np.zeros((0, dim), dtype=np.int64), *projective_chunks(q, dim)])

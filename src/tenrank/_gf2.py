@@ -57,30 +57,13 @@ def tensor_slices1(word: int, dims) -> Tuple[int, ...]:
 def flattening_ranks(word: int, dims) -> Tuple[int, int, int]:
     n1, n2, n3 = dims
     s1 = tensor_slices1(word, dims)
-    r1 = gf2_rank(list(s1))
-    rows2 = []
-    for j in range(n2):
-        row = 0
-        bit = 0
-        for i in range(n1):
-            for k in range(n3):
-                if (word >> ((i * n2 + j) * n3 + k)) & 1:
-                    row |= 1 << bit
-                bit += 1
-        rows2.append(row)
-    r2 = gf2_rank(rows2)
-    rows3 = []
-    for k in range(n3):
-        row = 0
-        bit = 0
-        for i in range(n1):
-            for j in range(n2):
-                if (word >> ((i * n2 + j) * n3 + k)) & 1:
-                    row |= 1 << bit
-                bit += 1
-        rows3.append(row)
-    r3 = gf2_rank(rows3)
-    return (r1, r2, r3)
+    mask = (1 << n3) - 1
+    # row j of the direction-2 flattening joins row j of every 1-slice
+    rows2 = [sum(((s >> (j * n3)) & mask) << (i * n3) for i, s in enumerate(s1)) for j in range(n2)]
+    # the direction-3 flattening has the rank of its transpose, whose rows
+    # are the word's consecutive n3-bit fibres
+    rows3 = [(word >> (b * n3)) & mask for b in range(n1 * n2)]
+    return (gf2_rank(list(s1)), gf2_rank(rows2), gf2_rank(rows3))
 
 
 def is_concise(word: int, dims) -> bool:

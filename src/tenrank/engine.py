@@ -232,9 +232,13 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     the direction-1 slices S_r of ann(V1) * T are formed once.  The rest of
     the slice rank is the cover number of those slices, the smallest
     dim V2 + dim W with W the row span of ann(V2) * S_r, which
-    `spans._min_cover` searches below the best total left.  min(dims) is
-    always a cover, so the search starts from it.  The guard counts the
-    (V1, V2) subspace pairs.
+    `spans._min_cover` searches below the best total left.  The guard counts
+    the (V1, V2) subspace pairs; it and the refusal over Q come first.
+
+    The slice rank is at most every flattening rank, so the search starts
+    from the smallest.  A nonzero tensor has slice rank 1 exactly when a
+    flattening has rank 1 (T = u (x) M on that leg), so when the smallest
+    flattening rank is at most 2 it is the slice rank and nothing is searched.
     """
     f = t.field
     if not isinstance(f, PrimeField):
@@ -248,10 +252,12 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
         raise ResourceGuardError(
             f"subspace-pair enumeration of {pair_total} pairs exceeds guard {guard}"
         )
+    best = min(t.flattening_ranks())
+    if best <= 2:
+        return best
     # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _ann_rows call
     fibers = [list(zip(*t.flattening(1).data))]
     v2_cache: dict = {}  # the (V2, ann(V2)) pairs, built once for every V1
-    best = min(t.dims)
     for a1 in range(n1 + 1):
         if a1 >= best:
             break

@@ -70,11 +70,12 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and other.field == self.field
+            and other.cols == self.cols
             and other.data == self.data
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.data))
+        return hash((self.field, self.cols, self.data))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)

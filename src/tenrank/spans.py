@@ -192,29 +192,25 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
 
 def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int):
     """(best rank, the first projective vector attaining it, as ints),
-    stopping once a chunk reaches `stop`."""
+    stopping once a block of `projective_chunks` reaches `stop`."""
     import numpy as np
 
-    from ._batch import batched_rank_mod_p, projective_array
+    from ._batch import batched_rank_mod_p, projective_chunks
 
     rows, cols = red.shape
     basis = np.array([m.data for m in red.basis], dtype=np.int64).reshape(c, rows * cols)
-    vecs = projective_array(q, c)
     best = None
-    best_idx = None
-    chunk = 1 << 12  # 4096 int32 6x6 matrices take 0.6 MB, so a chunk stays in cache
-    for lo in range(0, vecs.shape[0], chunk):
-        part = vecs[lo: lo + chunk]
+    best_vec = None
+    for part in projective_chunks(q, c):
         mats = (part @ basis % q).reshape(-1, rows, cols)
         ranks = batched_rank_mod_p(mats, q)
         i = int(np.argmin(ranks) if minimize else np.argmax(ranks))
         v = int(ranks[i])
         if best is None or (v < best if minimize else v > best):
-            best = v
-            best_idx = lo + i
+            best, best_vec = v, part[i]
             if best == stop:
                 break
-    return best, tuple(int(x) for x in vecs[best_idx])
+    return best, tuple(int(x) for x in best_vec)
 
 
 def max_rank_exhaustive(span: SliceSpan, *, guard: int = PROJECTIVE_GUARD):

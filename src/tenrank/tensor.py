@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from . import _gf2
 from .errors import (
     BadParamsError,
     IndexOutOfRangeError,
@@ -170,10 +171,13 @@ class Tensor3:
         return rank(self.flattening(direction))
 
     def flattening_ranks(self) -> Tuple[int, int, int]:
+        """The three flattening ranks; over GF(2) on the packed word."""
+        if isinstance(self.field, PrimeField) and self.field.p == 2:
+            return _gf2.flattening_ranks(_gf2.pack_tensor(self.entries, self.dims), self.dims)
         return (self.flattening_rank(1), self.flattening_rank(2), self.flattening_rank(3))
 
     def is_concise(self) -> bool:
-        return all(self.flattening_rank(i) == self.dims[i - 1] for i in (1, 2, 3))
+        return self.flattening_ranks() == self.dims
 
     # -- structural operations ----------------------------------------------
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tenrank
@@ -405,14 +405,87 @@ def low_slicerank_tensors(draw):
     return Tensor3(GF(p), dims, ent)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(small_tensors(), low_slicerank_tensors()))
+@st.composite
+def full_flattening_tensors(draw):
+    """3x3x3 tensors over GF(2) and GF(3) whose flattening ranks are all 3, so
+    slicerank_exact has to search: sums u (x) A + B (x) v (slice rank 2,
+    with u and v on legs 1 and 3) and random tensors (slice rank 3)."""
+    p = draw(st.sampled_from([2, 3]))
+    vals = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        u, v = (draw(st.lists(vals, min_size=3, max_size=3)) for _ in range(2))
+        a, b = (draw(st.lists(vals, min_size=9, max_size=9)) for _ in range(2))
+        t = Tensor3(GF(p), (3, 3, 3), {(i, j, k): u[i] * a[3 * j + k] + b[3 * i + j] * v[k]
+                                       for i, j, k in itertools.product(range(3), repeat=3)})
+    else:
+        t = Tensor3(GF(p), (3, 3, 3), draw(st.lists(vals, min_size=27, max_size=27)))
+    assume(min(t.flattening_ranks()) == 3)
+    return t
+
+
+# u = v = e_2, A = identity, B a cyclic shift: flattening ranks (3, 3, 3), slice rank 2
+U_A_B_V = Tensor3(GF(2), (3, 3, 3), {ijk: 1 for ijk in [
+    (0, 1, 2), (1, 2, 2), (2, 0, 0), (2, 0, 2), (2, 1, 1), (2, 2, 2)]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_tensors(), low_slicerank_tensors(), full_flattening_tensors()))
 @example(Tensor3.zeros(GF(3), (2, 3, 2)))
 @example(unit(GF(5), 3))
 @example(w_tensor(GF(2)))
 @example(w_tensor(GF(3)))
+@example(U_A_B_V)
 def test_slicerank_matches_pair_loop(t):
     assert slicerank_exact(t) == ref_slicerank_pairs(t)
+
+
+def _count_min_cover(monkeypatch):
+    """Count slicerank_exact's calls of the cover search."""
+    calls = []
+    inner = tenrank.engine._min_cover
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tenrank.engine, "_min_cover", counting)
+    return calls
+
+
+def test_slicerank_read_off_flattening_ranks(monkeypatch):
+    """Every 2x2x2 tensor has a flattening of rank at most 2, which is then its
+    slice rank: no cover search runs."""
+    calls = _count_min_cover(monkeypatch)
+    values = set()
+    for idx in range(256):
+        t = Tensor3(GF(2), (2, 2, 2), [(idx >> b) & 1 for b in range(8)])
+        sr = slicerank_exact(t)
+        assert sr == ref_slicerank_pairs(t) == min(t.flattening_ranks())
+        values.add(sr)
+    assert values == {0, 1, 2}
+    assert calls == []
+    assert slicerank_exact(U_A_B_V) == 2
+    assert calls
+
+
+def test_slicerank_guard_and_field_before_flattening_ranks():
+    # a rank-1 flattening settles the slice rank only after the guard passes
+    t = Tensor3(GF(2), (6, 6, 1), {(0, 0, 0): 1, (5, 5, 0): 1})
+    assert min(t.flattening_ranks()) == 1
+    pairs = sum(subspace_count(2, 6, d) for d in range(7)) ** 2
+    assert pairs > tenrank.engine.SLICERANK_GUARD
+    with pytest.raises(ResourceGuardError,
+                       match=f"^subspace-pair enumeration of {pairs} pairs exceeds guard "
+                             f"{tenrank.engine.SLICERANK_GUARD}$"):
+        slicerank_exact(t)
+    small = Tensor3(GF(2), (2, 2, 2), {(0, 0, 0): 1})
+    pairs = sum(subspace_count(2, 2, d) for d in range(3)) ** 2
+    with pytest.raises(ResourceGuardError,
+                       match=f"^subspace-pair enumeration of {pairs} pairs exceeds guard {pairs - 1}$"):
+        slicerank_exact(small, guard=pairs - 1)
+    assert slicerank_exact(small, guard=pairs) == 1
+    with pytest.raises(InfiniteFieldError):
+        slicerank_exact(Tensor3(QQ, (2, 2, 2), {(0, 0, 0): 1}))
 
 
 def test_slicerank_guard_counts_pairs():

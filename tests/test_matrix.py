@@ -23,6 +23,15 @@ def test_from_entries_keeps_cols_of_zero_rows():
     assert Matrix.from_entries(GF(5), 2, 3, {(1, 2): 7}).data == ((0, 0, 0), (0, 0, 2))
 
 
+def test_equality_and_hash_compare_cols():
+    for f in (GF(5), QQ):
+        empty = [Matrix.zeros(f, 0, cols) for cols in range(3)]
+        assert len(set(empty)) == 3
+        assert empty[0] != empty[2]
+        same = Matrix.from_entries(f, 0, 2, {})
+        assert same == empty[2] and hash(same) == hash(empty[2])
+
+
 def test_rref_identity():
     m = Matrix.identity(GF(2), 3)
     res = rref(m)
@@ -196,6 +205,22 @@ def test_projective_array_matches_generator(q):
         assert projective_array(q, d).tolist() == [list(v) for v in projective_vectors(q, d)]
 
 
+@pytest.mark.parametrize("q, dim", [(2, 0), (2, 1), (2, 9), (3, 7), (11, 6)])
+def test_projective_chunks_list_every_vector_once(q, dim):
+    """The blocks grow 64, 256, 1024, then stay at 4096 rows, and joined they
+    are projective_vectors in order, each vector once."""
+    from tenrank._batch import projective_chunks, projective_count, projective_vectors
+
+    chunks = list(projective_chunks(q, dim))
+    count = projective_count(q, dim)
+    sizes = [len(c) for c in chunks]
+    assert sum(sizes) == count and all(sizes)
+    assert sizes[:-1] == [min(64 * 4**i, 4096) for i in range(len(sizes) - 1)]
+    rows = [tuple(row) for c in chunks for row in c.tolist()]
+    assert rows == list(projective_vectors(q, dim))
+    assert len(set(rows)) == count
+
+
 # -- the four row-reduction loops that `matrix._eliminate` replaced -------------
 
 
@@ -284,7 +309,7 @@ def ref_rref(m: Matrix) -> RrefResult:
                     t[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(t[i], t[r])]
         pivots.append(c)
         r += 1
-    return RrefResult(Matrix(f, a), Matrix(f, t), tuple(pivots), r)
+    return RrefResult(Matrix(f, a, cols=m.cols), Matrix(f, t), tuple(pivots), r)
 
 
 def ref_solve(a: Matrix, b):

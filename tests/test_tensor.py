@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenrank.errors import BadParamsError, ResourceGuardError
 from tenrank.fields import GF, QQ
@@ -61,6 +63,38 @@ def test_flattening_ranks():
     assert unit(GF(2), 3).flattening_ranks() == (3, 3, 3)
     assert matmul_tensor(GF(7), 2, 2, 2).flattening_ranks() == (4, 4, 4)
     assert w_tensor(GF(2)).flattening_ranks() == (2, 2, 2)
+
+
+def _generic_ranks(t):
+    return tuple(t.flattening_rank(d) for d in (1, 2, 3))
+
+
+def test_packed_gf2_flattening_ranks_on_all_223_words():
+    """Over GF(2) flattening_ranks and is_concise run on the packed word; they
+    agree with the generic ranks on every 2x2x3 tensor."""
+    seen = set()
+    for word in range(1 << 12):
+        t = Tensor3(GF(2), (2, 2, 3), [(word >> b) & 1 for b in range(12)])
+        ranks = _generic_ranks(t)
+        assert t.flattening_ranks() == ranks
+        assert t.is_concise() == (ranks == t.dims)
+        seen.add(ranks)
+    assert (2, 2, 2) in seen and (0, 0, 0) in seen
+
+
+@st.composite
+def gf2_tensors(draw):
+    dims = tuple(draw(st.integers(0, 4)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    return Tensor3(GF(2), dims, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_tensors())
+def test_packed_gf2_flattening_ranks_match_generic(t):
+    ranks = _generic_ranks(t)
+    assert t.flattening_ranks() == ranks
+    assert t.is_concise() == (ranks == t.dims)
 
 
 def test_flattening_rank_is_slice_span_dim():

@@ -294,3 +294,22 @@ def test_null_algebra_over_q_stops_at_first_trial_of_rank_two(monkeypatch):
     value, wit = max_rank_randomized(slice_span(null_algebra(QQ, 5), 1, 3), 32, 7)
     assert value == wit.rank == 2
     assert len(calls) < 32
+
+
+def test_batched_search_builds_and_ranks_blocks_up_to_the_stop(ranked):
+    """The batched arm ranks the projective combinations in blocks of 64,
+    256, 1024, then 4096, and stops after the block that reaches the term
+    rank: four 3x2 generators over GF(11) (1,464 combinations) whose first
+    combination has rank 2 rank one block of 64, and direction 2 of
+    gen_null_algebra(6, 2) three blocks."""
+    f = GF(11)
+    span = span_of(f, [Matrix(f, [[1, 0], [0, 1], [0, 0]]), Matrix(f, [[0, 1], [0, 0], [0, 0]]),
+                       Matrix(f, [[0, 0], [1, 0], [0, 0]]), Matrix(f, [[0, 0], [0, 0], [1, 3]])])
+    assert projective_count(11, len(independent_basis(span)[0])) == 1464
+    value, wit = max_rank_exhaustive(span)
+    assert (value, wit.coeffs) == (2, (1, 0, 0, 0))
+    assert ranked == [64]
+    ranked.clear()
+    value, wit = max_rank_exhaustive(slice_span(gen_null_algebra(f, 6, 2), 1, 3))
+    assert value == 3
+    assert ranked == [64, 256, 1024]
