@@ -210,12 +210,10 @@ def _scan_one(word: int, dims, field) -> Tuple[int, int, Tuple[int, int, int], b
     from . import _gf2
 
     if isinstance(field, PrimeField) and field.p == 2:
-        ranks = _gf2.flattening_ranks(word, dims)
-        entries = _gf2.unpack_entries(word, dims)
-        t = Tensor3(field, dims, entries)
+        t = Tensor3(field, dims, _gf2.unpack_entries(word, dims))
     else:
         t = _tensor_from_index(word, dims, field)
-        ranks = t.flattening_ranks()
+    ranks = t.flattening_ranks()  # kept on t, so the oracles below reuse it
     q_val, _ = engine.subrank_exact(t)
     sr_val = engine.slicerank_exact(t)
     return q_val, sr_val, ranks, ranks == dims

@@ -147,13 +147,18 @@ class Matrix:
         return Matrix(f, out, cols=other.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product with (outer, inner) lexicographic index order."""
+        """Kronecker product with (outer, inner) lexicographic index order;
+        a zero entry of the outer factor gives a block of zeros unmultiplied."""
         self._check(other)
         f = self.field
+        zeros = (f.zero(),) * other.cols
         out = []
         for ra in self.data:
             for rb in other.data:
-                out.append([f.mul(a, b) for a in ra for b in rb])
+                row = []
+                for a in ra:
+                    row.extend(zeros if f.is_zero(a) else [f.mul(a, b) for b in rb])
+                out.append(row)
         return Matrix(f, out, cols=self.cols * other.cols)
 
     # -- extraction ---------------------------------------------------------

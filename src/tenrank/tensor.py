@@ -6,12 +6,14 @@ accept sparse {(i, j, k): value} input.  All indices in the API are 0-based.
 
 Restrictions and degenerations are applied by one sparse kernel, `contract`,
 which maps the nonzero items ((e, i, j, k), v) of a tensor one leg at a time.
-A certificate on T^(x)m is checked by the same call with power=m: the
-kernel streams the products of T's nonzeros itself, so the power is never
-built, and KRON_ENTRY_GUARD still counts the dense entries (n1*n2*n3)^m of
-the power, as when the power is built.  Its sums run on Python ints: over
-GF(p) on unreduced residues, over Q fraction-free on numerators scaled by
-the lcm of the denominators, with one division per output entry.
+A certificate on T^(x)m is checked by the same call with power=m: the first
+map is applied to T one Kronecker factor at a time, so the power is never
+built and only the products of T's nonzeros that some column of the first
+map reads are formed.  KRON_ENTRY_GUARD still counts the dense entries
+(n1*n2*n3)^m of the power, as when the power is built.  Its sums run on
+Python ints: over GF(p) on unreduced residues, over Q fraction-free on
+numerators scaled by the lcm of the denominators, with one division per
+output entry.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ KRON_ENTRY_GUARD = 1 << 24
 
 
 class Tensor3:
-    __slots__ = ("field", "dims", "entries")
+    # _ranks keeps the flattening ranks once computed; equality and hashing
+    # ignore it
+    __slots__ = ("field", "dims", "entries", "_ranks")
 
     def __init__(self, field: Field, dims: Tuple[int, int, int], entries, *, normalize: bool = False):
         n1, n2, n3 = dims
@@ -61,6 +65,7 @@ class Tensor3:
         self.field = field
         self.dims = (n1, n2, n3)
         self.entries = entries
+        self._ranks = None
 
     @classmethod
     def zeros(cls, field: Field, dims: Tuple[int, int, int]) -> "Tensor3":
@@ -171,10 +176,14 @@ class Tensor3:
         return rank(self.flattening(direction))
 
     def flattening_ranks(self) -> Tuple[int, int, int]:
-        """The three flattening ranks; over GF(2) on the packed word."""
-        if isinstance(self.field, PrimeField) and self.field.p == 2:
-            return _gf2.flattening_ranks(_gf2.pack_tensor(self.entries, self.dims), self.dims)
-        return (self.flattening_rank(1), self.flattening_rank(2), self.flattening_rank(3))
+        """The three flattening ranks, computed once per tensor; over GF(2)
+        on the packed word."""
+        if self._ranks is None:
+            if isinstance(self.field, PrimeField) and self.field.p == 2:
+                self._ranks = _gf2.flattening_ranks(_gf2.pack_tensor(self.entries, self.dims), self.dims)
+            else:
+                self._ranks = tuple(self.flattening_rank(d) for d in (1, 2, 3))
+        return self._ranks
 
     def is_concise(self) -> bool:
         return self.flattening_ranks() == self.dims
@@ -265,55 +274,91 @@ def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
 
 
 def contract(t: Tensor3, legs, *, power: int = 1):
-    """Apply one map per leg to t^(x)power, streamed from t's nonzeros.
+    """Apply one map per leg to t^(x)power, from t's nonzeros.
 
     legs[l] lists, for each source index of leg l + 1, the terms
     (row, exponent, coefficient) of that leg's map, or is None to leave the
-    leg as it is.  The nonzero items of the power are products of t's
-    nonzeros, with kron's index pairing outer * n + inner, and are never
-    stored; callers check the guard with `power_dims` first.  The legs are
-    contracted one after another, so an item costs one product per term of
-    each leg rather than one per triple of terms.  On a power the
-    sparsest map goes first, so that fewer items reach the others.
+    leg as it is.  The power is never stored; callers check the guard with
+    `power_dims` first.  The legs are contracted one after another, so an
+    item costs one product per term of each leg rather than one per triple
+    of terms.  On a power the sparsest map goes first.
+
+    The first leg's flattening of the power is the power-fold Kronecker
+    product of t's, so the first map is applied one factor of t at a time,
+    innermost first, with kron's index pairing outer * n + inner: a column
+    I of the map meets the nonzeros of t whose first index is I's innermost
+    digit, its row is set beside I's outer digits, and each further stage
+    peels the next digit off that row and multiplies in the matching
+    nonzeros.  The work grows with the map's terms and t's nonzeros per
+    stage, and products that no column of the map reads are never formed.
 
     All sums are on Python ints.  Over GF(p) they run unreduced and are
-    reduced once per key as they pass to the next leg.  Over Q, t's values
+    reduced once per key after each stage and each leg.  Over Q, t's values
     are scaled by the lcm D of their denominators (D^power on the power) and
     each leg's coefficients by that leg's own lcm, and each output entry is
     divided once by the product of the scales.  Returns
     {exponent: {(a, b, c): value}} holding nonzero values only.
     """
     p = t.field.p if isinstance(t.field, PrimeField) else None
-    base = [((0, i, j, k), v) for (i, j, k), v in t.nonzero_items()]
+    base = list(t.nonzero_items())
     s = 0
     if power > 1:
         # start at the leg whose map has the fewest terms per source index,
-        # so that the long stream of the power shrinks first: the keys are
-        # rotated by s, and 3 - s more rotations at the end undo it
+        # so that the items of the power shrink first: the keys are rotated
+        # by s, and 3 - s more rotations at the end undo it
         s = min(range(3), key=lambda leg: _terms_per_index(legs[leg]))
         legs = [*legs[s:], *legs[:s], *[None] * (-s % 3)]
-        base = [((0, *ijk[s:], *ijk[:s]), v) for (_, *ijk), v in base]
+        base = [(ijk[s:] + ijk[:s], v) for ijk, v in base]
     n1, n2, n3 = t.dims[s:] + t.dims[:s]
     scale = 1
     if p is None:
         scale = _denominator_lcm(v for _, v in base)
-        base = [(key, _times(v, scale)) for key, v in base]
+        base = [(ijk, _times(v, scale)) for ijk, v in base]
         scale **= power
-    items = base
+    by_i = [[] for _ in range(n1)]
+    for (i, j, k), v in base:
+        by_i[i].append((j, k, v))
+    first, *rest = legs
+    if first is None:
+        first = [[(x, 0, 1)] for x in range(n1**power)]
+    first, leg_scale = _integer_terms(first, p)
+    scale *= leg_scale
+    # stage 1, the innermost factor: the key (e, j, k, row) carries in
+    # row = a * n1^(power-1) + rest_digits the map's row a beside the
+    # column's outer digits, which the later stages peel off innermost first
+    outer = n1 ** (power - 1)
+    acc: Dict[tuple, int] = {}
+    get = acc.get
+    for col_index, col in enumerate(first):
+        rest_digits, x = divmod(col_index, n1)
+        factor = by_i[x]
+        for a, e, c in col:
+            row = a * outer + rest_digits
+            for j, k, v in factor:
+                key = (e, j, k, row)
+                acc[key] = get(key, 0) + c * v
+    items = _settled(acc, p)
+    inner2, inner3 = n2, n3
     for _ in range(power - 1):
-        items = (((0, i * n1 + a, j * n2 + b, k * n3 + c), v * w)
-                 for (_, i, j, k), v in items for (_, a, b, c), w in base)
-    for terms in legs:
-        # contracting the first leg moves it to the back, (e, i, j, k) ->
-        # (e, j, k, a), so after three legs the key is (e, a, b, c) again
+        acc = {}
+        get = acc.get
+        for (e, jj, kk, row), v in items:
+            row, x = divmod(row, n1)
+            for j, k, w in by_i[x]:
+                key = (e, j * inner2 + jj, k * inner3 + kk, row)
+                acc[key] = get(key, 0) + v * w
+        items = _settled(acc, p)
+        inner2 *= n2
+        inner3 *= n3
+    for terms in rest:
+        # contracting a leg moves it to the back, (e, i, j, k) -> (e, j, k, a),
+        # so after three legs the key is (e, a, b, c) again
         if terms is None:
             items = (((e, j, k, i), v) for (e, i, j, k), v in items)
             continue
-        if p is None:
-            leg_scale = _denominator_lcm(c for col in terms for _, _, c in col)
-            terms = [[(a, x, _times(c, leg_scale)) for a, x, c in col] for col in terms]
-            scale *= leg_scale
-        acc: Dict[tuple, int] = {}
+        terms, leg_scale = _integer_terms(terms, p)
+        scale *= leg_scale
+        acc = {}
         get = acc.get
         for (e, i, j, k), v in items:
             for a, x, c in terms[i]:
@@ -329,6 +374,15 @@ def contract(t: Tensor3, legs, *, power: int = 1):
 def _terms_per_index(terms) -> float:
     """A leg's terms per source index: 1 for the identity (None)."""
     return 1 if terms is None else sum(map(len, terms)) / max(len(terms), 1)
+
+
+def _integer_terms(terms, p):
+    """A leg's terms on ints and the scale they carry: over Q the
+    coefficients times the lcm of their denominators, over GF(p) as given."""
+    if p is not None:
+        return terms, 1
+    leg_scale = _denominator_lcm(c for col in terms for _, _, c in col)
+    return [[(a, x, _times(c, leg_scale)) for a, x, c in col] for col in terms], leg_scale
 
 
 def _denominator_lcm(values) -> int:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from typing import Dict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tenrank.cli import main
@@ -17,7 +17,7 @@ from tenrank.engine import (
     two_direction_square,
 )
 from tenrank.errors import ResourceGuardError
-from tenrank.fields import GF, QQ, PrimeField, RationalField
+from tenrank.fields import GF, QQ, Elem, PrimeField, RationalField
 from tenrank.io import serialize_certificate, serialize_tensor
 from tenrank.laurent import (
     Degeneration,
@@ -28,10 +28,14 @@ from tenrank.laurent import (
 )
 from tenrank.matrix import Matrix
 from tenrank.pivots import sqrt_certificate
-from tenrank.spans import max_rank_exhaustive, slice_span
+from tenrank.spans import max_rank_exhaustive, max_rank_randomized, slice_span
 from tenrank.tensor import (
     Restriction,
     Tensor3,
+    _denominator_lcm,
+    _settled,
+    _terms_per_index,
+    _times,
     apply_restriction,
     balanced_pivot,
     contract,
@@ -39,6 +43,7 @@ from tenrank.tensor import (
     null_algebra,
     unit,
     verify_restriction,
+    w_tensor,
 )
 
 FIELDS = (GF(2), GF(7), QQ)
@@ -92,6 +97,52 @@ def ref_apply_degeneration(d: Degeneration, t: Tensor3) -> Dict[int, Tensor3]:
                         else:
                             bucket[key] = s
     return {e: Tensor3(f, d.target_dims, b) for e, b in sorted(acc.items()) if b}
+
+
+def ref_contract(t: Tensor3, legs, *, power: int = 1):
+    """The kernel before it contracted the first leg factor by factor: it
+    streams all nnz(t)^power products of t's nonzeros into the first leg."""
+    p = t.field.p if isinstance(t.field, PrimeField) else None
+    base = [((0, i, j, k), v) for (i, j, k), v in t.nonzero_items()]
+    s = 0
+    if power > 1:
+        # start at the leg whose map has the fewest terms per source index,
+        # so that the long stream of the power shrinks first: the keys are
+        # rotated by s, and 3 - s more rotations at the end undo it
+        s = min(range(3), key=lambda leg: _terms_per_index(legs[leg]))
+        legs = [*legs[s:], *legs[:s], *[None] * (-s % 3)]
+        base = [((0, *ijk[s:], *ijk[:s]), v) for (_, *ijk), v in base]
+    n1, n2, n3 = t.dims[s:] + t.dims[:s]
+    scale = 1
+    if p is None:
+        scale = _denominator_lcm(v for _, v in base)
+        base = [(key, _times(v, scale)) for key, v in base]
+        scale **= power
+    items = base
+    for _ in range(power - 1):
+        items = (((0, i * n1 + a, j * n2 + b, k * n3 + c), v * w)
+                 for (_, i, j, k), v in items for (_, a, b, c), w in base)
+    for terms in legs:
+        # contracting the first leg moves it to the back, (e, i, j, k) ->
+        # (e, j, k, a), so after three legs the key is (e, a, b, c) again
+        if terms is None:
+            items = (((e, j, k, i), v) for (e, i, j, k), v in items)
+            continue
+        if p is None:
+            leg_scale = _denominator_lcm(c for col in terms for _, _, c in col)
+            terms = [[(a, x, _times(c, leg_scale)) for a, x, c in col] for col in terms]
+            scale *= leg_scale
+        acc: Dict[tuple, int] = {}
+        get = acc.get
+        for (e, i, j, k), v in items:
+            for a, x, c in terms[i]:
+                key = (e + x, j, k, a)
+                acc[key] = get(key, 0) + c * v
+        items = _settled(acc, p)
+    out: Dict[int, Dict[tuple, Elem]] = {}
+    for (e, a, b, c), v in items:
+        out.setdefault(e, {})[(a, b, c)] = v if p else Fraction(v, scale)
+    return out
 
 
 # -- strategies -----------------------------------------------------------------
@@ -190,6 +241,93 @@ def test_single_leg_contraction_matches_identity_restriction(case, leg, data):
     assert got == ref_apply_restriction(Restriction(tuple(maps)), t)
 
 
+# -- the factor-by-factor kernel against the product stream ------------------------
+
+
+@st.composite
+def contract_case(draw):
+    """t, legs and a power for `contract`: dimensions from 0, sparse maps
+    whose columns get terms with probability 1/4 (as on the square's diagonal
+    leg), restriction terms (one exponent-0 term per row) or Laurent terms,
+    and None legs in any position."""
+    f = draw(st.sampled_from((GF(2), GF(7), GF(2**31 - 1), QQ)))
+    m = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(0, 3 if m == 1 else 2)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    t = Tensor3(f, dims, draw(st.lists(elements(f, 50), min_size=n, max_size=n)), normalize=True)
+    laurent = draw(st.booleans())
+    legs = []
+    for n in dims:
+        if draw(st.integers(0, 3)) == 0:
+            legs.append(None)
+            continue
+        rows = st.integers(0, draw(st.integers(1, 3)) - 1)
+        cols = []
+        for _ in range(n**m):
+            if draw(st.integers(0, 3)):
+                cols.append([])
+            elif laurent:
+                cols.append(draw(st.lists(st.tuples(rows, st.integers(-2, 2), elements(f, 50)),
+                                          min_size=1, max_size=3)))
+            else:
+                cols.append([(a, 0, draw(elements(f, 50))) for a in sorted(draw(st.sets(rows, min_size=1)))])
+        legs.append(cols)
+    return t, legs, m
+
+
+def assert_same_contraction(t, legs, m):
+    got, want = contract(t, legs, power=m), ref_contract(t, legs, power=m)
+    assert got == want
+    assert {e: {k: type(v) for k, v in d.items()} for e, d in got.items()} == {
+        e: {k: type(v) for k, v in d.items()} for e, d in want.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(contract_case())
+def test_contract_matches_product_stream(case):
+    t, legs, m = case
+    # with no map at all the product stream hands back unreduced GF(p) products
+    assume(m == 1 or legs != [None, None, None])
+    assert_same_contraction(t, legs, m)
+
+
+@pytest.mark.parametrize("f", [GF(7), QQ], ids=["GF7", "QQ"])
+def test_identity_legs_give_the_power(f):
+    t = Tensor3(f, (2, 1, 2), [3, 0, 5, Fraction(-4, 3) if f == QQ else 2], normalize=True)
+    for m in (1, 2, 3):
+        power = t.kron_power(m)
+        assert contract(t, [None, None, None], power=m) == {0: dict(power.nonzero_items())}
+
+
+def test_certificate_power_calls_match_product_stream(monkeypatch):
+    """Every contraction the square, the cube and the sqrt certificate make,
+    on the power and off it, against the product-stream kernel."""
+    calls = []
+
+    def recorded(t, legs, *, power=1):
+        calls.append((t, legs, power))
+        return contract(t, legs, power=power)
+
+    monkeypatch.setattr("tenrank.tensor.contract", recorded)
+    monkeypatch.setattr("tenrank.laurent.contract", recorded)
+    t = null_algebra(GF(7), 4)
+    w1, _, w3 = _witnesses(t)
+    two_direction_square(t, 1, 3, w1, w3)
+    rng = random.Random(15)
+    while True:
+        t = Tensor3(GF(11), (4, 3, 2), [rng.randrange(11) for _ in range(24)])
+        if t.is_concise():
+            break
+    mamu_cube(t, *_witnesses(t))
+    w = w_tensor(QQ)
+    mamu_cube(w, *(max_rank_randomized(span, trials=32, seed=7 * d)[1]
+                   for d, span in enumerate(_spans(w), 1)))
+    sqrt_certificate(balanced_pivot(GF(7), 4))
+    assert sorted({m for _, _, m in calls}) == [1, 2, 3]
+    for call in calls:
+        assert_same_contraction(*call)
+
+
 # -- the integer kernel: wide denominators and residues, no field calls -------------
 
 # denominators up to 50, so coprime ones make a leg's lcm grow; residues up to
@@ -247,12 +385,13 @@ def test_power_two_checks_make_no_field_calls(f, monkeypatch):
 # -- certificates on powers never build the power ---------------------------------
 
 
+def _spans(t):
+    """The slice spans of directions 1, 2 and 3."""
+    return [slice_span(t, *[x for x in (1, 2, 3) if x != d]) for d in (1, 2, 3)]
+
+
 def _witnesses(t):
-    wits = []
-    for d in (1, 2, 3):
-        rd, cd = [x for x in (1, 2, 3) if x != d]
-        wits.append(max_rank_exhaustive(slice_span(t, rd, cd))[1])
-    return wits
+    return [max_rank_exhaustive(span)[1] for span in _spans(t)]
 
 
 @pytest.fixture

@@ -94,6 +94,37 @@ def test_kron_rotation_plus_identity_rank_two():
     assert rank(s) == 2
 
 
+@st.composite
+def kron_factors(draw):
+    """Two matrices over one of GF(2), GF(7) and Q, with many zero entries,
+    zero rows, and 0xN or Nx0 shapes."""
+    f = draw(st.sampled_from([GF(2), GF(7), QQ]))
+    elem = st.integers(-3, 3) if f == QQ else st.integers(0, f.p - 1)
+    entry = st.one_of(st.just(0), st.just(0), elem)
+
+    def matrix():
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        data = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        data = [[0] * cols if draw(st.integers(0, 3)) == 0 else row for row in data]
+        return Matrix(f, data, normalize=True, cols=cols)
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=200, deadline=None)
+@given(kron_factors())
+def test_kron_matches_entrywise_definition(factors):
+    a, b = factors
+    f = a.field
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (a.rows * b.rows, a.cols * b.cols)
+    want = [[f.mul(a.data[i // b.rows][j // b.cols], b.data[i % b.rows][j % b.cols])
+             for j in range(k.cols)] for i in range(k.rows)]
+    assert [list(row) for row in k.data] == want
+    elem = Fraction if f == QQ else int
+    assert all(type(v) is elem for row in k.data for v in row)
+
+
 def test_concat_and_bounds():
     f = GF(3)
     a = Matrix.identity(f, 2)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tenrank.cli import _scan_one, _tensor_from_index
+from tenrank.engine import slicerank_exact
 from tenrank.errors import BadParamsError, ResourceGuardError
 from tenrank.fields import GF, QQ
 from tenrank.matrix import Matrix
@@ -95,6 +97,33 @@ def test_packed_gf2_flattening_ranks_match_generic(t):
     ranks = _generic_ranks(t)
     assert t.flattening_ranks() == ranks
     assert t.is_concise() == (ranks == t.dims)
+
+
+def test_flattening_ranks_kept_outside_equality_and_hash():
+    t, u = (Tensor3(GF(3), (2, 2, 2), [1, 0, 0, 2, 0, 1, 1, 0]) for _ in range(2))
+    assert t.flattening_ranks() == (2, 2, 2)
+    assert t == u and hash(t) == hash(u)
+    assert u.flattening_ranks() == t.flattening_ranks()
+
+
+def test_scan_item_computes_each_flattening_rank_once(monkeypatch):
+    """The scan's tally and the slice-rank oracle share one computation of
+    the flattening ranks per tensor."""
+    calls = []
+    generic = Tensor3.flattening_rank
+
+    def counted(self, direction):
+        calls.append(direction)
+        return generic(self, direction)
+
+    monkeypatch.setattr(Tensor3, "flattening_rank", counted)
+    dims = (2, 2, 2)
+    for word in (1, 5, 1234, 3**8 - 1):
+        calls.clear()
+        q_val, sr_val, ranks, concise = _scan_one(word, dims, GF(3))
+        assert sorted(calls) == [1, 2, 3]
+        t = _tensor_from_index(word, dims, GF(3))
+        assert (sr_val, ranks) == (slicerank_exact(t), _generic_ranks(t))
 
 
 def test_flattening_rank_is_slice_span_dim():
