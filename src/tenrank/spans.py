@@ -10,6 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -297,6 +298,7 @@ def subspace_count(q: int, n: int, dim: int) -> int:
     return num // den
 
 
+@lru_cache(maxsize=None)
 def subspace_pair_count(q: int, n1: int, n2: int) -> int:
     """Number of pairs (V1, V2) of subspaces of GF(q)^n1 and GF(q)^n2."""
     return sum(subspace_count(q, n1, a) * subspace_count(q, n2, b)
@@ -345,15 +347,19 @@ def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
     return True
 
 
-def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Optional[dict] = None):
+def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Optional[dict] = None,
+               floor: int = 0):
     """The first subspace V of F^n, in order of increasing dimension, whose
     total dim V + dim W is least and below `bound`, with W the row span of
     the matrices ann(V) * M (each n x m matrix M given as its m columns).
     Returns (total, V, rows spanning W), or None when no total is below
     `bound`.  The search stops once dim V alone reaches the best total, so
-    also at the first V with W = 0.  A caller that searches the same F^n
-    many times passes one `cache` dict, which keeps the (V, ann(V)) pairs of
-    each dimension the search reaches."""
+    also at the first V with W = 0, and at the first V whose total equals
+    `floor`, a lower bound on every total the caller knows: the best is
+    replaced only on a strict improvement, so that V is the one the whole
+    search would return.  A caller that searches the same F^n many times
+    passes one `cache` dict, which keeps the (V, ann(V)) pairs of each
+    dimension the search reaches."""
     q = f.p
     best = None
     for a in range(n + 1):
@@ -369,8 +375,8 @@ def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Option
             total = a + rank_of_rows(f, w, m)
             if total < bound:
                 bound, best = total, (total, v, w)
-                if total == a:
-                    break
+                if total == a or total == floor:
+                    return best
     return best
 
 
@@ -384,6 +390,12 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     the minimum wins, which gives the same pair as a search over (V1, V2) in
     order of increasing total.  The guard still counts the (V1, V2) subspace
     pairs, so the same spans are refused.
+
+    Every matrix of the span lies in V1 (x) F + F (x) V2, so its rank is at
+    most dim V1 + dim V2: the largest rank of a generator is a floor on the
+    value, and the search stops at the first V1 that reaches it.  The floor
+    is computed after the refusals, from the generators alone, so it does
+    not depend on the max-rank search.
     """
     f = span.field
     if not isinstance(f, PrimeField):
@@ -397,7 +409,8 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
             f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
         )
     columns = [list(zip(*m.data)) for m in span.basis]
-    best, v1, w = _min_cover(f, columns, n1, n2, n1 + n2 + 1)
+    floor = max(rank(m) for m in span.basis)
+    best, v1, w = _min_cover(f, columns, n1, n2, n1 + n2 + 1, floor=floor)
     return best, (v1, Matrix(f, _reduce_rows(f, w, n2), cols=n2))
 
 

@@ -22,6 +22,7 @@ from tenrank.spans import (
     SUBSPACE_PAIR_GUARD,
     _annihilator,
     _covered,
+    _min_cover,
     basis_extension,
     combine,
     diagonalize_principal,
@@ -302,10 +303,25 @@ def small_spans(draw):
     return span_of(f, mats)
 
 
+def skew_span(f):
+    """E12 - E21, E13 - E31, E23 - E32: every generator has rank 2, mincov is 3."""
+    return span_of(f, [Matrix.from_entries(f, 3, 3, {(i, j): 1, (j, i): f.neg(1)})
+                       for i, j in ((0, 1), (0, 2), (1, 2))])
+
+
+# generators of rank 2 and 1: the floor 2 is first reached at V1 = <e3>, where
+# W = <(1, 0, 0)>; the term rank of the support is 3
+FLOOR_AT_DIM_1 = span_of(GF(2), [Matrix(GF(2), [[1, 1, 0], [1, 1, 0], [1, 0, 0]]),
+                                 Matrix.from_entries(GF(2), 3, 3, {(2, 2): 1})])
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_spans())
 @example(span_of(GF(3), [Matrix.zeros(GF(3), 2, 3)]))
 @example(span_of(GF(5), [Matrix.identity(GF(5), 3)]))
+@example(skew_span(GF(2)))
+@example(skew_span(GF(3)))
+@example(FLOOR_AT_DIM_1)
 def test_mincov_one_sided_matches_two_sided(span):
     got, (v1, v2) = mincov_exhaustive(span)
     want, (w1, w2) = ref_mincov_two_sided(span)
@@ -343,6 +359,49 @@ def test_mincov_guard_counts_pairs():
     with pytest.raises(ResourceGuardError, match=f"{pairs * pairs} pairs exceeds guard"):
         mincov_exhaustive(span, guard=pairs * pairs - 1)
     assert mincov_exhaustive(span, guard=pairs * pairs)[0] == 3
+
+
+def test_mincov_floor_cuts_the_walk(monkeypatch):
+    # the identity has rank 3 = mincov, so V1 = 0 (W = F^3) ends the search
+    walked = []
+    enumerate_subspaces = tenrank.spans.subspaces
+
+    def counting(field, n, dim):
+        for v in enumerate_subspaces(field, n, dim):
+            walked.append(v)
+            yield v
+
+    monkeypatch.setattr(tenrank.spans, "subspaces", counting)
+    f = GF(2)
+    span = span_of(f, [Matrix.identity(f, 3)])
+    value, (v1, v2) = mincov_exhaustive(span)
+    assert value == 3 and len(walked) == 1
+    assert verify_cover(span, v1, v2)
+
+
+def test_mincov_refuses_before_ranking_generators(monkeypatch):
+    refused = [
+        (span_of(GF(5), [Matrix.identity(GF(5), 4)]), ResourceGuardError),
+        (span_of(QQ, [Matrix.identity(QQ, 2)]), InfiniteFieldError),
+    ]
+    zero = span_of(GF(2), [Matrix.zeros(GF(2), 2, 2)])
+    ranked = []
+    monkeypatch.setattr(tenrank.spans, "rank", lambda m: ranked.append(m) or rank(m))
+    for span, error in refused:
+        with pytest.raises(error):
+            mincov_exhaustive(span, guard=10)
+    assert mincov_exhaustive(zero)[0] == 0
+    assert ranked == []
+
+
+def test_min_cover_stops_only_at_a_total_equal_to_the_floor():
+    # no total below `bound` equals `bound`, so that floor leaves the whole search
+    span = FLOOR_AT_DIM_1
+    f, (n1, n2) = span.field, span.shape
+    columns = [list(zip(*m.data)) for m in span.basis]
+    whole = _min_cover(f, columns, n1, n2, n1 + n2 + 1)
+    assert whole[0] == 2 and whole[1].data == ((0, 0, 1),)
+    assert _min_cover(f, columns, n1, n2, n1 + n2 + 1, floor=n1 + n2 + 1) == whole
 
 
 def test_spans_has_no_assert_statements():
