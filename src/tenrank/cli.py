@@ -29,7 +29,7 @@ from .io import (
 )
 from .laurent import verify_degeneration
 from .spans import max_rank_exhaustive, max_rank_randomized, min_rank_exhaustive, slice_span
-from .tensor import CATALOG, Tensor3, catalog, catalog_dims, catalog_entry, guard_dims
+from .tensor import CATALOG, Tensor3, catalog, catalog_entry, guard_dims
 from . import engine, pivots
 
 DEFAULT_SEED = 2024
@@ -105,6 +105,8 @@ def _parse_orient(text: str) -> Tuple[int, int]:
 
 
 def cmd_maxrank(args) -> int:
+    if args.trials < 0:
+        raise BadParamsError(f"--trials {args.trials} must not be negative")
     t = _read_tensor(args.tensor)
     i, j = _parse_orient(args.orient)
     span = slice_span(t, i, j)
@@ -184,7 +186,6 @@ def cmd_catalog(args) -> int:
         params = [int(x) for x in args.params]
     except ValueError as exc:
         raise ParseError(f"non-integer catalog parameters {args.params}") from exc
-    catalog_dims(args.name, *params)  # name and parameter count, checked for both branches
     if args.expect:
         entry = catalog_entry(args.name, *params)
         lines = [f"dims {entry.dims}", f"flattening_ranks {entry.flattening_ranks}"]

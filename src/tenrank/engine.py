@@ -30,14 +30,13 @@ from .errors import (
 )
 from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _Working, invert, rank, rank_of_rows, rref, solve_all
+from .matrix import (_COL, _ROW, _SLICE, Matrix, _eliminate, _product, _rref_annihilator, _Working, invert, rank,
+                     rank_of_rows, rref, solve_all)
 from .pivots import all_rho, rho_degeneration, sqrt_certificate
 from .spans import (
     MaxRankWitness,
     SliceSpan,
-    _ann_rows,
     _min_cover,
-    _subspace_annihilator,
     combine,
     max_rank_exhaustive,
     max_rank_randomized,
@@ -62,6 +61,12 @@ from .tensor import (
 
 PAIR_GUARD = 300_000
 SLICERANK_GUARD = 2_000_000
+# the tighter guards of `asymptotic_bounds`: map pairs of the subrank oracle,
+# subspace pairs of the slice-rank oracle, projective combinations of each
+# exhaustive max-rank search
+BOUNDS_ORACLE_GUARD = 60_000
+BOUNDS_SLICERANK_GUARD = 300_000
+BOUNDS_SPAN_GUARD = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -142,14 +147,13 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
         _leading_one_rows(q, n2), _leading_one_rows(q, n3), r,
         lambda rows: rank_of_rows(f, rows, len(rows[0])),
     )
+    slice_cols = [list(zip(*s.data)) for s in slices]
     for l2_rows in l2_choices:
-        # L2 S_i as integer rows, once per L2
-        left = [
-            [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*s.data)] for row in l2_rows]
-            for s in slices
-        ]
+        left = [_product(l2_rows, cols, q) for cols in slice_cols]  # L2 S_i, once per L2
         for l3_rows in l3_choices:
-            # vec(L2 S_i L3^T), row-major, one vector per slice
+            # vec(L2 S_i L3^T), row-major, one vector per slice.  Kept as its
+            # own loop: a _product call and a flatten per slice made this loop
+            # about 30% slower, and small GF(3)/GF(5) subrank searches 7-14%.
             vecs = [[sum(a * b for a, b in zip(x, y)) % q for x in m for y in l3_rows] for m in left]
             if _units_in_span(vecs, r, q):
                 l2, l3 = Matrix(f, l2_rows, cols=n2), Matrix(f, l3_rows, cols=n3)
@@ -255,15 +259,15 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     best = min(t.flattening_ranks())
     if best <= 2:
         return best
-    # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _ann_rows call
-    fibers = [list(zip(*t.flattening(1).data))]
+    # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _product call
+    fibers = list(zip(*t.flattening(1).data))
     v2_cache: dict = {}  # the (V2, ann(V2)) pairs, built once for every V1
     for a1 in range(n1 + 1):
         if a1 >= best:
             break
         for v1 in subspaces(f, n1, a1):
             s_cols = [[row[k::n3] for k in range(n3)]
-                      for row in _ann_rows(_subspace_annihilator(v1), fibers, q)]
+                      for row in _product(_rref_annihilator(f, v1.data, n1), fibers, q)]
             cover = _min_cover(f, s_cols, n2, n3, best - a1, v2_cache)
             if cover is not None:
                 best = a1 + cover[0]
@@ -835,9 +839,7 @@ class BoundsReport:
         return "\n".join(parts)
 
 
-def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
-                      slicerank_guard: int = 300_000,
-                      span_guard: int = 2_000_000) -> BoundsReport:
+def asymptotic_bounds(t: Tensor3) -> BoundsReport:
     """Certified interval for the asymptotic subrank with per-bound
     provenance.  Individual bounds that are inapplicable or too expensive
     are skipped with a reason; partial reports are normal."""
@@ -866,7 +868,7 @@ def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
         rd, cd = [x for x in (1, 2, 3) if x != d]
         span = slice_span(t, rd, cd)
         try:
-            v, wit = max_rank_exhaustive(span, guard=span_guard)
+            v, wit = max_rank_exhaustive(span, guard=BOUNDS_SPAN_GUARD)
             q_values[d] = (v, "exhaustive")
             witnesses[d] = wit
         except (InfiniteFieldError, ResourceGuardError) as exc:
@@ -880,14 +882,18 @@ def asymptotic_bounds(t: Tensor3, *, oracle_guard: int = 60_000,
     # r = min(dims) is tried first and has the most map pairs, so the guard
     # refuses a search before it starts; Q raises InfiniteFieldError
     try:
-        subrank_val, cert = subrank_exact(t, guard=oracle_guard)
+        subrank_val, cert = subrank_exact(t, guard=BOUNDS_ORACLE_GUARD)
         candidates.append(Bound(Fraction(subrank_val), 1, "exhaustive subrank search",
                                 "exact-oracle", cert))
-    except (InfiniteFieldError, ResourceGuardError):
+    except InfiniteFieldError:
+        skipped.append("exact subrank oracle: needs a finite field")
+    except ResourceGuardError:
         skipped.append("exact subrank oracle: search space above guard")
     try:
-        slicerank_val = slicerank_exact(t, guard=slicerank_guard)
-    except (InfiniteFieldError, ResourceGuardError):
+        slicerank_val = slicerank_exact(t, guard=BOUNDS_SLICERANK_GUARD)
+    except InfiniteFieldError:
+        skipped.append("exact slice rank oracle: needs a finite field")
+    except ResourceGuardError:
         skipped.append("exact slice rank oracle: search space above guard")
 
     # pivot cover degeneration: rho <= border <= asymptotic

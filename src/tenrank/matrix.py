@@ -134,17 +134,8 @@ class Matrix:
             )
         f = self.field
         bt = list(zip(*other.data)) if other.rows else [()] * other.cols
-        if isinstance(f, PrimeField):
-            p = f.p
-            return Matrix(f, [
-                [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-                for row in self.data
-            ], cols=other.cols)
-        z = f.zero()
-        out = []
-        for row in self.data:
-            out.append([sum((f.mul(a, b) for a, b in zip(row, col)), z) for col in bt])
-        return Matrix(f, out, cols=other.cols)
+        p = f.p if isinstance(f, PrimeField) else None
+        return Matrix(f, _product(self.data, bt, p), cols=other.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product with (outer, inner) lexicographic index order;
@@ -277,6 +268,35 @@ def _combination(field: Field, coeffs: Sequence[Elem], terms: Sequence[Sequence[
     return acc
 
 
+def _product(a_rows: Sequence[Sequence[Elem]], b_cols: Sequence[Sequence[Elem]], p: Optional[int]) -> list:
+    """The rows of a * b, given a's rows and b's columns: residues mod p, or
+    Fractions when p is None.  Over Q each sum starts at Fraction(0), so an
+    empty inner dimension still gives Fraction entries."""
+    if p:
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in b_cols] for row in a_rows]
+    zero = Fraction(0)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in b_cols] for row in a_rows]
+
+
+def _rref_annihilator(f: Field, rows: Sequence[Sequence[Elem]], n: int) -> list:
+    """Rows spanning {y : y . v = 0 for every row v}, for nonzero reduced rows
+    of width n.  A reduced row's pivot is its first nonzero entry, a 1; each
+    free column c gives the row with 1 at c and minus column c of the rows at
+    their pivots."""
+    pivots = [row.index(1) for row in rows]
+    piv = set(pivots)
+    out = []
+    for c in range(n):
+        if c in piv:
+            continue
+        vec = [f.zero()] * n
+        vec[c] = f.one()
+        for row, pc in zip(rows, pivots):
+            vec[pc] = f.neg(row[c])
+        out.append(vec)
+    return out
+
+
 def _work_rows(field: Field, rows: Sequence[Sequence[Elem]], extra=None):
     """Mutable copies of `rows`, each followed by its row of `extra` if given,
     and the modulus to eliminate them with; over Q every entry becomes a
@@ -367,17 +387,9 @@ def invert(m: Matrix) -> Matrix:
 _ROW, _COL, _SLICE = 0, 1, 2
 
 
-def _scaled(x, c, p: Optional[int]):
-    """c * x for a scalar, a vector or a matrix (a list of row lists)."""
-    if type(x) is not list:
-        return c * x % p if p else c * x
-    if x and type(x[0]) is list:
-        return [_scaled(row, c, p) for row in x]
-    return [c * a % p for a in x] if p else [c * a for a in x]
-
-
 def _axpy(x, y, c, p: Optional[int]):
-    """x + c * y for two scalars, vectors or matrices of one shape."""
+    """x + c * y for two scalars, vectors or matrices of one shape: the one
+    arithmetic op of the tracker's row, column and slice operations."""
     if type(x) is not list:
         return (x + c * y) % p if p else x + c * y
     if x and type(x[0]) is list:
@@ -423,8 +435,8 @@ class _Working:
             lst[a], lst[b] = lst[b], lst[a]
 
     def scale(self, axis: int, a: int, c: Elem):
-        for lst in self._along(axis):
-            lst[a] = _scaled(lst[a], c, self.p)
+        # x + (c - 1) x = c x in both fields
+        self.addmul(axis, a, a, c - 1)
 
     def addmul(self, axis: int, dst: int, src: int, c: Elem):
         """Add c times index `src` to index `dst`."""
@@ -442,16 +454,10 @@ class _Working:
 
     def slice_transform(self, coeffs: Sequence[Sequence[Elem]]):
         """Replace slice s by sum_k coeffs[s][k] * slice k."""
-        f, p = self.f, self.p
-        for lst in self._along(_SLICE):
-            new = []
-            for row in coeffs:
-                acc = _scaled(lst[0], f.zero(), p)
-                for c, x in zip(row, lst):
-                    if not f.is_zero(c):
-                        acc = _axpy(acc, x, c, p)
-                new.append(acc)
-            lst[:] = new
+        f, m = self.f, self.maps[_SLICE]
+        terms = [(row,) for row in m]
+        self.slices[:] = [_combination(f, row, self.slices) for row in coeffs]
+        m[:] = [_combination(f, row, terms)[0] for row in coeffs]
 
     def matrices(self, axes: Sequence[int]) -> tuple:
         """The maps of `axes`, in that order, as matrices."""

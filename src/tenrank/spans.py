@@ -25,8 +25,8 @@ from .errors import (
     ZeroSpanError,
 )
 from .fields import Elem, Field, PrimeField
-from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _work_rows, _Working, column_basis,
-                     concat_cols, rank, rank_of_rows, rref, solve)
+from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _product, _rref_annihilator, _work_rows,
+                     _Working, column_basis, concat_cols, rank, rank_of_rows, rref, solve)
 from .tensor import Tensor3
 
 PROJECTIVE_GUARD = 10_000_000
@@ -308,36 +308,8 @@ def subspace_pair_count(q: int, n1: int, n2: int) -> int:
 def _annihilator(basis: Matrix) -> Matrix:
     """Rows spanning {y : y . v = 0 for all v in row span of basis}."""
     res = rref(basis)
-    rows = _rref_annihilator(basis.field, res.rref.data, res.pivot_cols, basis.cols)
+    rows = _rref_annihilator(basis.field, res.rref.data[:res.rank], basis.cols)
     return Matrix(basis.field, rows, cols=basis.cols)
-
-
-def _rref_annihilator(f: Field, rows, pivot_cols, n: int) -> List[list]:
-    """Annihilator rows of the row space of reduced rows with these pivots."""
-    piv = set(pivot_cols)
-    out = []
-    for c in range(n):
-        if c in piv:
-            continue
-        vec = [f.zero()] * n
-        vec[c] = f.one()
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = f.neg(rows[r][c])
-        out.append(vec)
-    return out
-
-
-def _subspace_annihilator(v: Matrix) -> List[list]:
-    """Annihilator rows of a subspace given by the reduced basis `subspaces` yields."""
-    # reduced rows: the first nonzero entry of each is its pivot 1
-    return _rref_annihilator(v.field, v.data, [row.index(1) for row in v.data], v.cols)
-
-
-def _ann_rows(ann, columns, q: int) -> List[list]:
-    """The rows of ann * M mod q, stacked over the matrices M, each given as
-    its list of columns."""
-    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols]
-            for cols in columns for row in ann]
 
 
 def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
@@ -367,11 +339,11 @@ def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Option
             break
         layer = cache.get(a) if cache is not None else None
         if layer is None:
-            layer = ((v, _subspace_annihilator(v)) for v in subspaces(f, n, a))
+            layer = ((v, _rref_annihilator(f, v.data, n)) for v in subspaces(f, n, a))
             if cache is not None:
                 layer = cache[a] = list(layer)
         for v, ann in layer:
-            w = _ann_rows(ann, columns, q)
+            w = [row for cols in columns for row in _product(ann, cols, q)]
             total = a + rank_of_rows(f, w, m)
             if total < bound:
                 bound, best = total, (total, v, w)

@@ -96,17 +96,7 @@ class Tensor3:
 
     def support(self):
         """Sorted list of (i, j, k) positions with nonzero coefficient."""
-        n1, n2, n3 = self.dims
-        z = self.field.zero()
-        out = []
-        idx = 0
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    if self.entries[idx] != z:
-                        out.append((i, j, k))
-                    idx += 1
-        return out
+        return [pos for pos, _ in self.nonzero_items()]
 
     def nonzero_items(self):
         n1, n2, n3 = self.dims
@@ -517,10 +507,24 @@ def concise_reduce(t: Tensor3):
 # -- catalog ------------------------------------------------------------------
 
 
+# name -> (whether the constructor refuses the parameters, its message)
+_REFUSALS = {
+    "unit": (lambda r: r < 0, "unit tensor size must be nonnegative"),
+    "matmul": (lambda a, b, c: min(a, b, c) < 1, "matmul tensor needs positive parameters"),
+    "null_algebra": (lambda n: n < 1, "null_algebra needs n >= 1"),
+    "gen_null_algebra": (lambda n, c: c < 1 or n % c != 0, "gen_null_algebra needs c >= 1 dividing n"),
+    "balanced_pivot": (lambda n: n < 0 or math.isqrt(n) ** 2 != n, "balanced_pivot needs a perfect square n"),
+}
+
+
+def _check_params(name: str, *params: int) -> None:
+    if name in _REFUSALS and _REFUSALS[name][0](*params):
+        raise BadParamsError(_REFUSALS[name][1])
+
+
 def unit(field: Field, r: int) -> Tensor3:
     """The diagonal unit tensor of size r."""
-    if r < 0:
-        raise BadParamsError("unit tensor size must be nonnegative")
+    _check_params("unit", r)
     return Tensor3(field, (r, r, r), {(i, i, i): field.one() for i in range(r)})
 
 
@@ -530,8 +534,7 @@ def matmul_tensor(field: Field, a: int, b: int, c: int) -> Tensor3:
     Legs index the pairs (i,j) in [a]x[b], (j,k) in [b]x[c], (k,i) in [c]x[a],
     each in row-major order.
     """
-    if min(a, b, c) < 1:
-        raise BadParamsError("matmul tensor needs positive parameters")
+    _check_params("matmul", a, b, c)
     ent = {}
     one = field.one()
     for i in range(a):
@@ -543,8 +546,7 @@ def matmul_tensor(field: Field, a: int, b: int, c: int) -> Tensor3:
 
 def null_algebra(field: Field, n: int) -> Tensor3:
     """Tensor with two slice directions of full max-rank and one of max-rank 2."""
-    if n < 1:
-        raise BadParamsError("null_algebra needs n >= 1")
+    _check_params("null_algebra", n)
     one = field.one()
     ent = {(0, 0, 0): one}
     for i in range(1, n):
@@ -559,8 +561,7 @@ def gen_null_algebra(field: Field, n: int, c: int) -> Tensor3:
     The two defining sums overlap in one term, so that entry carries
     coefficient 2 (which vanishes in characteristic 2).
     """
-    if c < 1 or n % c != 0:
-        raise BadParamsError("gen_null_algebra needs c >= 1 dividing n")
+    _check_params("gen_null_algebra", n, c)
     one = field.one()
     ent: Dict[tuple, Elem] = {}
 
@@ -581,9 +582,8 @@ def balanced_pivot(field: Field, n: int) -> Tensor3:
     Built from an injective pair map (f, g) fixed as the identity on the first
     sqrt(n) indices and row-major over the remaining off-diagonal pairs.
     """
+    _check_params("balanced_pivot", n)
     s = math.isqrt(n)
-    if s * s != n:
-        raise BadParamsError("balanced_pivot needs a perfect square n")
     pairs = [(i, i) for i in range(s)]
     for a in range(s):
         for b in range(s):
@@ -628,13 +628,15 @@ CATALOG = {
 
 
 def catalog_dims(name: str, *params: int) -> Tuple[int, int, int]:
-    """Dimensions of the named catalog tensor, after checking the name and
-    the number of parameters."""
+    """Dimensions of the named catalog tensor, after checking the name, the
+    number of parameters and their values, which are refused as the
+    constructor refuses them, without building anything."""
     if name not in CATALOG:
         raise BadParamsError(f"unknown catalog tensor {name!r} (have {sorted(CATALOG)})")
     _, argnames, dims_of = CATALOG[name]
     if len(params) != len(argnames):
         raise BadParamsError(f"{name} expects parameters {argnames}, got {params}")
+    _check_params(name, *params)
     return dims_of(*params)
 
 
@@ -663,7 +665,9 @@ class CatalogEntry:
 
 
 def catalog_entry(name: str, *params: int) -> CatalogEntry:
-    """Expected invariants for a catalog tensor (see CatalogEntry)."""
+    """Expected invariants for a catalog tensor (see CatalogEntry).  The
+    parameters are checked as `catalog_dims` checks them."""
+    catalog_dims(name, *params)
     if name == "unit":
         (r,) = params
         return CatalogEntry(name, params, (r, r, r), (r, r, r),

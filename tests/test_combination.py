@@ -1,6 +1,11 @@
-"""One linear-combination kernel: `matrix._combination`, and `spans.combine`
-built on it, against the per-site loops they replaced, kept here as `ref_*`;
-and `laurent.border_le_qi_extract` over Q against the helpers it used."""
+"""The dense kernels of `tenrank.matrix` against the per-site code they
+replaced, kept here as `ref_*`: the linear-combination kernel
+`matrix._combination` and `spans.combine` built on it; the product kernel
+`matrix._product` behind `Matrix.mul` and the ann(V) * M rows of the cover
+searches; the annihilator kernel `matrix._rref_annihilator`; and the tracker
+`matrix._Working`, whose scale and slice transform now run on `_axpy` and
+`_combination`.  Also `laurent.border_le_qi_extract` over Q against the
+helpers it used."""
 
 import random
 from fractions import Fraction
@@ -10,9 +15,10 @@ from hypothesis import strategies as st
 
 from tenrank.fields import GF, QQ, Field, PrimeField
 from tenrank.laurent import border_le_qi_extract
-from tenrank.matrix import Matrix, _combination, rank
+from tenrank.matrix import (_COL, _ROW, _SLICE, Matrix, _combination, _product, _rref_annihilator, _Working, rank,
+                            rref)
 from tenrank.pivots import rho_degeneration
-from tenrank.spans import SliceSpan, combine, span_of
+from tenrank.spans import SliceSpan, _annihilator, combine, span_of, subspaces
 from tenrank.tensor import Restriction, Tensor3, apply_restriction
 
 _FIELDS = (GF(2), GF(5), GF(11), QQ)
@@ -244,3 +250,231 @@ def test_border_extraction_over_q_matches_refs():
             assert _canonical(QQ, combined.data)
             assert d.claimed_r <= r <= min(t.dims)
         done += 1
+
+
+# -- the product, annihilator and tracker code the kernels replaced --------------------
+
+
+def ref_mul(a: Matrix, b: Matrix) -> Matrix:
+    """`Matrix.mul` with its own GF(p) and Q arms."""
+    f = a.field
+    bt = list(zip(*b.data)) if b.rows else [()] * b.cols
+    if isinstance(f, PrimeField):
+        p = f.p
+        return Matrix(f, [
+            [sum(x * y for x, y in zip(row, col)) % p for col in bt]
+            for row in a.data
+        ], cols=b.cols)
+    z = f.zero()
+    out = []
+    for row in a.data:
+        out.append([sum((f.mul(x, y) for x, y in zip(row, col)), z) for col in bt])
+    return Matrix(f, out, cols=b.cols)
+
+
+def ref_ann_rows(ann, columns, q: int):
+    """The rows of ann * M mod q, stacked over the matrices M, each given as
+    its list of columns."""
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in cols]
+            for cols in columns for row in ann]
+
+
+def ref_rref_annihilator(f: Field, rows, pivot_cols, n: int):
+    """Annihilator rows of the row space of reduced rows with these pivots."""
+    piv = set(pivot_cols)
+    out = []
+    for c in range(n):
+        if c in piv:
+            continue
+        vec = [f.zero()] * n
+        vec[c] = f.one()
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = f.neg(rows[r][c])
+        out.append(vec)
+    return out
+
+
+def ref_subspace_annihilator(v: Matrix):
+    return ref_rref_annihilator(v.field, v.data, [row.index(1) for row in v.data], v.cols)
+
+
+def ref_annihilator(basis: Matrix) -> Matrix:
+    res = rref(basis)
+    rows = ref_rref_annihilator(basis.field, res.rref.data, res.pivot_cols, basis.cols)
+    return Matrix(basis.field, rows, cols=basis.cols)
+
+
+def ref_scaled(x, c, p):
+    """c * x for a scalar, a vector or a matrix (a list of row lists)."""
+    if type(x) is not list:
+        return c * x % p if p else c * x
+    if x and type(x[0]) is list:
+        return [ref_scaled(row, c, p) for row in x]
+    return [c * a % p for a in x] if p else [c * a for a in x]
+
+
+def ref_axpy(x, y, c, p):
+    """x + c * y for two scalars, vectors or matrices of one shape."""
+    if type(x) is not list:
+        return (x + c * y) % p if p else x + c * y
+    if x and type(x[0]) is list:
+        return [ref_axpy(a, b, c, p) for a, b in zip(x, y)]
+    if p:
+        return [(a + c * b) % p for a, b in zip(x, y)]
+    return [a + c * b for a, b in zip(x, y)]
+
+
+class RefWorking(_Working):
+    """The tracker with its own scale, add-multiple and slice transform."""
+
+    def scale(self, axis, a, c):
+        for lst in self._along(axis):
+            lst[a] = ref_scaled(lst[a], c, self.p)
+
+    def addmul(self, axis, dst, src, c):
+        for lst in self._along(axis):
+            lst[dst] = ref_axpy(lst[dst], lst[src], c, self.p)
+
+    def slice_transform(self, coeffs):
+        f, p = self.f, self.p
+        for lst in self._along(_SLICE):
+            new = []
+            for row in coeffs:
+                acc = ref_scaled(lst[0], f.zero(), p)
+                for c, x in zip(row, lst):
+                    if not f.is_zero(c):
+                        acc = ref_axpy(acc, x, c, p)
+                new.append(acc)
+            lst[:] = new
+
+
+_KERNEL_FIELDS = (GF(2), GF(7), GF(2**31 - 1), QQ)
+
+
+def _kernel_values(f):
+    """Canonical values, zero weighted up; over Q also plain ints, which a
+    Matrix built without normalizing can hold."""
+    if isinstance(f, PrimeField):
+        return st.one_of(st.just(0), st.just(f.p - 1), st.integers(0, f.p - 1))
+    return st.one_of(st.just(Fraction(0)), _values(f), st.integers(-3, 3))
+
+
+def _matrix(draw, f, rows, cols, values=None):
+    values = _kernel_values(f) if values is None else values
+    data = [[draw(values) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(f, data, cols=cols)
+
+
+# -- product ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_matches_ref_mul(data):
+    f = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    n, k, m = (data.draw(st.integers(0, 3)) for _ in range(3))
+    a = _matrix(data.draw, f, n, k)
+    b = _matrix(data.draw, f, k, m)
+    want = ref_mul(a, b)
+    got = a.mul(b)
+    assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    assert _typed(got.data) == _typed(want.data)
+    p = f.p if isinstance(f, PrimeField) else None
+    b_cols = list(zip(*b.data)) if k else [()] * m
+    assert _typed(_product(a.data, b_cols, p)) == _typed(want.data)
+
+
+def test_product_over_an_empty_inner_dimension():
+    for f in _KERNEL_FIELDS:
+        zeros = _typed([[f.zero()] * 3] * 2)
+        a, b = Matrix(f, [[], []], cols=0), Matrix(f, [], cols=3)
+        assert _typed(a.mul(b).data) == _typed(ref_mul(a, b).data) == zeros
+        p = f.p if isinstance(f, PrimeField) else None
+        assert _typed(_product([(), ()], [(), (), ()], p)) == zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_products_match_ref_ann_rows(data):
+    f = data.draw(st.sampled_from(_KERNEL_FIELDS[:3]))
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    ann = _matrix(data.draw, f, data.draw(st.integers(0, n)), n).data
+    columns = [list(zip(*_matrix(data.draw, f, n, m).data)) for _ in range(data.draw(st.integers(1, 3)))]
+    got = [row for cols in columns for row in _product(ann, cols, f.p)]
+    assert _typed(got) == _typed(ref_ann_rows(ann, columns, f.p))
+
+
+# -- annihilator -----------------------------------------------------------------------
+
+
+def test_subspace_annihilators_match_ref():
+    for f, n in ((GF(2), 4), (GF(7), 3)):
+        for dim in range(n + 1):
+            for v in subspaces(f, n, dim):
+                assert _typed(_rref_annihilator(f, v.data, n)) == _typed(ref_subspace_annihilator(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_annihilator_matches_ref(data):
+    f = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    n = data.draw(st.integers(1, 4))
+    basis = _matrix(data.draw, f, data.draw(st.integers(0, 4)), n)
+    want = ref_annihilator(basis)
+    got = _annihilator(basis)
+    assert got == want and _typed(got.data) == _typed(want.data)
+    res = rref(basis)
+    reduced = res.rref.data[:res.rank]
+    assert _typed(_rref_annihilator(f, reduced, n)) == _typed(
+        ref_rref_annihilator(f, res.rref.data, res.pivot_cols, n))
+    # every annihilator row is orthogonal to the basis
+    assert all(f.is_zero(sum((x * y for x, y in zip(row, v)), f.zero())) for row in got.data for v in basis.data)
+
+
+# -- tracker ---------------------------------------------------------------------------
+
+
+def _same_tracker(w, ref):
+    assert _typed(w.maps[_ROW]) == _typed(ref.maps[_ROW])
+    assert _typed(w.maps[_COL]) == _typed(ref.maps[_COL])
+    assert _typed(w.maps[_SLICE]) == _typed(ref.maps[_SLICE])
+    assert len(w.slices) == len(ref.slices)
+    for got, want in zip(w.slices, ref.slices):
+        assert _typed(got) == _typed(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tracker_matches_ref_tracker(data):
+    f = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    values = _kernel_values(f)
+    n_rows, n_cols, n_mats = (data.draw(st.integers(1, 3)) for _ in range(3))
+    mats = [_matrix(data.draw, f, n_rows, n_cols, values) for _ in range(n_mats)]
+    slice_map = None
+    if data.draw(st.booleans()):
+        slice_map = _matrix(data.draw, f, data.draw(st.integers(1, 3)), n_mats, values).data
+    w, ref = _Working(f, mats, slice_map), RefWorking(f, mats, slice_map)
+    _same_tracker(w, ref)
+    for _ in range(data.draw(st.integers(1, 10))):
+        axis = data.draw(st.sampled_from([_ROW, _COL, _SLICE]))
+        size = len(w.maps[axis])
+        index = st.integers(0, size - 1)
+        op = data.draw(st.sampled_from(["swap", "scale", "addmul", "delete", "take", "transform"]))
+        if op == "swap":
+            args = (axis, data.draw(index), data.draw(index))
+        elif op == "scale":
+            args = (axis, data.draw(index), data.draw(values))
+        elif op == "addmul":
+            args = (axis, data.draw(index), data.draw(index), data.draw(values))
+        elif op == "delete" and size > 1:
+            args = (axis, data.draw(index))
+        elif op == "take":
+            args = (axis, data.draw(st.lists(index, min_size=1, max_size=size, unique=True)))
+        elif op == "transform":
+            args = (_matrix(data.draw, f, data.draw(st.integers(1, 3)), len(w.slices), values).data,)
+        else:
+            continue
+        name = "slice_transform" if op == "transform" else op
+        getattr(w, name)(*args)
+        getattr(ref, name)(*args)
+        _same_tracker(w, ref)

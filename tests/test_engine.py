@@ -903,8 +903,10 @@ def _seeded_tensor(field, dims, seed):
 
 # tensor, whether the subrank and slice-rank oracles run, and the sha256 of
 # to_kv and to_text, recorded before `bounds` asked the oracles themselves
-# whether a search fits its guard (oracle_guard 60,000 map pairs at
-# r = min(dims), slicerank_guard 300,000 subspace pairs)
+# whether a search fits its guard (BOUNDS_ORACLE_GUARD 60,000 map pairs at
+# r = min(dims), BOUNDS_SLICERANK_GUARD 300,000 subspace pairs); q_2x2x2's
+# to_text was re-recorded when its skip lines came to name the field instead
+# of the guard
 BOUNDS_AT_THE_GUARDS = {
     # 29,952 map pairs: the subrank oracle runs
     "gf3_2x2x3": (lambda: _seeded_tensor(GF(3), (2, 2, 3), 1), True, True,
@@ -922,7 +924,7 @@ BOUNDS_AT_THE_GUARDS = {
     "q_2x2x2": (lambda: Tensor3(QQ, (2, 2, 2), {(0, 0, 0): 1, (0, 1, 1): Fraction(1, 2),
                                                 (1, 0, 1): -3, (1, 1, 0): 2}), False, False,
                 "85bdd9a7fee5aef3e67a57f8e7536f25abecf8d5e2a9472e515189067cb7e30e",
-                "dbf94c5f298c709d07f8ad890e354e654f5d557b78d8b4ea42b67ebe6c5a1564"),
+                "27d34a9ca1645de258140fdb849164710bf9c4cb2b27ec9736fde6d9f5a64135"),
     # 71,680 subspace pairs: slice rank runs
     "gf5_4x3x2": (lambda: _seeded_tensor(GF(5), (4, 3, 2), 5), False, True,
                   "f90573a13024910b44b1156a0d94c0656a43adc3c2f1c8963a3ce691aa8b5230",

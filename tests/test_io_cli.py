@@ -23,7 +23,7 @@ from tenrank.io import (
 )
 from tenrank.laurent import verify_degeneration
 from tenrank.pivots import rho_degeneration
-from tenrank.tensor import Tensor3, guard_dims, null_algebra, power_dims, unit, w_tensor
+from tenrank.tensor import Tensor3, catalog_entry, guard_dims, null_algebra, power_dims, unit, w_tensor
 
 
 def rand_tensor(field, dims, rng):
@@ -412,6 +412,44 @@ def test_cli_catalog_expect_does_not_build(capsys):
     assert "dims (257, 257, 257)" in capsys.readouterr().out
     assert run_cli("catalog", "unit", "--expect") == 1
     assert "expects parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, message", [
+    (("null_algebra", "0"), "null_algebra needs n >= 1"),
+    (("balanced_pivot", "3"), "balanced_pivot needs a perfect square n"),
+    (("balanced_pivot", "-1"), "balanced_pivot needs a perfect square n"),
+    (("gen_null_algebra", "4", "3"), "gen_null_algebra needs c >= 1 dividing n"),
+    (("matmul", "0", "1", "1"), "matmul tensor needs positive parameters"),
+    (("unit", "-1"), "unit tensor size must be nonnegative"),
+])
+def test_cli_catalog_refuses_what_building_refuses(params, message, capsys):
+    """`--expect` builds nothing, but refuses the parameters that building
+    the tensor refuses, with the same error."""
+    for extra in ((), ("--expect",)):
+        assert run_cli("catalog", *params, *extra) == 1
+        assert capsys.readouterr().err == f"error: BadParamsError: {message}\n"
+    with pytest.raises(BadParamsError, match=f"^{message}$"):
+        catalog_entry(params[0], *map(int, params[1:]))
+
+
+def test_cli_maxrank_refuses_negative_trials(tmp_path, capsys):
+    tpath = tmp_path / "w.tensor"
+    tpath.write_text(serialize_tensor(w_tensor(GF(3))))
+    assert run_cli("maxrank", str(tpath), "--trials", "-3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials -3 must not be negative" in captured.err
+    assert run_cli("maxrank", str(tpath), "--trials", "2") == 0
+    assert capsys.readouterr().out == "maxrank 2 (randomized lower bound (2 trials))\n"
+
+
+def test_cli_bounds_names_the_field_as_the_oracles_skip_reason(tmp_path, capsys):
+    tpath = tmp_path / "w.tensor"
+    tpath.write_text(serialize_tensor(w_tensor(QQ)))
+    assert run_cli("bounds", str(tpath)) == 0
+    out = capsys.readouterr().out
+    assert "skipped: exact subrank oracle: needs a finite field" in out
+    assert "skipped: exact slice rank oracle: needs a finite field" in out
+    assert "search space above guard" not in out
 
 
 def test_claimed_r_beyond_the_dims_fails_before_building(tmp_path, capsys):
