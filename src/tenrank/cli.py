@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import (
     BadParamsError,
     FieldTooSmallError,
+    InfiniteFieldError,
     ParseError,
     ResourceGuardError,
     TenrankError,
@@ -242,7 +243,7 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
     on the value.
     """
     if not isinstance(field, PrimeField):
-        raise ResourceGuardError("scan needs a prime field")
+        raise InfiniteFieldError("scan needs a finite field")
     if offset < 0 or (limit is not None and limit < 0):
         raise BadParamsError(f"scan offset {offset} and limit {limit} must not be negative")
     guard_dims(dims, "scan format")

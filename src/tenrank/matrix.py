@@ -8,6 +8,8 @@ out of the zero tensor).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -138,19 +140,8 @@ class Matrix:
         return Matrix(f, _product(self.data, bt, p), cols=other.cols)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product with (outer, inner) lexicographic index order;
-        a zero entry of the outer factor gives a block of zeros unmultiplied."""
-        self._check(other)
-        f = self.field
-        zeros = (f.zero(),) * other.cols
-        out = []
-        for ra in self.data:
-            for rb in other.data:
-                row = []
-                for a in ra:
-                    row.extend(zeros if f.is_zero(a) else [f.mul(a, b) for b in rb])
-                out.append(row)
-        return Matrix(f, out, cols=self.cols * other.cols)
+        """Kronecker product with (outer, inner) lexicographic index order."""
+        return _kron_rows([self, other])
 
     # -- extraction ---------------------------------------------------------
 
@@ -276,6 +267,29 @@ def _product(a_rows: Sequence[Sequence[Elem]], b_cols: Sequence[Sequence[Elem]],
         return [[sum(x * y for x, y in zip(row, col)) % p for col in b_cols] for row in a_rows]
     zero = Fraction(0)
     return [[sum((x * y for x, y in zip(row, col)), zero) for col in b_cols] for row in a_rows]
+
+
+def _kron_rows(factors: Sequence[Matrix], rows: Optional[Iterable[Sequence[int]]] = None) -> Matrix:
+    """The Kronecker product of `factors`, in kron's (outer, inner) index
+    order, or only the rows named by `rows`, in that order: one tuple per
+    output row, with one row index per factor.  A zero entry of the product
+    so far gives a block of zeros unmultiplied."""
+    f = factors[0].field
+    if any(m.field != f for m in factors):
+        raise MixedFieldsError("matrices over different fields")
+    if rows is None:
+        rows = itertools.product(*(range(m.rows) for m in factors))
+    out = []
+    for idx in rows:
+        row = factors[0].data[idx[0]]
+        for m, i in zip(factors[1:], idx[1:]):
+            inner, zeros = m.data[i], (f.zero(),) * m.cols
+            acc = []
+            for a in row:
+                acc.extend(zeros if f.is_zero(a) else [f.mul(a, b) for b in inner])
+            row = acc
+        out.append(row)
+    return Matrix(f, out, cols=math.prod(m.cols for m in factors))
 
 
 def _rref_annihilator(f: Field, rows: Sequence[Sequence[Elem]], n: int) -> list:

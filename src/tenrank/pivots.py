@@ -19,7 +19,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .laurent import Degeneration, LaurentMatrix, verify_degeneration
-from .matrix import _COL, _ROW, _SLICE, Matrix, _Working, rref
+from .matrix import _COL, _ROW, _SLICE, Matrix, _kron_rows, _Working, rref
 from .spans import SliceSpan, _max_matching, max_rank_exhaustive, slice_span
 from .tensor import Tensor3
 
@@ -325,18 +325,13 @@ def sqrt_certificate(t: Tensor3) -> Degeneration:
 
     # leg projections of T_A (x) T_B onto the paired coordinates:
     #   leg 1 keeps (l, f_a[l]), leg 2 keeps (f_b[v], g_b[v]), leg 3 keeps (g_a[w], w)
-    def selector(pairs: List[Tuple[int, int]]) -> Matrix:
-        ent = {(a, pa * n + pb): f.one() for a, (pa, pb) in enumerate(pairs)}
-        return Matrix.from_entries(f, n, n * n, ent)
-
-    p1 = selector([(l, f_a[l]) for l in range(n)])
-    p2 = selector([(f_b[v], g_b[v]) for v in range(n)])
-    p3 = selector([(g_a[w], w) for w in range(n)])
-
     ident = Matrix.identity(f, n)
-    leg1 = LaurentMatrix.from_matrix(p1.mul(g.kron(ident))).scale_rows([-(f_a[l] + 1) for l in range(n)])
+    p1 = _kron_rows([g, ident], [(l, f_a[l]) for l in range(n)])
+    p2 = _kron_rows([ident, ident], [(f_b[v], g_b[v]) for v in range(n)])
+    p3 = _kron_rows([ident, h], [(g_a[w], w) for w in range(n)])
+    leg1 = LaurentMatrix.from_matrix(p1).scale_rows([-(f_a[l] + 1) for l in range(n)])
     leg2 = LaurentMatrix.from_matrix(p2).scale_rows([f_b[v] + 1 for v in range(n)])
-    leg3 = LaurentMatrix.from_matrix(p3.mul(ident.kron(h)))
+    leg3 = LaurentMatrix.from_matrix(p3)
     d = Degeneration((leg1, leg2, leg3), claimed_r=n, power=2)
     check = verify_degeneration(d, t, power=2, explain=True)
     if not check.ok:

@@ -25,8 +25,8 @@ from .errors import (
     ZeroSpanError,
 )
 from .fields import Elem, Field, PrimeField
-from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _product, _rref_annihilator, _work_rows,
-                     _Working, column_basis, concat_cols, rank, rank_of_rows, rref, solve)
+from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _kron_rows, _product, _rref_annihilator,
+                     _work_rows, _Working, column_basis, concat_cols, rank, rank_of_rows, rref, solve)
 from .tensor import Tensor3
 
 PROJECTIVE_GUARD = 10_000_000
@@ -243,6 +243,8 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
     support, which no element's rank exceeds; the witness is the first trial
     attaining the best value, the one all `trials` trials return.
     """
+    if trials < 1:
+        raise BadParamsError(f"randomized max-rank needs trials >= 1, have {trials}")
     f = span.field
     rng = random.Random(seed)
     n = len(span.basis)
@@ -250,7 +252,7 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
     best = 0
     best_coeffs = tuple([f.zero()] * n)
     upper = _term_rank(span)
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         if isinstance(f, PrimeField):
             coeffs = tuple(rng.randrange(f.p) for _ in range(n))
         else:
@@ -944,12 +946,8 @@ def mixed_kron_set(b_mats: Sequence[Matrix], c_mats: Sequence[Matrix], m: int, l
         )
     out = []
     for combo in itertools.product(range(c), repeat=m):
-        if sum(1 for i in combo if i < b) < l:
-            continue
-        acc = all_mats[combo[0]]
-        for i in combo[1:]:
-            acc = acc.kron(all_mats[i])
-        out.append(acc)
+        if sum(1 for i in combo if i < b) >= l:
+            out.append(_kron_rows([all_mats[i] for i in combo]))
     if len(out) != count:
         raise VerificationFailedError("mixed kron count mismatch")  # pragma: no cover
     return out

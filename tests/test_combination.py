@@ -4,22 +4,30 @@ replaced, kept here as `ref_*`: the linear-combination kernel
 `matrix._product` behind `Matrix.mul` and the ann(V) * M rows of the cover
 searches; the annihilator kernel `matrix._rref_annihilator`; and the tracker
 `matrix._Working`, whose scale and slice transform now run on `_axpy` and
-`_combination`.  Also `laurent.border_le_qi_extract` over Q against the
-helpers it used."""
+`_combination`; and the Kronecker kernel `matrix._kron_rows`, against
+`Matrix.kron`'s own loop and the 0/1 selector products of the sqrt
+certificate, with a corpus of the certificates built on it pinned.  Also
+`laurent.border_le_qi_extract` over Q against the helpers it used."""
 
+import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tenrank.engine import _narrow_certificate_inner, mamu_cube, narrow_certificate, two_direction_square
+from tenrank.errors import MixedFieldsError, TenrankError
 from tenrank.fields import GF, QQ, Field, PrimeField
+from tenrank.io import serialize_certificate
 from tenrank.laurent import border_le_qi_extract
-from tenrank.matrix import (_COL, _ROW, _SLICE, Matrix, _combination, _product, _rref_annihilator, _Working, rank,
-                            rref)
-from tenrank.pivots import rho_degeneration
-from tenrank.spans import SliceSpan, _annihilator, combine, span_of, subspaces
-from tenrank.tensor import Restriction, Tensor3, apply_restriction
+from tenrank.matrix import (_COL, _ROW, _SLICE, Matrix, _combination, _kron_rows, _product, _rref_annihilator,
+                            _Working, rank, rref)
+from tenrank.pivots import rho_degeneration, sqrt_certificate
+from tenrank.spans import (SliceSpan, _annihilator, combine, max_rank_randomized, mixed_kron_set, slice_span, span_of,
+                           subspaces)
+from tenrank.tensor import Restriction, Tensor3, apply_restriction, balanced_pivot, unit
 
 _FIELDS = (GF(2), GF(5), GF(11), QQ)
 
@@ -478,3 +486,182 @@ def test_tracker_matches_ref_tracker(data):
         getattr(w, name)(*args)
         getattr(ref, name)(*args)
         _same_tracker(w, ref)
+
+
+# -- Kronecker products ----------------------------------------------------------------
+
+
+def ref_kron(a: Matrix, b: Matrix) -> Matrix:
+    """`Matrix.kron` with its own loop: (outer, inner) index order, and a zero
+    outer entry gives a block of zeros unmultiplied."""
+    a._check(b)
+    f = a.field
+    zeros = (f.zero(),) * b.cols
+    out = []
+    for ra in a.data:
+        for rb in b.data:
+            row = []
+            for x in ra:
+                row.extend(zeros if f.is_zero(x) else [f.mul(x, y) for y in rb])
+            out.append(row)
+    return Matrix(f, out, cols=a.cols * b.cols)
+
+
+def ref_kron_rows(factors, rows=None) -> Matrix:
+    """`ref_kron` folded from the left, then the rows (i_1, ..., i_k) picked by
+    their flat index, as the square and the cube picked theirs."""
+    acc = factors[0]
+    for m in factors[1:]:
+        acc = ref_kron(acc, m)
+    if rows is None:
+        return acc
+    flat = []
+    for idx in rows:
+        i = 0
+        for m, j in zip(factors, idx):
+            i = i * m.rows + j
+        flat.append(i)
+    return acc.submatrix(flat, range(acc.cols))
+
+
+def ref_selector(f: Field, pairs, n: int) -> Matrix:
+    """The 0/1 matrix of the sqrt certificate that picks the rows (pa, pb) of
+    a Kronecker product of two n-row factors."""
+    ent = {(a, pa * n + pb): f.one() for a, (pa, pb) in enumerate(pairs)}
+    return Matrix.from_entries(f, len(pairs), n * n, ent)
+
+
+@st.composite
+def kron_cases(draw):
+    """(factors, rows): one to three factors over one field, with zero rows,
+    zero columns, zero entries and all-zero factors, and either every row or
+    arbitrary row tuples, repeats and any order included."""
+    f = draw(st.sampled_from(_KERNEL_FIELDS))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if draw(st.integers(0, 5)) == 0:
+            factors.append(Matrix.zeros(f, rows, cols))
+            continue
+        data = _matrix(draw, f, rows, cols).data
+        factors.append(Matrix(f, [(f.zero(),) * cols if draw(st.integers(0, 3)) == 0 else row for row in data],
+                              cols=cols))
+    rows = None
+    if all(m.rows for m in factors) and draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(*(st.integers(0, m.rows - 1) for m in factors)), max_size=6))
+    return factors, rows
+
+
+_A, _B, _C = (Matrix(GF(7), data) for data in ([[1, 2], [0, 3]], [[4, 5, 6]], [[1, 0], [2, 3], [0, 6]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kron_cases())
+@example(([_A, _B], None))
+@example(([_A, _B, _C], [(1, 0, 2), (0, 0, 1), (1, 0, 0)]))
+def test_kron_rows_match_ref_kron(case):
+    factors, rows = case
+    want = ref_kron_rows(factors, rows)
+    got = _kron_rows(factors, rows)
+    assert got == want and (got.rows, got.cols) == (want.rows, want.cols)
+    assert _typed(got.data) == _typed(want.data)
+    if len(factors) == 2 and rows is None:
+        assert _typed(factors[0].kron(factors[1]).data) == _typed(want.data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_paired_rows_match_ref_selector_product(data):
+    f = data.draw(st.sampled_from(_KERNEL_FIELDS))
+    n = data.draw(st.integers(1, 4))
+    a, b = (_matrix(data.draw, f, n, data.draw(st.integers(1, 4)), _values(f)) for _ in range(2))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n + 1))
+    want = ref_selector(f, pairs, n).mul(ref_kron(a, b))
+    got = _kron_rows([a, b], pairs)
+    assert got == want and _typed(got.data) == _typed(want.data)
+
+
+def test_kron_rows_refuse_mixed_fields():
+    with pytest.raises(MixedFieldsError):
+        _kron_rows([Matrix.identity(GF(5), 2), Matrix.identity(GF(5), 1), Matrix.identity(GF(7), 2)])
+
+
+def _elem(f, rng):
+    """A random field value, zero about a third of the time."""
+    if rng.random() < 0.3:
+        return f.zero()
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if f is QQ else rng.randrange(f.p)
+
+
+def _maps_text(maps) -> str:
+    return "|".join(f"{m.cols}:" + ";".join(" ".join(map(repr, row)) for row in m.data) for m in maps)
+
+
+def _degeneration_text(d) -> str:
+    return "|".join(f"{m.rows}x{m.cols}:{sorted(m.entries.items())!r}" for m in d.maps)
+
+
+def kron_corpus():
+    """Text lines of every Kronecker-built map in the corpus, one per case:
+    square, cube, sqrt and narrow certificates, mixed Kronecker sets and
+    `Matrix.kron`, each entry by its repr, so a changed value or element type
+    shows; a refusal is recorded with its class and message."""
+    out = []
+
+    def record(tag, fn):
+        try:
+            out.append(f"{tag} {fn()}")
+        except TenrankError as exc:
+            out.append(f"{tag} error {type(exc).__name__}: {exc}")
+
+    rng = random.Random(19)
+    for f in (GF(2), GF(3), GF(11), QQ):
+        for k in range(6):
+            dims = tuple(rng.randint(2, 3) for _ in range(3))
+            t = Tensor3(f, dims, [_elem(f, rng) for _ in range(dims[0] * dims[1] * dims[2])])
+            wits = [max_rank_randomized(slice_span(t, *[x for x in (1, 2, 3) if x != d]), 8, seed=k + d)[1]
+                    for d in (1, 2, 3)]
+            for i, j in ((1, 2), (1, 3), (2, 3)):
+                record(f"square {f.tag} {k} {i}{j}",
+                       lambda: _maps_text(two_direction_square(t, i, j, wits[i - 1], wits[j - 1]).restriction.maps))
+            record(f"cube {f.tag} {k}", lambda: _maps_text(mamu_cube(t, *wits)[0].maps))
+            n = rng.randint(2, 4)
+            c = Tensor3(f, (n, n, n), [_elem(f, rng) for _ in range(n ** 3)])
+            record(f"sqrt {f.tag} {k}", lambda: _degeneration_text(sqrt_certificate(c)))
+    for n in (2, 3, 4, 5):
+        record(f"sqrt unit {n}", lambda: _degeneration_text(sqrt_certificate(unit(GF(5), n))))
+    for f, n in ((GF(7), 4), (GF(11), 9)):
+        record(f"sqrt balanced_pivot {f.tag} {n}",
+               lambda: serialize_certificate(sqrt_certificate(balanced_pivot(f, n)), f))
+    for f in (GF(3), QQ):
+        t = Tensor3(f, (2, 3, 1), {(1, 2, 0): f.normalize(2)})
+        for m in (1, 2, 3, 4):
+            record(f"narrow c1 {f.tag} {m}", lambda: _maps_text(narrow_certificate(t, m).restriction.maps))
+    for k in range(3):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        ent = {(i, i, 0): 1 for i in range(8)}
+        for i in range(8):
+            ent[(i, perm[i], 1)] = ent.get((i, perm[i], 1), 0) + rng.randrange(1, 7)
+        t = Tensor3(GF(7), (8, 8, 2), ent)
+        for m, ell in ((2, 1), (2, 2)):
+            record(f"narrow inner {k} {m} {ell}",
+                   lambda: _maps_text(_narrow_certificate_inner(t, m, ell, 1 << 24).restriction.maps))
+    for f in (GF(3), QQ):
+        mats = [Matrix(f, [[_elem(f, rng) for _ in range(2)] for _ in range(2)]) for _ in range(3)]
+        for m, ell in ((1, 1), (2, 1), (3, 2)):
+            record(f"mixed {f.tag} {m} {ell}", lambda: _maps_text(mixed_kron_set(mats[:2], mats[2:], m, ell)))
+        a, b = mats[0], Matrix(f, [[_elem(f, rng) for _ in range(3)]])
+        record(f"kron {f.tag}", lambda: _maps_text([a.kron(b), b.kron(a)]))
+    return out
+
+
+# sha256 of `kron_corpus()`, recorded before every Kronecker product of maps
+# moved onto `matrix._kron_rows`
+KRON_CORPUS_SHA256 = "d124c58236c6dc7e172ce70c0a006c95fdff2e2a8d0ee4e7844b9bc8834be71f"
+
+
+def test_kron_corpus_is_pinned():
+    lines = kron_corpus()
+    assert len(lines) == 148 and sum(" error " in line for line in lines) == 22
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KRON_CORPUS_SHA256

@@ -20,12 +20,14 @@ from tenrank.errors import (
     NotConciseError,
     PreconditionFailedError,
     ResourceGuardError,
+    VerificationFailedError,
 )
 from tenrank.fields import GF, QQ
 from tenrank import _gf2
 from tenrank.engine import (
     PAIR_GUARD,
     _count_full_rank,
+    _narrow_certificate_inner,
     _unit_restriction_generic,
     asymptotic_bounds,
     compute_n_threshold,
@@ -830,6 +832,49 @@ def test_narrow_certificate_guards():
     if wide.is_concise():
         with pytest.raises(BelowThresholdError):
             narrow_certificate(wide, 16)
+
+
+
+# sha256 of `_narrow_inner_outcomes()`, recorded before the composition's
+# Kronecker maps moved onto `matrix._kron_rows`
+NARROW_INNER_SHA256 = "1dd8b15ea878c7cfbbcf8091b2ff9f30f976ed7ca69750e7a9949b1b209aef3e"
+
+
+def _narrow_inner_outcomes():
+    """The narrow composition on criterion 10's (8, 8, 2)/GF(7) tensors, a
+    permutation plus the diagonal: no input to `narrow_certificate` reaches
+    it below the entry guard, so it is called directly.  One line per tensor
+    and (m, l): the certificate's size, power, check and maps, or the refusal."""
+    rng = random.Random(1010)
+    out = []
+    for k in range(6):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        ent = {(i, i, 0): 1 for i in range(8)}
+        for i in range(8):
+            ent[(i, perm[i], 1)] = ent.get((i, perm[i], 1), 0) + rng.randrange(1, 7)
+        t = Tensor3(GF(7), (8, 8, 2), ent)
+        for m, ell in ((2, 1), (2, 2)):
+            try:
+                cert = _narrow_certificate_inner(t, m, ell, 1 << 24)
+            except VerificationFailedError as exc:
+                out.append((k, m, ell, "refused", str(exc)))
+                continue
+            maps = "|".join(";".join(" ".join(map(repr, row)) for row in x.data) for x in cert.restriction.maps)
+            out.append((k, m, ell, cert.r, cert.power, cert.verify(t), maps))
+    return out
+
+
+def test_narrow_composition_is_pinned():
+    out = _narrow_inner_outcomes()
+    for k, m, ell, *rest in out:
+        if ell == 1:
+            assert rest[0] in (3, 4) and rest[1:3] == [2, True]
+        else:
+            assert rest[:3] == [4, 2, True] or rest == ["refused", "|Y| = 1 below 2"]
+    assert {k for k, m, ell, r, *_ in out if ell == 2 and r == 4} == {5}
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == NARROW_INNER_SHA256
 
 
 # -- bounds aggregation ---------------------------------------------------------------

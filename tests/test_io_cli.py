@@ -277,6 +277,13 @@ def test_guard_below_one_is_rejected(guard, tmp_path, capsys):
     assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:3", "--guard", "1") == 3
 
 
+
+def test_scan_over_q_names_the_infinite_field(capsys):
+    assert run_cli("scan", "--dims", "1,1,1", "--field", "q") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: InfiniteFieldError: scan needs a finite field\n"
+
 def test_scan_has_no_workers_flag(capsys):
     with pytest.raises(SystemExit):
         run_cli("scan", "--dims", "2,2,1", "--field", "gf:2", "--workers", "2")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import tenrank._batch
 import tenrank.spans
 from tenrank._batch import MAX_BATCH_PRIME, projective_count, projective_vectors
+from tenrank.errors import BadParamsError
 from tenrank.fields import GF, QQ, PrimeField
 from tenrank.matrix import Matrix, _combination, rank
 from tenrank.spans import (
@@ -199,6 +200,14 @@ def test_exhaustive_matches_search_without_stop_large_spans(span):
 def test_randomized_matches_search_without_stop(span, trials, seed):
     check_randomized(span, trials, seed)
 
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_randomized_refuses_fewer_than_one_trial(trials):
+    """No trial is no lower bound: the CLI refuses a negative --trials, and
+    the library refuses trials < 1 rather than running one trial anyway."""
+    with pytest.raises(BadParamsError, match=f"trials >= 1, have {trials}"):
+        max_rank_randomized(span_of(GF(3), [Matrix.identity(GF(3), 2)]), trials)
 
 @pytest.fixture
 def ranked(monkeypatch):
