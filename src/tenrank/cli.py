@@ -209,12 +209,7 @@ def cmd_catalog(args) -> int:
 
 
 def _scan_one(word: int, dims, field) -> Tuple[int, int, Tuple[int, int, int], bool]:
-    from . import _gf2
-
-    if isinstance(field, PrimeField) and field.p == 2:
-        t = Tensor3(field, dims, _gf2.unpack_entries(word, dims))
-    else:
-        t = _tensor_from_index(word, dims, field)
+    t = _tensor_from_index(word, dims, field)
     ranks = t.flattening_ranks()  # kept on t, so the oracles below reuse it
     q_val, _ = engine.subrank_exact(t)
     sr_val = engine.slicerank_exact(t)

@@ -217,10 +217,7 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     pairs; the packed path checks no guard.
     """
     if t.is_zero():
-        return 0, SubrankCertificate(
-            "restriction", 0, 1,
-            restriction=Restriction(tuple(Matrix.zeros(t.field, 0, n) for n in t.dims)),
-        )
+        return 0, SubrankCertificate("restriction", 0, 1, restriction=exists_unit_restriction(t, 0))
     for r in range(min(t.dims), 0, -1):
         res = exists_unit_restriction(t, r, guard=guard)
         if res is not None:
@@ -531,24 +528,12 @@ def _c2_case_full_rank(w: _Working, r: int):
 # -- matmul-form witnesses and Kronecker-square/cube compositions ------------------
 
 
-_MATMUL_FORM_DIMS = {
-    1: lambda r: (1, r, r),
-    2: lambda r: (r, 1, r),
-    3: lambda r: (r, r, 1),
-}
-
-
 def _matmul_form_tensor(field: Field, direction: int, r: int) -> Tensor3:
-    ent = {}
-    one = field.one()
-    for k in range(r):
-        if direction == 1:
-            ent[(0, k, k)] = one
-        elif direction == 2:
-            ent[(k, 0, k)] = one
-        else:
-            ent[(k, k, 0)] = one
-    return Tensor3(field, _MATMUL_FORM_DIMS[direction](r), ent)
+    """The rank-r matmul form: dims (r, r, r) with 1 in `direction`, and the
+    entries (k, k) on the other two legs."""
+    legs = (1, 2, 3)
+    return Tensor3(field, tuple(1 if d == direction else r for d in legs),
+                   {tuple(0 if d == direction else k for d in legs): field.one() for k in range(r)})
 
 
 def matmul_form_restriction(t: Tensor3, direction: int, witness: MaxRankWitness,

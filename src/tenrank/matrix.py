@@ -118,6 +118,8 @@ class Matrix:
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._check(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatchError("matrix subtraction shape mismatch")
         f = self.field
         return Matrix(f, [
             [f.sub(a, b) for a, b in zip(ra, rb)]

@@ -67,14 +67,14 @@ def span_of(field: Field, mats: Sequence[Matrix], orientation=None) -> SliceSpan
 
 def slice_span(t: Tensor3, row_dir: int, col_dir: int) -> SliceSpan:
     """Span of the slices along the direction not in {row_dir, col_dir},
-    with the requested row/column orientation."""
+    with the requested row/column orientation, each read straight from the
+    tensor's entries.  A direction of size 0 has no slices and raises
+    ZeroSpanError, as `span_of` does."""
     if row_dir == col_dir or not {row_dir, col_dir} <= {1, 2, 3}:
         raise BadParamsError(f"bad orientation ({row_dir}, {col_dir})")
-    d = ({1, 2, 3} - {row_dir, col_dir}).pop()
-    mats = t.slices(d)
-    if (row_dir, col_dir) != tuple(sorted((row_dir, col_dir))):
-        mats = [m.transpose() for m in mats]
-    return SliceSpan(t.field, tuple(mats), (row_dir, col_dir))
+    d, cols = 6 - row_dir - col_dir, t.dims[col_dir - 1]
+    mats = [Matrix(t.field, t._slice_rows(d, i, row_dir), cols=cols) for i in range(t.dims[d - 1])]
+    return span_of(t.field, mats, (row_dir, col_dir))
 
 
 def independent_basis(span: SliceSpan):

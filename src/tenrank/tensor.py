@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Tuple
 
 from . import _gf2
@@ -112,6 +113,26 @@ class Tensor3:
 
     # -- slices and flattenings ---------------------------------------------
 
+    def _slice_rows(self, direction: int, index: int, row_dir: int):
+        """The rows of the `index`-th slice along `direction`, one per index
+        of leg `row_dir`.  Each row is one stepped read of `entries` along
+        the third leg, with the (i, j, k) layout's strides (n2*n3, n3, 1)."""
+        if not 0 <= index < self._size(direction):
+            raise IndexOutOfRangeError(f"{direction}-slice {index} out of range")
+        n, e = self.dims, self.entries
+        stride = (n[1] * n[2], n[2], 1)
+        col_dir = 6 - direction - row_dir
+        step, rs = stride[col_dir - 1], stride[row_dir - 1]
+        start = index * stride[direction - 1]
+        stop = start + n[col_dir - 1] * step
+        return [e[start + a * rs: stop + a * rs: step] for a in range(n[row_dir - 1])]
+
+    def _size(self, direction: int) -> int:
+        """The dimension along `direction`, after the one check that it is 1, 2 or 3."""
+        if direction not in (1, 2, 3):
+            raise IndexOutOfRangeError(f"direction must be 1, 2 or 3, got {direction}")
+        return self.dims[direction - 1]
+
     def slice(self, direction: int, index: int) -> Matrix:
         """The `index`-th slice along `direction` (1, 2 or 3).
 
@@ -119,48 +140,21 @@ class Tensor3:
         increasing order: 1-slices are (dir2 x dir3), 2-slices (dir1 x dir3),
         3-slices (dir1 x dir2).
         """
-        n1, n2, n3 = self.dims
-        e = self.entries
-        if direction == 1:
-            if not 0 <= index < n1:
-                raise IndexOutOfRangeError(f"1-slice {index} out of range")
-            base = index * n2 * n3
-            return Matrix(self.field, [e[base + j * n3: base + (j + 1) * n3] for j in range(n2)])
-        if direction == 2:
-            if not 0 <= index < n2:
-                raise IndexOutOfRangeError(f"2-slice {index} out of range")
-            return Matrix(self.field, [
-                e[(i * n2 + index) * n3: (i * n2 + index) * n3 + n3] for i in range(n1)
-            ])
-        if direction == 3:
-            if not 0 <= index < n3:
-                raise IndexOutOfRangeError(f"3-slice {index} out of range")
-            return Matrix(self.field, [
-                tuple(e[(i * n2 + j) * n3 + index] for j in range(n2)) for i in range(n1)
-            ])
-        raise IndexOutOfRangeError(f"direction must be 1, 2 or 3, got {direction}")
+        rows = self._slice_rows(direction, index, 1 + (direction == 1))
+        return Matrix(self.field, rows, cols=self.dims[2 - (direction == 3)])
 
     def slices(self, direction: int):
-        return [self.slice(direction, i) for i in range(self.dims[direction - 1])]
+        return [self.slice(direction, i) for i in range(self._size(direction))]
 
     def flattening(self, direction: int) -> Matrix:
         """The n_i x (n_j * n_k) flattening, grouping the other two legs
-        (j < k) in lexicographic column order."""
-        n1, n2, n3 = self.dims
-        e = self.entries
-        if direction == 1:
-            return Matrix(self.field, [e[i * n2 * n3: (i + 1) * n2 * n3] for i in range(n1)])
-        if direction == 2:
-            return Matrix(self.field, [
-                tuple(e[(i * n2 + j) * n3 + k] for i in range(n1) for k in range(n3))
-                for j in range(n2)
-            ])
-        if direction == 3:
-            return Matrix(self.field, [
-                tuple(e[(i * n2 + j) * n3 + k] for i in range(n1) for j in range(n2))
-                for k in range(n3)
-            ])
-        raise IndexOutOfRangeError(f"direction must be 1, 2 or 3, got {direction}")
+        (j < k) in lexicographic column order: row i is the i-th slice along
+        `direction`, read row by row."""
+        row_dir = 1 + (direction == 1)
+        rows = [tuple(chain.from_iterable(self._slice_rows(direction, i, row_dir)))
+                for i in range(self._size(direction))]
+        cols = math.prod(n for d, n in enumerate(self.dims, 1) if d != direction)
+        return Matrix(self.field, rows, cols=cols)
 
     def flattening_rank(self, direction: int) -> int:
         return rank(self.flattening(direction))
@@ -181,23 +175,11 @@ class Tensor3:
     # -- structural operations ----------------------------------------------
 
     def is_symmetric(self) -> bool:
-        """True iff cubical and invariant under all six leg permutations."""
+        """True iff cubical and invariant under all six leg permutations:
+        equal 1- and 2-slices give the swap of the first two legs, equal 1-
+        and 3-slices the 3-cycle, and the two generate the rest."""
         n1, n2, n3 = self.dims
-        if not n1 == n2 == n3:
-            return False
-        for i in range(n1):
-            for j in range(n2):
-                for k in range(n3):
-                    v = self[i, j, k]
-                    if (
-                        v != self[i, k, j]
-                        or v != self[j, i, k]
-                        or v != self[j, k, i]
-                        or v != self[k, i, j]
-                        or v != self[k, j, i]
-                    ):
-                        return False
-        return True
+        return n1 == n2 == n3 and self.slices(1) == self.slices(2) == self.slices(3)
 
     def kron(self, other: "Tensor3") -> "Tensor3":
         """Kronecker product; index pairing (outer, inner) -> outer*innerDim + inner."""

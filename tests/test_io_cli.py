@@ -449,6 +449,19 @@ def test_cli_maxrank_refuses_negative_trials(tmp_path, capsys):
     assert capsys.readouterr().out == "maxrank 2 (randomized lower bound (2 trials))\n"
 
 
+@pytest.mark.parametrize("dims, orient", [("2 0 3", "1,3"), ("2 0 3", "3,1"), ("0 2 3", "2,3"), ("2 3 0", "1,2")])
+@pytest.mark.parametrize("command", [["maxrank"], ["maxrank", "--trials", "4"], ["minrank"]])
+def test_span_of_an_empty_slicing_direction_is_refused(command, dims, orient, tmp_path, capsys):
+    """A slicing direction of size 0 gives no slices: the span is refused as
+    `span_of` refuses an empty one, with exit 1 and no traceback."""
+    tpath = tmp_path / "empty.tensor"
+    tpath.write_text(f"tensor v1\nfield gf:5\ndims {dims}\n")
+    assert run_cli(command[0], str(tpath), "--orient", orient, *command[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ZeroSpanError: a span needs at least one generator\n"
+
+
 def test_cli_bounds_names_the_field_as_the_oracles_skip_reason(tmp_path, capsys):
     tpath = tmp_path / "w.tensor"
     tpath.write_text(serialize_tensor(w_tensor(QQ)))

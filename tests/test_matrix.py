@@ -178,6 +178,16 @@ def test_shape_errors():
         Matrix.identity(f, 2).mul(Matrix.identity(f, 3))
 
 
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_add_and_sub_refuse_mismatched_shapes(op):
+    f = GF(5)
+    a, b = Matrix(f, [[1, 2, 3], [4, 0, 1]]), Matrix(f, [[1, 1]])
+    for x, y in ((a, b), (b, a), (a, a.transpose())):
+        with pytest.raises(ShapeMismatchError):
+            getattr(x, op)(y)
+    assert a.sub(a) == Matrix.zeros(f, 2, 3)
+
+
 def test_batched_rank_matches_scalar():
     import numpy as np
 

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tenrank import _gf2
 from tenrank.cli import _scan_one, _tensor_from_index
 from tenrank.engine import slicerank_exact
-from tenrank.errors import BadParamsError, ResourceGuardError
+from tenrank.errors import BadParamsError, IndexOutOfRangeError, ResourceGuardError, ZeroSpanError
 from tenrank.fields import GF, QQ
 from tenrank.matrix import Matrix
+from tenrank.spans import slice_span
 from tenrank.tensor import (
     Restriction,
     Tensor3,
@@ -124,6 +126,165 @@ def test_scan_item_computes_each_flattening_rank_once(monkeypatch):
         assert sorted(calls) == [1, 2, 3]
         t = _tensor_from_index(word, dims, GF(3))
         assert (sr_val, ranks) == (slicerank_exact(t), _generic_ranks(t))
+
+
+def test_scan_decoding_of_gf2_words_is_the_packed_one():
+    """`_tensor_from_index` reads a GF(2) index bit by bit, as the packed
+    word is unpacked, so scan needs no GF(2) branch of its own."""
+    dims = (2, 2, 3)
+    for word in range(1 << 12):
+        entries = _tensor_from_index(word, dims, GF(2)).entries
+        assert entries == _gf2.unpack_entries(word, dims)
+        assert all(type(x) is int for x in entries)
+
+
+# -- the strided slice reader against the per-direction bodies it replaced ------
+#
+# The ref_* functions keep the earlier per-direction code, with one change:
+# their matrices pass cols=, so that a slice with no rows keeps its width.
+
+
+def ref_slice(t, direction, index):
+    n1, n2, n3 = t.dims
+    e = t.entries
+    if direction == 1:
+        base = index * n2 * n3
+        return Matrix(t.field, [e[base + j * n3: base + (j + 1) * n3] for j in range(n2)], cols=n3)
+    if direction == 2:
+        return Matrix(t.field, [
+            e[(i * n2 + index) * n3: (i * n2 + index) * n3 + n3] for i in range(n1)
+        ], cols=n3)
+    return Matrix(t.field, [
+        tuple(e[(i * n2 + j) * n3 + index] for j in range(n2)) for i in range(n1)
+    ], cols=n2)
+
+
+def ref_flattening(t, direction):
+    n1, n2, n3 = t.dims
+    e = t.entries
+    if direction == 1:
+        return Matrix(t.field, [e[i * n2 * n3: (i + 1) * n2 * n3] for i in range(n1)], cols=n2 * n3)
+    if direction == 2:
+        return Matrix(t.field, [
+            tuple(e[(i * n2 + j) * n3 + k] for i in range(n1) for k in range(n3))
+            for j in range(n2)
+        ], cols=n1 * n3)
+    return Matrix(t.field, [
+        tuple(e[(i * n2 + j) * n3 + k] for i in range(n1) for j in range(n2))
+        for k in range(n3)
+    ], cols=n1 * n2)
+
+
+def ref_slice_span(t, row_dir, col_dir):
+    d = ({1, 2, 3} - {row_dir, col_dir}).pop()
+    mats = [ref_slice(t, d, i) for i in range(t.dims[d - 1])]
+    if row_dir > col_dir:
+        mats = [m.transpose() for m in mats]
+    return mats
+
+
+def ref_is_symmetric(t):
+    n1, n2, n3 = t.dims
+    if not n1 == n2 == n3:
+        return False
+    for i in range(n1):
+        for j in range(n2):
+            for k in range(n3):
+                v = t[i, j, k]
+                if v != t[i, k, j] or v != t[j, i, k] or v != t[j, k, i] or v != t[k, i, j] or v != t[k, j, i]:
+                    return False
+    return True
+
+
+_READER_FIELDS = [GF(2), GF(7), QQ]
+_ORIENTATIONS = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+
+
+def _same(m, want):
+    """Equal matrices (widths included) with entries of the same types."""
+    types = lambda a: [type(x) for row in a.data for x in row]
+    return m == want and types(m) == types(want)
+
+
+@st.composite
+def reader_tensors(draw):
+    f = draw(st.sampled_from(_READER_FIELDS))
+    dims = tuple(draw(st.integers(0, 4)) for _ in range(3))
+    n = dims[0] * dims[1] * dims[2]
+    values = st.fractions(-3, 3, max_denominator=3) if f is QQ else st.integers(0, f.size() - 1)
+    return Tensor3(f, dims, draw(st.lists(values, min_size=n, max_size=n)), normalize=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_tensors())
+def test_slices_and_flattenings_match_the_per_direction_reads(t):
+    for d in (1, 2, 3):
+        got = t.slices(d)
+        assert len(got) == t.dims[d - 1]
+        for i, m in enumerate(got):
+            assert _same(m, ref_slice(t, d, i))
+        assert _same(t.flattening(d), ref_flattening(t, d))
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader_tensors())
+def test_slice_spans_match_the_transposed_slices(t):
+    for o in _ORIENTATIONS:
+        want = ref_slice_span(t, *o)
+        if not want:
+            with pytest.raises(ZeroSpanError):
+                slice_span(t, *o)
+            continue
+        span = slice_span(t, *o)
+        assert span.orientation == o and len(span.basis) == len(want)
+        assert all(_same(m, w) for m, w in zip(span.basis, want))
+
+
+@st.composite
+def symmetric_tensors(draw):
+    """A symmetric n x n x n tensor, and maybe the same with one entry changed."""
+    f = draw(st.sampled_from(_READER_FIELDS))
+    n = draw(st.integers(0, 4))
+    value = st.integers(0, 1 if f is QQ else f.size() - 1)
+    ent = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                v = draw(value)
+                for key in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
+                    ent[key] = v
+    if n and draw(st.booleans()):
+        key = tuple(draw(st.integers(0, n - 1)) for _ in range(3))
+        ent[key] = draw(value)
+    return Tensor3(f, (n, n, n), ent)
+
+
+@settings(max_examples=500, deadline=None)
+@given(symmetric_tensors())
+def test_is_symmetric_matches_the_six_permutation_check(t):
+    assert t.is_symmetric() == ref_is_symmetric(t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reader_tensors())
+def test_is_symmetric_matches_on_any_tensor(t):
+    assert t.is_symmetric() == ref_is_symmetric(t)
+
+
+def test_zero_row_slices_and_flattenings_keep_their_width():
+    t = Tensor3.zeros(GF(5), (2, 0, 3))
+    assert t.slice(1, 0) == Matrix.zeros(GF(5), 0, 3)
+    assert t.slices(3) == [Matrix.zeros(GF(5), 2, 0)] * 3
+    assert t.flattening(2) == Matrix.zeros(GF(5), 0, 6)
+    assert slice_span(t, 3, 2).basis == (Matrix.zeros(GF(5), 3, 0),) * 2
+
+
+@pytest.mark.parametrize("direction", [0, 4])
+def test_a_direction_outside_1_to_3_is_out_of_range(direction):
+    t = unit(GF(3), 2)
+    for read in (t.slices, t.flattening, lambda d: t.slice(d, 0)):
+        with pytest.raises(IndexOutOfRangeError):
+            read(direction)
 
 
 def test_flattening_rank_is_slice_span_dim():
@@ -246,6 +407,7 @@ def test_is_symmetric():
     assert unit(GF(3), 4).is_symmetric()
     assert w_tensor(GF(2)).is_symmetric()
     assert not matmul_tensor(GF(2), 2, 1, 1).is_symmetric()  # not cubical
+    assert not null_algebra(GF(5), 4).is_symmetric()
 
 
 def test_monotone_flattening_rank_under_restriction():
