@@ -7,7 +7,8 @@ are cross-checked against the generic implementations in the test suite.
 The packed unit-restriction search visits the map pairs that
 `unit_pair_candidates` defines, the rule the generic search in `engine`
 shares, with rows in word order; on small formats each pair's action on
-every packed slice is read from a cached lookup table.
+every packed slice is read from a cached lookup table.  Its witnesses are
+checked by `apply_bit_maps`, which uses none of the search's tables.
 """
 
 from __future__ import annotations
@@ -137,6 +138,51 @@ def _pair_tables(n2: int, n3: int, r: int):
 def _unit_targets(r: int) -> Tuple[int, ...]:
     """Packed r x r matrices E_aa for a in range(r)."""
     return tuple(1 << (a * r + a) for a in range(r))
+
+
+def _bit_columns(rows, n: int, stride: int) -> List[int]:
+    """The n columns of a bit-row map, with row a placed at bit a * stride."""
+    cols = [0] * n
+    place = 1
+    for row in rows:
+        for x in range(n):
+            if (row >> x) & 1:
+                cols[x] |= place
+        place <<= stride
+    return cols
+
+
+def apply_bit_maps(word: int, dims, maps) -> int:
+    """The packed image of a packed tensor under bit-row maps (L1, L2, L3).
+
+    Row a of a map is the bitmask of its nonzero source indices; the image
+    has format (len(L1), len(L2), len(L3)).  It is the XOR, over the word's
+    set bits (i, j, k), of c1 (x) c2 (x) c3 with c1, c2, c3 columns i, j, k
+    of the three maps: the definition `tensor.contract` computes.  With row a
+    of each column placed at its stride in the target word, c1 (x) c2 (x) c3
+    is the integer product c1 * c2 * c3, since the shifted copies it sums
+    never overlap.  No search table is read, so this checks the search's
+    witness independently.
+    """
+    l1, l2, l3 = maps
+    n1, n2, n3 = dims
+    r3 = len(l3)
+    cols2, cols3 = _bit_columns(l2, n2, r3), _bit_columns(l3, n3, 1)
+    out = 0
+    bit = 0
+    for c1 in _bit_columns(l1, n1, len(l2) * r3):
+        for c2 in cols2:
+            for c3 in cols3:
+                if (word >> bit) & 1:
+                    out ^= c1 * c2 * c3
+                bit += 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def bit_row(bits: int, n: int) -> Tuple[int, ...]:
+    """An n-bit row as the tuple of its GF(2) entries, lowest bit first."""
+    return tuple((bits >> j) & 1 for j in range(n))
 
 
 def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:

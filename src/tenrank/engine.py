@@ -188,18 +188,15 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
         maps = _gf2.exists_unit_restriction_gf2(word, t.dims, r)
         if maps is None:
             return None
-        l1_rows, l2_rows, l3_rows = maps
-        mk = lambda bits, n: [[(b >> j) & 1 for j in range(n)] for b in bits]
-        res = Restriction((
-            Matrix(f, mk(l1_rows, n1), cols=n1),
-            Matrix(f, mk(l2_rows, n2), cols=n2),
-            Matrix(f, mk(l3_rows, n3), cols=n3),
-        ))
-    else:
-        res = _unit_restriction_generic(t, r, guard)
-        if res is None:
-            return None
-    if not verify_restriction(res, t, unit(f, r)):
+        # checked on the packed word before any Matrix is built: the image
+        # must be the packed size-r unit tensor, whose bits are a * (r*r + r + 1)
+        unit_word = sum(1 << a * (r * r + r + 1) for a in range(r))
+        if tuple(map(len, maps)) != (r, r, r) or _gf2.apply_bit_maps(word, t.dims, maps) != unit_word:
+            raise VerificationFailedError("unit restriction failed to verify")
+        return Restriction(tuple(Matrix(f, [_gf2.bit_row(b, n) for b in rows], cols=n)
+                                 for rows, n in zip(maps, t.dims)))
+    res = _unit_restriction_generic(t, r, guard)
+    if res is not None and not verify_restriction(res, t, unit(f, r)):
         raise VerificationFailedError("unit restriction failed to verify")  # pragma: no cover
     return res
 

@@ -114,7 +114,7 @@ class Matrix:
         return Matrix(f, [
             [f.add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
-        ])
+        ], cols=self.cols)
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -124,11 +124,11 @@ class Matrix:
         return Matrix(f, [
             [f.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.data, other.data)
-        ])
+        ], cols=self.cols)
 
     def scale(self, c: Elem) -> "Matrix":
         f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data])
+        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data], cols=self.cols)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check(other)

@@ -75,6 +75,8 @@ class Tensor3:
     def __getitem__(self, ijk) -> Elem:
         i, j, k = ijk
         n1, n2, n3 = self.dims
+        if not (0 <= i < n1 and 0 <= j < n2 and 0 <= k < n3):
+            raise IndexOutOfRangeError(f"entry index {(i, j, k)} out of range")
         return self.entries[(i * n2 + j) * n3 + k]
 
     def __eq__(self, other) -> bool:

@@ -328,6 +328,95 @@ def test_packed_unit_search_matches_full_pair_loop_without_tables(word):
     _same_packed_witness(word, (3, 3, 3), [3])
 
 
+# -- the packed witness check ---------------------------------------------------
+
+
+def _bit_maps_restriction(f, maps, dims):
+    """Bit-row maps as a Restriction of Matrix maps, row a of leg l over dims[l]."""
+    return Restriction(tuple(Matrix(f, [[(b >> j) & 1 for j in range(n)] for b in rows], cols=n)
+                             for rows, n in zip(maps, dims)))
+
+
+@st.composite
+def packed_words_and_bit_maps(draw):
+    dims = tuple(draw(st.integers(0, 3)) for _ in range(3))
+    word = draw(st.integers(0, (1 << (dims[0] * dims[1] * dims[2])) - 1))
+    maps = tuple(tuple(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3))) for n in dims)
+    return dims, word, maps
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_words_and_bit_maps())
+@example(((3, 3, 3), (1 << 27) - 1, ((7, 0, 5), (1, 6, 7), (3, 0, 4))))
+@example(((2, 2, 3), 0b100010000001, ((1, 2), (1, 2), (1, 2))))
+@example(((2, 1, 3), 0b101110, ((), (1,), (7, 0))))
+def test_apply_bit_maps_matches_apply_restriction(case):
+    dims, word, maps = case
+    f = GF(2)
+    image = apply_restriction(_bit_maps_restriction(f, maps, dims), Tensor3(f, dims, _gf2.unpack_entries(word, dims)))
+    assert _gf2.apply_bit_maps(word, dims, maps) == _gf2.pack_tensor(image.entries, image.dims)
+
+
+def _restricts_to_unit_by_definition(support, maps, r):
+    """Whether sum over T's support of L1[a,i] L2[b,j] L3[c,k] is the size-r
+    unit tensor over GF(2), entry by entry."""
+    l1, l2, l3 = maps
+    return all(
+        sum((l1[a] >> i) & (l2[b] >> j) & (l3[c] >> k) & 1 for i, j, k in support) % 2 == (a == b == c)
+        for a, b, c in itertools.product(range(r), repeat=3)
+    )
+
+
+def test_single_bit_flips_of_packed_witnesses_are_judged_alike_by_both_checks():
+    """Every accepted witness on every 2x2x3 GF(2) word, with one map entry
+    flipped: the packed check and verify_restriction refuse exactly the flips
+    whose image, summed entry by entry, is no longer the unit tensor.  The
+    other flips meet only zeros of the tensor and leave a valid witness."""
+    f, dims = GF(2), (2, 2, 3)
+    refused = kept = 0
+    for word in range(1 << 12):
+        t = Tensor3(f, dims, _gf2.unpack_entries(word, dims))
+        support = t.support()
+        for r in (1, 2):
+            maps = _gf2.exists_unit_restriction_gf2(word, dims, r)
+            if maps is None:
+                continue
+            unit_word = _gf2.pack_tensor(unit(f, r).entries, (r, r, r))
+            for leg, n in enumerate(dims):
+                for a, x in itertools.product(range(r), range(n)):
+                    bad = [list(rows) for rows in maps]
+                    bad[leg][a] ^= 1 << x
+                    valid = _restricts_to_unit_by_definition(support, bad, r)
+                    assert (_gf2.apply_bit_maps(word, dims, bad) == unit_word) == valid
+                    assert verify_restriction(_bit_maps_restriction(f, bad, dims), t, unit(f, r)) == valid
+                    refused += not valid
+                    kept += valid
+    assert (refused, kept) == (64392, 10137)
+
+
+@pytest.mark.parametrize("change", ["flip", "drop_row"])
+def test_packed_branch_refuses_a_bad_witness(monkeypatch, change):
+    """exists_unit_restriction checks the packed search's witness before it
+    returns it: a search that hands back a broken witness is refused."""
+    t = Tensor3(GF(2), (2, 2, 3), {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 2): 1})
+    rows1, rows2, rows3 = _gf2.exists_unit_restriction_gf2(_gf2.pack_tensor(t.entries, t.dims), t.dims, 2)
+    bad = (rows1, rows2, (rows3[0], rows3[1] ^ 2)) if change == "flip" else (rows1, rows2, rows3[:1])
+    monkeypatch.setattr(_gf2, "exists_unit_restriction_gf2", lambda word, dims, r: bad)
+    with pytest.raises(VerificationFailedError, match="unit restriction failed to verify"):
+        exists_unit_restriction(t, 2)
+
+
+def test_packed_subrank_witnesses_are_pinned():
+    """subrank_exact's value and maps on every 2x2x2 and 2x2x3 GF(2) word,
+    hashed as recorded before the packed witness check left verify_restriction."""
+    h = hashlib.sha256()
+    for dims in [(2, 2, 2), (2, 2, 3)]:
+        for word in range(1 << (dims[0] * dims[1] * dims[2])):
+            value, cert = subrank_exact(Tensor3(GF(2), dims, _gf2.unpack_entries(word, dims)))
+            h.update(repr((value, cert.restriction.maps)).encode())
+    assert h.hexdigest() == "60c52fab65a7a99566a6732302d2f33802a8e8d45c64c73c1239031fbf799b56"
+
+
 def test_unit_restriction_guard_counts_full_rank_pairs():
     t = unit(GF(3), 2)
     pairs = _count_full_rank(3, 2, 2) ** 2

@@ -188,6 +188,16 @@ def test_add_and_sub_refuse_mismatched_shapes(op):
     assert a.sub(a) == Matrix.zeros(f, 2, 3)
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "scale"])
+def test_arithmetic_keeps_the_width_of_zero_row_operands(op):
+    for f in (GF(5), QQ):
+        for cols in range(4):
+            m = Matrix.zeros(f, 0, cols)
+            out = m.scale(f.one()) if op == "scale" else getattr(m, op)(m)
+            assert (out.rows, out.cols) == (0, cols)
+            assert out == m
+
+
 def test_batched_rank_matches_scalar():
     import numpy as np
 

@@ -279,6 +279,14 @@ def test_zero_row_slices_and_flattenings_keep_their_width():
     assert slice_span(t, 3, 2).basis == (Matrix.zeros(GF(5), 3, 0),) * 2
 
 
+def test_getitem_refuses_indices_outside_the_dims():
+    t = Tensor3(GF(5), (2, 2, 2), {(1, 0, 0): 3})
+    assert t[1, 0, 0] == 3
+    for ijk in [(0, 2, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 0, 0), (0, 0, 2)]:
+        with pytest.raises(IndexOutOfRangeError):
+            t[ijk]
+
+
 @pytest.mark.parametrize("direction", [0, 4])
 def test_a_direction_outside_1_to_3_is_out_of_range(direction):
     t = unit(GF(3), 2)
