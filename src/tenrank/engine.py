@@ -570,13 +570,22 @@ def two_direction_square(t: Tensor3, i: int, j: int,
         r = min(wit_i.rank, wit_j.rank)
     if r < 1:
         raise WitnessInvalidError("witness ranks must be positive")
-    ra = matmul_form_restriction(t, i, wit_i, r)
-    rb = matmul_form_restriction(t, j, wit_j, r)
+    return _square_of_forms(t, i, j, matmul_form_restriction(t, i, wit_i, r),
+                            matmul_form_restriction(t, j, wit_j, r), r)
+
+
+def _square_of_forms(t: Tensor3, i: int, j: int, form_i: Restriction, form_j: Restriction,
+                     r: int) -> SubrankCertificate:
+    """The verified square composition of matmul-form restrictions in
+    directions i and j, each of rank at least r: the rank-r forms are their
+    rows < r on the two legs other than their direction."""
     power_dims(t, 2)  # the guard the check below would trip, before the maps are built
     k = ({1, 2, 3} - {i, j}).pop()
-    # leg k of the product carries pairs (a, b) in [r] x [r]; keep a == b
-    maps = [_kron_rows([x, y], [(a, a) for a in range(r)] if leg == k else None)
-            for leg, x, y in zip((1, 2, 3), ra.maps, rb.maps)]
+    # leg i of the product pairs form_i's one coefficient row with row b < r of
+    # form_j, leg j the reverse; leg k carries pairs (a, b) in [r] x [r] and
+    # keeps a == b
+    rows = {i: [(0, b) for b in range(r)], j: [(a, 0) for a in range(r)], k: [(a, a) for a in range(r)]}
+    maps = [_kron_rows([x, y], rows[leg]) for leg, x, y in zip((1, 2, 3), form_i.maps, form_j.maps)]
     cert = SubrankCertificate("restriction", r, 2, restriction=Restriction(tuple(maps)))
     if not cert.verify(t):
         raise VerificationFailedError("square composition failed to verify")
@@ -878,21 +887,40 @@ def asymptotic_bounds(t: Tensor3) -> BoundsReport:
     except (ZeroTensorError, ZeroSpanError, ResourceGuardError) as exc:
         skipped.append(f"pivot degeneration: {exc}")
 
-    # two-direction square and matmul cube from max-rank witnesses
+    # two-direction square and matmul cube from the three full-rank matmul-form
+    # restrictions, each built and verified once
     if len(witnesses) == 3:
+        forms: Dict[int, object] = {}
+        for d in (1, 2, 3):
+            try:
+                forms[d] = matmul_form_restriction(t, d, witnesses[d])
+            except WitnessInvalidError as exc:
+                forms[d] = exc
+
+        def form(d: int) -> Restriction:
+            if isinstance(forms[d], WitnessInvalidError):
+                raise forms[d]
+            return forms[d]
+
         pairs = [(1, 2), (1, 3), (2, 3)]
-        best_pair = max(pairs, key=lambda p: min(witnesses[p[0]].rank, witnesses[p[1]].rank))
+        i, j = max(pairs, key=lambda p: min(witnesses[p[0]].rank, witnesses[p[1]].rank))
         try:
-            cert = two_direction_square(t, best_pair[0], best_pair[1],
-                                        witnesses[best_pair[0]], witnesses[best_pair[1]])
+            cert = _square_of_forms(t, i, j, form(i), form(j), min(witnesses[i].rank, witnesses[j].rank))
             candidates.append(Bound(Fraction(cert.r), 2,
                                     "diagonal extraction on the Kronecker square",
                                     "certificate", cert))
         except (WitnessInvalidError, ResourceGuardError) as exc:
             skipped.append(f"square composition: {exc}")
+        # the power-3 restriction onto matmul (q2, q3, q1) that `mamu_cube`
+        # builds is the Kronecker product of the three verified forms, so its
+        # base min(q_i q_j) holds without building it; the power-3 guard still
+        # decides whether the candidate is listed
         try:
-            restr, base = mamu_cube(t, witnesses[1], witnesses[2], witnesses[3])
-            candidates.append(Bound(Fraction(base), 3,
+            for d in (2, 3, 1):  # mamu_cube's order: its first failing form names the line
+                form(d)
+            power_dims(t, 3)
+            q1, q2, q3 = (witnesses[d].rank for d in (1, 2, 3))
+            candidates.append(Bound(Fraction(min(q1 * q2, q1 * q3, q2 * q3)), 3,
                                     "matmul restriction on the Kronecker cube",
                                     "literature"))
         except (WitnessInvalidError, ResourceGuardError) as exc:

@@ -66,6 +66,8 @@ class Matrix:
 
     def __getitem__(self, ij) -> Elem:
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexOutOfRangeError(f"entry index {(i, j)} out of range")
         return self.data[i][j]
 
     def __eq__(self, other) -> bool:

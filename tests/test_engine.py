@@ -23,7 +23,7 @@ from tenrank.errors import (
     VerificationFailedError,
 )
 from tenrank.fields import GF, QQ
-from tenrank import _gf2
+from tenrank import _gf2, engine
 from tenrank.engine import (
     PAIR_GUARD,
     _count_full_rank,
@@ -58,6 +58,7 @@ from tenrank.tensor import (
     Tensor3,
     apply_restriction,
     balanced_pivot,
+    gen_null_algebra,
     matmul_tensor,
     null_algebra,
     unit,
@@ -1080,31 +1081,114 @@ def test_bounds_reports_on_each_side_of_the_oracle_guards(name):
     assert hashlib.sha256(rep.to_text().encode()).hexdigest() == text_sha
 
 
+def _composition_catalog(f):
+    return [null_algebra(f, 4), unit(f, 4), w_tensor(f), matmul_tensor(f, 2, 2, 2),
+            balanced_pivot(f, 4), gen_null_algebra(f, 6, 2)]
+
+
+def _seeded_concise(f, count, seed):
+    """`count` random concise tensors over f, tensor s drawn from seed + s
+    in one of four small formats."""
+    out = []
+    for s in range(count):
+        rng = random.Random(seed + s)
+        dims = [(2, 2, 3), (2, 3, 3), (3, 3, 2), (3, 2, 3)][s % 4]
+        t = rand_tensor(f, dims, rng)
+        while not t.is_concise():
+            t = rand_tensor(f, dims, rng)
+        out.append(t)
+    return out
+
+
+def _exhaustive_witnesses(t):
+    wits = {}
+    for d in (1, 2, 3):
+        rd, cd = [x for x in (1, 2, 3) if x != d]
+        _, wits[d] = max_rank_exhaustive(slice_span(t, rd, cd))
+    return wits
+
+
+def _best_pair(wits):
+    return max([(1, 2), (1, 3), (2, 3)], key=lambda p: min(wits[p[0]].rank, wits[p[1]].rank))
+
+
+def _candidate(rep, method):
+    (b,) = [b for b in rep.lower_candidates if b.method == method]
+    return b
+
+
 def test_compositions_verify_on_catalog_entries():
     """Square and cube compositions yield exactly verifying unit/matmul
-    restrictions on the catalog tensors."""
+    restrictions on the catalog tensors and on random concise GF(11)
+    tensors, and the cube's base is the `literature` cube candidate that
+    `bounds` reports without composing the cube."""
     f = GF(11)
-    squares = [
-        null_algebra(f, 4),
-        unit(f, 4),
-        w_tensor(f),
-        matmul_tensor(f, 2, 2, 2),
-        balanced_pivot(f, 4),
-    ]
-    from tenrank.tensor import gen_null_algebra
-
-    squares.append(gen_null_algebra(f, 6, 2))
-    for t in squares:
-        wits = {}
-        for d in (1, 2, 3):
-            rd, cd = [x for x in (1, 2, 3) if x != d]
-            _, wits[d] = max_rank_exhaustive(slice_span(t, rd, cd))
-        best = max(
-            [(1, 2), (1, 3), (2, 3)],
-            key=lambda p: min(wits[p[0]].rank, wits[p[1]].rank),
-        )
+    for t in _composition_catalog(f) + _seeded_concise(f, 6, 1101):
+        wits = _exhaustive_witnesses(t)
+        best = _best_pair(wits)
         cert = two_direction_square(t, best[0], best[1], wits[best[0]], wits[best[1]])
         assert cert.verify(t)
-        if max(t.dims) <= 4:  # keep the cube's dense power within bounds
-            restr, bound = mamu_cube(t, wits[1], wits[2], wits[3])
-            assert bound >= 1
+        restr, bound = mamu_cube(t, wits[1], wits[2], wits[3])
+        q1, q2, q3 = (wits[d].rank for d in (1, 2, 3))
+        assert verify_restriction(restr, t, matmul_tensor(f, q2, q3, q1), power=3)
+        cube = _candidate(asymptotic_bounds(t), "matmul restriction on the Kronecker cube")
+        assert (cube.base, cube.root, cube.provenance) == (bound, 3, "literature")
+
+
+def test_bounds_routes_the_power_guard_to_each_composition():
+    """unit 7 has 343 entries: its square (343^2) fits the Kronecker entry
+    guard and its cube (343^3) does not, so `bounds` reports the square
+    certificate and skips only the cube composition."""
+    t = unit(GF(11), 7)
+    rep = asymptotic_bounds(t)
+    square = _candidate(rep, "diagonal extraction on the Kronecker square")
+    assert (square.base, square.root, square.provenance) == (7, 2, "certificate")
+    assert square.certificate.verify(t)
+    assert not [b for b in rep.lower_candidates if b.method == "matmul restriction on the Kronecker cube"]
+    assert rep.skipped == [
+        "exact subrank oracle: search space above guard",
+        "exact slice rank oracle: search space above guard",
+        "cube composition: kronecker product would have 40353607 entries (guard 16777216)",
+    ]
+
+
+@pytest.mark.parametrize("bad, square_skipped", [(3, False), (1, True)])
+def test_bounds_routes_an_invalid_witness_to_the_compositions_using_it(monkeypatch, bad, square_skipped):
+    """A witness claiming a rank above its matrix's fails its matmul form:
+    the cube, which uses all three directions, is skipped, and the square
+    only when the direction is in its pair ((1, 2) on unit 3)."""
+    exhaustive = engine.max_rank_exhaustive
+    calls = []
+
+    def claims_one_more(span, **kw):
+        calls.append(None)
+        v, wit = exhaustive(span, **kw)
+        return v, (MaxRankWitness(wit.coeffs, v + 1) if len(calls) == bad else wit)
+
+    monkeypatch.setattr(engine, "max_rank_exhaustive", claims_one_more)
+    rep = asymptotic_bounds(unit(GF(5), 3))
+    line = "witness rank 3 below requested 4"
+    assert [s for s in rep.skipped if "composition" in s] == (
+        [f"square composition: {line}"] * square_skipped + [f"cube composition: {line}"])
+
+
+def test_rank_r_matmul_forms_are_rows_of_the_full_rank_form():
+    """The rank-r matmul form in direction d is the full-rank form with rows
+    < r kept on its two legs other than d, for every 1 <= r <= Q_d; and the
+    square certificate `bounds` takes from the full-rank forms is the one
+    `two_direction_square` builds at rank r."""
+    tensors = (_composition_catalog(GF(11)) + _composition_catalog(GF(3))
+               + _seeded_concise(GF(3), 4, 1201) + _seeded_concise(GF(11), 4, 1301))
+    for t in tensors:
+        wits = _exhaustive_witnesses(t)
+        for d in (1, 2, 3):
+            full = matmul_form_restriction(t, d, wits[d])
+            for r in range(1, wits[d].rank + 1):
+                cut = tuple(m if leg == d else Matrix(t.field, m.data[:r], cols=m.cols)
+                            for leg, m in zip((1, 2, 3), full.maps))
+                assert cut == matmul_form_restriction(t, d, wits[d], r).maps
+        i, j = _best_pair(wits)
+        square = _candidate(asymptotic_bounds(t), "diagonal extraction on the Kronecker square")
+        want = two_direction_square(t, i, j, wits[i], wits[j])
+        assert square.certificate.r == want.r
+        assert square.certificate.restriction.maps == want.restriction.maps

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenrank.engine import _units_in_span
-from tenrank.errors import MixedFieldsError, ShapeMismatchError
+from tenrank.errors import IndexOutOfRangeError, MixedFieldsError, ShapeMismatchError
 from tenrank.fields import GF, QQ, PrimeField
 from tenrank.matrix import Matrix, RrefResult, concat_cols, invert, rank, rref, solve
 
@@ -137,6 +137,16 @@ def test_concat_and_bounds():
         y = rand_matrix(f, 3, 4, rng)
         rc = rank(concat_cols([x, y]))
         assert max(rank(x), rank(y)) <= rc <= rank(x) + rank(y)
+
+
+def test_getitem_refuses_indices_outside_the_matrix():
+    m = Matrix(GF(5), [[1, 2], [3, 4]])
+    assert (m[0, 0], m[0, 1], m[1, 0], m[1, 1]) == (1, 2, 3, 4)
+    for ij in [(-1, 0), (0, -1), (2, 0), (0, 2)]:
+        with pytest.raises(IndexOutOfRangeError, match="out of range"):
+            m[ij]
+    with pytest.raises(IndexOutOfRangeError):
+        Matrix.zeros(GF(5), 0, 3)[0, 0]
 
 
 def test_submatrix_and_prefix():
