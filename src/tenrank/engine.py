@@ -537,11 +537,16 @@ def matmul_form_restriction(t: Tensor3, direction: int, witness: MaxRankWitness,
                             r: Optional[int] = None) -> Restriction:
     """Restriction of t onto the rank-r single-direction matmul form, from a
     slice-span witness of rank >= r in the given direction."""
-    f = t.field
-    if r is None:
-        r = witness.rank
     rd, cd = [x for x in (1, 2, 3) if x != direction]
-    span = slice_span(t, rd, cd)
+    return _matmul_form(t, direction, witness, witness.rank if r is None else r, slice_span(t, rd, cd))
+
+
+def _matmul_form(t: Tensor3, direction: int, witness: MaxRankWitness, r: int,
+                 span: SliceSpan) -> Restriction:
+    """`matmul_form_restriction` on the slice span of `direction`, built once
+    by the caller."""
+    f = t.field
+    rd, cd = span.orientation
     w = combine(span, witness.coeffs)
     if rank(w) < r:
         raise WitnessInvalidError(f"witness rank {rank(w)} below requested {r}")
@@ -841,9 +846,10 @@ def asymptotic_bounds(t: Tensor3) -> BoundsReport:
     # verified lower bounds (the witness rank is checked, so downstream
     # certificates stay sound either way)
     witnesses: Dict[int, MaxRankWitness] = {}
+    slice_spans: Dict[int, SliceSpan] = {}
     for d in (1, 2, 3):
         rd, cd = [x for x in (1, 2, 3) if x != d]
-        span = slice_span(t, rd, cd)
+        span = slice_spans[d] = slice_span(t, rd, cd)
         try:
             v, wit = max_rank_exhaustive(span, guard=BOUNDS_SPAN_GUARD)
             q_values[d] = (v, "exhaustive")
@@ -893,7 +899,7 @@ def asymptotic_bounds(t: Tensor3) -> BoundsReport:
         forms: Dict[int, object] = {}
         for d in (1, 2, 3):
             try:
-                forms[d] = matmul_form_restriction(t, d, witnesses[d])
+                forms[d] = _matmul_form(t, d, witnesses[d], witnesses[d].rank, slice_spans[d])
             except WitnessInvalidError as exc:
                 forms[d] = exc
 

@@ -4,16 +4,18 @@ products, and the named-tensor catalog.
 Entries are stored densely in lexicographic (i, j, k) order; constructors
 accept sparse {(i, j, k): value} input.  All indices in the API are 0-based.
 
-Restrictions and degenerations are applied by one sparse kernel, `contract`,
-which maps the nonzero items ((e, i, j, k), v) of a tensor one leg at a time.
-A certificate on T^(x)m is checked by the same call with power=m: the first
-map is applied to T one Kronecker factor at a time, so the power is never
-built and only the products of T's nonzeros that some column of the first
-map reads are formed.  KRON_ENTRY_GUARD still counts the dense entries
-(n1*n2*n3)^m of the power, as when the power is built.  Its sums run on
-Python ints: over GF(p) on unreduced residues, over Q fraction-free on
-numerators scaled by the lcm of the denominators, with one division per
-output entry.
+Restrictions and degenerations are applied by one kernel, `contract`, which
+maps a tensor one leg at a time on packed rows: each row of an intermediate
+tensor over its last leg is one Python int with one slot per index
+(Kronecker substitution), wide enough that no sum reaches the next slot, so
+one map term against one row is one integer multiply-add.  A certificate on
+T^(x)m is checked by the same call with power=m: the first map is applied to
+T one Kronecker factor at a time, so the power is never built, and only the
+nonzero rows of T's slices that some column of the maps reads are packed.
+KRON_ENTRY_GUARD still counts the dense entries (n1*n2*n3)^m of the power, as
+when the power is built.  Its sums run on Python ints: over GF(p) on
+unreduced residues, over Q fraction-free on numerators scaled by the lcm of
+the denominators, with one division per output entry.
 """
 
 from __future__ import annotations
@@ -253,95 +255,165 @@ def contract(t: Tensor3, legs, *, power: int = 1):
     legs[l] lists, for each source index of leg l + 1, the terms
     (row, exponent, coefficient) of that leg's map, or is None to leave the
     leg as it is.  The power is never stored; callers check the guard with
-    `power_dims` first.  The legs are contracted one after another, so an
-    item costs one product per term of each leg rather than one per triple
-    of terms.  On a power the sparsest map goes first.
+    `power_dims` first, and a power below 1 raises BadParamsError.  On a
+    power the sparsest map goes first.
+
+    Each row of the partial result over the last leg is one Python int,
+    sum_K v_K * 2^(w*K) (Kronecker substitution).  The slot width w holds
+    max|t|^power times each map's sum of |coefficient| (1 for None), the
+    largest |sum| any step can form, plus a sign bit, so slots never
+    interfere.
 
     The first leg's flattening of the power is the power-fold Kronecker
     product of t's, so the first map is applied one factor of t at a time,
     innermost first, with kron's index pairing outer * n + inner: a column
-    I of the map meets the nonzeros of t whose first index is I's innermost
-    digit, its row is set beside I's outer digits, and each further stage
-    peels the next digit off that row and multiplies in the matching
-    nonzeros.  The work grows with the map's terms and t's nonzeros per
-    stage, and products that no column of the map reads are never formed.
+    I of the map meets the packed rows of t's slice at I's innermost digit,
+    its row is set beside I's outer digits, and each further stage peels the
+    next digit off that row and multiplies in that slice's rows, spread past
+    the slots so far.  Only the nonzero rows of t whose digit some column of
+    the second map reads are packed.  A term of the second map is one
+    multiply-add on a row.  The third map's rows are packed in reverse, so
+    the middle slot of a row times one of them is their dot product.
 
-    All sums are on Python ints.  Over GF(p) they run unreduced and are
-    reduced once per key after each stage and each leg.  Over Q, t's values
-    are scaled by the lcm D of their denominators (D^power on the power) and
-    each leg's coefficients by that leg's own lcm, and each output entry is
-    divided once by the product of the scales.  Returns
-    {exponent: {(a, b, c): value}} holding nonzero values only.
+    Over GF(p) the sums run unreduced and are reduced once per output
+    entry.  Over Q, t's values are scaled by the lcm D of their denominators
+    (D^power on the power) and each leg's coefficients by that leg's own
+    lcm, and each output entry is divided once by the product of the scales.
+    Returns {exponent: {(a, b, c): value}} holding nonzero values only.
     """
+    if power < 1:
+        raise BadParamsError(f"contract needs power >= 1, got {power}")
     p = t.field.p if isinstance(t.field, PrimeField) else None
-    base = list(t.nonzero_items())
+    vals = t.entries
+    if not any(vals):
+        return {}
     s = 0
     if power > 1:
         # start at the leg whose map has the fewest terms per source index,
-        # so that the items of the power shrink first: the keys are rotated
-        # by s, and 3 - s more rotations at the end undo it
+        # so that the rows of the power shrink first; the output keys are
+        # rotated back at the end
         s = min(range(3), key=lambda leg: _terms_per_index(legs[leg]))
-        legs = [*legs[s:], *legs[:s], *[None] * (-s % 3)]
-        base = [(ijk[s:] + ijk[:s], v) for ijk, v in base]
-    n1, n2, n3 = t.dims[s:] + t.dims[:s]
+    n1, n2, n3 = dims = t.dims
+    stride = (n2 * n3, n3, 1)
+    if s:
+        legs = [*legs[s:], *legs[:s]]
+        n1, n2, n3 = dims = dims[s:] + dims[:s]
+        stride = stride[s:] + stride[:s]
     scale = 1
     if p is None:
-        scale = _denominator_lcm(v for _, v in base)
-        base = [(ijk, _times(v, scale)) for ijk, v in base]
+        scale = _denominator_lcm(v for v in vals if v)
+        vals = [_times(v, scale) if v else 0 for v in vals]
         scale **= power
-    by_i = [[] for _ in range(n1)]
-    for (i, j, k), v in base:
-        by_i[i].append((j, k, v))
-    first, *rest = legs
-    if first is None:
-        first = [[(x, 0, 1)] for x in range(n1**power)]
-    first, leg_scale = _integer_terms(first, p)
-    scale *= leg_scale
-    # stage 1, the innermost factor: the key (e, j, k, row) carries in
+    top = max(max(vals), -min(vals)) ** power
+    maps = []
+    for terms, n in zip(legs, dims):
+        if terms is None:
+            # the identity: each row holds one 1, so top stays as it is
+            maps.append([[(x, 0, 1)] for x in range(n**power)])
+            continue
+        if p is None:
+            terms, leg_scale = _integer_terms(terms)
+            scale *= leg_scale
+        total = 0
+        for col in terms:
+            for _, _, c in col:
+                total += abs(c)
+        top *= total
+        maps.append(terms)
+    first, second, third = maps
+    w = top.bit_length() + 1
+    # the first leg, innermost factor first: the key (e, row, j) carries in
     # row = a * n1^(power-1) + rest_digits the map's row a beside the
     # column's outer digits, which the later stages peel off innermost first
     outer = n1 ** (power - 1)
+    rows = _packed_slices(vals, dims, stride, {i % n1 for i, col in enumerate(first) if col},
+                          {jj % n2 for jj, col in enumerate(second) if col}, w)
     acc: Dict[tuple, int] = {}
     get = acc.get
     for col_index, col in enumerate(first):
-        rest_digits, x = divmod(col_index, n1)
-        factor = by_i[x]
-        for a, e, c in col:
-            row = a * outer + rest_digits
-            for j, k, v in factor:
-                key = (e, j, k, row)
-                acc[key] = get(key, 0) + c * v
-    items = _settled(acc, p)
+        if col:
+            rest_digits, x = divmod(col_index, n1)
+            factor = rows[x]
+            for a, e, c in col:
+                row = a * outer + rest_digits
+                for j, v in factor:
+                    key = (e, row, j)
+                    acc[key] = get(key, 0) + c * v
     inner2, inner3 = n2, n3
     for _ in range(power - 1):
-        acc = {}
-        get = acc.get
-        for (e, jj, kk, row), v in items:
-            row, x = divmod(row, n1)
-            for j, k, w in by_i[x]:
-                key = (e, j * inner2 + jj, k * inner3 + kk, row)
-                acc[key] = get(key, 0) + v * w
-        items = _settled(acc, p)
+        rows = _packed_slices(vals, dims, stride, range(n1),
+                              {jj // inner2 % n2 for jj, col in enumerate(second) if col}, w * inner3)
+        nxt: Dict[tuple, int] = {}
+        get = nxt.get
+        for (e, row, jj), v in acc.items():
+            if v:
+                row, x = divmod(row, n1)
+                for j, u in rows[x]:
+                    key = (e, row, j * inner2 + jj)
+                    nxt[key] = get(key, 0) + v * u
+        acc = nxt
         inner2 *= n2
         inner3 *= n3
-    for terms in rest:
-        # contracting a leg moves it to the back, (e, i, j, k) -> (e, j, k, a),
-        # so after three legs the key is (e, a, b, c) again
-        if terms is None:
-            items = (((e, j, k, i), v) for (e, i, j, k), v in items)
-            continue
-        terms, leg_scale = _integer_terms(terms, p)
-        scale *= leg_scale
-        acc = {}
-        get = acc.get
-        for (e, i, j, k), v in items:
-            for a, x, c in terms[i]:
-                key = (e + x, j, k, a)
-                acc[key] = get(key, 0) + c * v
-        items = _settled(acc, p)
+    nxt = {}
+    get = nxt.get
+    for (e, a, jj), v in acc.items():
+        if v:
+            for b, x, c in second[jj]:
+                key = (e + x, a, b)
+                nxt[key] = get(key, 0) + c * v
+    # the third map's rows, one per exponent: slot inner3 - 1 of a row times
+    # one of them is their dot product
+    low = w * (inner3 - 1)
+    packed: Dict[tuple, int] = {}
+    for kk, col in enumerate(third):
+        shift = low - w * kk
+        for c, x, coef in col:
+            packed[x, c] = packed.get((x, c), 0) + (coef << shift)
+    # adding half to each slot up to the middle one makes them nonnegative,
+    # so the middle slot reads without a borrow from below
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    bias = half * (((1 << (low + w)) - 1) // mask)
+    packed = packed.items()
+    acc = {}
+    get = acc.get
+    for (e, a, b), v in nxt.items():
+        if v:
+            for (x, c), r in packed:
+                dot = (((v * r + bias) >> low) & mask) - half
+                if dot:
+                    key = (e + x, a, b, c)
+                    acc[key] = get(key, 0) + dot
     out: Dict[int, Dict[tuple, Elem]] = {}
-    for (e, a, b, c), v in items:
-        out.setdefault(e, {})[(a, b, c)] = v if p else Fraction(v, scale)
+    for (e, a, b, c), v in acc.items():
+        if p:
+            v %= p
+        if v:
+            # a, b and c index the legs s, s + 1 and s + 2
+            key = (a, b, c)
+            if s:
+                key = key[-s:] + key[:-s]
+            out.setdefault(e, {})[key] = v if p else Fraction(v, scale)
+    return out
+
+
+def _packed_slices(vals, dims, stride, xs, js, shift: int):
+    """{x: rows} for the slices x in xs of the first leg, t's legs rotated
+    to dims and stride: the nonzero rows j in js, each (j, sum_k v_k *
+    2^(shift*k)) over the last leg."""
+    _, n2, n3 = dims
+    st1, st2, st3 = stride
+    out = {}
+    for x in xs:
+        out[x] = factor = []
+        for j in js:
+            start = x * st1 + j * st2
+            row = vals[start: start + n3 * st3: st3]
+            if any(row):
+                packed = 0
+                for v in reversed(row):
+                    packed = (packed << shift) + v
+                factor.append((j, packed))
     return out
 
 
@@ -350,11 +422,9 @@ def _terms_per_index(terms) -> float:
     return 1 if terms is None else sum(map(len, terms)) / max(len(terms), 1)
 
 
-def _integer_terms(terms, p):
-    """A leg's terms on ints and the scale they carry: over Q the
-    coefficients times the lcm of their denominators, over GF(p) as given."""
-    if p is not None:
-        return terms, 1
+def _integer_terms(terms):
+    """A leg's rational terms on ints, times the lcm of their denominators,
+    and that lcm."""
     leg_scale = _denominator_lcm(c for col in terms for _, _, c in col)
     return [[(a, x, _times(c, leg_scale)) for a, x, c in col] for col in terms], leg_scale
 
@@ -367,20 +437,6 @@ def _times(v, scale: int) -> int:
     """v * scale for a rational v whose denominator divides scale."""
     v = Fraction(v)
     return v.numerator * (scale // v.denominator)
-
-
-def _settled(acc, p):
-    """The accumulated sums that are nonzero, as items for the next leg;
-    over GF(p) reduced mod p."""
-    if p is None:
-        for key, v in acc.items():
-            if v:
-                yield key, v
-    else:
-        for key, v in acc.items():
-            v %= p
-            if v:
-                yield key, v
 
 
 def matrix_terms(m: Matrix):

@@ -1,8 +1,11 @@
-"""The leg-by-leg contraction kernel against the triple loops it replaced,
-and certificate checks on Kronecker powers that never build the power."""
+"""The packed-row contraction kernel against the dict kernel and the
+triple loops it replaced, and certificate checks on Kronecker powers that
+never build the power."""
 
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -16,7 +19,7 @@ from tenrank.engine import (
     subrank_exact,
     two_direction_square,
 )
-from tenrank.errors import ResourceGuardError
+from tenrank.errors import BadParamsError, ResourceGuardError
 from tenrank.fields import GF, QQ, Elem, PrimeField, RationalField
 from tenrank.io import serialize_certificate, serialize_tensor
 from tenrank.laurent import (
@@ -33,7 +36,6 @@ from tenrank.tensor import (
     Restriction,
     Tensor3,
     _denominator_lcm,
-    _settled,
     _terms_per_index,
     _times,
     apply_restriction,
@@ -145,6 +147,105 @@ def ref_contract(t: Tensor3, legs, *, power: int = 1):
     return out
 
 
+def _integer_terms(terms, p):
+    """A leg's terms on ints and the scale they carry: over Q the
+    coefficients times the lcm of their denominators, over GF(p) as given."""
+    if p is not None:
+        return terms, 1
+    leg_scale = _denominator_lcm(c for col in terms for _, _, c in col)
+    return [[(a, x, _times(c, leg_scale)) for a, x, c in col] for col in terms], leg_scale
+
+
+def _settled(acc, p):
+    """The accumulated sums that are nonzero, as items for the next leg;
+    over GF(p) reduced mod p."""
+    if p is None:
+        for key, v in acc.items():
+            if v:
+                yield key, v
+    else:
+        for key, v in acc.items():
+            v %= p
+            if v:
+                yield key, v
+
+
+def ref_contract_dict(t: Tensor3, legs, *, power: int = 1):
+    """The kernel before rows were packed: one dict update per product of a
+    map term and an item ((e, i, j, k), v), the first leg contracted factor by
+    factor, every stage and leg reduced mod p."""
+    p = t.field.p if isinstance(t.field, PrimeField) else None
+    base = list(t.nonzero_items())
+    s = 0
+    if power > 1:
+        # start at the leg whose map has the fewest terms per source index,
+        # so that the items of the power shrink first: the keys are rotated
+        # by s, and 3 - s more rotations at the end undo it
+        s = min(range(3), key=lambda leg: _terms_per_index(legs[leg]))
+        legs = [*legs[s:], *legs[:s], *[None] * (-s % 3)]
+        base = [(ijk[s:] + ijk[:s], v) for ijk, v in base]
+    n1, n2, n3 = t.dims[s:] + t.dims[:s]
+    scale = 1
+    if p is None:
+        scale = _denominator_lcm(v for _, v in base)
+        base = [(ijk, _times(v, scale)) for ijk, v in base]
+        scale **= power
+    by_i = [[] for _ in range(n1)]
+    for (i, j, k), v in base:
+        by_i[i].append((j, k, v))
+    first, *rest = legs
+    if first is None:
+        first = [[(x, 0, 1)] for x in range(n1**power)]
+    first, leg_scale = _integer_terms(first, p)
+    scale *= leg_scale
+    # stage 1, the innermost factor: the key (e, j, k, row) carries in
+    # row = a * n1^(power-1) + rest_digits the map's row a beside the
+    # column's outer digits, which the later stages peel off innermost first
+    outer = n1 ** (power - 1)
+    acc: Dict[tuple, int] = {}
+    get = acc.get
+    for col_index, col in enumerate(first):
+        rest_digits, x = divmod(col_index, n1)
+        factor = by_i[x]
+        for a, e, c in col:
+            row = a * outer + rest_digits
+            for j, k, v in factor:
+                key = (e, j, k, row)
+                acc[key] = get(key, 0) + c * v
+    items = _settled(acc, p)
+    inner2, inner3 = n2, n3
+    for _ in range(power - 1):
+        acc = {}
+        get = acc.get
+        for (e, jj, kk, row), v in items:
+            row, x = divmod(row, n1)
+            for j, k, w in by_i[x]:
+                key = (e, j * inner2 + jj, k * inner3 + kk, row)
+                acc[key] = get(key, 0) + v * w
+        items = _settled(acc, p)
+        inner2 *= n2
+        inner3 *= n3
+    for terms in rest:
+        # contracting a leg moves it to the back, (e, i, j, k) -> (e, j, k, a),
+        # so after three legs the key is (e, a, b, c) again
+        if terms is None:
+            items = (((e, j, k, i), v) for (e, i, j, k), v in items)
+            continue
+        terms, leg_scale = _integer_terms(terms, p)
+        scale *= leg_scale
+        acc = {}
+        get = acc.get
+        for (e, i, j, k), v in items:
+            for a, x, c in terms[i]:
+                key = (e + x, j, k, a)
+                acc[key] = get(key, 0) + c * v
+        items = _settled(acc, p)
+    out: Dict[int, Dict[tuple, Elem]] = {}
+    for (e, a, b, c), v in items:
+        out.setdefault(e, {})[(a, b, c)] = v if p else Fraction(v, scale)
+    return out
+
+
 # -- strategies -----------------------------------------------------------------
 
 
@@ -244,17 +345,27 @@ def test_single_leg_contraction_matches_identity_restriction(case, leg, data):
 # -- the factor-by-factor kernel against the product stream ------------------------
 
 
+# exponents of Laurent terms, up to a size no certificate reaches
+EXPONENTS = st.sampled_from((0, 1, -1, 2, -2, 10**12, -10**12))
+
+
 @st.composite
 def contract_case(draw):
-    """t, legs and a power for `contract`: dimensions from 0, sparse maps
-    whose columns get terms with probability 1/4 (as on the square's diagonal
-    leg), restriction terms (one exponent-0 term per row) or Laurent terms,
+    """t, legs and a power for `contract`: GF(2), GF(7), GF(2^31 - 1) or Q
+    (denominators up to 50, either sign), at times with every value at its
+    widest (p - 1, or -97/89 on Q) so that sums fill their slots; dimensions
+    from 0; sparse maps whose columns get terms with probability 1/4 (as on
+    the square's diagonal leg) or dense ones, restriction terms (one
+    exponent-0 term per row) or Laurent terms with exponents up to 10^12,
     and None legs in any position."""
     f = draw(st.sampled_from((GF(2), GF(7), GF(2**31 - 1), QQ)))
     m = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(0, 3 if m == 1 else 2)) for _ in range(3))
+    value = elements(f, 50)
+    if draw(st.integers(0, 3)) == 0:
+        value = st.just(Fraction(-97, 89) if f == QQ else f.p - 1)
     n = dims[0] * dims[1] * dims[2]
-    t = Tensor3(f, dims, draw(st.lists(elements(f, 50), min_size=n, max_size=n)), normalize=True)
+    t = Tensor3(f, dims, draw(st.lists(value, min_size=n, max_size=n)), normalize=True)
     laurent = draw(st.booleans())
     legs = []
     for n in dims:
@@ -262,24 +373,26 @@ def contract_case(draw):
             legs.append(None)
             continue
         rows = st.integers(0, draw(st.integers(1, 3)) - 1)
+        sparse = draw(st.booleans())
         cols = []
         for _ in range(n**m):
-            if draw(st.integers(0, 3)):
+            if sparse and draw(st.integers(0, 3)):
                 cols.append([])
             elif laurent:
-                cols.append(draw(st.lists(st.tuples(rows, st.integers(-2, 2), elements(f, 50)),
-                                          min_size=1, max_size=3)))
+                cols.append(draw(st.lists(st.tuples(rows, EXPONENTS, value), min_size=1, max_size=3)))
             else:
-                cols.append([(a, 0, draw(elements(f, 50))) for a in sorted(draw(st.sets(rows, min_size=1)))])
+                cols.append([(a, 0, draw(value)) for a in sorted(draw(st.sets(rows, min_size=1)))])
         legs.append(cols)
     return t, legs, m
 
 
-def assert_same_contraction(t, legs, m):
-    got, want = contract(t, legs, power=m), ref_contract(t, legs, power=m)
+def assert_same_contraction(t, legs, m, ref=ref_contract):
+    """contract against a reference kernel: values and element types."""
+    got, want = contract(t, legs, power=m), ref(t, legs, power=m)
     assert got == want
     assert {e: {k: type(v) for k, v in d.items()} for e, d in got.items()} == {
         e: {k: type(v) for k, v in d.items()} for e, d in want.items()}
+    return got
 
 
 @settings(max_examples=400, deadline=None)
@@ -289,6 +402,68 @@ def test_contract_matches_product_stream(case):
     # with no map at all the product stream hands back unreduced GF(p) products
     assume(m == 1 or legs != [None, None, None])
     assert_same_contraction(t, legs, m)
+
+
+# -- the packed kernel against the dict kernel ------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(contract_case())
+def test_contract_matches_dict_kernel(case):
+    assert_same_contraction(*case, ref=ref_contract_dict)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("f, value, coef", [(GF(7), 6, 6), (GF(2**31 - 1), 2**31 - 2, 2**31 - 2),
+                                            (QQ, Fraction(-97, 89), Fraction(-5, 3))],
+                         ids=["GF7", "GF(2^31-1)", "QQ"])
+def test_slots_hold_the_largest_sum(f, value, coef, m):
+    """Every value of t and every coefficient of one-row maps at its widest:
+    the one output entry is the largest |sum| the slot width is chosen for,
+    max|t|^m times each leg's sum of |coefficient|."""
+    t = Tensor3(f, (2, 2, 2), [value] * 8, normalize=True)
+    legs = [[[(0, 0, f.normalize(coef))] for _ in range(2**m)] for _ in range(3)]
+    got = assert_same_contraction(t, legs, m, ref=ref_contract_dict)
+    want = f.normalize(Fraction(value) ** m * Fraction(coef) ** 3 * 8**m)
+    assert got == {0: {(0, 0, 0): want}}
+
+
+@pytest.mark.parametrize("power", [0, -1])
+def test_contract_refuses_powers_below_one(power):
+    t = unit(GF(7), 2)
+    with pytest.raises(BadParamsError):
+        contract(t, [None, None, None], power=power)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# sha256 of the outputs of the 345 `contract` calls that one round of each
+# benchmark workload makes (seed 5), recorded with the dict kernel
+WORKLOAD_CONTRACT_SHA256 = "36590c1d28acc50467f8f4d3c0b87ae804ba9ea0f7d654b2dd12af3133a66e34"
+
+
+def test_workload_contract_calls_match_dict_kernel(monkeypatch, tmp_path):
+    """A fixed corpus: every call round 0 of bounds, scan, covers and replay
+    makes, against the dict kernel and against the outputs recorded with it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    calls = []
+
+    def recorded(t, legs, *, power=1):
+        calls.append((t, legs, power))
+        return contract(t, legs, power=power)
+
+    monkeypatch.setattr("tenrank.tensor.contract", recorded)
+    monkeypatch.setattr("tenrank.laurent.contract", recorded)
+    for name in ("bounds", "scan", "covers", "replay"):
+        wl = workloads.WORKLOADS[name](5, str(tmp_path))
+        for item in wl.items(0):
+            wl.run(item)
+    assert sorted({m for _, _, m in calls}) == [1, 2]
+    lines = [repr(sorted((e, sorted(d.items())) for e, d in assert_same_contraction(*call, ref=ref_contract_dict).items()))
+             for call in calls]
+    assert len(lines) == 345
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WORKLOAD_CONTRACT_SHA256
 
 
 @pytest.mark.parametrize("f", [GF(7), QQ], ids=["GF7", "QQ"])

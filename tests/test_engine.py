@@ -988,6 +988,23 @@ def test_bounds_null_algebra():
     assert rep.asymptotic_upper == 5
 
 
+def test_bounds_builds_each_slice_span_once(monkeypatch):
+    """The max-rank search and the matmul-form restriction of a direction
+    read one slice span, built once."""
+    built = []
+
+    def counted(t, row_dir, col_dir):
+        built.append((row_dir, col_dir))
+        return slice_span(t, row_dir, col_dir)
+
+    monkeypatch.setattr(engine, "slice_span", counted)
+    t = null_algebra(GF(11), 5)
+    rep = asymptotic_bounds(t)
+    assert sorted(built) == [(1, 2), (1, 3), (2, 3)]
+    monkeypatch.undo()
+    assert rep.to_kv() == asymptotic_bounds(t).to_kv()
+
+
 def test_bounds_symmetric_sqrt_path():
     rng = random.Random(37)
     f = GF(7)
