@@ -6,9 +6,11 @@ are cross-checked against the generic implementations in the test suite.
 
 The packed unit-restriction search visits the map pairs that
 `unit_pair_candidates` defines, the rule the generic search in `engine`
-shares, with rows in word order; on small formats each pair's action on
-every packed slice is read from a cached lookup table.  Its witnesses are
-checked by `apply_bit_maps`, which uses none of the search's tables.
+shares, with rows in word order.  On small formats a cached lane table
+holds every pair's image of each packed slice in one int, one lane per
+pair, so one pass over the slices' XOR span tests all pairs at once; other
+formats apply the pairs one at a time.  Its witnesses are checked by
+`apply_bit_maps`, which uses none of the search's tables or helpers.
 """
 
 from __future__ import annotations
@@ -115,24 +117,37 @@ _TABLE_COST_CAP = 2_000_000
 
 
 @lru_cache(maxsize=None)
-def _pair_tables(n2: int, n3: int, r: int):
-    """The packed search's candidate pairs as (L2s, L3s, tables).
+def _lane_table(n2: int, n3: int, r: int):
+    """The packed search's candidate pairs as (L2s, L3s, table, lows).
 
-    tables[x][y] maps every packed (n2 x n3) slice S to the packed
-    L2s[x] S L3s[y]^T.  The tables are built only when their total size is
-    small (the exhaustive-format workloads); otherwise tables is None and
-    the search applies the pairs on the fly.
+    table[S] packs L2 S L3^T for every pair, L2 major, as one int: pair p
+    takes lane p, r*r data bits (row-major) and one zero guard bit above
+    them; lows has bit 0 of every lane set.  S -> table[S] is linear, so
+    each entry is the XOR of the entries of S's set bits; the entry of the
+    single bit (j, k) holds, at bit b*r + c of a lane, L2[b][j] * L3[c][k].
+    The table is built only when pairs * 2^(n2*n3) is small (the
+    exhaustive-format workloads); otherwise table and lows are None and the
+    search applies the pairs one at a time.
     """
     l2s, l3s = unit_pair_candidates(range(1, 1 << n2), range(1, 1 << n3), r, gf2_rank)
     l2s = tuple(l2s)
     width = n2 * n3
     if width > 12 or len(l2s) * len(l3s) * (1 << width) > _TABLE_COST_CAP:
-        return l2s, l3s, None
-    tables = []
-    for l2 in l2s:
-        lefts = [_left_rows(s, l2, n2, n3) for s in range(1 << width)]
-        tables.append([[_times_transpose(left, l3) for left in lefts] for l3 in l3s])
-    return l2s, l3s, tables
+        return l2s, l3s, None, None
+    lane = r * r + 1
+    units = [0] * width
+    for p, (l2, l3) in enumerate(itertools.product(l2s, l3s)):
+        for (b, row2), (c, row3) in itertools.product(enumerate(l2), enumerate(l3)):
+            bit = 1 << (p * lane + b * r + c)
+            for j, k in itertools.product(range(n2), range(n3)):
+                if (row2 >> j) & (row3 >> k) & 1:
+                    units[j * n3 + k] |= bit
+    table = [0] * (1 << width)
+    for s in range(1, 1 << width):
+        low = s & -s
+        table[s] = table[s ^ low] ^ units[low.bit_length() - 1]
+    pairs = len(l2s) * len(l3s)
+    return l2s, l3s, table, ((1 << pairs * lane) - 1) // ((1 << lane) - 1)
 
 
 def _unit_targets(r: int) -> Tuple[int, ...]:
@@ -185,44 +200,53 @@ def bit_row(bits: int, n: int) -> Tuple[int, ...]:
     return tuple((bits >> j) & 1 for j in range(n))
 
 
+def _span(trans) -> List[int]:
+    """vals[m] = XOR of trans[i] over the set bits i of m, so an index that
+    matches a target is itself the corresponding row of the solved map."""
+    vals = [0]
+    for tv in trans:
+        vals += [v ^ tv for v in vals]
+    return vals
+
+
 def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
     """Decide whether the packed tensor restricts to the size-r unit tensor.
 
     Visits the map pairs of `unit_pair_candidates` with rows in word order
     (range(1, 1 << n)) and solves for leg 1 row by row in the XOR span of
-    the transformed 1-slices.  Returns (l1_rows, l2_rows, l3_rows) as
-    bit-row tuples, or None.
+    the transformed 1-slices.  With a lane table every pair is tested at
+    once: the span is formed lane-wise, a lane stays in the running for E_aa
+    if some span element equals E_aa there, and the lowest lane left after
+    all r targets is the first accepted pair.  Returns (l1_rows, l2_rows,
+    l3_rows) as bit-row tuples, or None.
     """
     n1, n2, n3 = dims
     slices = tensor_slices1(word, dims)
     targets = _unit_targets(r)
-    vals = [0] * (1 << n1)
-    l2s, l3s, tables = _pair_tables(n2, n3, r)
-    for x, l2 in enumerate(l2s):
-        if tables is None:
+    l2s, l3s, table, lows = _lane_table(n2, n3, r)
+    if table is None:
+        for l2 in l2s:
             lefts = [_left_rows(s, l2, n2, n3) for s in slices]
-        for y, l3 in enumerate(l3s):
-            if tables is None:
-                trans = [_times_transpose(left, l3) for left in lefts]
-            else:
-                tbl = tables[x][y]
-                trans = [tbl[s] for s in slices]
-            # vals[m] = XOR of transformed slices selected by bitmask m, so a
-            # matching index is itself the corresponding row of the solved map
-            for idx in range(n1):
-                tv = trans[idx]
-                step = 1 << idx
-                if tv:
-                    for m in range(step):
-                        vals[m | step] = vals[m] ^ tv
-                else:
-                    for m in range(step):
-                        vals[m | step] = vals[m]
-            rows1 = []
-            for tgt in targets:
-                if tgt not in vals:
-                    break
-                rows1.append(vals.index(tgt))
-            else:
-                return (tuple(rows1), l2, l3)
-    return None
+            for l3 in l3s:
+                vals = _span([_times_transpose(left, l3) for left in lefts])
+                if all(tgt in vals for tgt in targets):
+                    return (tuple(vals.index(tgt) for tgt in targets), l2, l3)
+        return None
+    guards = lows << (r * r)
+    vals = _span([table[s] for s in slices])
+    accepted = guards
+    for tgt in targets:
+        spread = tgt * lows
+        # a lane's guard bit survives the subtraction unless the lane is 0,
+        # that is unless the span element equals tgt there
+        missed = guards
+        for v in vals:
+            missed &= ((v ^ spread) | guards) - lows
+        accepted &= ~missed
+        if not accepted:
+            return None
+    lane = r * r + 1
+    p = ((accepted & -accepted).bit_length() - 1) // lane
+    mask, shift = (1 << (r * r)) - 1, p * lane
+    lanes = [(v >> shift) & mask for v in vals]
+    return (tuple(lanes.index(tgt) for tgt in targets), l2s[p // len(l3s)], l3s[p % len(l3s)])

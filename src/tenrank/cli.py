@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -246,6 +247,8 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
     if n >= cap.bit_length() or field.p**n > cap:  # p^n > cap once n reaches cap's bit length
         raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {cap}")
     total = field.p**n
+    if offset > total:
+        raise BadParamsError(f"scan offset {offset} is past the end of the {total} tensors of the format")
     end = total if limit is None else min(total, offset + limit)
     counts: Dict[tuple, int] = {}
     # deterministic commutative aggregation over worker chunks
@@ -307,53 +310,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("info", help="dimensions, field, ranks, conciseness")
     common(sp)
-    sp.set_defaults(fn=cmd_info)
 
     sp = sub.add_parser("bounds", help="certified asymptotic subrank interval")
     common(sp)
     sp.add_argument("--format", choices=["text", "kv"], default="text")
-    sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("subrank", help="exact subrank (exhaustive search)")
     common(sp, guard=True)
     sp.add_argument("--certify", default=None, help="also write a certificate file")
-    sp.set_defaults(fn=cmd_subrank)
 
     sp = sub.add_parser("slicerank", help="exact slice rank (exhaustive search)")
     common(sp, guard=True)
-    sp.set_defaults(fn=cmd_slicerank)
 
     sp = sub.add_parser("maxrank", help="max-rank of an oriented slice span")
     common(sp, guard=True)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--orient", default="1,2", help="row,col directions")
     sp.add_argument("--trials", type=int, default=0, help="randomized trials (0 = exhaustive)")
-    sp.set_defaults(fn=cmd_maxrank)
 
     sp = sub.add_parser("minrank", help="min-rank of an oriented slice span")
     common(sp, guard=True)
     sp.add_argument("--orient", default="1,2")
-    sp.set_defaults(fn=cmd_minrank)
 
     sp = sub.add_parser("pivots", help="the six oriented pivot cover numbers")
     common(sp)
-    sp.set_defaults(fn=cmd_pivots)
 
     sp = sub.add_parser("certify", help="emit a certificate file")
     sp.add_argument("kind", choices=["rho", "sqrt", "subrank", "c2"])
     common(sp, guard=True)
     sp.add_argument("--orient", default="1,2")
-    sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("verify", help="re-verify a certificate against a tensor")
     sp.add_argument("certificate")
     common(sp)
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("power", help="write a Kronecker power of a tensor")
     common(sp)
     sp.add_argument("m", type=int)
-    sp.set_defaults(fn=cmd_power)
 
     sp = sub.add_parser("catalog", help="write a named catalog tensor")
     sp.add_argument("name", choices=sorted(CATALOG))
@@ -362,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--expect", action="store_true",
                     help="print the expected invariant table instead of the tensor")
-    sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("scan", help="exhaustive scan of a whole format")
     sp.add_argument("--dims", required=True)
@@ -371,17 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--limit", type=int, default=None)
     sp.add_argument("--guard", type=int, default=None)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_scan)
 
     return p
 
 
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "guard", None) is not None and args.guard < 1:
             raise BadParamsError(f"--guard {args.guard} must be at least 1")
-        return args.fn(args)
+        # looked up per call, so a patched or wrapped command is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -329,6 +329,38 @@ def test_packed_unit_search_matches_full_pair_loop_without_tables(word):
     _same_packed_witness(word, (3, 3, 3), [3])
 
 
+def test_lane_tables_match_the_per_pair_tables():
+    """Every lane table with n2, n3 <= 3: for every slice, lane p (r*r data
+    bits and a zero guard bit above them) is pair p's reference table entry,
+    pairs in the search's order, and nothing lies past the last lane."""
+    built = []
+    for n2, n3 in itertools.product(range(1, 4), repeat=2):
+        for r in range(1, min(n2, n3) + 1):
+            l2s, l3s, table, lows = _gf2._lane_table(n2, n3, r)
+            if table is None:
+                continue
+            built.append((n2, n3, r))
+            ref = {(l2, l3): tbl for l2, l3, tbl in ref_pair_tables(n2, n3, r)}
+            pairs = list(itertools.product(l2s, l3s))
+            lane = r * r + 1
+            assert lows == sum(1 << (p * lane) for p in range(len(pairs)))
+            for s, entry in enumerate(table):
+                assert entry >> (len(pairs) * lane) == 0
+                for p, pair in enumerate(pairs):
+                    assert (entry >> (p * lane)) & ((1 << lane) - 1) == ref[pair][s]
+    assert len(built) == 13
+
+
+def test_lane_search_witnesses_on_3x3x2_are_pinned():
+    """The packed search's result on every 13th 3x3x2 word for r = 1, 2,
+    hashed as recorded before the search tested all pairs in one int."""
+    h = hashlib.sha256()
+    for word in range(0, 1 << 18, 13):
+        for r in (1, 2):
+            h.update(repr((word, r, _gf2.exists_unit_restriction_gf2(word, (3, 3, 2), r))).encode())
+    assert h.hexdigest() == "636d5cdf15d59fd21978f800bda363523c078dce584b5452496312ed9b892f9c"
+
+
 # -- the packed witness check ---------------------------------------------------
 
 

@@ -362,6 +362,28 @@ def test_scan_rejects_negative_offset_and_limit(capsys):
     assert "total" not in out.out and "BadParamsError" in out.err
 
 
+def test_scan_offset_past_the_format_is_refused(capsys):
+    with pytest.raises(BadParamsError, match="past the end of the 4096 tensors"):
+        scan_format(GF(2), (2, 2, 3), offset=4097, limit=3)
+    assert run_cli("scan", "--dims", "2,2,3", "--field", "gf:2", "--offset", "5000", "--limit", "3") == 1
+    out = capsys.readouterr()
+    assert "total" not in out.out and "BadParamsError" in out.err
+    assert run_cli("scan", "--dims", "2,2,3", "--field", "gf:2", "--offset", "4096", "--limit", "3") == 0
+    assert "total 0\n" in capsys.readouterr().out
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    """main reuses one parser: a --guard given to one call does not reach
+    the next, and a command patched after the first call is the one run."""
+    assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:2", "--guard", "1") == 3
+    parser = tenrank.cli._parser()
+    assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:2") == 0
+    assert "total 16\n" in capsys.readouterr().out
+    assert tenrank.cli._parser() is parser
+    monkeypatch.setattr(tenrank.cli, "cmd_scan", lambda args: 7)
+    assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:2") == 7
+
+
 @pytest.mark.parametrize("dims", ["a,2,2", "2,2", "2,-1,2"])
 def test_scan_bad_dims_is_a_parse_error(dims, capsys):
     assert run_cli("scan", f"--dims={dims}", "--field", "gf:3") == 2
