@@ -10,6 +10,8 @@ reference implementation.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 # p*p must stay inside int32 during elimination; desk-scale fields are tiny
@@ -58,16 +60,19 @@ def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     return m - free.sum(axis=1)
 
 
-def projective_vectors(q: int, dim: int):
+def projective_vectors(q: int, dim: int, top: Optional[int] = None):
     """All nonzero coefficient vectors over GF(q) with leading coefficient 1.
 
     One representative per projective point: (q^dim - 1)/(q - 1) tuples,
-    in a fixed deterministic order.
+    in a fixed deterministic order.  With `top` (1 <= top < q), only the grid
+    {1} x {0..top}^(dim-1): the vectors with a leading 1 in position 0 and
+    every later digit at most `top`, a subsequence of the same order.
     """
     from itertools import product
 
-    for lead in range(dim):
-        for tail in product(range(q), repeat=dim - lead - 1):
+    digits = range(q if top is None else top + 1)
+    for lead in range(dim if top is None else min(dim, 1)):
+        for tail in product(digits, repeat=dim - lead - 1):
             yield (0,) * lead + (1,) + tail
 
 
@@ -75,24 +80,27 @@ def projective_count(q: int, dim: int) -> int:
     return (q**dim - 1) // (q - 1)
 
 
-def projective_chunks(q: int, dim: int):
-    """projective_vectors as consecutive (n, dim) int64 blocks, in the same order.
+def projective_chunks(q: int, dim: int, top: Optional[int] = None):
+    """projective_vectors(q, dim, top) as consecutive (n, dim) int64 blocks, in the same order.
 
     Each row is computed from its index: the block with leading 1 at
-    position `lead` lists the numbers q^k .. 2q^k - 1 (k = dim - lead - 1)
-    in base q, last position fastest.  The first block has 64 rows and each
-    next one 4x as many, up to 4096 (4096 int32 6x6 matrices take 0.6 MB, so
-    a block's batch stays in cache), so a search that stops early builds
-    only the rows it ranks.
+    position `lead` lists the numbers b^k .. 2b^k - 1 (k = dim - lead - 1)
+    in base b = q, last position fastest.  With `top`, b = top + 1 and only
+    the lead-0 block is listed: the grid {1} x {0..top}^(dim-1), whose row
+    i is 1 followed by i in base top + 1.  The first block has 64 rows and
+    each next one 4x as many, up to 4096 (4096 int32 6x6 matrices take
+    0.6 MB, so a block's batch stays in cache), so a search that stops early
+    builds only the rows it ranks.
     """
-    count = projective_count(q, dim)
-    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)  # q^k for lead = 0 .. dim - 1
+    base = q if top is None else top + 1
+    place = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)  # b^k for lead = 0 .. dim - 1
+    count = base ** (dim - 1) if top is not None and dim else projective_count(q, dim)
     starts = np.cumsum(place) - place  # index of each lead's first row
     lo, size = 0, 64
     while lo < count:
         idx = np.arange(lo, min(count, lo + size), dtype=np.int64)
         lead = np.searchsorted(starts, idx, side="right") - 1
-        yield (idx - starts[lead] + place[lead])[:, None] // place % q
+        yield (idx - starts[lead] + place[lead])[:, None] // place % base
         lo += size
         size = min(4 * size, 4096)
 

@@ -155,7 +155,14 @@ def _term_rank(span: SliceSpan) -> int:
 
 
 def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
-    """Shared projective enumeration for max/min rank over GF(p)."""
+    """Shared projective enumeration for max/min rank over GF(p).
+
+    The guard counts every projective combination.  Max-rank stops at the
+    term rank T of the reduced basis; when T < p it ranks only the grid
+    {1} x {0..T}^(c-1) of `projective_vectors`, which holds the max-rank
+    and the first combination attaining it (see `max_rank_exhaustive`).
+    The batched or the scalar arm is chosen by the count actually ranked.
+    """
     f = span.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive rank search needs a finite field")
@@ -175,12 +182,15 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
         )
     red = SliceSpan(f, tuple(mats))
     stop = 1 if minimize else _term_rank(red)  # no combination can do better
+    top = None if minimize or stop >= q else stop
+    if top is not None:
+        count = (top + 1) ** (c - 1)
     if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
-        best, best_vec = _enumerate_ranks_batched(red, q, c, minimize, stop)
+        best, best_vec = _enumerate_ranks_batched(red, q, c, minimize, stop, top)
     else:
         best = None
         best_vec = None
-        for vec in projective_vectors(q, c):
+        for vec in projective_vectors(q, c, top):
             r = rank(combine(red, vec))
             if best is None or (r < best if minimize else r > best):
                 best, best_vec = r, vec
@@ -191,9 +201,9 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     return best, tuple(lifted)
 
 
-def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int):
-    """(best rank, the first projective vector attaining it, as ints),
-    stopping once a block of `projective_chunks` reaches `stop`."""
+def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int, top: Optional[int]):
+    """(best rank, the first vector of projective_chunks(q, c, top) attaining
+    it, as ints), stopping once a block reaches `stop`."""
     import numpy as np
 
     from ._batch import batched_rank_mod_p, projective_chunks
@@ -202,7 +212,7 @@ def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, sto
     basis = np.array([m.data for m in red.basis], dtype=np.int64).reshape(c, rows * cols)
     best = None
     best_vec = None
-    for part in projective_chunks(q, c):
+    for part in projective_chunks(q, c, top):
         mats = (part @ basis % q).reshape(-1, rows, cols)
         ranks = batched_rank_mod_p(mats, q)
         i = int(np.argmin(ranks) if minimize else np.argmax(ranks))
@@ -217,10 +227,18 @@ def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, sto
 def max_rank_exhaustive(span: SliceSpan, *, guard: int = PROJECTIVE_GUARD):
     """Exact max-rank over a finite field with a witness combination.
 
-    The search stops at the term rank of the span's union support (at most
-    min(shape)), which no element's rank exceeds.  The guard still counts
-    every projective combination, and the witness is the first combination
-    attaining the max-rank, the one the full search returns.
+    The search stops at the term rank T of the span's union support (at most
+    min(shape)), which no element's rank exceeds.  When T < p it ranks only
+    the combinations with a leading 1 in position 0 and every other
+    coefficient at most T, in the same order.  Every k x k minor of
+    sum x_i B_i (reduced basis) is homogeneous of degree k <= T, so setting
+    x_1 = 1 keeps a nonzero one nonzero, of degree at most T in each
+    variable; such a polynomial does not vanish on {0..T}^(c-1) (Alon's
+    Combinatorial Nullstellensatz), and fixing the coordinates one at a time
+    puts the lexicographically first nonzero point there too.  So the grid
+    holds the max-rank and its first witness.  The guard still
+    counts every projective combination, and the witness is the first
+    combination attaining the max-rank, the one the full search returns.
     """
     value, coeffs = _enumerate_ranks(span, minimize=False, guard=guard)
     return value, MaxRankWitness(coeffs, value)

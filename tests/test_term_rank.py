@@ -9,6 +9,7 @@ term rank, so the value and the witness must come out the same.
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -308,17 +309,105 @@ def test_null_algebra_over_q_stops_at_first_trial_of_rank_two(monkeypatch):
 def test_batched_search_builds_and_ranks_blocks_up_to_the_stop(ranked):
     """The batched arm ranks the projective combinations in blocks of 64,
     256, 1024, then 4096, and stops after the block that reaches the term
-    rank: four 3x2 generators over GF(11) (1,464 combinations) whose first
-    combination has rank 2 rank one block of 64, and direction 2 of
-    gen_null_algebra(6, 2) three blocks."""
+    rank.  Six 3x3 generators over GF(3), the first the identity (364
+    combinations, term rank 3 = p, so the full order), rank one block of 64.
+    Below p only the grid {1} x {0..T}^(c-1) is ranked, and the arm is
+    chosen by its count: four 3x2 generators over GF(11) (1,464
+    combinations, a grid of 27) take the scalar arm, and direction 2 of
+    gen_null_algebra(6, 2) (a grid of 4^5) ranks two blocks."""
+    f = GF(3)
+    span = span_of(f, [Matrix.identity(f, 3)] + [Matrix.from_entries(f, 3, 3, {ij: 1})
+                                                  for ij in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0))])
+    assert projective_count(3, len(independent_basis(span)[0])) == 364
+    value, wit = max_rank_exhaustive(span)
+    assert (value, wit.coeffs) == (3, (1, 0, 0, 0, 0, 0))
+    assert ranked == [64]
+    ranked.clear()
     f = GF(11)
     span = span_of(f, [Matrix(f, [[1, 0], [0, 1], [0, 0]]), Matrix(f, [[0, 1], [0, 0], [0, 0]]),
                        Matrix(f, [[0, 0], [1, 0], [0, 0]]), Matrix(f, [[0, 0], [0, 0], [1, 3]])])
     assert projective_count(11, len(independent_basis(span)[0])) == 1464
     value, wit = max_rank_exhaustive(span)
     assert (value, wit.coeffs) == (2, (1, 0, 0, 0))
-    assert ranked == [64]
-    ranked.clear()
+    assert ranked == []
     value, wit = max_rank_exhaustive(slice_span(gen_null_algebra(f, 6, 2), 1, 3))
     assert value == 3
-    assert ranked == [64, 256, 1024]
+    assert ranked == [64, 256]
+
+
+def test_gen_null_algebra_ranks_only_the_grid(ranked):
+    """The three slice spans of gen_null_algebra(6, 2) over GF(11) have term
+    ranks 6, 3 and 4, all below 11: they rank 64 + 320 + 1,344 matrices of
+    their grids, against 320 + 1,344 + 17,728 in the full projective order
+    (direction 3's first rank-4 combination is its 14,643rd), and the
+    witnesses are the full order's."""
+    t = gen_null_algebra(GF(11), 6, 2)
+    witnesses = [max_rank_exhaustive(slice_span(t, *orient))[1].coeffs for orient in ((2, 3), (1, 3), (1, 2))]
+    assert witnesses == [(6, 0, 0, 0, 6, 0), (6, 0, 1, 0, 0, 0), (6, 1, 0, 0, 0, 1)]
+    assert sum(ranked) <= 2000
+
+
+_FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(11), GF(13)]
+
+
+@st.composite
+def structured_spans(draw):
+    """Spans whose max-rank may sit below their term rank, over fields where
+    the term rank is below p and where it is not:
+    - skew: odd n x n skew-symmetric (alternating) matrices, rank <= n - 1;
+    - compression: n x n matrices vanishing on an r x s block, r + s > n,
+      rank <= 2n - r - s < n;
+    - lowrank: U * V_i with one n x k matrix U, rank <= k;
+    - uniform: dense random matrices.
+    Each may be moved to P * A * Q by random P and Q, which fills the
+    support while the rank bound stays.  The number of generators keeps
+    the full projective order at most 1,500 combinations."""
+    f = draw(st.sampled_from(_FIELDS))
+    p = f.p
+    entry = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["skew", "compression", "lowrank", "uniform"]))
+    gens = draw(st.integers(1, max(c for c in range(1, 7) if projective_count(p, c) <= 1500)))
+    if kind == "skew":
+        n = m = draw(st.sampled_from([3, 5]))
+    elif kind == "compression":
+        n = m = draw(st.integers(3, 5))
+        r = draw(st.integers(2, n - 1))
+        s = draw(st.integers(n + 1 - r, n - 1))
+    else:
+        n, m = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    if kind == "lowrank":
+        k = draw(st.integers(1, min(n, m) - 1))
+        u = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    mats = []
+    for _ in range(gens):
+        a = [[draw(entry) for _ in range(m)] for _ in range(n)]
+        if kind == "skew":
+            a = [[a[i][j] if i < j else -a[j][i] % p if i > j else 0 for j in range(m)] for i in range(n)]
+        elif kind == "compression":
+            a = [[0 if i < r and j < s else a[i][j] for j in range(m)] for i in range(n)]
+        elif kind == "lowrank":
+            a = [[sum(u[i][l] * a[l][j] for l in range(k)) % p for j in range(m)] for i in range(n)]
+        mats.append(Matrix(f, a))
+    if draw(st.booleans()):
+        left = Matrix(f, [[draw(entry) for _ in range(n)] for _ in range(n)])
+        right = Matrix(f, [[draw(entry) for _ in range(m)] for _ in range(m)])
+        mats = [left.mul(a).mul(right) for a in mats]
+    return span_of(f, mats)
+
+
+# a reduced basis whose first rank-3 combination is (1, 3): the witness sits
+# on the edge of the grid {1} x {0..3}, T = 3
+_EDGE = [Matrix(GF(11), [[1, 0, 0], [2, 0, 0], [0, 0, 1]]), Matrix(GF(11), [[0, 1, 7], [10, 0, 0], [10, 2, 2]])]
+
+
+@pytest.mark.parametrize("threshold", [0, 10**9])
+@settings(max_examples=150, deadline=None)
+@given(span=structured_spans())
+@example(span=span_of(GF(11), _EDGE))
+def test_grid_search_matches_full_projective_order(threshold, span):
+    """The grid search against the full projective order on both arms:
+    the same max-rank and the same witness, including spans whose max-rank
+    is below their term rank (the grid is then ranked whole) and a witness
+    with a coefficient equal to the term rank."""
+    with patch.object(tenrank.spans, "_BATCH_THRESHOLD", threshold):
+        check_exhaustive(span)
