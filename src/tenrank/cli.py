@@ -210,6 +210,14 @@ def cmd_catalog(args) -> int:
 
 
 def _scan_one(word: int, dims, field) -> Tuple[int, int, Tuple[int, int, int], bool]:
+    """The tally key of the tensor with scan index `word`.  Over GF(2) the
+    index is the packed word, and when the packed unit-restriction search
+    takes the format (`engine.packed_applies` at r = min(dims)) the item runs
+    on the word alone (`engine.word_oracles`); its witnesses are checked in
+    `engine.packed_unit_restriction`.  Other items decode a `Tensor3`."""
+    if engine.packed_applies(field, dims, min(dims)):
+        q_val, sr_val, ranks = engine.word_oracles(field, word, dims)
+        return q_val, sr_val, ranks, ranks == dims
     t = _tensor_from_index(word, dims, field)
     ranks = t.flattening_ranks()  # kept on t, so the oracles below reuse it
     q_val, _ = engine.subrank_exact(t)
@@ -236,7 +244,9 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
     range [offset, offset+limit) supports resumable chunked scans.  `workers`
     only splits the range into interleaved chunks, visited one after another
     in this process; the tally is a commutative merge, so it does not depend
-    on the value.
+    on the value.  GF(2) items of formats the packed search takes run on
+    their packed word, with no `Tensor3` or `Matrix`, unless the slice rank
+    needs a search (`_scan_one`).
     """
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("scan needs a finite field")

@@ -173,6 +173,30 @@ def _solve_first_leg(f: PrimeField, slices, l2: Matrix, l3: Matrix, r: int) -> R
     return Restriction((Matrix(f, rows1, cols=len(slices)), l2, l3))
 
 
+def packed_applies(f: PrimeField, dims, r: int) -> bool:
+    """Whether the size-r unit-restriction search on this format runs on the
+    packed GF(2) word (`packed_unit_restriction`) rather than on `Tensor3`
+    slices.  It does for every r below as well."""
+    n1, n2, n3 = dims
+    return f.p == 2 and n1 <= 16 and r * n2 <= 12 and r * n3 <= 12
+
+
+def packed_unit_restriction(word: int, dims, r: int) -> Optional[tuple]:
+    """The packed search's restriction of a packed GF(2) tensor onto the
+    size-r unit tensor, as bit-row maps (`_gf2.exists_unit_restriction_gf2`),
+    or None.  The one check of the packed search's witnesses: the maps'
+    image (`_gf2.apply_bit_maps`) must be the packed size-r unit tensor,
+    whose bits are a * (r*r + r + 1), before anything is built from them.
+    """
+    maps = _gf2.exists_unit_restriction_gf2(word, dims, r)
+    if maps is None:
+        return None
+    unit_word = sum(1 << a * (r * r + r + 1) for a in range(r))
+    if tuple(map(len, maps)) != (r, r, r) or _gf2.apply_bit_maps(word, dims, maps) != unit_word:
+        raise VerificationFailedError("unit restriction failed to verify")
+    return maps
+
+
 def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> Optional[Restriction]:
     """A restriction of t onto the size-r unit tensor, if one exists."""
     if r == 0:
@@ -182,17 +206,11 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
     f = t.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive subrank search needs a finite field")
-    n1, n2, n3 = t.dims
-    if f.p == 2 and n1 <= 16 and r * n2 <= 12 and r * n3 <= 12:  # the packed search
-        word = _gf2.pack_tensor(t.entries, t.dims)
-        maps = _gf2.exists_unit_restriction_gf2(word, t.dims, r)
+    if packed_applies(f, t.dims, r):
+        maps = packed_unit_restriction(_gf2.pack_tensor(t.entries, t.dims), t.dims, r)
         if maps is None:
             return None
-        # checked on the packed word before any Matrix is built: the image
-        # must be the packed size-r unit tensor, whose bits are a * (r*r + r + 1)
-        unit_word = sum(1 << a * (r * r + r + 1) for a in range(r))
-        if tuple(map(len, maps)) != (r, r, r) or _gf2.apply_bit_maps(word, t.dims, maps) != unit_word:
-            raise VerificationFailedError("unit restriction failed to verify")
+        # the maps are checked; Matrix maps are built only for the certificate
         return Restriction(tuple(Matrix(f, [_gf2.bit_row(b, n) for b in rows], cols=n)
                                  for rows, n in zip(maps, t.dims)))
     res = _unit_restriction_generic(t, r, guard)
@@ -211,7 +229,9 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     row scaling and a shared row order (`_gf2.unit_pair_candidates`; see
     `_unit_restriction_generic`), which finds the same first witness.
     Outside the packed path `guard` still bounds the count of all full-rank
-    pairs; the packed path checks no guard.
+    pairs; the packed path checks no guard.  Its witnesses are checked once,
+    in `packed_unit_restriction`, which `word_oracles` (the GF(2) items of
+    `tenrank scan`) calls too.
     """
     if t.is_zero():
         return 0, SubrankCertificate("restriction", 0, 1, restriction=exists_unit_restriction(t, 0))
@@ -220,6 +240,25 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
         if res is not None:
             return r, SubrankCertificate("restriction", r, 1, restriction=res)
     raise VerificationFailedError("nonzero tensor without a unit restriction")  # pragma: no cover
+
+
+def _slicerank_settled(f: Field, dims, zero: bool, ranks, guard: int) -> Optional[int]:
+    """The steps of `slicerank_exact` before any search, in order: the
+    refusal over Q, the zero test, the subspace-pair guard, then the
+    flattening shortcut.  `ranks()` gives the flattening ranks; it is called
+    only past the guard.  Returns the slice rank when these steps settle it,
+    else None."""
+    if not isinstance(f, PrimeField):
+        raise InfiniteFieldError("exhaustive slice rank needs a finite field")
+    if zero:
+        return 0
+    pair_total = subspace_pair_count(f.p, dims[0], dims[1])
+    if pair_total > guard:
+        raise ResourceGuardError(
+            f"subspace-pair enumeration of {pair_total} pairs exceeds guard {guard}"
+        )
+    best = min(ranks())
+    return best if best <= 2 else None
 
 
 def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
@@ -237,22 +276,15 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     from the smallest.  A nonzero tensor has slice rank 1 exactly when a
     flattening has rank 1 (T = u (x) M on that leg), so when the smallest
     flattening rank is at most 2 it is the slice rank and nothing is searched.
+    These first steps are `_slicerank_settled`, which `word_oracles` shares.
     """
     f = t.field
-    if not isinstance(f, PrimeField):
-        raise InfiniteFieldError("exhaustive slice rank needs a finite field")
-    if t.is_zero():
-        return 0
+    settled = _slicerank_settled(f, t.dims, t.is_zero(), t.flattening_ranks, guard)
+    if settled is not None:
+        return settled
     n1, n2, n3 = t.dims
     q = f.p
-    pair_total = subspace_pair_count(q, n1, n2)
-    if pair_total > guard:
-        raise ResourceGuardError(
-            f"subspace-pair enumeration of {pair_total} pairs exceeds guard {guard}"
-        )
     best = min(t.flattening_ranks())
-    if best <= 2:
-        return best
     # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _product call
     fibers = list(zip(*t.flattening(1).data))
     v2_cache: dict = {}  # the (V2, ann(V2)) pairs, built once for every V1
@@ -266,6 +298,29 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
             if cover is not None:
                 best = a1 + cover[0]
     return best
+
+
+def word_oracles(f: PrimeField, word: int, dims) -> Tuple[int, int, Tuple[int, int, int]]:
+    """(subrank, slice rank, flattening ranks) of a packed GF(2) tensor, for
+    a format with packed_applies(f, dims, min(dims)): the values
+    `subrank_exact` and `slicerank_exact` give on its `Tensor3`.
+
+    The flattening ranks come from `_gf2.flattening_ranks`.  A restriction
+    cannot raise a flattening rank, and those of the size-r unit tensor are
+    r, so the subrank search runs `packed_unit_restriction` (witness check
+    included) for r descending from the smallest.  The slice rank takes the
+    steps of `_slicerank_settled`; only when they leave it open is a
+    `Tensor3` built, for `slicerank_exact`.  No `Matrix` is built otherwise.
+    """
+    ranks = _gf2.flattening_ranks(word, dims)
+    found = (r for r in range(min(ranks), 0, -1) if packed_unit_restriction(word, dims, r) is not None)
+    sub = next(found, 0)
+    if word and not sub:
+        raise VerificationFailedError("nonzero tensor without a unit restriction")  # pragma: no cover
+    sr = _slicerank_settled(f, dims, not word, lambda: ranks, SLICERANK_GUARD)
+    if sr is None:
+        sr = slicerank_exact(Tensor3(f, dims, _gf2.unpack_entries(word, dims)))
+    return sub, sr, ranks
 
 
 # -- elimination proofs on tracked slices -------------------------------------------

@@ -24,6 +24,7 @@ from tenrank.errors import (
 )
 from tenrank.fields import GF, QQ
 from tenrank import _gf2, engine
+from tenrank.cli import _scan_one
 from tenrank.engine import (
     PAIR_GUARD,
     _count_full_rank,
@@ -427,16 +428,27 @@ def test_single_bit_flips_of_packed_witnesses_are_judged_alike_by_both_checks():
     assert (refused, kept) == (64392, 10137)
 
 
-@pytest.mark.parametrize("change", ["flip", "drop_row"])
-def test_packed_branch_refuses_a_bad_witness(monkeypatch, change):
-    """exists_unit_restriction checks the packed search's witness before it
-    returns it: a search that hands back a broken witness is refused."""
+@pytest.mark.parametrize(
+    ("change", "caller"),
+    [(change, caller) for caller in ("exists_unit_restriction", "scan_item") for change in ("flip", "drop_row")],
+    # the exists_unit_restriction cases are named by the change alone
+    ids=["flip", "drop_row", "flip-scan_item", "drop_row-scan_item"],
+)
+def test_packed_branch_refuses_a_bad_witness(monkeypatch, change, caller):
+    """Both users of the packed search, exists_unit_restriction and a GF(2)
+    scan item, check its witness before they use it: a search that hands
+    back a broken witness is refused."""
     t = Tensor3(GF(2), (2, 2, 3), {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 2): 1})
-    rows1, rows2, rows3 = _gf2.exists_unit_restriction_gf2(_gf2.pack_tensor(t.entries, t.dims), t.dims, 2)
+    word = _gf2.pack_tensor(t.entries, t.dims)
+    assert min(t.flattening_ranks()) == 2  # so the scan item searches r = 2 first
+    rows1, rows2, rows3 = _gf2.exists_unit_restriction_gf2(word, t.dims, 2)
     bad = (rows1, rows2, (rows3[0], rows3[1] ^ 2)) if change == "flip" else (rows1, rows2, rows3[:1])
     monkeypatch.setattr(_gf2, "exists_unit_restriction_gf2", lambda word, dims, r: bad)
-    with pytest.raises(VerificationFailedError, match="unit restriction failed to verify"):
-        exists_unit_restriction(t, 2)
+    with pytest.raises(VerificationFailedError, match="^unit restriction failed to verify$"):
+        if caller == "scan_item":
+            _scan_one(word, t.dims, GF(2))
+        else:
+            exists_unit_restriction(t, 2)
 
 
 def test_packed_subrank_witnesses_are_pinned():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenrank import _gf2
+from tenrank import _gf2, engine
 from tenrank.cli import _scan_one, _tensor_from_index
-from tenrank.engine import slicerank_exact
-from tenrank.errors import BadParamsError, IndexOutOfRangeError, ResourceGuardError, ZeroSpanError
+from tenrank.engine import slicerank_exact, subrank_exact
+from tenrank.errors import BadParamsError, IndexOutOfRangeError, ResourceGuardError, TenrankError, ZeroSpanError
 from tenrank.fields import GF, QQ
 from tenrank.matrix import Matrix
 from tenrank.spans import slice_span
@@ -130,12 +130,80 @@ def test_scan_item_computes_each_flattening_rank_once(monkeypatch):
 
 def test_scan_decoding_of_gf2_words_is_the_packed_one():
     """`_tensor_from_index` reads a GF(2) index bit by bit, as the packed
-    word is unpacked, so scan needs no GF(2) branch of its own."""
+    word is unpacked, so a GF(2) scan item can run on its index as the
+    packed word (`engine.word_oracles`) and the generic path decodes the
+    same tensor."""
     dims = (2, 2, 3)
     for word in range(1 << 12):
         entries = _tensor_from_index(word, dims, GF(2)).entries
         assert entries == _gf2.unpack_entries(word, dims)
         assert all(type(x) is int for x in entries)
+
+
+def _generic_scan_key(word, dims, field):
+    """A scan item's key through `Tensor3` and the two oracles: the path
+    `_scan_one` takes for GF(3) and outside the packed condition."""
+    t = _tensor_from_index(word, dims, field)
+    ranks = t.flattening_ranks()
+    return subrank_exact(t)[0], slicerank_exact(t), ranks, ranks == dims
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except TenrankError as exc:
+        return type(exc), str(exc)
+
+
+# (format, scan indices, whether the packed search takes the format)
+_SCAN_CASES = [
+    ((2, 2, 2), range(1 << 8), True),
+    ((2, 2, 3), range(1 << 12), True),
+    ((1, 2, 3), range(1 << 6), True),
+    ((3, 2, 2), range(1 << 12), True),
+    ((3, 3, 2), range(0, 1 << 18, 97), True),
+    ((2, 3, 3), range(0, 1 << 18, 97), True),
+    ((3, 2, 3), range(0, 1 << 18, 97), True),
+    ((0, 0, 0), [0], True),
+    ((2, 0, 3), [0], True),
+    ((1, 1, 1), [0, 1], True),
+    ((16, 1, 1), [0, 1, 0xBEEF], True),  # the slice-rank guard refuses the nonzero words
+    ((1, 13, 1), [0, 1, 0x1A2B, (1 << 13) - 1], False),
+    ((17, 1, 1), [0, 1, 0x1BEEF], False),
+]
+
+
+@pytest.mark.parametrize("dims, words, packed", _SCAN_CASES, ids=["x".join(map(str, c[0])) for c in _SCAN_CASES])
+def test_scan_word_path_equals_the_generic_path(dims, words, packed):
+    """A GF(2) scan item of a format the packed search takes runs on its
+    word; its key, or its error's class and message, is the one the generic
+    `Tensor3` path gives.  Formats outside the packed condition take the
+    generic path."""
+    f = GF(2)
+    assert engine.packed_applies(f, dims, min(dims)) == packed
+    for word in words:
+        assert _outcome(_scan_one, word, dims, f) == _outcome(_generic_scan_key, word, dims, f), word
+
+
+def test_scan_word_path_builds_no_tensor_or_matrix(monkeypatch):
+    """A GF(2) 2x2x3 scan item, whose smallest flattening rank is at most 2,
+    builds no Tensor3 and no Matrix; a 3x3x3 word of slice rank 3 builds the
+    one Tensor3 its slice-rank search needs."""
+    unit_word = _gf2.pack_tensor(unit(GF(2), 3).entries, (3, 3, 3))
+    built = []
+    for cls in (Tensor3, Matrix):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+            built.append(_name)
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counted)
+    dims = (2, 2, 3)
+    for word in range(1 << 12):
+        assert min(_gf2.flattening_ranks(word, dims)) <= 2
+        _scan_one(word, dims, GF(2))
+    assert built == []
+    assert _scan_one(unit_word, (3, 3, 3), GF(2)) == (3, 3, (3, 3, 3), True)
+    assert built.count("Tensor3") == 1
 
 
 # -- the strided slice reader against the per-direction bodies it replaced ------
