@@ -11,6 +11,11 @@ holds every pair's image of each packed slice in one int, one lane per
 pair, so one pass over the slices' XOR span tests all pairs at once; other
 formats apply the pairs one at a time.  Its witnesses are checked by
 `apply_bit_maps`, which uses none of the search's tables or helpers.
+
+The GF(2) arms of the span searches in `spans` run on bit rows too:
+`gf2_rref` reduces a span's basis, and `subspace_layer` lists the
+(V, ann V) pairs of one dimension of GF(2)^n, built once per process on
+first use.
 """
 
 from __future__ import annotations
@@ -47,6 +52,57 @@ def gf2_rank(rows: List[int]) -> int:
             basis.append(cur)
             r += 1
     return r
+
+
+def gf2_rref(rows: List[int]) -> List[int]:
+    """Reduced echelon form of a list of bit-row vectors, zero rows dropped.
+
+    A row's pivot is its lowest set bit; each pivot bit is set in its own
+    row only, and rows come in increasing pivot order.  The reduced echelon
+    form is unique, so this is the form `matrix._eliminate` reaches with
+    the columns in bit order.
+    """
+    basis = {}  # pivot bit -> row
+    for row in rows:
+        for low, b in basis.items():
+            if row & low:
+                row ^= b
+        if row:
+            low = row & -row
+            for k, b in basis.items():
+                if b & low:
+                    basis[k] = b ^ row
+            basis[low] = row
+    return [basis[k] for k in sorted(basis)]
+
+
+def split_rows(word: int, rows: int, cols: int) -> List[int]:
+    """The rows of a packed rows x cols matrix (entry (i, j) at bit i*cols + j)."""
+    mask = (1 << cols) - 1
+    return [(word >> (i * cols)) & mask for i in range(rows)]
+
+
+@lru_cache(maxsize=None)
+def subspace_layer(n: int, dim: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """The dim-dimensional subspaces V of GF(2)^n as (rows of V, rows of
+    ann V), n-bit rows, in the order of `spans.subspaces`: pivot sets in
+    combinations order, then the free entries right of each pivot, last one
+    fastest.  V's rows are its reduced basis; ann V has one row per free
+    column c, bit c plus the pivot of every row of V with bit c set, as
+    `matrix._rref_annihilator` builds it.  Each layer is built the first
+    time a search asks for it and kept for the process; none is built at
+    import."""
+    out = []
+    for pivots in itertools.combinations(range(n), dim):
+        free_pos = [(r, c) for r in range(dim) for c in range(pivots[r] + 1, n) if c not in pivots]
+        for vals in itertools.product((0, 1), repeat=len(free_pos)):
+            v = [1 << pc for pc in pivots]
+            for (r, c), x in zip(free_pos, vals):
+                v[r] |= x << c
+            ann = tuple((1 << c) | sum(1 << pc for pc, row in zip(pivots, v) if (row >> c) & 1)
+                        for c in range(n) if c not in pivots)
+            out.append((tuple(v), ann))
+    return tuple(out)
 
 
 def tensor_slices1(word: int, dims) -> Tuple[int, ...]:

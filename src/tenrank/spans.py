@@ -14,6 +14,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import _gf2
 from .errors import (
     BadParamsError,
     FieldTooSmallError,
@@ -161,11 +162,14 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     term rank T of the reduced basis; when T < p it ranks only the grid
     {1} x {0..T}^(c-1) of `projective_vectors`, which holds the max-rank
     and the first combination attaining it (see `max_rank_exhaustive`).
-    The batched or the scalar arm is chosen by the count actually ranked.
+    The batched or the scalar arm is chosen by the count actually ranked;
+    over GF(2) the scalar arm runs on bit rows (`_enumerate_ranks_gf2`).
     """
     f = span.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive rank search needs a finite field")
+    if f.p == 2:
+        return _enumerate_ranks_gf2(span, minimize, guard)
     mats, reduction = independent_basis(span)
     c = len(mats)
     if c == 0:
@@ -199,6 +203,73 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     # coefficients over the reduced basis -> coefficients over span.basis
     (lifted,) = _combination(f, best_vec, [(row,) for row in reduction.data])
     return best, tuple(lifted)
+
+
+def _gf2_word(m: Matrix) -> int:
+    """A GF(2) matrix as one int, entry (i, j) at bit i * cols + j: the
+    order of `Matrix.vectorize`."""
+    w = 0
+    for row in reversed(m.data):
+        for x in reversed(row):
+            w = w << 1 | x % 2
+    return w
+
+
+def _enumerate_ranks_gf2(span: SliceSpan, minimize: bool, guard: int):
+    """`_enumerate_ranks` over GF(2) on bit rows (`_gf2_word`), with the same
+    refusals, order and witnesses.  [V | I] is reduced by `_gf2.gf2_rref`:
+    the reduced echelon form is unique, so the reduced basis and the
+    coefficients lifting it are `independent_basis`'s.  The union support
+    is the OR of the reduced rows, a combination the XOR of its generators,
+    ranked by `gf2_rank`.  Only the batched arm gets `Matrix` objects."""
+    from ._batch import projective_count, projective_vectors
+
+    f = span.field
+    rows, cols = span.shape
+    width = rows * cols
+    mask = (1 << width) - 1
+    # bit width + k of a row records generator k; rows with no bit below
+    # width (pivot in the bookkeeping block) span nothing.  The support, the
+    # ranks and the batched arm read only the bits below width.
+    red = [w for w in _gf2.gf2_rref([_gf2_word(m) | 1 << (width + k) for k, m in enumerate(span.basis)])
+           if w & mask]
+    c = len(red)
+    if c == 0:
+        if minimize:
+            raise ZeroSpanError("min-rank of the zero span")
+        return 0, tuple(f.zero() for _ in span.basis)
+    count = projective_count(2, c)
+    if count > guard:
+        raise ResourceGuardError(
+            f"projective enumeration of {count} combinations exceeds guard {guard}"
+        )
+    support = 0
+    for w in red:
+        support |= w
+    stop = 1 if minimize else len(_max_matching(divmod(b, cols) for b in range(width) if (support >> b) & 1))
+    top = None if minimize or stop >= 2 else stop
+    if top is not None:
+        count = 2 ** (c - 1)
+    if count >= _BATCH_THRESHOLD:
+        mats = (Matrix(f, [_gf2.bit_row(r, cols) for r in _gf2.split_rows(w, rows, cols)], cols=cols) for w in red)
+        best, best_vec = _enumerate_ranks_batched(SliceSpan(f, tuple(mats)), 2, c, minimize, stop, top)
+    else:
+        best = None
+        for vec in projective_vectors(2, c, top):
+            w = 0
+            for x, b in zip(vec, red):
+                if x:
+                    w ^= b
+            r = _gf2.gf2_rank(_gf2.split_rows(w, rows, cols))
+            if best is None or (r < best if minimize else r > best):
+                best, best_vec = r, vec
+                if best == stop:
+                    break
+    lifted = 0
+    for x, w in zip(best_vec, red):
+        if x:
+            lifted ^= w
+    return best, _gf2.bit_row(lifted >> width, len(span.basis))
 
 
 def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int, top: Optional[int]):
@@ -351,8 +422,12 @@ def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Option
     replaced only on a strict improvement, so that V is the one the whole
     search would return.  A caller that searches the same F^n many times
     passes one `cache` dict, which keeps the (V, ann(V)) pairs of each
-    dimension the search reaches."""
+    dimension the search reaches.  Over GF(2) it runs on bit rows
+    (`_min_cover_gf2`) in the same order, with the same result, and its
+    layers live in `_gf2` instead of `cache`."""
     q = f.p
+    if q == 2:
+        return _min_cover_gf2(f, columns, n, m, bound, floor)
     best = None
     for a in range(n + 1):
         if a >= bound:
@@ -370,6 +445,35 @@ def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Option
                 if total == a or total == floor:
                     return best
     return best
+
+
+def _min_cover_gf2(f: PrimeField, columns, n: int, m: int, bound: int, floor: int):
+    """`_min_cover` over GF(2) on bit rows.  The (V, ann V) pairs of each
+    dimension are `_gf2.subspace_layer`'s, built once per process.  Each
+    matrix M becomes the table of its n rows' XOR span (m-bit rows), so a
+    row of ann(V) * M, the XOR of the rows of M its bits pick, is one
+    lookup, and dim W is `gf2_rank` of those rows.  The Matrix of V and the
+    rows of W are built only for the cover returned."""
+    tables = [_gf2._span([sum(1 << j for j, col in enumerate(cols) if col[i] % 2) for i in range(n)])
+              for cols in columns]
+    best = None
+    for a in range(n + 1):
+        if a >= bound:
+            break
+        for v, ann in _gf2.subspace_layer(n, a):
+            total = a + _gf2.gf2_rank([t[y] for t in tables for y in ann])
+            if total < bound:
+                bound, best = total, (v, ann)
+                if total == a or total == floor:
+                    break
+        else:
+            continue
+        break
+    if best is None:
+        return None
+    v, ann = best
+    return (bound, Matrix(f, [_gf2.bit_row(x, n) for x in v], cols=n),
+            [list(_gf2.bit_row(t[y], m)) for t in tables for y in ann])
 
 
 def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
@@ -401,7 +505,10 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
             f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
         )
     columns = [list(zip(*m.data)) for m in span.basis]
-    floor = max(rank(m) for m in span.basis)
+    if f.p == 2:
+        floor = max(_gf2.gf2_rank(_gf2.split_rows(_gf2_word(m), n1, n2)) for m in span.basis)
+    else:
+        floor = max(rank(m) for m in span.basis)
     best, v1, w = _min_cover(f, columns, n1, n2, n1 + n2 + 1, floor=floor)
     return best, (v1, Matrix(f, _reduce_rows(f, w, n2), cols=n2))
 

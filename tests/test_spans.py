@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tenrank._gf2
 import tenrank.spans
 from tenrank.errors import (
     FieldTooSmallError,
@@ -362,21 +363,30 @@ def test_mincov_guard_counts_pairs():
 
 
 def test_mincov_floor_cuts_the_walk(monkeypatch):
-    # the identity has rank 3 = mincov, so V1 = 0 (W = F^3) ends the search
+    # the identity has rank 3 = mincov, so V1 = 0 (W = F^3) ends the search;
+    # the generic arm walks `subspaces`, the GF(2) arm the packed layer tables
     walked = []
     enumerate_subspaces = tenrank.spans.subspaces
+    packed_layer = tenrank._gf2.subspace_layer
 
     def counting(field, n, dim):
         for v in enumerate_subspaces(field, n, dim):
             walked.append(v)
             yield v
 
+    def counting_layer(n, dim):
+        for entry in packed_layer(n, dim):
+            walked.append(entry)
+            yield entry
+
     monkeypatch.setattr(tenrank.spans, "subspaces", counting)
-    f = GF(2)
-    span = span_of(f, [Matrix.identity(f, 3)])
-    value, (v1, v2) = mincov_exhaustive(span)
-    assert value == 3 and len(walked) == 1
-    assert verify_cover(span, v1, v2)
+    monkeypatch.setattr(tenrank._gf2, "subspace_layer", counting_layer)
+    for f in (GF(2), GF(3)):
+        walked.clear()
+        span = span_of(f, [Matrix.identity(f, 3)])
+        value, (v1, v2) = mincov_exhaustive(span)
+        assert value == 3 and len(walked) == 1
+        assert verify_cover(span, v1, v2)
 
 
 def test_mincov_refuses_before_ranking_generators(monkeypatch):
