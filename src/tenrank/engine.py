@@ -31,7 +31,7 @@ from .errors import (
 from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
 from .matrix import (_COL, _ROW, _SLICE, Matrix, _eliminate, _kron_rows, _product, _rref_annihilator, _Working,
-                     invert, rank, rank_of_rows, rref, solve_all)
+                     invert, rank_of_rows, rref, solve_all)
 from .pivots import all_rho, rho_degeneration, sqrt_certificate
 from .spans import (
     MaxRankWitness,
@@ -603,9 +603,9 @@ def _matmul_form(t: Tensor3, direction: int, witness: MaxRankWitness, r: int,
     f = t.field
     rd, cd = span.orientation
     w = combine(span, witness.coeffs)
-    if rank(w) < r:
-        raise WitnessInvalidError(f"witness rank {rank(w)} below requested {r}")
     res = rref(w)
+    if res.rank < r:
+        raise WitnessInvalidError(f"witness rank {res.rank} below requested {r}")
     p = Matrix(f, [res.transform.data[i] for i in range(r)], cols=w.rows)
     sel = Matrix.from_entries(f, r, w.cols, {(a, res.pivot_cols[a]): f.one() for a in range(r)})
     coeff_map = Matrix(f, [list(witness.coeffs)], cols=len(witness.coeffs))

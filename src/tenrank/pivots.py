@@ -6,9 +6,11 @@ pivot-based border-subrank certificates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
+    BadParamsError,
     DegenerateSpanError,
     NotConciseError,
     NotCubicalError,
@@ -19,7 +21,7 @@ from .errors import (
     ZeroTensorError,
 )
 from .laurent import Degeneration, LaurentMatrix, verify_degeneration
-from .matrix import _COL, _ROW, _SLICE, Matrix, _kron_rows, _Working, rref
+from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _kron_rows, _work_rows, _Working, rref
 from .spans import SliceSpan, _max_matching, max_rank_exhaustive, slice_span
 from .tensor import Tensor3
 
@@ -106,7 +108,8 @@ def konig_cover(pivots: Sequence[Tuple[int, int]], match_col: Dict[int, int]):
 def rho_sigma(span: SliceSpan) -> PivotData:
     """Pivot set with its minimum line cover and maximum matching.
 
-    Equality rho = sigma (Konig) is asserted; a mismatch is a bug.
+    rho = sigma (Konig) and a cover meeting every pivot are checked; a
+    failure raises VerificationFailedError.
     """
     return _rho_sigma(span)[0]
 
@@ -114,6 +117,21 @@ def rho_sigma(span: SliceSpan) -> PivotData:
 def _rho_sigma(span: SliceSpan):
     """rho_sigma(span) and the RrefResult of its pivot basis."""
     mats, pivots, res = _pivot_basis(span)
+    matching, cover = _konig(pivots)
+    return PivotData(
+        basis=tuple(mats),
+        pivots=tuple(pivots),
+        rho=len(cover[0]) + len(cover[1]),
+        sigma=len(matching),
+        cover=cover,
+        matching=tuple(matching),
+    ), res
+
+
+def _konig(pivots: Sequence[Tuple[int, int]]):
+    """(maximum matching, minimum line cover) of a pivot set, after checking
+    that the cover has as many lines as the matching has pivots and meets
+    every pivot."""
     matching, match_col = max_pivot_matching(pivots)
     cover_rows, cover_cols = konig_cover(pivots, match_col)
     rho = len(cover_rows) + len(cover_cols)
@@ -123,25 +141,32 @@ def _rho_sigma(span: SliceSpan):
     for (r, c) in pivots:
         if r not in cover_rows and c not in cover_cols:
             raise VerificationFailedError("cover misses a pivot")  # pragma: no cover
-    return PivotData(
-        basis=tuple(mats),
-        pivots=tuple(pivots),
-        rho=rho,
-        sigma=sigma,
-        cover=(cover_rows, cover_cols),
-        matching=tuple(matching),
-    ), res
+    return matching, (cover_rows, cover_cols)
+
+
+def _pivot_set(t: Tensor3, i: int, j: int) -> List[Tuple[int, int]]:
+    """The pivots of `_pivot_basis(slice_span(t, i, j))`, from one forward
+    elimination of the vectorized slices with no transform.  Forward
+    elimination and the reduced echelon form pivot on the same columns (the
+    first column of each rank increase), so the sets agree."""
+    if i == j or not {i, j} <= {1, 2, 3}:
+        raise BadParamsError(f"bad orientation ({i}, {j})")
+    d, cols = 6 - i - j, t.dims[j - 1]
+    a, p = _work_rows(t.field, [chain.from_iterable(t._slice_rows(d, k, i)) for k in range(t.dims[d - 1])])
+    return [divmod(pc, cols) for pc in _eliminate(a, t.dims[i - 1] * cols, p, False)]
 
 
 def rho_ij(t: Tensor3, i: int, j: int) -> int:
     """rho of the oriented slice span with rows indexed by direction i and
-    columns by direction j."""
+    columns by direction j.  It reads only the pivot set (`_pivot_set`): no
+    pivot basis, transform or span is built."""
     if t.is_zero():
         raise ZeroTensorError("rho of the zero tensor")
-    return rho_sigma(slice_span(t, i, j)).rho
+    return len(_konig(_pivot_set(t, i, j))[0])
 
 
 def all_rho(t: Tensor3) -> Dict[Tuple[int, int], int]:
+    """rho_{i,j} of all six orientations (i, j), i != j, keyed by (i, j)."""
     return {
         (i, j): rho_ij(t, i, j)
         for i in (1, 2, 3)

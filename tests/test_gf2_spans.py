@@ -264,22 +264,27 @@ def test_gf2_arms_match_the_generic_bodies(span, rank_guard, pair_guard):
 
 
 def test_batched_arm_over_gf2_keeps_its_witnesses(monkeypatch):
-    """Over GF(2) the batched arm still takes spans of 256 or more ranked
-    combinations, fed from the bit rows; at a threshold of 0 every span takes
-    it, and values and witnesses match the generic body's."""
+    """Over GF(2) only min-rank searches of 256 or more combinations take the
+    batched arm, fed from the bit rows; max-rank always runs the packed loop.
+    On random 4x4 spans of 1-10 and of 9-12 generators, at the default
+    threshold, at 0 (every min-rank search batched) and above every count
+    (none), each search returns one value and witness, the generic body's,
+    whose batched arm takes max-rank searches too."""
     rng = random.Random(27)
     cases = [span_of(F2, [Matrix(F2, [[rng.randrange(2) for _ in range(4)] for _ in range(4)])
-                          for _ in range(rng.randrange(1, 11))]) for _ in range(40)]
+                          for _ in range(rng.randrange(*sizes))]) for sizes in ((1, 11), (9, 13)) for _ in range(40)]
     batched = []
     full = tenrank.spans._enumerate_ranks_batched
-    monkeypatch.setattr(tenrank.spans, "_enumerate_ranks_batched", lambda *a: batched.append(1) or full(*a))
-    for threshold in (_BATCH_THRESHOLD, 0):
+    monkeypatch.setattr(tenrank.spans, "_enumerate_ranks_batched", lambda *a: batched.append(a[3]) or full(*a))
+    results = {}
+    for threshold in (_BATCH_THRESHOLD, 0, 10**9):
         monkeypatch.setattr(tenrank.spans, "_BATCH_THRESHOLD", threshold)
-        for span in cases:
+        for k, span in enumerate(cases):
             for minimize in (False, True):
                 got = outcome(_enumerate_ranks, span, minimize=minimize, guard=10**7)
+                assert got == results.setdefault((k, minimize), got)
                 assert got == outcome(ref_enumerate_ranks, span, minimize=minimize, guard=10**7)
-    assert batched
+    assert True in batched and False not in batched
 
 
 def test_subspace_layers_match_subspaces():

@@ -2,19 +2,22 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tenrank.errors import (
+    BadParamsError,
     NotConciseError,
     NotCubicalError,
     ZeroMatrixError,
     ZeroTensorError,
 )
-from tenrank.fields import GF
+from tenrank.fields import GF, QQ
 from tenrank.laurent import apply_degeneration, verify_degeneration
 from tenrank.matrix import Matrix, rank
 from tenrank.pivots import (
+    _pivot_basis,
+    _pivot_set,
     all_rho,
     is_pivot_matched,
     max_pivot_matching,
@@ -26,7 +29,7 @@ from tenrank.pivots import (
     rho_sigma,
     sqrt_certificate,
 )
-from tenrank.spans import slice_span, span_of
+from tenrank.spans import SliceSpan, slice_span, span_of
 from tenrank.tensor import (
     Tensor3,
     balanced_pivot,
@@ -204,6 +207,60 @@ def test_rho_unit_tensor():
 def test_rho_zero_tensor():
     with pytest.raises(ZeroTensorError):
         rho_ij(Tensor3.zeros(GF(2), (2, 2, 2)), 1, 2)
+
+
+@st.composite
+def rho_tensors(draw):
+    """Tensors over GF(2), GF(3), GF(11) and Q with every dimension 1-4 and
+    many zero entries, so zero slices, non-concise tensors and the zero
+    tensor all occur."""
+    f = draw(st.sampled_from((GF(2), GF(3), GF(11), QQ)))
+    dims = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    value = st.fractions(-3, 3, max_denominator=3) if f is QQ else st.integers(1, f.p - 1)
+    entries = draw(st.lists(st.one_of(st.just(0), value), min_size=dims[0] * dims[1] * dims[2],
+                            max_size=dims[0] * dims[1] * dims[2]))
+    return Tensor3(f, dims, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho_tensors())
+@example(REMARK_TENSOR)
+@example(Tensor3.zeros(QQ, (1, 3, 2)))
+@example(Tensor3(GF(3), (3, 2, 2), {(0, 0, 0): 1, (2, 1, 1): 2}))
+def test_rho_reads_the_pivot_basis_pivots(t):
+    """In every orientation the forward-elimination pivot set is the rref
+    pivot basis's, in the same order, and rho_ij is rho_sigma's rho; the
+    zero tensor and a bad orientation are refused as before."""
+    orients = list(itertools.permutations((1, 2, 3), 2))
+    if t.is_zero():
+        for i, j in orients + [(1, 1)]:
+            with pytest.raises(ZeroTensorError, match="rho of the zero tensor"):
+                rho_ij(t, i, j)
+        return
+    for i, j in orients:
+        span = slice_span(t, i, j)
+        assert _pivot_set(t, i, j) == _pivot_basis(span)[1]
+        assert rho_ij(t, i, j) == rho_sigma(span).rho
+    assert all_rho(t) == {(i, j): rho_sigma(slice_span(t, i, j)).rho for i, j in orients}
+    for i, j in ((1, 1), (0, 2), (3, 4)):
+        with pytest.raises(BadParamsError, match=f"bad orientation \\({i}, {j}\\)"):
+            rho_ij(t, i, j)
+
+
+def test_all_rho_builds_no_matrix_and_no_span(monkeypatch):
+    """all_rho reads pivots from flat slice rows: on a 3x3x3 tensor it
+    constructs no Matrix and no SliceSpan (the wrapper does see slice_span's)."""
+    t = rand_tensor(GF(5), (3, 3, 3), random.Random(28))
+    built = []
+    for cls in (Matrix, SliceSpan):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=cls.__init__, _name=cls.__name__, **k:
+                            built.append(_name) or _init(self, *a, **k))
+    rhos = all_rho(t)
+    assert built == []
+    slice_span(t, 1, 2)
+    assert built == ["Matrix"] * 3 + ["SliceSpan"]
+    monkeypatch.undo()
+    assert rhos == {(i, j): rho_sigma(slice_span(t, i, j)).rho for i, j in itertools.permutations((1, 2, 3), 2)}
 
 
 def test_pivot_uncertainty_unit_and_matmul():
