@@ -6,13 +6,19 @@ point is involved.  Elimination runs in int32: with p <= MAX_BATCH_PRIME =
 span-enumeration operations when the batch is large enough to amortize the
 numpy overhead; the pure-Python paths in matrix.py/spans.py remain the
 reference implementation.
+
+numpy is imported only when an exhaustive rank search ranks 256 or more
+combinations over GF(p), p <= 2^15.  The functions that use it import it
+when called, so importing this module for `MAX_BATCH_PRIME`,
+`projective_vectors` and `projective_count` does not load numpy.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # p*p must stay inside int32 during elimination; desk-scale fields are tiny
 MAX_BATCH_PRIME = 1 << 15
@@ -20,6 +26,8 @@ MAX_BATCH_PRIME = 1 << 15
 
 def inverse_table(p: int) -> np.ndarray:
     """inv[x] = x^-1 mod p for x in 1..p-1 (inv[0] unused)."""
+    import numpy as np
+
     inv = np.zeros(p, dtype=np.int32)
     inv[1:] = [pow(x, p - 2, p) for x in range(1, p)]
     return inv
@@ -33,6 +41,8 @@ def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
     that is nonzero in the column as the pivot and clears that column from
     its other free rows; the rank is the number of rows taken.
     """
+    import numpy as np
+
     if p > MAX_BATCH_PRIME:
         raise ValueError(f"prime {p} above MAX_BATCH_PRIME")
     if mats.ndim != 3:
@@ -92,6 +102,8 @@ def projective_chunks(q: int, dim: int, top: Optional[int] = None):
     0.6 MB, so a block's batch stays in cache), so a search that stops early
     builds only the rows it ranks.
     """
+    import numpy as np
+
     base = q if top is None else top + 1
     place = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)  # b^k for lead = 0 .. dim - 1
     count = base ** (dim - 1) if top is not None and dim else projective_count(q, dim)
@@ -107,4 +119,6 @@ def projective_chunks(q: int, dim: int, top: Optional[int] = None):
 
 def projective_array(q: int, dim: int) -> np.ndarray:
     """projective_vectors as an (N, dim) int64 array: projective_chunks joined."""
+    import numpy as np
+
     return np.concatenate([np.zeros((0, dim), dtype=np.int64), *projective_chunks(q, dim)])

@@ -53,21 +53,24 @@ def pivot_basis(span: SliceSpan):
     The returned basis is normalized: each matrix is 1 at its own pivot and
     0 at every other basis matrix's pivot.
     """
-    return _pivot_basis(span)[:2]
+    pivots, res = _pivot_rref(span)
+    rows, cols = span.shape
+    mats = [Matrix(span.field, [row[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+            for row in res.rref.data[:res.rank]]
+    return mats, pivots
 
 
-def _pivot_basis(span: SliceSpan):
-    """pivot_basis(span) and the RrefResult it is read from, whose transform
-    expresses each basis matrix in span.basis."""
+def _pivot_rref(span: SliceSpan):
+    """The pivot set of `pivot_basis(span)` and the RrefResult it is read
+    from, whose transform expresses each basis matrix in span.basis; no basis
+    matrix is built."""
     f = span.field
     vecs = [m.vectorize() for m in span.basis]
     if not vecs or all(all(f.is_zero(x) for x in v) for v in vecs):
         raise ZeroSpanError("pivot basis of the zero span")
     rows, cols = span.shape
     res = rref(Matrix(f, vecs, cols=rows * cols))
-    mats = [Matrix(f, [row[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
-            for row in res.rref.data[:res.rank]]
-    return mats, [divmod(pc, cols) for pc in res.pivot_cols], res
+    return [divmod(pc, cols) for pc in res.pivot_cols], res
 
 
 def max_pivot_matching(pivots: Sequence[Tuple[int, int]]):
@@ -111,12 +114,7 @@ def rho_sigma(span: SliceSpan) -> PivotData:
     rho = sigma (Konig) and a cover meeting every pivot are checked; a
     failure raises VerificationFailedError.
     """
-    return _rho_sigma(span)[0]
-
-
-def _rho_sigma(span: SliceSpan):
-    """rho_sigma(span) and the RrefResult of its pivot basis."""
-    mats, pivots, res = _pivot_basis(span)
+    mats, pivots = pivot_basis(span)
     matching, cover = _konig(pivots)
     return PivotData(
         basis=tuple(mats),
@@ -125,7 +123,7 @@ def _rho_sigma(span: SliceSpan):
         sigma=len(matching),
         cover=cover,
         matching=tuple(matching),
-    ), res
+    )
 
 
 def _konig(pivots: Sequence[Tuple[int, int]]):
@@ -145,7 +143,7 @@ def _konig(pivots: Sequence[Tuple[int, int]]):
 
 
 def _pivot_set(t: Tensor3, i: int, j: int) -> List[Tuple[int, int]]:
-    """The pivots of `_pivot_basis(slice_span(t, i, j))`, from one forward
+    """The pivots of `pivot_basis(slice_span(t, i, j))`, from one forward
     elimination of the vectorized slices with no transform.  Forward
     elimination and the reduced echelon form pivot on the same columns (the
     first column of each rank increase), so the sets agree."""
@@ -224,12 +222,12 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
         raise ZeroTensorError("degeneration of the zero tensor")
     f = t.field
     span = slice_span(t, i, j)
-    data, res = _rho_sigma(span)
-    r = data.rho
+    pivots, res = _pivot_rref(span)
+    matching, _ = _konig(pivots)
+    r = len(matching)  # rho = sigma, checked by _konig
     slice_dir = ({1, 2, 3} - {i, j}).pop()
-    pivots = list(data.pivots)
     # matched pivots, sorted by row
-    matched = sorted(data.matching)
+    matched = sorted(matching)
     # basis matrices are combinations of the oriented slices; the rref
     # transform holds the combination coefficients
     w = _Working(f, span.basis, [res.transform.data[pivots.index(p)] for p in matched])
@@ -318,8 +316,8 @@ def sqrt_certificate(t: Tensor3) -> Degeneration:
     f = t.field
     # is_pivot_matched's test, on the pivot bases the certificate is built
     # from; conciseness already gives the full slice spans it checks for
-    _, a_piv, a_res = _pivot_basis(slice_span(t, 2, 3))
-    _, b_piv, b_res = _pivot_basis(slice_span(t, 1, 2))
+    a_piv, a_res = _pivot_rref(slice_span(t, 2, 3))
+    b_piv, b_res = _pivot_rref(slice_span(t, 1, 2))
     if sorted(p[0] for p in a_piv) != sorted(p[0] for p in b_piv):
         raise NotPivotMatchedError("pivot rows of 1- and 3-slice bases differ")
     # pair A-slices and B-slices with equal pivot row, in pivot order

@@ -15,6 +15,7 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _gf2
+from ._batch import MAX_BATCH_PRIME, projective_count, projective_vectors
 from .errors import (
     BadParamsError,
     FieldTooSmallError,
@@ -178,8 +179,6 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
             raise ZeroSpanError("min-rank of the zero span")
         return 0, tuple(f.zero() for _ in span.basis)
     q = f.p
-    from ._batch import MAX_BATCH_PRIME, projective_count, projective_vectors
-
     count = projective_count(q, c)
     if count > guard:
         raise ResourceGuardError(
@@ -225,8 +224,6 @@ def _enumerate_ranks_gf2(span: SliceSpan, minimize: bool, guard: int):
     ranked by `gf2_rank`.  Min-rank searches of `_BATCH_THRESHOLD` or more
     combinations take the batched arm, the only one given `Matrix` objects;
     max-rank always runs the loop."""
-    from ._batch import projective_count, projective_vectors
-
     f = span.field
     rows, cols = span.shape
     width = rows * cols
@@ -752,8 +749,6 @@ def _span_vectors(field: Field, basis: Sequence[tuple], *, guard: int = PROJECTI
         raise InfiniteFieldError("cannot enumerate a subspace over the rationals")
     n = len(basis[0])
     rows = _reduce_rows(field, basis, n)
-    from ._batch import projective_count, projective_vectors
-
     if projective_count(field.p, len(rows)) > guard:
         raise ResourceGuardError("subspace enumeration exceeds guard")
     terms = [(row,) for row in rows]

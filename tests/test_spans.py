@@ -1,6 +1,9 @@
 import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import tenrank._gf2
 import tenrank.spans
+from tenrank import cli
 from tenrank.errors import (
     FieldTooSmallError,
     InfiniteFieldError,
@@ -330,6 +334,63 @@ def test_mincov_one_sided_matches_two_sided(span):
     assert v1.data == w1.data and v1.cols == w1.cols
     assert v2.data == w2.data and v2.cols == w2.cols
     assert verify_cover(span, v1, v2)
+
+
+_NUMPY_STAYS_OUT = """
+import sys
+from pathlib import Path
+
+from tenrank import cli, engine, spans
+from tenrank.fields import GF, QQ
+from tenrank.matrix import Matrix
+from tenrank.tensor import gen_null_algebra, null_algebra, w_tensor
+
+
+def loaded(step):
+    print(step, "numpy" in sys.modules)
+
+
+loaded("import")
+for p in (2, 5):
+    f = GF(p)
+    spans.flanders_check(spans.span_of(f, [Matrix.identity(f, 3), Matrix(f, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])]))
+    loaded(f"flanders gf:{p}")
+for p in (3, 5, 11):
+    f = GF(p)
+    small = spans.span_of(f, [Matrix.identity(f, 2), Matrix(f, [[0, 1], [1, 0]])])
+    for span in (small, spans.slice_span(null_algebra(f, 4), 2, 3)):
+        spans.max_rank_exhaustive(span)
+    spans.min_rank_exhaustive(small)
+    loaded(f"ranks gf:{p}")
+engine.asymptotic_bounds(null_algebra(GF(11), 4))
+engine.asymptotic_bounds(w_tensor(QQ))
+loaded("bounds")
+work = Path(sys.argv[1])
+if cli.main(["verify", str(work / "rho.cert"), str(work / "t.tensor")]) != 0:
+    raise SystemExit("verify failed")
+loaded("verify")
+value, wit = spans.max_rank_exhaustive(spans.slice_span(gen_null_algebra(GF(11), 6, 2), 1, 3))
+print(value, *wit.coeffs)
+loaded("batched")
+"""
+
+
+def test_numpy_is_imported_only_by_the_batched_arm(tmp_path):
+    """A process that runs no rank search of 256 or more combinations never
+    imports numpy: not at import, not in small searches over GF(2), GF(3),
+    GF(5) or GF(11), not in `asymptotic_bounds` without a batched search,
+    and not in `tenrank verify`.  A search over a grid of 4^5 combinations
+    takes the batched arm, loads numpy and keeps its value and witness."""
+    tensor, cert = str(tmp_path / "t.tensor"), str(tmp_path / "rho.cert")
+    assert cli.main(["catalog", "balanced_pivot", "4", "--field", "gf:7", "--out", tensor]) == 0
+    assert cli.main(["certify", "rho", tensor, "--out", cert]) == 0
+    src = str(Path(tenrank.spans.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _NUMPY_STAYS_OUT, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == [
+        "import False", "flanders gf:2 False", "flanders gf:5 False", "ranks gf:3 False", "ranks gf:5 False",
+        "ranks gf:11 False", "bounds False", "verified r=2 power=1", "verify False", "3 6 0 1 0 0 0", "batched True",
+    ]
 
 
 def test_batched_and_scalar_rank_search_agree(monkeypatch):
