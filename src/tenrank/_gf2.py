@@ -9,8 +9,11 @@ The packed unit-restriction search visits the map pairs that
 shares, with rows in word order.  On small formats a cached lane table
 holds every pair's image of each packed slice in one int, one lane per
 pair, so one pass over the slices' XOR span tests all pairs at once; other
-formats apply the pairs one at a time.  Its witnesses are checked by
-`apply_bit_maps`, which uses none of the search's tables or helpers.
+formats apply the pairs one at a time.  The lane tables and the unit
+targets are built once per format or r, on first use.  Its witnesses are
+checked by `apply_bit_maps`, which uses none of the search's tables or
+helpers; its own bounded cache of map columns (`_bit_columns`) is keyed
+by the map's rows alone and holds no search data.
 
 The GF(2) arms of the span searches in `spans` run on bit rows too:
 `gf2_rref` reduces a span's basis, and `subspace_layer` lists the
@@ -206,13 +209,18 @@ def _lane_table(n2: int, n3: int, r: int):
     return l2s, l3s, table, ((1 << pairs * lane) - 1) // ((1 << lane) - 1)
 
 
+@lru_cache(maxsize=None)
 def _unit_targets(r: int) -> Tuple[int, ...]:
-    """Packed r x r matrices E_aa for a in range(r)."""
+    """Packed r x r matrices E_aa for a in range(r), built once per r."""
     return tuple(1 << (a * r + a) for a in range(r))
 
 
-def _bit_columns(rows, n: int, stride: int) -> List[int]:
-    """The n columns of a bit-row map, with row a placed at bit a * stride."""
+@lru_cache(maxsize=4096)
+def _bit_columns(rows: Tuple[int, ...], n: int, stride: int) -> Tuple[int, ...]:
+    """The n columns of a bit-row map, with row a placed at bit a * stride.
+
+    Kept in a bounded cache keyed by the map's rows alone: an entry is a
+    pure function of its key, so the cache holds no search data."""
     cols = [0] * n
     place = 1
     for row in rows:
@@ -220,7 +228,7 @@ def _bit_columns(rows, n: int, stride: int) -> List[int]:
             if (row >> x) & 1:
                 cols[x] |= place
         place <<= stride
-    return cols
+    return tuple(cols)
 
 
 def apply_bit_maps(word: int, dims, maps) -> int:
@@ -238,10 +246,10 @@ def apply_bit_maps(word: int, dims, maps) -> int:
     l1, l2, l3 = maps
     n1, n2, n3 = dims
     r3 = len(l3)
-    cols2, cols3 = _bit_columns(l2, n2, r3), _bit_columns(l3, n3, 1)
+    cols2, cols3 = _bit_columns(tuple(l2), n2, r3), _bit_columns(tuple(l3), n3, 1)
     out = 0
     bit = 0
-    for c1 in _bit_columns(l1, n1, len(l2) * r3):
+    for c1 in _bit_columns(tuple(l1), n1, len(l2) * r3):
         for c2 in cols2:
             for c3 in cols3:
                 if (word >> bit) & 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _gf2
@@ -88,11 +89,6 @@ class SubrankCertificate:
             return verify_restriction(self.restriction, t, unit(t.field, self.r), power=self.power)
         return verify_degeneration(self.degeneration, t, power=self.power)
 
-    @property
-    def bound(self) -> Tuple[int, int]:
-        """The implied asymptotic lower bound as (base, root): base^(1/root)."""
-        return (self.r, self.power)
-
 
 def _count_full_rank(q: int, r: int, n: int) -> int:
     total = 1
@@ -105,6 +101,32 @@ def _leading_one_rows(q: int, n: int) -> list:
     """The vectors of GF(q)^n whose first nonzero entry is 1, in
     itertools.product order."""
     return [v for v in itertools.product(range(q), repeat=n) if next((x for x in v if x), 0) == 1]
+
+
+@lru_cache(maxsize=None)
+def _generic_candidates(f: PrimeField, n2: int, n3: int, r: int):
+    """The generic search's candidate pairs on one format, as (L2s, L3s,
+    the set of L3s, L3's candidate rows), every list a tuple.  Built the
+    first time a search passes its guard on the format and kept for the
+    process; none is built at import."""
+    rows3 = tuple(_leading_one_rows(f.p, n3))
+    l2s, l3s = _gf2.unit_pair_candidates(
+        _leading_one_rows(f.p, n2), rows3, r, lambda rows: rank_of_rows(f, rows, len(rows[0])),
+    )
+    l3s = tuple(l3s)
+    return tuple(l2s), l3s, frozenset(l3s), rows3
+
+
+def _kernel_rows(rows, constraints: List[List[int]], n: int, q: int) -> list:
+    """The members of `rows`, in order, orthogonal over GF(q) to every
+    constraint row.  A copy of the constraints is reduced once; each row is
+    tested against the reduced rows only."""
+    constraints = [list(u) for u in constraints]
+    top = len(_eliminate(constraints, n, q, False))
+    if top == n:
+        return []
+    basis = constraints[:top]
+    return [v for v in rows if not any(sum(x * y for x, y in zip(u, v)) % q for u in basis)]
 
 
 def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
@@ -130,12 +152,21 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     entry 1.  Only such pairs are enumerated (`_gf2.unit_pair_candidates`,
     which the packed GF(2) search shares), in the same relative order, so
     the witness is the one the full search finds.  The guard still counts
-    all full-rank pairs, so it refuses the same searches as before.  Each
-    pair costs one elimination of n1 integer vectors; L1 is solved for only
-    on the accepted pair.
+    all full-rank pairs, so it refuses the same searches as before; it is
+    checked before the format's candidate lists are built.  Those lists are
+    built once per (field, n2, n3, r) and kept as tuples (`_generic_candidates`).
+
+    When n1 = r, the r matrices L2 S_i L3^T span at most r dimensions, and an
+    accepted pair puts the r independent E_aa in that span, so every
+    L2 S_i L3^T is diagonal.  For a fixed L2, row c of L3 is then orthogonal
+    to row b of every L2 S_i for each b != c: a kernel condition per
+    (L2, c).  Only L3 candidates whose every row passes it are visited, in
+    their order, so the first accepted pair is unchanged; `_units_in_span`
+    still decides each visited pair.  Each pair costs one elimination of n1
+    integer vectors; L1 is solved for only on the accepted pair.
     """
     f = t.field
-    _, n2, n3 = t.dims
+    n1, n2, n3 = t.dims
     q = f.p
     pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)  # full-rank (L2, L3)
     if pairs > guard:
@@ -143,14 +174,17 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
             f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
         )
     slices = t.slices(1)
-    l2_choices, l3_choices = _gf2.unit_pair_candidates(
-        _leading_one_rows(q, n2), _leading_one_rows(q, n3), r,
-        lambda rows: rank_of_rows(f, rows, len(rows[0])),
-    )
+    l2_choices, l3_choices, full_rank_l3, rows3 = _generic_candidates(f, n2, n3, r)
     slice_cols = [list(zip(*s.data)) for s in slices]
     for l2_rows in l2_choices:
         left = [_product(l2_rows, cols, q) for cols in slice_cols]  # L2 S_i, once per L2
-        for l3_rows in l3_choices:
+        if n1 == r:
+            allowed = [_kernel_rows(rows3, [m[b] for m in left for b in range(r) if b != c], n3, q)
+                       for c in range(r)]
+            l3_visit = (l3 for l3 in itertools.product(*allowed) if l3 in full_rank_l3)
+        else:
+            l3_visit = l3_choices
+        for l3_rows in l3_visit:
             # vec(L2 S_i L3^T), row-major, one vector per slice.  Kept as its
             # own loop: a _product call and a flatten per slice made this loop
             # about 30% slower, and small GF(3)/GF(5) subrank searches 7-14%.
@@ -181,18 +215,23 @@ def packed_applies(f: PrimeField, dims, r: int) -> bool:
     return f.p == 2 and n1 <= 16 and r * n2 <= 12 and r * n3 <= 12
 
 
+@lru_cache(maxsize=None)
+def _packed_unit_word(r: int) -> int:
+    """The packed size-r unit tensor, bits a * (r*r + r + 1), built once per r."""
+    return sum(1 << a * (r * r + r + 1) for a in range(r))
+
+
 def packed_unit_restriction(word: int, dims, r: int) -> Optional[tuple]:
     """The packed search's restriction of a packed GF(2) tensor onto the
     size-r unit tensor, as bit-row maps (`_gf2.exists_unit_restriction_gf2`),
     or None.  The one check of the packed search's witnesses: the maps'
-    image (`_gf2.apply_bit_maps`) must be the packed size-r unit tensor,
-    whose bits are a * (r*r + r + 1), before anything is built from them.
+    image (`_gf2.apply_bit_maps`) must be the packed size-r unit tensor
+    (`_packed_unit_word`), before anything is built from them.
     """
     maps = _gf2.exists_unit_restriction_gf2(word, dims, r)
     if maps is None:
         return None
-    unit_word = sum(1 << a * (r * r + r + 1) for a in range(r))
-    if tuple(map(len, maps)) != (r, r, r) or _gf2.apply_bit_maps(word, dims, maps) != unit_word:
+    if tuple(map(len, maps)) != (r, r, r) or _gf2.apply_bit_maps(word, dims, maps) != _packed_unit_word(r):
         raise VerificationFailedError("unit restriction failed to verify")
     return maps
 
@@ -227,9 +266,13 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     exact; the witness restriction is verified before returning.  Both the
     packed GF(2) path and the generic one visit the map pairs only up to
     row scaling and a shared row order (`_gf2.unit_pair_candidates`; see
-    `_unit_restriction_generic`), which finds the same first witness.
-    Outside the packed path `guard` still bounds the count of all full-rank
-    pairs; the packed path checks no guard.  Its witnesses are checked once,
+    `_unit_restriction_generic`), which finds the same first witness.  When
+    n1 = r the generic path also visits only the L3s whose rows lie in the
+    kernel that a diagonal L2 S_i L3^T forces, which keeps that witness.
+    Both paths build their candidate lists once per format and r, on first
+    use.  Outside the packed path `guard` still bounds the count of all
+    full-rank pairs, before anything is built; the packed path checks no
+    guard.  Its witnesses are checked once,
     in `packed_unit_restriction`, which `word_oracles` (the GF(2) items of
     `tenrank scan`) calls too.
     """

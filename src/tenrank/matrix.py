@@ -96,9 +96,6 @@ class Matrix:
             cols=self.rows,
         )
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 

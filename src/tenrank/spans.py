@@ -916,10 +916,6 @@ class DiagMinrankResult:
     maxrank: int
     maxrank_exact: bool
 
-    @property
-    def b(self) -> int:
-        return len(self.diag_basis)
-
 
 def rank_normal_form(a: Matrix):
     """Invertible P, Q with P a Q = [[Id_k, 0], [0, 0]]; returns (P, Q, k)."""

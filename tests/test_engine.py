@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -42,7 +44,7 @@ from tenrank.engine import (
     subrank_from_minrank,
     two_direction_square,
 )
-from tenrank.matrix import Matrix, rank, rank_of_rows, solve
+from tenrank.matrix import Matrix, _product, rank, rank_of_rows, solve
 from tenrank.spans import (
     MaxRankWitness,
     _annihilator,
@@ -188,8 +190,16 @@ def unit_search_tensors(draw):
     if not ranks or draw(st.booleans()):
         return Tensor3(GF(p), dims, draw(st.lists(vals, min_size=n, max_size=n)))
     r = ranks[-1] if draw(st.booleans()) else draw(st.sampled_from(ranks))
+    return _planted_unit(draw, p, dims, r, 2)
+
+
+def _planted_unit(draw, p, dims, r, max_noise):
+    """The size-r unit tensor under random maps onto dims over GF(p), plus
+    at most max_noise random entries."""
+    vals = st.integers(0, p - 1)
+    n = dims[0] * dims[1] * dims[2]
     legs = [draw(st.lists(vals, min_size=d * r, max_size=d * r)) for d in dims]
-    noise = draw(st.dictionaries(st.integers(0, n - 1), vals, max_size=2))
+    noise = draw(st.dictionaries(st.integers(0, n - 1), vals, max_size=max_noise))
     ent = []
     for idx, (i, j, k) in enumerate(itertools.product(*(range(d) for d in dims))):
         v = sum(legs[0][i * r + a] * legs[1][j * r + a] * legs[2][k * r + a] for a in range(r))
@@ -210,6 +220,131 @@ def test_unit_restriction_matches_pair_loop(t):
         assert (got is None) == (want is None)
         if got is not None:
             assert [m.data for m in got.maps] == [m.data for m in want.maps]
+
+
+def ref_unit_restriction_generic(t, r, guard):
+    """_unit_restriction_generic before the kernel filter, kept as the
+    reference: every candidate pair of `_gf2.unit_pair_candidates`, in
+    order, each decided by `_units_in_span`."""
+    f = t.field
+    _, n2, n3 = t.dims
+    q = f.p
+    pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)
+    if pairs > guard:
+        raise ResourceGuardError(f"unit-restriction search over {pairs} map pairs exceeds guard {guard}")
+    slices = t.slices(1)
+    l2_choices, l3_choices = _gf2.unit_pair_candidates(
+        engine._leading_one_rows(q, n2), engine._leading_one_rows(q, n3), r,
+        lambda rows: rank_of_rows(f, rows, len(rows[0])),
+    )
+    slice_cols = [list(zip(*s.data)) for s in slices]
+    for l2_rows in l2_choices:
+        left = [_product(l2_rows, cols, q) for cols in slice_cols]
+        for l3_rows in l3_choices:
+            vecs = [[sum(a * b for a, b in zip(x, y)) % q for x in m for y in l3_rows] for m in left]
+            if engine._units_in_span(vecs, r, q):
+                l2, l3 = Matrix(f, l2_rows, cols=n2), Matrix(f, l3_rows, cols=n3)
+                return engine._solve_first_leg(f, slices, l2, l3, r)
+    return None
+
+
+def _generic_maps(search, t, r, guard=PAIR_GUARD):
+    res = search(t, r, guard)
+    return None if res is None else [m.data for m in res.maps]
+
+
+def test_kernel_filter_keeps_every_2x2x2_gf3_witness():
+    """The kernel-filtered search (r = n1 = 2) and the cached candidate
+    lists (r = 1) give the unfiltered loop's maps, or None with it, on every
+    2x2x2 tensor over GF(3)."""
+    f = GF(3)
+    found = [0, 0]
+    for vals in itertools.product(range(3), repeat=8):
+        t = Tensor3(f, (2, 2, 2), list(vals))
+        for r in (2, 1):
+            got = _generic_maps(_unit_restriction_generic, t, r)
+            assert got == _generic_maps(ref_unit_restriction_generic, t, r)
+            found[r - 1] += got is not None
+    assert found == [6560, 3456]
+
+
+def _candidate_pairs(p, r, n2, n3):
+    """The pairs of `_gf2.unit_pair_candidates` over GF(p): full-rank maps up
+    to row scaling, and L2 also up to row order."""
+    return (_count_full_rank(p, r, n2) // ((p - 1) ** r * math.factorial(r))
+            * (_count_full_rank(p, r, n3) // (p - 1) ** r))
+
+
+# formats with r = n1 whose unfiltered loop visits at most 20,000 candidate
+# pairs; the guard, which counts all full-rank pairs, is lifted for them
+_KERNEL_FORMATS = st.sampled_from([
+    (p, dims) for p in (3, 5, 11) for dims in [(1, 1, 2), (1, 3, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3)]
+    if _candidate_pairs(p, dims[0], dims[1], dims[2]) <= 20_000
+])
+
+
+@st.composite
+def kernel_filter_tensors(draw):
+    """A format with r = n1: half the time a uniform tensor, half the time
+    the size-r unit tensor under random maps plus one noise entry, so that
+    the filter meets hits and misses."""
+    p, dims = draw(_KERNEL_FORMATS)
+    if draw(st.booleans()):
+        n = dims[0] * dims[1] * dims[2]
+        return Tensor3(GF(p), dims, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    return _planted_unit(draw, p, dims, dims[0], 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_filter_tensors())
+@example(unit(GF(11), 2))
+@example(w_tensor(GF(5)))
+def test_kernel_filter_keeps_the_witness_over_gf3_gf5_gf11(t):
+    r, guard = t.dims[0], 10 ** 12
+    assert (_generic_maps(_unit_restriction_generic, t, r, guard)
+            == _generic_maps(ref_unit_restriction_generic, t, r, guard))
+
+
+def test_kernel_filter_ranks_fewer_pairs(monkeypatch):
+    """On W over GF(3) at r = 2 no pair is accepted; the unfiltered loop
+    ranks all 72 candidate pairs, the filtered search fewer."""
+    calls = []
+    ranks = engine._units_in_span
+    monkeypatch.setattr(engine, "_units_in_span", lambda vecs, r, p: calls.append(r) or ranks(vecs, r, p))
+    assert _candidate_pairs(3, 2, 2, 2) == 72
+    assert ref_unit_restriction_generic(w_tensor(GF(3)), 2, PAIR_GUARD) is None
+    assert len(calls) == 72
+    calls.clear()
+    assert _unit_restriction_generic(w_tensor(GF(3)), 2, PAIR_GUARD) is None
+    assert len(calls) < 72
+
+
+def test_search_constants_are_built_on_first_use():
+    """No candidate list exists after import; a search refused by its guard
+    builds none; a search that passes builds one entry, of tuples; the
+    witness check's column cache is bounded."""
+    code = (
+        "from tenrank import _gf2, engine\n"
+        "from tenrank.errors import ResourceGuardError\n"
+        "from tenrank.fields import GF\n"
+        "from tenrank.tensor import unit\n"
+        "print(engine._generic_candidates.cache_info().currsize)\n"
+        "try:\n"
+        "    engine.exists_unit_restriction(unit(GF(3), 2), 2, guard=2303)\n"
+        "except ResourceGuardError:\n"
+        "    print('refused')\n"
+        "print(engine._generic_candidates.cache_info().currsize)\n"
+        "engine.exists_unit_restriction(unit(GF(3), 2), 2, guard=2304)\n"
+        "print(engine._generic_candidates.cache_info().currsize)\n"
+        "l2s, l3s, l3_set, rows3 = engine._generic_candidates(GF(3), 2, 2, 2)\n"
+        "print(all(isinstance(x, tuple) for x in (l2s, l3s, rows3, *l2s, *l3s, *rows3)),\n"
+        "      type(l3_set).__name__, l3_set == set(l3s))\n"
+        "print(_gf2._bit_columns.cache_info().maxsize)\n"
+    )
+    src = str(Path(engine.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "refused", "0", "1", "True", "frozenset", "True", "4096"]
 
 
 @lru_cache(maxsize=None)
