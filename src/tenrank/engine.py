@@ -31,13 +31,14 @@ from .errors import (
 )
 from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
-from .matrix import (_COL, _ROW, _SLICE, Matrix, _eliminate, _kron_rows, _product, _rref_annihilator, _Working,
+from .matrix import (_COL, _ROW, _SLICE, Matrix, _eliminate, _kron_rows, _product, _Working,
                      invert, rank_of_rows, rref, solve_all)
 from .pivots import all_rho, rho_degeneration, sqrt_certificate
 from .spans import (
     MaxRankWitness,
     SliceSpan,
     _min_cover,
+    _subspace_layer,
     combine,
     max_rank_exhaustive,
     max_rank_randomized,
@@ -48,7 +49,6 @@ from .spans import (
     slice_span,
     span_of,
     subspace_pair_count,
-    subspaces,
 )
 from .tensor import (
     Restriction,
@@ -312,8 +312,10 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     the direction-1 slices S_r of ann(V1) * T are formed once.  The rest of
     the slice rank is the cover number of those slices, the smallest
     dim V2 + dim W with W the row span of ann(V2) * S_r, which
-    `spans._min_cover` searches below the best total left.  The guard counts
-    the (V1, V2) subspace pairs; it and the refusal over Q come first.
+    `spans._min_cover` searches below the best total left.  V1 and its
+    annihilator come from the cached layers of `spans._subspace_layer`.  The
+    guard counts the (V1, V2) subspace pairs; it and the refusal over Q come
+    first.
 
     The slice rank is at most every flattening rank, so the search starts
     from the smallest.  A nonzero tensor has slice rank 1 exactly when a
@@ -330,14 +332,12 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     best = min(t.flattening_ranks())
     # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _product call
     fibers = list(zip(*t.flattening(1).data))
-    v2_cache: dict = {}  # the (V2, ann(V2)) pairs, built once for every V1
     for a1 in range(n1 + 1):
         if a1 >= best:
             break
-        for v1 in subspaces(f, n1, a1):
-            s_cols = [[row[k::n3] for k in range(n3)]
-                      for row in _product(_rref_annihilator(f, v1.data, n1), fibers, q)]
-            cover = _min_cover(f, s_cols, n2, n3, best - a1, v2_cache)
+        for _, ann in _subspace_layer(q, n1, a1):
+            s_cols = [[row[k::n3] for k in range(n3)] for row in _product(ann, fibers, q)]
+            cover = _min_cover(f, s_cols, n2, n3, best - a1)
             if cover is not None:
                 best = a1 + cover[0]
     return best

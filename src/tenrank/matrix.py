@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -262,10 +263,12 @@ def _combination(field: Field, coeffs: Sequence[Elem], terms: Sequence[Sequence[
 
 def _product(a_rows: Sequence[Sequence[Elem]], b_cols: Sequence[Sequence[Elem]], p: Optional[int]) -> list:
     """The rows of a * b, given a's rows and b's columns: residues mod p, or
-    Fractions when p is None.  Over Q each sum starts at Fraction(0), so an
-    empty inner dimension still gives Fraction entries."""
+    Fractions when p is None.  Over GF(p) an entry is one
+    `sum(map(mul, row, col)) % p`, with no generator frame per entry; it
+    is the inner loop of the cover walks.  Over Q each sum starts at
+    Fraction(0), so an empty inner dimension still gives Fraction entries."""
     if p:
-        return [[sum(x * y for x, y in zip(row, col)) % p for col in b_cols] for row in a_rows]
+        return [[sum(map(mul, row, col)) % p for col in b_cols] for row in a_rows]
     zero = Fraction(0)
     return [[sum((x * y for x, y in zip(row, col)), zero) for col in b_cols] for row in a_rows]
 

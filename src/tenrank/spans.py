@@ -151,12 +151,16 @@ def _term_rank(span: SliceSpan) -> int:
     of rows to columns among the positions nonzero in some generator.  By
     Konig's theorem it is also the least number of rows and columns covering
     that support, so no matrix of the span has a larger rank."""
-    support = ((i, j) for i, row in enumerate(zip(*(m.data for m in span.basis)))
-               for j, xs in enumerate(zip(*row)) if any(xs))
+    return _term_rank_of([m.data for m in span.basis])
+
+
+def _term_rank_of(mats) -> int:
+    """`_term_rank` of matrices given as their rows."""
+    support = ((i, j) for i, row in enumerate(zip(*mats)) for j, xs in enumerate(zip(*row)) if any(xs))
     return len(_max_matching(support))
 
 
-def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
+def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool = True):
     """Shared projective enumeration for max/min rank over GF(p).
 
     The guard counts every projective combination.  Max-rank stops at the
@@ -166,40 +170,54 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int):
     The batched or the scalar arm is chosen by the count actually ranked;
     over GF(2) the scalar arm runs on bit rows and takes every max-rank
     search (`_enumerate_ranks_gf2`).
+
+    Returns (value, coefficients over span.basis).  Without `lift` only the
+    value is wanted: V alone is reduced by `_reduce_rows`, with no [V | I]
+    bookkeeping (the reduced echelon form is unique, so these are
+    `independent_basis`'s rows and the search is the same), and the
+    coefficients are None.
     """
     f = span.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive rank search needs a finite field")
     if f.p == 2:
-        return _enumerate_ranks_gf2(span, minimize, guard)
-    mats, reduction = independent_basis(span)
-    c = len(mats)
+        return _enumerate_ranks_gf2(span, minimize, guard, lift)
+    rows, cols = span.shape
+    if lift:
+        mats, reduction = independent_basis(span)
+        red = [m.data for m in mats]
+    else:
+        red = [[v[i * cols:(i + 1) * cols] for i in range(rows)]
+               for v in _reduce_rows(f, [m.vectorize() for m in span.basis], rows * cols)]
+    c = len(red)
     if c == 0:
         if minimize:
             raise ZeroSpanError("min-rank of the zero span")
-        return 0, tuple(f.zero() for _ in span.basis)
+        return 0, tuple(f.zero() for _ in span.basis) if lift else None
     q = f.p
     count = projective_count(q, c)
     if count > guard:
         raise ResourceGuardError(
             f"projective enumeration of {count} combinations exceeds guard {guard}"
         )
-    red = SliceSpan(f, tuple(mats))
-    stop = 1 if minimize else _term_rank(red)  # no combination can do better
+    stop = 1 if minimize else _term_rank_of(red)  # no combination can do better
     top = None if minimize or stop >= q else stop
     if top is not None:
         count = (top + 1) ** (c - 1)
     if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
-        best, best_vec = _enumerate_ranks_batched(red, q, c, minimize, stop, top)
+        red_span = SliceSpan(f, tuple(Matrix(f, m, cols=cols) for m in red))
+        best, best_vec = _enumerate_ranks_batched(red_span, q, c, minimize, stop, top)
     else:
         best = None
         best_vec = None
         for vec in projective_vectors(q, c, top):
-            r = rank(combine(red, vec))
+            r = rank_of_rows(f, _combination(f, vec, red), cols)
             if best is None or (r < best if minimize else r > best):
                 best, best_vec = r, vec
                 if best == stop:
                     break
+    if not lift:
+        return best, None
     # coefficients over the reduced basis -> coefficients over span.basis
     (lifted,) = _combination(f, best_vec, [(row,) for row in reduction.data])
     return best, tuple(lifted)
@@ -215,29 +233,29 @@ def _gf2_word(m: Matrix) -> int:
     return w
 
 
-def _enumerate_ranks_gf2(span: SliceSpan, minimize: bool, guard: int):
+def _enumerate_ranks_gf2(span: SliceSpan, minimize: bool, guard: int, lift: bool):
     """`_enumerate_ranks` over GF(2) on bit rows (`_gf2_word`), with the same
-    refusals, order and witnesses.  [V | I] is reduced by `_gf2.gf2_rref`:
-    the reduced echelon form is unique, so the reduced basis and the
-    coefficients lifting it are `independent_basis`'s.  The union support
-    is the OR of the reduced rows, a combination the XOR of its generators,
-    ranked by `gf2_rank`.  Min-rank searches of `_BATCH_THRESHOLD` or more
-    combinations take the batched arm, the only one given `Matrix` objects;
-    max-rank always runs the loop."""
+    refusals, order and witnesses.  [V | I] is reduced by `_gf2.gf2_rref`
+    (V alone without `lift`): the reduced echelon form is unique, so the
+    reduced basis and the coefficients lifting it are `independent_basis`'s.
+    The union support is the OR of the reduced rows, a combination the XOR
+    of its generators, ranked by `gf2_rank`.  Min-rank searches of
+    `_BATCH_THRESHOLD` or more combinations take the batched arm, the only
+    one given `Matrix` objects; max-rank always runs the loop."""
     f = span.field
     rows, cols = span.shape
     width = rows * cols
     mask = (1 << width) - 1
-    # bit width + k of a row records generator k; rows with no bit below
-    # width (pivot in the bookkeeping block) span nothing.  The support, the
-    # ranks and the batched arm read only the bits below width.
-    red = [w for w in _gf2.gf2_rref([_gf2_word(m) | 1 << (width + k) for k, m in enumerate(span.basis)])
+    # with `lift`, bit width + k of a row records generator k; rows with no
+    # bit below width (pivot in the bookkeeping block) span nothing.  The
+    # support, the ranks and the batched arm read only the bits below width.
+    red = [w for w in _gf2.gf2_rref([_gf2_word(m) | lift << (width + k) for k, m in enumerate(span.basis)])
            if w & mask]
     c = len(red)
     if c == 0:
         if minimize:
             raise ZeroSpanError("min-rank of the zero span")
-        return 0, tuple(f.zero() for _ in span.basis)
+        return 0, tuple(f.zero() for _ in span.basis) if lift else None
     count = projective_count(2, c)
     if count > guard:
         raise ResourceGuardError(
@@ -265,6 +283,8 @@ def _enumerate_ranks_gf2(span: SliceSpan, minimize: bool, guard: int):
                 best, best_vec = r, vec
                 if best == stop:
                     break
+    if not lift:
+        return best, None
     lifted = 0
     for x, w in zip(best_vec, red):
         if x:
@@ -410,34 +430,29 @@ def _covered(span: SliceSpan, ann1: Matrix, ann2: Matrix) -> bool:
     return True
 
 
-def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Optional[dict] = None,
-               floor: int = 0):
-    """The first subspace V of F^n, in order of increasing dimension, whose
-    total dim V + dim W is least and below `bound`, with W the row span of
-    the matrices ann(V) * M (each n x m matrix M given as its m columns).
-    Returns (total, V, rows spanning W), or None when no total is below
-    `bound`.  The search stops once dim V alone reaches the best total, so
-    also at the first V with W = 0, and at the first V whose total equals
-    `floor`, a lower bound on every total the caller knows: the best is
-    replaced only on a strict improvement, so that V is the one the whole
-    search would return.  A caller that searches the same F^n many times
-    passes one `cache` dict, which keeps the (V, ann(V)) pairs of each
-    dimension the search reaches.  Over GF(2) it runs on bit rows
-    (`_min_cover_gf2`) in the same order, with the same result, and its
-    layers live in `_gf2` instead of `cache`."""
+@lru_cache(maxsize=None)
+def _subspace_layer(q: int, n: int, dim: int):
+    """The dim-dimensional subspaces V of GF(q)^n as (rows of V, rows of
+    ann V), int-row tuples: V's rref basis in the order of `subspaces`, each
+    with the annihilator `_rref_annihilator` builds.  Each layer is built
+    the first time a search asks for it and kept for the process, as
+    `_gf2.subspace_layer` keeps GF(2)'s bit rows; none is built at import."""
+    f = PrimeField(q)
+    return tuple((v.data, tuple(map(tuple, _rref_annihilator(f, v.data, n)))) for v in subspaces(f, n, dim))
+
+
+def _cover_walk(f: PrimeField, columns, n: int, m: int, bound: int, floor: int):
+    """The search of `_min_cover`, returning (total, rows of V, rows spanning
+    W) as the walk holds them (int rows over GF(p), bit rows over GF(2)), or
+    None.  Callers that want only the total build nothing more."""
     q = f.p
     if q == 2:
-        return _min_cover_gf2(f, columns, n, m, bound, floor)
+        return _cover_walk_gf2(columns, n, m, bound, floor)
     best = None
     for a in range(n + 1):
         if a >= bound:
             break
-        layer = cache.get(a) if cache is not None else None
-        if layer is None:
-            layer = ((v, _rref_annihilator(f, v.data, n)) for v in subspaces(f, n, a))
-            if cache is not None:
-                layer = cache[a] = list(layer)
-        for v, ann in layer:
+        for v, ann in _subspace_layer(q, n, a):
             w = [row for cols in columns for row in _product(ann, cols, q)]
             total = a + rank_of_rows(f, w, m)
             if total < bound:
@@ -447,13 +462,12 @@ def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, cache: Option
     return best
 
 
-def _min_cover_gf2(f: PrimeField, columns, n: int, m: int, bound: int, floor: int):
-    """`_min_cover` over GF(2) on bit rows.  The (V, ann V) pairs of each
-    dimension are `_gf2.subspace_layer`'s, built once per process.  Each
-    matrix M becomes the table of its n rows' XOR span (m-bit rows), so a
-    row of ann(V) * M, the XOR of the rows of M its bits pick, is one
-    lookup, and dim W is `gf2_rank` of those rows.  The Matrix of V and the
-    rows of W are built only for the cover returned."""
+def _cover_walk_gf2(columns, n: int, m: int, bound: int, floor: int):
+    """`_cover_walk` over GF(2) on bit rows.  The (V, ann V) pairs of each
+    dimension are `_gf2.subspace_layer`'s.  Each matrix M becomes the table
+    of its n rows' XOR span (m-bit rows), so a row of ann(V) * M, the XOR of
+    the rows of M its bits pick, is one lookup, and dim W is `gf2_rank` of
+    those rows."""
     tables = [_gf2._span([sum(1 << j for j, col in enumerate(cols) if col[i] % 2) for i in range(n)])
               for cols in columns]
     best = None
@@ -472,8 +486,55 @@ def _min_cover_gf2(f: PrimeField, columns, n: int, m: int, bound: int, floor: in
     if best is None:
         return None
     v, ann = best
-    return (bound, Matrix(f, [_gf2.bit_row(x, n) for x in v], cols=n),
-            [list(_gf2.bit_row(t[y], m)) for t in tables for y in ann])
+    return bound, v, [t[y] for t in tables for y in ann]
+
+
+def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, floor: int = 0):
+    """The first subspace V of F^n, in order of increasing dimension, whose
+    total dim V + dim W is least and below `bound`, with W the row span of
+    the matrices ann(V) * M (each n x m matrix M given as its m columns).
+    Returns (total, V, rows spanning W), or None when no total is below
+    `bound`.  The search stops once dim V alone reaches the best total, so
+    also at the first V with W = 0, and at the first V whose total equals
+    `floor`, a lower bound on every total the caller knows: the best is
+    replaced only on a strict improvement, so that V is the one the whole
+    search would return.
+
+    The walk is `_cover_walk`.  It reads the (V, ann V) pairs of each
+    dimension from layers cached per (q, n, dim), `_subspace_layer` over
+    GF(p) and `_gf2.subspace_layer` over GF(2), where it runs on bit rows in
+    the same order, with the same result.  The Matrix of V and the rows of
+    W are built here, only for the cover returned."""
+    found = _cover_walk(f, columns, n, m, bound, floor)
+    if found is None:
+        return None
+    total, v, w = found
+    if f.p == 2:
+        v, w = [_gf2.bit_row(x, n) for x in v], [list(_gf2.bit_row(y, m)) for y in w]
+    return total, Matrix(f, v, cols=n), w
+
+
+def _mincov(span: SliceSpan, guard: int, walk):
+    """`mincov_exhaustive`'s refusals, zero span and floor, then `walk`
+    (`_min_cover`, or `_cover_walk` for the value alone) from F^n1 with the
+    generators as the matrices M: (value, V1, rows spanning V2)."""
+    f = span.field
+    if not isinstance(f, PrimeField):
+        raise InfiniteFieldError("mincov enumeration needs a finite field")
+    n1, n2 = span.shape
+    if all(m.is_zero() for m in span.basis):
+        return 0, Matrix.zeros(f, 0, n1), []
+    total_pairs = subspace_pair_count(f.p, n1, n2)
+    if total_pairs > guard:
+        raise ResourceGuardError(
+            f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
+        )
+    columns = [list(zip(*m.data)) for m in span.basis]
+    if f.p == 2:
+        floor = max(_gf2.gf2_rank(_gf2.split_rows(_gf2_word(m), n1, n2)) for m in span.basis)
+    else:
+        floor = max(rank(m) for m in span.basis)
+    return walk(f, columns, n1, n2, n1 + n2 + 1, floor)
 
 
 def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
@@ -493,23 +554,8 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     is computed after the refusals, from the generators alone, so it does
     not depend on the max-rank search.
     """
-    f = span.field
-    if not isinstance(f, PrimeField):
-        raise InfiniteFieldError("mincov enumeration needs a finite field")
-    n1, n2 = span.shape
-    if all(m.is_zero() for m in span.basis):
-        return 0, (Matrix.zeros(f, 0, n1), Matrix.zeros(f, 0, n2))
-    total_pairs = subspace_pair_count(f.p, n1, n2)
-    if total_pairs > guard:
-        raise ResourceGuardError(
-            f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
-        )
-    columns = [list(zip(*m.data)) for m in span.basis]
-    if f.p == 2:
-        floor = max(_gf2.gf2_rank(_gf2.split_rows(_gf2_word(m), n1, n2)) for m in span.basis)
-    else:
-        floor = max(rank(m) for m in span.basis)
-    best, v1, w = _min_cover(f, columns, n1, n2, n1 + n2 + 1, floor=floor)
+    f, n2 = span.field, span.shape[1]
+    best, v1, w = _mincov(span, guard, _min_cover)
     return best, (v1, Matrix(f, _reduce_rows(f, w, n2), cols=n2))
 
 
@@ -537,12 +583,18 @@ class FlandersReport:
 
 
 def flanders_check(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD) -> FlandersReport:
-    """Check maxrank <= mincov <= 4*maxrank (and <= 2*maxrank when |F| > maxrank)."""
-    mr, _ = max_rank_exhaustive(span)
+    """Check maxrank <= mincov <= 4*maxrank (and <= 2*maxrank when |F| > maxrank).
+
+    Only the two values are computed, with the refusals of
+    `max_rank_exhaustive` and `mincov_exhaustive`: the max-rank search runs
+    without its witness lift, and the cover walk builds no V1 Matrix and no
+    V2 basis.  The two searches stay independent: mincov's floor comes from
+    the generators."""
+    mr, _ = _enumerate_ranks(span, minimize=False, guard=PROJECTIVE_GUARD, lift=False)
     f = span.field
     two_sided = f.size() is not None and f.size() > mr
     try:
-        mc, _ = mincov_exhaustive(span, guard=guard)
+        mc = _mincov(span, guard, _cover_walk)[0]
     except ResourceGuardError:
         return FlandersReport(mr, None, (mr, 4 * mr), two_sided, True, True, None)
     return FlandersReport(

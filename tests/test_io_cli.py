@@ -673,3 +673,60 @@ def test_verify_ends_in_an_exit_code(tmp_path_factory, case):
     with contextlib.redirect_stdout(_stdio.StringIO()), contextlib.redirect_stderr(_stdio.StringIO()):
         code = run_cli("verify", str(cpath), str(tpath))
     assert code in (0, 2, 3, 5)
+
+
+# -- every command that reads a tensor file, on any small tensor file ------------
+
+_SMALL_FIELDS = st.sampled_from(["gf:2", "gf:2", "gf:3", "gf:5", "q"])
+_ORIENTS = st.sampled_from(["1,2", "2,3", "3,1", "2,1", "1,3", "3,2", "1,1", "1,4", "x"])
+_GUARDS = st.one_of(st.none(), st.integers(1, 10_000))
+
+
+@st.composite
+def small_tensor_texts(draw):
+    """Tensor files of dims at most 3 over GF(2), GF(3), GF(5) and Q, with
+    nonzero entries; a quarter of them get noise lines, shuffles or drops."""
+    tag = draw(_SMALL_FIELDS)
+    dims = [draw(st.integers(0, 3)) for _ in range(3)]
+    values = ["1", "-1", "2", "1/2", "-3/2"] if tag == "q" else [str(v) for v in range(1, int(tag[3:]))]
+    cells = [(i, j, k) for i in range(dims[0]) for j in range(dims[1]) for k in range(dims[2])]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells))) if cells else []
+    lines = ["tensor v1", f"field {tag}", "dims " + " ".join(map(str, dims))]
+    lines += [f"{i + 1} {j + 1} {k + 1} {draw(st.sampled_from(values))}" for i, j, k in chosen]
+    if draw(st.integers(0, 3)) == 0:
+        return _mix(draw, lines)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def tensor_commands(draw):
+    """One argument list of a command that reads a tensor file, before the
+    file; --guard, where the command takes it, is at most 10,000."""
+    cmd = draw(st.sampled_from(["info", "bounds", "pivots", "maxrank", "minrank", "slicerank", "subrank",
+                                "certify rho", "certify sqrt", "certify c2", "certify subrank", "power"]))
+    args = cmd.split()
+    if cmd in ("maxrank", "minrank", "certify rho"):
+        args += ["--orient", draw(_ORIENTS)]
+    if cmd == "maxrank":
+        args += ["--trials", str(draw(st.integers(0, 4)))]
+    if cmd == "bounds":
+        args += ["--format", draw(st.sampled_from(["text", "kv"]))]
+    guard = draw(_GUARDS)
+    if guard is not None and cmd not in ("info", "bounds", "pivots", "power"):
+        args += ["--guard", str(guard)]
+    if cmd == "power":
+        args.append(str(draw(st.integers(-1, 3))))
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensor_commands(), small_tensor_texts())
+def test_every_tensor_command_ends_in_an_exit_code(tmp_path_factory, argv, text):
+    """Each command that reads a tensor file ends in exit 0 or in one of the
+    README's exit codes on any small tensor file, never in a traceback."""
+    path = tmp_path_factory.mktemp("cmd") / "t.tensor"
+    path.write_text(text, encoding="utf-8")
+    argv = argv[:2] + [str(path)] + argv[2:] if argv[0] == "certify" else [argv[0], str(path), *argv[1:]]
+    with contextlib.redirect_stdout(_stdio.StringIO()), contextlib.redirect_stderr(_stdio.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4, 5)

@@ -22,12 +22,14 @@ from tenrank.errors import (
     ZeroSpanError,
 )
 from tenrank.fields import GF, QQ
-from tenrank.matrix import Matrix, rank
+from tenrank.matrix import Matrix, _rref_annihilator, rank
 from tenrank.spans import (
     SUBSPACE_PAIR_GUARD,
+    FlandersReport,
     _annihilator,
     _covered,
     _min_cover,
+    _subspace_layer,
     basis_extension,
     combine,
     diagonalize_principal,
@@ -48,6 +50,7 @@ from tenrank.spans import (
     span_of,
     staircase,
     subspace_count,
+    subspace_pair_count,
     subspaces,
     verify_cover,
 )
@@ -425,23 +428,21 @@ def test_mincov_guard_counts_pairs():
 
 def test_mincov_floor_cuts_the_walk(monkeypatch):
     # the identity has rank 3 = mincov, so V1 = 0 (W = F^3) ends the search;
-    # the generic arm walks `subspaces`, the GF(2) arm the packed layer tables
+    # each arm walks its cached layers: `_subspace_layer` over GF(p), the
+    # packed `_gf2.subspace_layer` over GF(2)
     walked = []
-    enumerate_subspaces = tenrank.spans.subspaces
-    packed_layer = tenrank._gf2.subspace_layer
+    layers = {(tenrank.spans, "_subspace_layer"): tenrank.spans._subspace_layer,
+              (tenrank._gf2, "subspace_layer"): tenrank._gf2.subspace_layer}
 
-    def counting(field, n, dim):
-        for v in enumerate_subspaces(field, n, dim):
-            walked.append(v)
-            yield v
+    def counting(layer):
+        def walk(*key):
+            for entry in layer(*key):
+                walked.append(entry)
+                yield entry
+        return walk
 
-    def counting_layer(n, dim):
-        for entry in packed_layer(n, dim):
-            walked.append(entry)
-            yield entry
-
-    monkeypatch.setattr(tenrank.spans, "subspaces", counting)
-    monkeypatch.setattr(tenrank._gf2, "subspace_layer", counting_layer)
+    for (module, name), layer in layers.items():
+        monkeypatch.setattr(module, name, counting(layer))
     for f in (GF(2), GF(3)):
         walked.clear()
         span = span_of(f, [Matrix.identity(f, 3)])
@@ -517,6 +518,110 @@ def test_flanders_two_sided_gf5():
         rep = flanders_check(span_of(f, mats))
         assert rep.two_sided_applicable  # maxrank <= 3 < 5
         assert rep.ratio_ok
+
+
+def ref_flanders_check(span, guard):
+    """`flanders_check` as it was built on the public searches: the witnessed
+    max-rank, then `mincov_exhaustive` with its cover."""
+    mr, _ = max_rank_exhaustive(span)
+    two_sided = span.field.size() > mr
+    try:
+        mc, _ = mincov_exhaustive(span, guard=guard)
+    except ResourceGuardError:
+        return FlandersReport(mr, None, (mr, 4 * mr), two_sided, True, True, None)
+    return FlandersReport(mr, mc, (mc, mc), two_sided, mr <= mc, mc <= 4 * mr, (mc <= 2 * mr) if two_sided else None)
+
+
+@st.composite
+def flanders_spans(draw):
+    """Spans of 1-4 generators of shape 1x1 to 4x4 over GF(2), GF(3), GF(5)
+    and GF(7); a generator may be zero or repeat an earlier one."""
+    f = GF(draw(st.sampled_from([2, 3, 5, 7])))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.lists(st.integers(0, f.p - 1), min_size=rows * cols, max_size=rows * cols)
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "repeat" and mats:
+            mats.append(draw(st.sampled_from(mats)))
+        elif kind == "zero":
+            mats.append(Matrix.zeros(f, rows, cols))
+        else:
+            e = draw(entries)
+            mats.append(Matrix(f, [e[i * cols:(i + 1) * cols] for i in range(rows)]))
+    return span_of(f, mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flanders_spans(), st.sampled_from([SUBSPACE_PAIR_GUARD, 40]))
+@example(span_of(GF(7), [Matrix.identity(GF(7), 4)]), SUBSPACE_PAIR_GUARD)
+@example(span_of(GF(3), [Matrix.zeros(GF(3), 2, 3), Matrix.zeros(GF(3), 2, 3)]), 40)
+@example(span_of(GF(5), [Matrix.identity(GF(5), 3), Matrix.identity(GF(5), 3)]), 40)
+@example(skew_span(GF(7)), SUBSPACE_PAIR_GUARD)
+@example(FLOOR_AT_DIM_1, SUBSPACE_PAIR_GUARD)
+@example(span_of(GF(3), [Matrix.from_entries(GF(3), 3, 3, {(i, i): 1}) for i in range(3)]), SUBSPACE_PAIR_GUARD)
+@example(span_of(GF(7), [Matrix.from_entries(GF(7), 4, 4, {(i, i): 1}) for i in range(4)]), SUBSPACE_PAIR_GUARD)
+def test_flanders_values_match_the_witnessed_searches(span, guard):
+    """The values-only check reports what the witnessed searches give:
+    `maxrank` is max_rank_exhaustive's value, `mincov` mincov_exhaustive's,
+    or None where that search refuses the guard; the whole report is equal."""
+    rep = flanders_check(span, guard=guard)
+    assert rep == ref_flanders_check(span, guard)
+    refused = subspace_pair_count(span.field.p, *span.shape) > guard and any(not m.is_zero() for m in span.basis)
+    assert (rep.mincov is None) == refused
+
+
+def test_flanders_builds_no_witness_and_reads_cached_layers(monkeypatch):
+    """flanders_check reduces no [V | I] (no `independent_basis`, so no lift)
+    over any field, and once its layers are cached it enumerates no
+    subspace: a second pass over the same spans calls no `subspaces`."""
+    rng = random.Random(32)
+    cases = [span_of(f, [rand_matrix(f, 3, 3, rng) for _ in range(rng.randrange(1, 4))])
+             for f in (GF(2), GF(3), GF(5), GF(7)) for _ in range(10)]
+    want = [ref_flanders_check(span, SUBSPACE_PAIR_GUARD) for span in cases]
+    calls = {"independent_basis": [], "subspaces": []}
+    for name, found in calls.items():
+        inner = getattr(tenrank.spans, name)
+        monkeypatch.setattr(tenrank.spans, name, lambda *a, inner=inner, found=found, **k: found.append(a) or inner(*a, **k))
+    assert [flanders_check(span) for span in cases] == want
+    assert calls["independent_basis"] == []
+    calls["subspaces"].clear()
+    assert [flanders_check(span) for span in cases] == want
+    assert calls == {"independent_basis": [], "subspaces": []}
+
+
+def test_gfp_layers_match_subspaces():
+    """Every layer of GF(3)^n, n <= 4, and of GF(5)^n, n <= 3, lists
+    `subspaces`' bases in order, each with the annihilator
+    `_rref_annihilator` builds, as int-row tuples."""
+    for q, top in ((3, 4), (5, 3)):
+        f = GF(q)
+        for n in range(top + 1):
+            for dim in range(n + 1):
+                want = tuple((v.data, tuple(map(tuple, _rref_annihilator(f, v.data, n)))) for v in subspaces(f, n, dim))
+                assert _subspace_layer(q, n, dim) == want
+
+
+def test_gfp_layers_are_built_lazily_and_once():
+    """Importing tenrank builds no GF(p) layer; a search builds the layers it
+    reaches, and a second search over the same (q, n, dim) builds none."""
+    code = (
+        "import tenrank\n"
+        "from tenrank import spans\n"
+        "from tenrank.fields import GF\n"
+        "from tenrank.matrix import Matrix\n"
+        "f = GF(3)\n"
+        "layers = spans._subspace_layer.cache_info\n"
+        "print(layers().currsize)\n"
+        "skew = [Matrix.from_entries(f, 3, 3, {(i, j): 1, (j, i): 2}) for i, j in ((0, 1), (0, 2), (1, 2))]\n"
+        "print(spans.mincov_exhaustive(spans.span_of(f, skew))[0], layers().currsize)\n"
+        "built = layers().misses\n"
+        "print(spans.flanders_check(spans.span_of(f, skew[:2])).mincov, layers().misses - built)\n"
+    )
+    src = str(Path(tenrank.spans.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "3", "3", "2", "0"]
 
 
 # -- staircase and the product inequality ---------------------------------------
