@@ -15,10 +15,10 @@ checked by `apply_bit_maps`, which uses none of the search's tables or
 helpers; its own bounded cache of map columns (`_bit_columns`) is keyed
 by the map's rows alone and holds no search data.
 
-The GF(2) arms of the span searches in `spans` run on bit rows too:
-`gf2_rref` reduces a span's basis, and `subspace_layer` lists the
-(V, ann V) pairs of one dimension of GF(2)^n, built once per process on
-first use.
+The span searches in `spans` pick these kernels over GF(2): `pack` packs a
+span's matrices, `gf2_rref` reduces its basis, `gf2_rank` ranks each
+combination and each cover's rows, and `_span` tabulates the XOR span of a
+matrix's rows.
 """
 
 from __future__ import annotations
@@ -28,10 +28,13 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 
-def pack_tensor(entries, dims) -> int:
+def pack(entries) -> int:
+    """GF(2) entries as one int, entry k at bit k (x % 2).  A tensor's
+    entries, or a matrix's rows chained, pack row-major; one matrix row
+    packs as a bit row."""
     word = 0
-    for bit, v in enumerate(entries):
-        if v:
+    for bit, x in enumerate(entries):
+        if x % 2:
             word |= 1 << bit
     return word
 
@@ -85,47 +88,15 @@ def split_rows(word: int, rows: int, cols: int) -> List[int]:
     return [(word >> (i * cols)) & mask for i in range(rows)]
 
 
-@lru_cache(maxsize=None)
-def subspace_layer(n: int, dim: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-    """The dim-dimensional subspaces V of GF(2)^n as (rows of V, rows of
-    ann V), n-bit rows, in the order of `spans.subspaces`: pivot sets in
-    combinations order, then the free entries right of each pivot, last one
-    fastest.  V's rows are its reduced basis; ann V has one row per free
-    column c, bit c plus the pivot of every row of V with bit c set, as
-    `matrix._rref_annihilator` builds it.  Each layer is built the first
-    time a search asks for it and kept for the process; none is built at
-    import."""
-    out = []
-    for pivots in itertools.combinations(range(n), dim):
-        free_pos = [(r, c) for r in range(dim) for c in range(pivots[r] + 1, n) if c not in pivots]
-        for vals in itertools.product((0, 1), repeat=len(free_pos)):
-            v = [1 << pc for pc in pivots]
-            for (r, c), x in zip(free_pos, vals):
-                v[r] |= x << c
-            ann = tuple((1 << c) | sum(1 << pc for pc, row in zip(pivots, v) if (row >> c) & 1)
-                        for c in range(n) if c not in pivots)
-            out.append((tuple(v), ann))
-    return tuple(out)
-
-
-def tensor_slices1(word: int, dims) -> Tuple[int, ...]:
-    """1-slices as (n2*n3)-bit row-major words."""
-    n1, n2, n3 = dims
-    width = n2 * n3
-    mask = (1 << width) - 1
-    return tuple((word >> (i * width)) & mask for i in range(n1))
-
-
 def flattening_ranks(word: int, dims) -> Tuple[int, int, int]:
     n1, n2, n3 = dims
-    s1 = tensor_slices1(word, dims)
+    s1 = split_rows(word, n1, n2 * n3)
     mask = (1 << n3) - 1
     # row j of the direction-2 flattening joins row j of every 1-slice
     rows2 = [sum(((s >> (j * n3)) & mask) << (i * n3) for i, s in enumerate(s1)) for j in range(n2)]
     # the direction-3 flattening has the rank of its transpose, whose rows
     # are the word's consecutive n3-bit fibres
-    rows3 = [(word >> (b * n3)) & mask for b in range(n1 * n2)]
-    return (gf2_rank(list(s1)), gf2_rank(rows2), gf2_rank(rows3))
+    return (gf2_rank(s1), gf2_rank(rows2), gf2_rank(split_rows(word, n1 * n2, n3)))
 
 
 def is_concise(word: int, dims) -> bool:
@@ -285,7 +256,7 @@ def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
     l3_rows) as bit-row tuples, or None.
     """
     n1, n2, n3 = dims
-    slices = tensor_slices1(word, dims)
+    slices = split_rows(word, n1, n2 * n3)
     targets = _unit_targets(r)
     l2s, l3s, table, lows = _lane_table(n2, n3, r)
     if table is None:

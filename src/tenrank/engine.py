@@ -246,7 +246,7 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive subrank search needs a finite field")
     if packed_applies(f, t.dims, r):
-        maps = packed_unit_restriction(_gf2.pack_tensor(t.entries, t.dims), t.dims, r)
+        maps = packed_unit_restriction(_gf2.pack(t.entries), t.dims, r)
         if maps is None:
             return None
         # the maps are checked; Matrix maps are built only for the certificate

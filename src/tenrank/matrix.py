@@ -158,7 +158,7 @@ class Matrix:
 
     def vectorize(self) -> tuple:
         """Row-major flattening."""
-        return tuple(x for row in self.data for x in row)
+        return tuple(itertools.chain.from_iterable(self.data))
 
 
 def concat_cols(ms: Sequence[Matrix]) -> Matrix:

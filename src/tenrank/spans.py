@@ -10,8 +10,9 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import comb
+from operator import or_, xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _gf2
@@ -167,129 +168,82 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool 
     term rank T of the reduced basis; when T < p it ranks only the grid
     {1} x {0..T}^(c-1) of `projective_vectors`, which holds the max-rank
     and the first combination attaining it (see `max_rank_exhaustive`).
-    The batched or the scalar arm is chosen by the count actually ranked;
-    over GF(2) the scalar arm runs on bit rows and takes every max-rank
-    search (`_enumerate_ranks_gf2`).
+    Searches that rank `_BATCH_THRESHOLD` or more combinations take the
+    batched arm when p <= MAX_BATCH_PRIME, over GF(2) only for min-rank.
+
+    The kernels are picked once, before the loop.  Over GF(p), p > 2, a
+    matrix is its int rows: [V | I] is reduced by `independent_basis` and a
+    combination is a `_combination` ranked by `rank_of_rows`.  Over GF(2) a
+    matrix is one int (`_gf2.pack`): [V | I] is reduced by `_gf2.gf2_rref`
+    (the reduced echelon form is unique, so the reduced basis and the
+    coefficients lifting it are `independent_basis`'s), the term rank reads
+    the OR of the reduced rows, and a combination is the XOR of its
+    generators ranked by `_gf2.gf2_rank`.  The order, refusals and witnesses
+    are the same for every p.
 
     Returns (value, coefficients over span.basis).  Without `lift` only the
-    value is wanted: V alone is reduced by `_reduce_rows`, with no [V | I]
-    bookkeeping (the reduced echelon form is unique, so these are
-    `independent_basis`'s rows and the search is the same), and the
-    coefficients are None.
+    value is wanted: V alone is reduced, with no [V | I] bookkeeping, and
+    the coefficients are None.
     """
     f = span.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("exhaustive rank search needs a finite field")
-    if f.p == 2:
-        return _enumerate_ranks_gf2(span, minimize, guard, lift)
+    q = f.p
     rows, cols = span.shape
-    if lift:
-        mats, reduction = independent_basis(span)
-        red = [m.data for m in mats]
+    width = rows * cols
+    if q == 2:
+        # with `lift`, bit width + k of a row records generator k; rows with no
+        # bit below width (pivot in the bookkeeping block) span nothing.  The
+        # support, the ranks and the batched arm read only the bits below width.
+        red = [w for w in _gf2.gf2_rref([_gf2.pack(itertools.chain.from_iterable(m.data)) | lift << (width + k)
+                                         for k, m in enumerate(span.basis)]) if w & ((1 << width) - 1)]
+        support = reduce(or_, red, 0)
+        term_rank = lambda: len(_max_matching(divmod(b, cols) for b in range(width) if (support >> b) & 1))
+        rank_at = lambda vec: _gf2.gf2_rank(_gf2.split_rows(reduce(xor, itertools.compress(red, vec)), rows, cols))
+        int_rows = lambda: [[_gf2.bit_row(r, cols) for r in _gf2.split_rows(w, rows, cols)] for w in red]
+        lifted = lambda vec: _gf2.bit_row(reduce(xor, itertools.compress(red, vec)) >> width, len(span.basis))
     else:
-        red = [[v[i * cols:(i + 1) * cols] for i in range(rows)]
-               for v in _reduce_rows(f, [m.vectorize() for m in span.basis], rows * cols)]
+        if lift:
+            mats, reduction = independent_basis(span)
+            red = [m.data for m in mats]
+        else:
+            red = [[v[i * cols:(i + 1) * cols] for i in range(rows)]
+                   for v in _reduce_rows(f, [m.vectorize() for m in span.basis], width)]
+        term_rank = lambda: _term_rank_of(red)
+        rank_at = lambda vec: rank_of_rows(f, _combination(f, vec, red), cols)
+        int_rows = lambda: red
+        # coefficients over the reduced basis -> coefficients over span.basis
+        lifted = lambda vec: tuple(_combination(f, vec, [(row,) for row in reduction.data])[0])
     c = len(red)
     if c == 0:
         if minimize:
             raise ZeroSpanError("min-rank of the zero span")
         return 0, tuple(f.zero() for _ in span.basis) if lift else None
-    q = f.p
     count = projective_count(q, c)
     if count > guard:
         raise ResourceGuardError(
             f"projective enumeration of {count} combinations exceeds guard {guard}"
         )
-    stop = 1 if minimize else _term_rank_of(red)  # no combination can do better
+    stop = 1 if minimize else term_rank()  # no combination can do better
     top = None if minimize or stop >= q else stop
     if top is not None:
         count = (top + 1) ** (c - 1)
-    if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
-        red_span = SliceSpan(f, tuple(Matrix(f, m, cols=cols) for m in red))
+    # over GF(2) the batched arm wins only on full min-rank walks of many
+    # combinations; on random 4x4 spans of 9-12 generators the loop ran
+    # max-rank ~4x faster
+    if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME and (minimize or q > 2):
+        red_span = SliceSpan(f, tuple(Matrix(f, m, cols=cols) for m in int_rows()))
         best, best_vec = _enumerate_ranks_batched(red_span, q, c, minimize, stop, top)
     else:
         best = None
         best_vec = None
         for vec in projective_vectors(q, c, top):
-            r = rank_of_rows(f, _combination(f, vec, red), cols)
+            r = rank_at(vec)
             if best is None or (r < best if minimize else r > best):
                 best, best_vec = r, vec
                 if best == stop:
                     break
-    if not lift:
-        return best, None
-    # coefficients over the reduced basis -> coefficients over span.basis
-    (lifted,) = _combination(f, best_vec, [(row,) for row in reduction.data])
-    return best, tuple(lifted)
-
-
-def _gf2_word(m: Matrix) -> int:
-    """A GF(2) matrix as one int, entry (i, j) at bit i * cols + j: the
-    order of `Matrix.vectorize`."""
-    w = 0
-    for row in reversed(m.data):
-        for x in reversed(row):
-            w = w << 1 | x % 2
-    return w
-
-
-def _enumerate_ranks_gf2(span: SliceSpan, minimize: bool, guard: int, lift: bool):
-    """`_enumerate_ranks` over GF(2) on bit rows (`_gf2_word`), with the same
-    refusals, order and witnesses.  [V | I] is reduced by `_gf2.gf2_rref`
-    (V alone without `lift`): the reduced echelon form is unique, so the
-    reduced basis and the coefficients lifting it are `independent_basis`'s.
-    The union support is the OR of the reduced rows, a combination the XOR
-    of its generators, ranked by `gf2_rank`.  Min-rank searches of
-    `_BATCH_THRESHOLD` or more combinations take the batched arm, the only
-    one given `Matrix` objects; max-rank always runs the loop."""
-    f = span.field
-    rows, cols = span.shape
-    width = rows * cols
-    mask = (1 << width) - 1
-    # with `lift`, bit width + k of a row records generator k; rows with no
-    # bit below width (pivot in the bookkeeping block) span nothing.  The
-    # support, the ranks and the batched arm read only the bits below width.
-    red = [w for w in _gf2.gf2_rref([_gf2_word(m) | lift << (width + k) for k, m in enumerate(span.basis)])
-           if w & mask]
-    c = len(red)
-    if c == 0:
-        if minimize:
-            raise ZeroSpanError("min-rank of the zero span")
-        return 0, tuple(f.zero() for _ in span.basis) if lift else None
-    count = projective_count(2, c)
-    if count > guard:
-        raise ResourceGuardError(
-            f"projective enumeration of {count} combinations exceeds guard {guard}"
-        )
-    support = 0
-    for w in red:
-        support |= w
-    stop = 1 if minimize else len(_max_matching(divmod(b, cols) for b in range(width) if (support >> b) & 1))
-    top = None if minimize or stop >= 2 else stop
-    # the batched arm wins only on full min-rank walks of many combinations;
-    # on random 4x4 spans of 9-12 generators the loop ran max-rank ~4x faster
-    if minimize and count >= _BATCH_THRESHOLD:
-        mats = (Matrix(f, [_gf2.bit_row(r, cols) for r in _gf2.split_rows(w, rows, cols)], cols=cols) for w in red)
-        best, best_vec = _enumerate_ranks_batched(SliceSpan(f, tuple(mats)), 2, c, True, 1, None)
-    else:
-        best = None
-        for vec in projective_vectors(2, c, top):
-            w = 0
-            for x, b in zip(vec, red):
-                if x:
-                    w ^= b
-            r = _gf2.gf2_rank(_gf2.split_rows(w, rows, cols))
-            if best is None or (r < best if minimize else r > best):
-                best, best_vec = r, vec
-                if best == stop:
-                    break
-    if not lift:
-        return best, None
-    lifted = 0
-    for x, w in zip(best_vec, red):
-        if x:
-            lifted ^= w
-    return best, _gf2.bit_row(lifted >> width, len(span.basis))
+    return best, lifted(best_vec) if lift else None
 
 
 def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int, top: Optional[int]):
@@ -377,10 +331,16 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
 # -- subspace enumeration and minimal covers -----------------------------------
 
 
+def _check_dims(n: int, dim: int) -> None:
+    if n < 0 or dim < 0:
+        raise BadParamsError(f"subspaces need n >= 0 and dim >= 0, have n={n}, dim={dim}")
+
+
 def subspaces(field: Field, n: int, dim: int):
     """All dim-dimensional subspaces of F^n as rref basis matrices."""
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("cannot enumerate subspaces over the rationals")
+    _check_dims(n, dim)
     q = field.p
     if dim == 0:
         yield Matrix.zeros(field, 0, n)
@@ -402,6 +362,7 @@ def subspaces(field: Field, n: int, dim: int):
 
 def subspace_count(q: int, n: int, dim: int) -> int:
     """Gaussian binomial [n choose dim]_q."""
+    _check_dims(n, dim)
     num = den = 1
     for i in range(dim):
         num *= q ** (n - i) - 1
@@ -435,58 +396,57 @@ def _subspace_layer(q: int, n: int, dim: int):
     """The dim-dimensional subspaces V of GF(q)^n as (rows of V, rows of
     ann V), int-row tuples: V's rref basis in the order of `subspaces`, each
     with the annihilator `_rref_annihilator` builds.  Each layer is built
-    the first time a search asks for it and kept for the process, as
-    `_gf2.subspace_layer` keeps GF(2)'s bit rows; none is built at import."""
+    the first time a search asks for it and kept for the process; none is
+    built at import.  The GF(2) cover walk reads the same layers as bit rows
+    (`_bit_layer`)."""
     f = PrimeField(q)
     return tuple((v.data, tuple(map(tuple, _rref_annihilator(f, v.data, n)))) for v in subspaces(f, n, dim))
+
+
+@lru_cache(maxsize=None)
+def _bit_layer(n: int, dim: int):
+    """`_subspace_layer(2, n, dim)` with each row of V and of ann V packed as
+    one n-bit int (`_gf2.pack`), cached the same way."""
+    return tuple((tuple(map(_gf2.pack, v)), tuple(map(_gf2.pack, ann))) for v, ann in _subspace_layer(2, n, dim))
 
 
 def _cover_walk(f: PrimeField, columns, n: int, m: int, bound: int, floor: int):
     """The search of `_min_cover`, returning (total, rows of V, rows spanning
     W) as the walk holds them (int rows over GF(p), bit rows over GF(2)), or
-    None.  Callers that want only the total build nothing more."""
+    None.  Callers that want only the total build nothing more.
+
+    The kernels are picked once, before the walk.  Over GF(p), p > 2, it
+    reads `_subspace_layer`, forms ann(V) * M by `_product` and ranks W by
+    `rank_of_rows`.  Over GF(2) it reads `_bit_layer`, and each matrix M
+    becomes the table of its n rows' XOR span (m-bit rows), so a row of
+    ann(V) * M, the XOR of the rows of M its bits pick, is one lookup, and
+    dim W is `_gf2.gf2_rank` of those rows."""
     q = f.p
     if q == 2:
-        return _cover_walk_gf2(columns, n, m, bound, floor)
+        tables = [_gf2._span([_gf2.pack([col[i] for col in cols]) for i in range(n)]) for cols in columns]
+        layer = partial(_bit_layer, n)
+
+        def image(ann):
+            w = [t[y] for t in tables for y in ann]
+            return w, _gf2.gf2_rank(w)
+    else:
+        layer = partial(_subspace_layer, q, n)
+
+        def image(ann):
+            w = [row for cols in columns for row in _product(ann, cols, q)]
+            return w, rank_of_rows(f, w, m)
     best = None
     for a in range(n + 1):
         if a >= bound:
             break
-        for v, ann in _subspace_layer(q, n, a):
-            w = [row for cols in columns for row in _product(ann, cols, q)]
-            total = a + rank_of_rows(f, w, m)
+        for v, ann in layer(a):
+            w, dim_w = image(ann)
+            total = a + dim_w
             if total < bound:
                 bound, best = total, (total, v, w)
                 if total == a or total == floor:
                     return best
     return best
-
-
-def _cover_walk_gf2(columns, n: int, m: int, bound: int, floor: int):
-    """`_cover_walk` over GF(2) on bit rows.  The (V, ann V) pairs of each
-    dimension are `_gf2.subspace_layer`'s.  Each matrix M becomes the table
-    of its n rows' XOR span (m-bit rows), so a row of ann(V) * M, the XOR of
-    the rows of M its bits pick, is one lookup, and dim W is `gf2_rank` of
-    those rows."""
-    tables = [_gf2._span([sum(1 << j for j, col in enumerate(cols) if col[i] % 2) for i in range(n)])
-              for cols in columns]
-    best = None
-    for a in range(n + 1):
-        if a >= bound:
-            break
-        for v, ann in _gf2.subspace_layer(n, a):
-            total = a + _gf2.gf2_rank([t[y] for t in tables for y in ann])
-            if total < bound:
-                bound, best = total, (v, ann)
-                if total == a or total == floor:
-                    break
-        else:
-            continue
-        break
-    if best is None:
-        return None
-    v, ann = best
-    return bound, v, [t[y] for t in tables for y in ann]
 
 
 def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, floor: int = 0):
@@ -501,10 +461,10 @@ def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, floor: int = 
     search would return.
 
     The walk is `_cover_walk`.  It reads the (V, ann V) pairs of each
-    dimension from layers cached per (q, n, dim), `_subspace_layer` over
-    GF(p) and `_gf2.subspace_layer` over GF(2), where it runs on bit rows in
-    the same order, with the same result.  The Matrix of V and the rows of
-    W are built here, only for the cover returned."""
+    dimension from the layers `_subspace_layer` caches per (q, n, dim), over
+    GF(2) as bit rows, in the same order and with the same result for every
+    p.  The Matrix of V and the int rows of W are built here, only for the
+    cover returned."""
     found = _cover_walk(f, columns, n, m, bound, floor)
     if found is None:
         return None
@@ -531,7 +491,7 @@ def _mincov(span: SliceSpan, guard: int, walk):
         )
     columns = [list(zip(*m.data)) for m in span.basis]
     if f.p == 2:
-        floor = max(_gf2.gf2_rank(_gf2.split_rows(_gf2_word(m), n1, n2)) for m in span.basis)
+        floor = max(_gf2.gf2_rank(list(map(_gf2.pack, m.data))) for m in span.basis)
     else:
         floor = max(rank(m) for m in span.basis)
     return walk(f, columns, n1, n2, n1 + n2 + 1, floor)

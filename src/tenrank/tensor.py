@@ -168,7 +168,7 @@ class Tensor3:
         on the packed word."""
         if self._ranks is None:
             if isinstance(self.field, PrimeField) and self.field.p == 2:
-                self._ranks = _gf2.flattening_ranks(_gf2.pack_tensor(self.entries, self.dims), self.dims)
+                self._ranks = _gf2.flattening_ranks(_gf2.pack(self.entries), self.dims)
             else:
                 self._ranks = tuple(self.flattening_rank(d) for d in (1, 2, 3))
         return self._ranks

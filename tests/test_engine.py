@@ -405,7 +405,7 @@ def ref_exists_unit_restriction_gf2(word, dims, r):
         return None
     if r == 0:
         return ((), (), ())
-    slices = _gf2.tensor_slices1(word, dims)
+    slices = _gf2.split_rows(word, n1, n2 * n3)
     targets = _gf2._unit_targets(r)
     size = 1 << n1
     vals = [0] * size
@@ -523,7 +523,7 @@ def test_apply_bit_maps_matches_apply_restriction(case):
     dims, word, maps = case
     f = GF(2)
     image = apply_restriction(_bit_maps_restriction(f, maps, dims), Tensor3(f, dims, _gf2.unpack_entries(word, dims)))
-    assert _gf2.apply_bit_maps(word, dims, maps) == _gf2.pack_tensor(image.entries, image.dims)
+    assert _gf2.apply_bit_maps(word, dims, maps) == _gf2.pack(image.entries)
 
 
 def _restricts_to_unit_by_definition(support, maps, r):
@@ -550,7 +550,7 @@ def test_single_bit_flips_of_packed_witnesses_are_judged_alike_by_both_checks():
             maps = _gf2.exists_unit_restriction_gf2(word, dims, r)
             if maps is None:
                 continue
-            unit_word = _gf2.pack_tensor(unit(f, r).entries, (r, r, r))
+            unit_word = _gf2.pack(unit(f, r).entries)
             for leg, n in enumerate(dims):
                 for a, x in itertools.product(range(r), range(n)):
                     bad = [list(rows) for rows in maps]
@@ -574,7 +574,7 @@ def test_packed_branch_refuses_a_bad_witness(monkeypatch, change, caller):
     scan item, check its witness before they use it: a search that hands
     back a broken witness is refused."""
     t = Tensor3(GF(2), (2, 2, 3), {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 2): 1})
-    word = _gf2.pack_tensor(t.entries, t.dims)
+    word = _gf2.pack(t.entries)
     assert min(t.flattening_ranks()) == 2  # so the scan item searches r = 2 first
     rows1, rows2, rows3 = _gf2.exists_unit_restriction_gf2(word, t.dims, 2)
     bad = (rows1, rows2, (rows3[0], rows3[1] ^ 2)) if change == "flip" else (rows1, rows2, rows3[:1])

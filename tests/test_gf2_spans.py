@@ -288,11 +288,11 @@ def test_batched_arm_over_gf2_keeps_its_witnesses(monkeypatch):
 
 
 def test_subspace_layers_match_subspaces():
-    """Every layer table of GF(2)^n, n <= 5, lists `subspaces`' bases in
+    """Every bit-row layer of GF(2)^n, n <= 5, lists `subspaces`' bases in
     order, each with the annihilator `_rref_annihilator` builds."""
     for n in range(6):
         for dim in range(n + 1):
-            layer = _gf2.subspace_layer(n, dim)
+            layer = tenrank.spans._bit_layer(n, dim)
             want = [(v, _rref_annihilator(F2, v.data, n)) for v in subspaces(F2, n, dim)]
             assert len(layer) == len(want)
             for (rows, ann), (v, ann_rows) in zip(layer, want):
@@ -301,15 +301,15 @@ def test_subspace_layers_match_subspaces():
 
 
 def test_layer_tables_are_built_lazily():
-    """No layer table exists after import, and one search builds only the
+    """No bit-row layer exists after import, and one search builds only the
     layers it reaches: the identity reaches its floor at V1 = 0."""
     code = (
-        "from tenrank import _gf2, spans\n"
+        "from tenrank import spans\n"
         "from tenrank.fields import GF\n"
         "from tenrank.matrix import Matrix\n"
-        "print(_gf2.subspace_layer.cache_info().currsize)\n"
+        "print(spans._bit_layer.cache_info().currsize)\n"
         "spans.mincov_exhaustive(spans.span_of(GF(2), [Matrix.identity(GF(2), 3)]))\n"
-        "print(_gf2.subspace_layer.cache_info().currsize)\n"
+        "print(spans._bit_layer.cache_info().currsize)\n"
     )
     src = str(Path(tenrank.spans.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -337,7 +337,6 @@ def test_mincov_runs_no_max_rank_search(monkeypatch):
     spans_ = [sp for _, sp in itertools.islice(criterion_6_spans(97), 100)]
     want = [mincov_exhaustive(sp) for sp in spans_]
     monkeypatch.setattr(tenrank.spans, "_enumerate_ranks", refuse)
-    monkeypatch.setattr(tenrank.spans, "_enumerate_ranks_gf2", refuse)
     assert [mincov_exhaustive(sp) for sp in spans_] == want
     with pytest.raises(AssertionError, match="max-rank search"):
         flanders_check(spans_[0])

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tenrank._gf2
 import tenrank.spans
 from tenrank import cli
 from tenrank.errors import (
+    BadParamsError,
     FieldTooSmallError,
     InfiniteFieldError,
     NotConciseError,
@@ -232,6 +232,14 @@ def test_subspace_enumeration_counts():
             assert got == subspace_count(q, n, d)
 
 
+@pytest.mark.parametrize("n, dim", [(3, -1), (-1, 0), (-2, -1)])
+def test_subspaces_refuse_negative_dimensions(n, dim):
+    with pytest.raises(BadParamsError, match="n >= 0 and dim >= 0"):
+        subspace_count(3, n, dim)
+    with pytest.raises(BadParamsError, match="n >= 0 and dim >= 0"):
+        list(subspaces(GF(3), n, dim))
+
+
 def test_mincov_examples():
     f = GF(2)
     v, (v1, v2) = mincov_exhaustive(span_of(f, [Matrix.identity(f, 2)]))
@@ -428,11 +436,13 @@ def test_mincov_guard_counts_pairs():
 
 def test_mincov_floor_cuts_the_walk(monkeypatch):
     # the identity has rank 3 = mincov, so V1 = 0 (W = F^3) ends the search;
-    # each arm walks its cached layers: `_subspace_layer` over GF(p), the
-    # packed `_gf2.subspace_layer` over GF(2)
+    # the walk reads the cached layers of `_subspace_layer`, over GF(2) as the
+    # bit rows of `_bit_layer`.  Both caches are filled first, so only the
+    # walk's reads are counted, not the bit-row layer's build.
     walked = []
-    layers = {(tenrank.spans, "_subspace_layer"): tenrank.spans._subspace_layer,
-              (tenrank._gf2, "subspace_layer"): tenrank._gf2.subspace_layer}
+    layers = {name: getattr(tenrank.spans, name) for name in ("_subspace_layer", "_bit_layer")}
+    for f in (GF(2), GF(3)):
+        mincov_exhaustive(span_of(f, [Matrix.identity(f, 3)]))
 
     def counting(layer):
         def walk(*key):
@@ -441,8 +451,8 @@ def test_mincov_floor_cuts_the_walk(monkeypatch):
                 yield entry
         return walk
 
-    for (module, name), layer in layers.items():
-        monkeypatch.setattr(module, name, counting(layer))
+    for name, layer in layers.items():
+        monkeypatch.setattr(tenrank.spans, name, counting(layer))
     for f in (GF(2), GF(3)):
         walked.clear()
         span = span_of(f, [Matrix.identity(f, 3)])

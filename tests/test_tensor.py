@@ -190,7 +190,7 @@ def test_scan_word_path_builds_no_tensor_or_matrix(monkeypatch):
     """A GF(2) 2x2x3 scan item, whose smallest flattening rank is at most 2,
     builds no Tensor3 and no Matrix; a 3x3x3 word of slice rank 3 builds the
     one Tensor3 its slice-rank search needs."""
-    unit_word = _gf2.pack_tensor(unit(GF(2), 3).entries, (3, 3, 3))
+    unit_word = _gf2.pack(unit(GF(2), 3).entries)
     built = []
     for cls in (Tensor3, Matrix):
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
