@@ -6,11 +6,10 @@ are cross-checked against the generic implementations in the test suite.
 
 The packed unit-restriction search visits the map pairs that
 `unit_pair_candidates` defines, the rule the generic search in `engine`
-shares, with rows in word order.  On small formats a cached lane table
-holds every pair's image of each packed slice in one int, one lane per
-pair, so one pass over the slices' XOR span tests all pairs at once; other
-formats apply the pairs one at a time.  The lane tables and the unit
-targets are built once per format or r, on first use.  Its witnesses are
+shares, with rows in word order, on a cached lane table only: it holds every
+pair's image of each packed slice in one int, one lane per pair, so one pass
+over the slices' XOR span tests all pairs at once.  The lane tables and the
+unit targets are built once per format or r, on first use.  Its witnesses are
 checked by `apply_bit_maps`, which uses none of the search's tables or
 helpers; its own bounded cache of map columns (`_bit_columns`) is keyed
 by the map's rows alone and holds no search data.
@@ -117,32 +116,6 @@ def unit_pair_candidates(rows2, rows3, r: int, rank):
     return (rows for rows in itertools.combinations(rows2, r) if rank(rows) == r), l3s
 
 
-def _left_rows(slice_word: int, l2, n2: int, n3: int) -> List[int]:
-    """L2 * S for a packed (n2 x n3) slice S, as one n3-bit word per row of L2."""
-    mask = (1 << n3) - 1
-    srows = [(slice_word >> (j * n3)) & mask for j in range(n2)]
-    out = []
-    for rowmask in l2:
-        acc = 0
-        for j, srow in enumerate(srows):
-            if (rowmask >> j) & 1:
-                acc ^= srow
-        out.append(acc)
-    return out
-
-
-def _times_transpose(left, l3) -> int:
-    """(L2 S) * L3^T from the rows of L2 S, packed r x r row-major: one
-    parity per (L2 row, L3 row)."""
-    out = 0
-    bit = 0
-    for x in left:
-        for y in l3:
-            out |= ((x & y).bit_count() & 1) << bit
-            bit += 1
-    return out
-
-
 _TABLE_COST_CAP = 2_000_000
 
 
@@ -157,7 +130,7 @@ def _lane_table(n2: int, n3: int, r: int):
     single bit (j, k) holds, at bit b*r + c of a lane, L2[b][j] * L3[c][k].
     The table is built only when pairs * 2^(n2*n3) is small (the
     exhaustive-format workloads); otherwise table and lows are None and the
-    search applies the pairs one at a time.
+    generic search in `engine` runs instead.
     """
     l2s, l3s = unit_pair_candidates(range(1, 1 << n2), range(1, 1 << n3), r, gf2_rank)
     l2s = tuple(l2s)
@@ -245,30 +218,22 @@ def _span(trans) -> List[int]:
 
 
 def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
-    """Decide whether the packed tensor restricts to the size-r unit tensor.
+    """Decide whether the packed tensor restricts to the size-r unit tensor,
+    on a lane table (`engine.packed_applies`).
 
     Visits the map pairs of `unit_pair_candidates` with rows in word order
     (range(1, 1 << n)) and solves for leg 1 row by row in the XOR span of
-    the transformed 1-slices.  With a lane table every pair is tested at
-    once: the span is formed lane-wise, a lane stays in the running for E_aa
-    if some span element equals E_aa there, and the lowest lane left after
-    all r targets is the first accepted pair.  Returns (l1_rows, l2_rows,
-    l3_rows) as bit-row tuples, or None.
+    the transformed 1-slices, all pairs at once: the span is formed lane-wise,
+    a lane stays in the running for E_aa if some span element equals E_aa
+    there, and the lowest lane left after all r targets is the first
+    accepted pair.  Returns (l1_rows, l2_rows, l3_rows) as bit-row tuples,
+    or None.
     """
     n1, n2, n3 = dims
-    slices = split_rows(word, n1, n2 * n3)
-    targets = _unit_targets(r)
     l2s, l3s, table, lows = _lane_table(n2, n3, r)
-    if table is None:
-        for l2 in l2s:
-            lefts = [_left_rows(s, l2, n2, n3) for s in slices]
-            for l3 in l3s:
-                vals = _span([_times_transpose(left, l3) for left in lefts])
-                if all(tgt in vals for tgt in targets):
-                    return (tuple(vals.index(tgt) for tgt in targets), l2, l3)
-        return None
     guards = lows << (r * r)
-    vals = _span([table[s] for s in slices])
+    vals = _span([table[s] for s in split_rows(word, n1, n2 * n3)])
+    targets = _unit_targets(r)
     accepted = guards
     for tgt in targets:
         spread = tgt * lows

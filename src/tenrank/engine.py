@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _gf2
@@ -104,17 +105,17 @@ def _leading_one_rows(q: int, n: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _generic_candidates(f: PrimeField, n2: int, n3: int, r: int):
+def _generic_candidates(f: PrimeField, n2: int, n3: int, r: int, word_order: bool = False):
     """The generic search's candidate pairs on one format, as (L2s, L3s,
-    the set of L3s, L3's candidate rows), every list a tuple.  Built the
-    first time a search passes its guard on the format and kept for the
-    process; none is built at import."""
-    rows3 = tuple(_leading_one_rows(f.p, n3))
-    l2s, l3s = _gf2.unit_pair_candidates(
-        _leading_one_rows(f.p, n2), rows3, r, lambda rows: rank_of_rows(f, rows, len(rows[0])),
-    )
+    the set of L3s, L3's candidate rows), every list a tuple, on rows from
+    `_leading_one_rows` or, with `word_order`, the nonzero GF(2) rows in the
+    packed words' order.  Built the first time a search passes its guard on
+    the format and kept for the process; none is built at import."""
+    rows2, rows3 = ([_gf2.bit_row(b, n) for b in range(1, 1 << n)] if word_order else _leading_one_rows(f.p, n)
+                    for n in (n2, n3))
+    l2s, l3s = _gf2.unit_pair_candidates(rows2, rows3, r, lambda rows: rank_of_rows(f, rows, len(rows[0])))
     l3s = tuple(l3s)
-    return tuple(l2s), l3s, frozenset(l3s), rows3
+    return tuple(l2s), l3s, frozenset(l3s), tuple(rows3)
 
 
 def _kernel_rows(rows, constraints: List[List[int]], n: int, q: int) -> list:
@@ -126,7 +127,7 @@ def _kernel_rows(rows, constraints: List[List[int]], n: int, q: int) -> list:
     if top == n:
         return []
     basis = constraints[:top]
-    return [v for v in rows if not any(sum(x * y for x, y in zip(u, v)) % q for u in basis)]
+    return [v for v in rows if not any(sum(map(mul, u, v)) % q for u in basis)]
 
 
 def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
@@ -138,7 +139,7 @@ def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
     return all(tuple(int(c == a * (r + 1)) for c in range(r * r)) in basis for a in range(r))
 
 
-def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restriction]:
+def _unit_restriction_generic(t: Tensor3, r: int, guard: int, bits: bool = False) -> Optional[Restriction]:
     """Search (L2, L3) surjective pairs up to scaling and a shared row order,
     then solve for L1's rows together.
 
@@ -150,11 +151,13 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     rows in itertools.product order) is therefore the least of its orbit: L2
     has increasing rows with leading entry 1 and L3 has rows with leading
     entry 1.  Only such pairs are enumerated (`_gf2.unit_pair_candidates`,
-    which the packed GF(2) search shares), in the same relative order, so
-    the witness is the one the full search finds.  The guard still counts
-    all full-rank pairs, so it refuses the same searches as before; it is
+    which the lane-table search shares), in the same relative order, so the
+    witness is the one the full search finds.  The guard still counts all
+    full-rank pairs, so it refuses the same searches as before; it is
     checked before the format's candidate lists are built.  Those lists are
     built once per (field, n2, n3, r) and kept as tuples (`_generic_candidates`).
+    With `bits` (a bit format) rows run in word order with no guard, as on a
+    lane table; L1 (free columns zero) is the smallest packed solution too.
 
     When n1 = r, the r matrices L2 S_i L3^T span at most r dimensions, and an
     accepted pair puts the r independent E_aa in that span, so every
@@ -169,12 +172,12 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     n1, n2, n3 = t.dims
     q = f.p
     pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)  # full-rank (L2, L3)
-    if pairs > guard:
+    if pairs > guard and not bits:
         raise ResourceGuardError(
             f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
         )
     slices = t.slices(1)
-    l2_choices, l3_choices, full_rank_l3, rows3 = _generic_candidates(f, n2, n3, r)
+    l2_choices, l3_choices, full_rank_l3, rows3 = _generic_candidates(f, n2, n3, r, bits)
     slice_cols = [list(zip(*s.data)) for s in slices]
     for l2_rows in l2_choices:
         left = [_product(l2_rows, cols, q) for cols in slice_cols]  # L2 S_i, once per L2
@@ -185,10 +188,10 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
         else:
             l3_visit = l3_choices
         for l3_rows in l3_visit:
-            # vec(L2 S_i L3^T), row-major, one vector per slice.  Kept as its
-            # own loop: a _product call and a flatten per slice made this loop
-            # about 30% slower, and small GF(3)/GF(5) subrank searches 7-14%.
-            vecs = [[sum(a * b for a, b in zip(x, y)) % q for x in m for y in l3_rows] for m in left]
+            # vec(L2 S_i L3^T), row-major, one vector per slice, with _product's
+            # dot product.  A _product call and a flatten per slice made this
+            # loop about 30% slower, and small GF(3)/GF(5) subrank searches 7-14%.
+            vecs = [[sum(map(mul, x, y)) % q for x in m for y in l3_rows] for m in left]
             if _units_in_span(vecs, r, q):
                 l2, l3 = Matrix(f, l2_rows, cols=n2), Matrix(f, l3_rows, cols=n3)
                 return _solve_first_leg(f, slices, l2, l3, r)
@@ -207,12 +210,17 @@ def _solve_first_leg(f: PrimeField, slices, l2: Matrix, l3: Matrix, r: int) -> R
     return Restriction((Matrix(f, rows1, cols=len(slices)), l2, l3))
 
 
-def packed_applies(f: PrimeField, dims, r: int) -> bool:
-    """Whether the size-r unit-restriction search on this format runs on the
-    packed GF(2) word (`packed_unit_restriction`) rather than on `Tensor3`
-    slices.  It does for every r below as well."""
+def _bit_format(f: PrimeField, dims, r: int) -> bool:
+    """Whether the size-r unit search runs on GF(2) rows in word order, with no pair guard."""
     n1, n2, n3 = dims
     return f.p == 2 and n1 <= 16 and r * n2 <= 12 and r * n3 <= 12
+
+
+def packed_applies(f: PrimeField, dims, r: int) -> bool:
+    """Whether the size-r unit-restriction search on this format runs on the
+    packed GF(2) word (`packed_unit_restriction`): a bit format with a lane
+    table at r (none is built at r = 0).  It does for every r below as well."""
+    return _bit_format(f, dims, r) and (r == 0 or _gf2._lane_table(dims[1], dims[2], r)[2] is not None)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +245,9 @@ def packed_unit_restriction(word: int, dims, r: int) -> Optional[tuple]:
 
 
 def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> Optional[Restriction]:
-    """A restriction of t onto the size-r unit tensor, if one exists."""
+    """A restriction of t onto the size-r unit tensor, if one exists (`packed_applies` picks the path)."""
+    if r < 0:
+        raise BadParamsError(f"unit tensor size {r} must not be negative")
     if r == 0:
         return Restriction(tuple(Matrix.zeros(t.field, 0, n) for n in t.dims))
     if r > min(t.dims):
@@ -252,7 +262,7 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
         # the maps are checked; Matrix maps are built only for the certificate
         return Restriction(tuple(Matrix(f, [_gf2.bit_row(b, n) for b in rows], cols=n)
                                  for rows, n in zip(maps, t.dims)))
-    res = _unit_restriction_generic(t, r, guard)
+    res = _unit_restriction_generic(t, r, guard, _bit_format(f, t.dims, r))
     if res is not None and not verify_restriction(res, t, unit(f, r)):
         raise VerificationFailedError("unit restriction failed to verify")  # pragma: no cover
     return res
@@ -264,17 +274,17 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     Returns (value, SubrankCertificate).  The search enumerates surjective
     maps on two legs and solves for the third leg linearly, so the value is
     exact; the witness restriction is verified before returning.  Both the
-    packed GF(2) path and the generic one visit the map pairs only up to
-    row scaling and a shared row order (`_gf2.unit_pair_candidates`; see
+    lane-table GF(2) search and the generic one visit the map pairs only up
+    to row scaling and a shared row order (`_gf2.unit_pair_candidates`; see
     `_unit_restriction_generic`), which finds the same first witness.  When
-    n1 = r the generic path also visits only the L3s whose rows lie in the
+    n1 = r the generic search also visits only the L3s whose rows lie in the
     kernel that a diagonal L2 S_i L3^T forces, which keeps that witness.
-    Both paths build their candidate lists once per format and r, on first
-    use.  Outside the packed path `guard` still bounds the count of all
-    full-rank pairs, before anything is built; the packed path checks no
-    guard.  Its witnesses are checked once,
-    in `packed_unit_restriction`, which `word_oracles` (the GF(2) items of
-    `tenrank scan`) calls too.
+    Both build their candidate lists once per format and r, on first use.
+    On a bit format (`_bit_format`) both visit GF(2) rows in word order and
+    no guard is checked; elsewhere `guard` bounds the count of all full-rank
+    pairs, before anything is built.  Lane-table witnesses are checked in
+    `packed_unit_restriction`, which `word_oracles` (the GF(2) items of
+    `tenrank scan`) calls too, generic ones by `verify_restriction`.
     """
     if t.is_zero():
         return 0, SubrankCertificate("restriction", 0, 1, restriction=exists_unit_restriction(t, 0))

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -277,23 +278,26 @@ def _kron_rows(factors: Sequence[Matrix], rows: Optional[Iterable[Sequence[int]]
     """The Kronecker product of `factors`, in kron's (outer, inner) index
     order, or only the rows named by `rows`, in that order: one tuple per
     output row, with one row index per factor.  A zero entry of the product
-    so far gives a block of zeros unmultiplied."""
+    so far gives a block of zeros unmultiplied; each prefix of row indices
+    is multiplied out once per call."""
     f = factors[0].field
     if any(m.field != f for m in factors):
         raise MixedFieldsError("matrices over different fields")
     if rows is None:
         rows = itertools.product(*(range(m.rows) for m in factors))
-    out = []
-    for idx in rows:
-        row = factors[0].data[idx[0]]
-        for m, i in zip(factors[1:], idx[1:]):
-            inner, zeros = m.data[i], (f.zero(),) * m.cols
-            acc = []
-            for a in row:
-                acc.extend(zeros if f.is_zero(a) else [f.mul(a, b) for b in inner])
-            row = acc
-        out.append(row)
-    return Matrix(f, out, cols=math.prod(m.cols for m in factors))
+
+    @lru_cache(maxsize=None)
+    def product_row(idx):  # the product of rows idx of the leading len(idx) factors
+        if len(idx) == 1:
+            return factors[0].data[idx[0]]
+        m = factors[len(idx) - 1]
+        inner, zeros = m.data[idx[-1]], (f.zero(),) * m.cols
+        acc = []
+        for a in product_row(idx[:-1]):
+            acc.extend(zeros if f.is_zero(a) else [f.mul(a, b) for b in inner])
+        return acc
+
+    return Matrix(f, [product_row(tuple(idx)) for idx in rows], cols=math.prod(m.cols for m in factors))
 
 
 def _rref_annihilator(f: Field, rows: Sequence[Sequence[Elem]], n: int) -> list:

@@ -458,11 +458,25 @@ def test_packed_unit_search_matches_full_pair_loop(case):
     _same_packed_witness(word, dims, range(1, min(dims) + 1))
 
 
-# 3x3x3 at r = 3 builds no tables: a unit tensor under invertible maps, whose
-# witness has L2 rows (2, 6, 7), and a concise tensor with no unit restriction
-@pytest.mark.parametrize("word", [0x53A0802, 0x39E792B], ids=["unit_under_maps", "no_unit"])
-def test_packed_unit_search_matches_full_pair_loop_without_tables(word):
-    _same_packed_witness(word, (3, 3, 3), [3])
+def _table_less_witness(word, dims, r):
+    """exists_unit_restriction's maps on a packed GF(2) word, each row read
+    back as a bit row, so they compare with the packed reference's."""
+    res = exists_unit_restriction(Tensor3(GF(2), dims, _gf2.unpack_entries(word, dims)), r)
+    return None if res is None else tuple(tuple(map(_gf2.pack, m.data)) for m in res.maps)
+
+
+# 3x3x3 at r = 3 and 2x2x5 at r = 2 have no lane table, so the generic search
+# runs on bit rows: a unit tensor under invertible maps, whose witness has L2
+# rows (2, 6, 7), and a concise tensor with no unit restriction
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([((3, 3, 3), 3), ((2, 2, 5), 2)]).flatmap(
+    lambda case: st.tuples(st.just(case), st.integers(0, (1 << math.prod(case[0])) - 1))))
+@example((((3, 3, 3), 3), 0x53A0802))
+@example((((3, 3, 3), 3), 0x39E792B))
+def test_packed_unit_search_matches_full_pair_loop_without_tables(case):
+    (dims, r), word = case
+    assert not engine.packed_applies(GF(2), dims, r)
+    assert _table_less_witness(word, dims, r) == ref_exists_unit_restriction_gf2(word, dims, r)
 
 
 def test_lane_tables_match_the_per_pair_tables():
@@ -595,6 +609,28 @@ def test_packed_subrank_witnesses_are_pinned():
             value, cert = subrank_exact(Tensor3(GF(2), dims, _gf2.unpack_entries(word, dims)))
             h.update(repr((value, cert.restriction.maps)).encode())
     assert h.hexdigest() == "60c52fab65a7a99566a6732302d2f33802a8e8d45c64c73c1239031fbf799b56"
+
+
+def test_table_less_subrank_witnesses_are_pinned():
+    """subrank_exact's value and maps on three seeded GF(2) tensors of each
+    format whose top search has no lane table, or whose n1 exceeds r, hashed
+    as recorded while the packed search still applied such pairs one at a
+    time."""
+    h = hashlib.sha256()
+    for dims in [(3, 3, 3), (3, 3, 4), (3, 4, 3), (4, 3, 3), (4, 4, 3), (2, 2, 5), (2, 5, 2), (2, 4, 5), (3, 2, 5)]:
+        rng = random.Random(repr(dims))
+        for _ in range(3):
+            entries = [rng.randrange(2) for _ in range(math.prod(dims))]
+            value, cert = subrank_exact(Tensor3(GF(2), dims, entries))
+            maps = tuple(tuple(tuple(row) for row in m.data) for m in cert.restriction.maps)
+            h.update(repr((dims, entries, value, maps)).encode())
+    assert h.hexdigest() == "3ac5ac597ebc77cd153601c9a1fd588b6a820df2e5a68a51cff539ba9eaa5637"
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=["gf2", "gf3", "q"])
+def test_negative_unit_size_is_refused_before_any_search(field):
+    with pytest.raises(BadParamsError, match="^unit tensor size -1 must not be negative$"):
+        exists_unit_restriction(unit(field, 2), -1)
 
 
 def test_unit_restriction_guard_counts_full_rank_pairs():

@@ -188,8 +188,8 @@ def test_scan_word_path_equals_the_generic_path(dims, words, packed):
 
 def test_scan_word_path_builds_no_tensor_or_matrix(monkeypatch):
     """A GF(2) 2x2x3 scan item, whose smallest flattening rank is at most 2,
-    builds no Tensor3 and no Matrix; a 3x3x3 word of slice rank 3 builds the
-    one Tensor3 its slice-rank search needs."""
+    builds no Tensor3 and no Matrix.  3x3x3 has no lane table at r = 3, so
+    its items take the `Tensor3` path, with `_generic_scan_key`'s key."""
     unit_word = _gf2.pack(unit(GF(2), 3).entries)
     built = []
     for cls in (Tensor3, Matrix):
@@ -202,8 +202,10 @@ def test_scan_word_path_builds_no_tensor_or_matrix(monkeypatch):
         assert min(_gf2.flattening_ranks(word, dims)) <= 2
         _scan_one(word, dims, GF(2))
     assert built == []
-    assert _scan_one(unit_word, (3, 3, 3), GF(2)) == (3, 3, (3, 3, 3), True)
-    assert built.count("Tensor3") == 1
+    assert not engine.packed_applies(GF(2), (3, 3, 3), 3)
+    key = _scan_one(unit_word, (3, 3, 3), GF(2))
+    assert built[0] == "Tensor3"
+    assert key == _generic_scan_key(unit_word, (3, 3, 3), GF(2)) == (3, 3, (3, 3, 3), True)
 
 
 # -- the strided slice reader against the per-direction bodies it replaced ------
