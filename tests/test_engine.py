@@ -465,18 +465,26 @@ def _table_less_witness(word, dims, r):
     return None if res is None else tuple(tuple(map(_gf2.pack, m.data)) for m in res.maps)
 
 
-# 3x3x3 at r = 3 and 2x2x5 at r = 2 have no lane table, so the generic search
-# runs on bit rows: a unit tensor under invertible maps, whose witness has L2
-# rows (2, 6, 7), and a concise tensor with no unit restriction
+def _same_table_less_witness(word, dims, r):
+    assert not engine.packed_applies(GF(2), dims, r)
+    assert _table_less_witness(word, dims, r) == ref_exists_unit_restriction_gf2(word, dims, r)
+
+
+# 3x3x3 at r = 3 has no lane table, so the generic search runs on bit rows: a
+# unit tensor under invertible maps, whose witness has L2 rows (2, 6, 7), and
+# a concise tensor with no unit restriction
+@pytest.mark.parametrize("word", [0x53A0802, 0x39E792B], ids=["unit_under_maps", "no_unit"])
+def test_packed_unit_search_matches_full_pair_loop_without_tables(word):
+    _same_table_less_witness(word, (3, 3, 3), 3)
+
+
+# the same on random words of 3x3x3 at r = 3 and of 2x2x5 at r = 2
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([((3, 3, 3), 3), ((2, 2, 5), 2)]).flatmap(
     lambda case: st.tuples(st.just(case), st.integers(0, (1 << math.prod(case[0])) - 1))))
-@example((((3, 3, 3), 3), 0x53A0802))
-@example((((3, 3, 3), 3), 0x39E792B))
-def test_packed_unit_search_matches_full_pair_loop_without_tables(case):
+def test_table_less_unit_search_matches_full_pair_loop_on_random_words(case):
     (dims, r), word = case
-    assert not engine.packed_applies(GF(2), dims, r)
-    assert _table_less_witness(word, dims, r) == ref_exists_unit_restriction_gf2(word, dims, r)
+    _same_table_less_witness(word, dims, r)
 
 
 def test_lane_tables_match_the_per_pair_tables():
