@@ -38,7 +38,7 @@ from .pivots import all_rho, rho_degeneration, sqrt_certificate
 from .spans import (
     MaxRankWitness,
     SliceSpan,
-    _min_cover,
+    _cover_walk,
     _subspace_layer,
     combine,
     max_rank_exhaustive,
@@ -52,6 +52,7 @@ from .spans import (
     subspace_pair_count,
 )
 from .tensor import (
+    KRON_ENTRY_GUARD,
     Restriction,
     Tensor3,
     apply_restriction,
@@ -118,11 +119,15 @@ def _generic_candidates(f: PrimeField, n2: int, n3: int, r: int, word_order: boo
     return tuple(l2s), l3s, frozenset(l3s), tuple(rows3)
 
 
-def _kernel_rows(rows, constraints: List[List[int]], n: int, q: int) -> list:
-    """The members of `rows`, in order, orthogonal over GF(q) to every
-    constraint row.  A copy of the constraints is reduced once; each row is
-    tested against the reduced rows only."""
-    constraints = [list(u) for u in constraints]
+def _filtered_rows(rows, groups, most: int, n: int, q: int) -> list:
+    """The members y of `rows`, in order, whose matrix of rows [u . y for u
+    in group], one per group, has rank at most `most` over GF(q).  At 0 that
+    is a kernel test: a copy of all the groups' rows is reduced once, and
+    each y is tested against the reduced rows only."""
+    if most:
+        return [y for y in rows if len(_eliminate([[sum(map(mul, u, y)) % q for u in g] for g in groups],
+                                                  len(groups[0]), q, False)) <= most]
+    constraints = [list(u) for g in groups for u in g]
     top = len(_eliminate(constraints, n, q, False))
     if top == n:
         return []
@@ -139,7 +144,7 @@ def _units_in_span(vecs: List[List[int]], r: int, p: int) -> bool:
     return all(tuple(int(c == a * (r + 1)) for c in range(r * r)) in basis for a in range(r))
 
 
-def _unit_restriction_generic(t: Tensor3, r: int, guard: int, bits: bool = False) -> Optional[Restriction]:
+def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restriction]:
     """Search (L2, L3) surjective pairs up to scaling and a shared row order,
     then solve for L1's rows together.
 
@@ -156,21 +161,22 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int, bits: bool = False
     full-rank pairs, so it refuses the same searches as before; it is
     checked before the format's candidate lists are built.  Those lists are
     built once per (field, n2, n3, r) and kept as tuples (`_generic_candidates`).
-    With `bits` (a bit format) rows run in word order with no guard, as on a
-    lane table; L1 (free columns zero) is the smallest packed solution too.
+    On a bit format (`_bit_format`) rows run in word order with no guard, as
+    on a lane table; L1 (free columns zero) is the smallest packed solution too.
 
-    When n1 = r, the r matrices L2 S_i L3^T span at most r dimensions, and an
-    accepted pair puts the r independent E_aa in that span, so every
-    L2 S_i L3^T is diagonal.  For a fixed L2, row c of L3 is then orthogonal
-    to row b of every L2 S_i for each b != c: a kernel condition per
-    (L2, c).  Only L3 candidates whose every row passes it are visited, in
-    their order, so the first accepted pair is unchanged; `_units_in_span`
-    still decides each visited pair.  Each pair costs one elimination of n1
-    integer vectors; L1 is solved for only on the accepted pair.
+    An accepted pair has an L1 of r independent rows killing every
+    (L2 S_i L3^T)[b, c], b != c, so for fixed L2 and row c = y of L3 the
+    vectors ((row b of L2 S_i) . y)_i, b != c, have rank at most n1 - r
+    (`_filtered_rows`; at n1 = r, y is orthogonal to each such row b), which
+    cuts the L3 rows when n1 < 2r - 1.  Only L3 candidates whose every row
+    passes are visited, in order, so the first accepted pair is unchanged;
+    `_units_in_span` still decides each visited pair.  L1 is solved for only
+    on the accepted pair.
     """
     f = t.field
     n1, n2, n3 = t.dims
     q = f.p
+    bits = _bit_format(f, t.dims, r)
     pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)  # full-rank (L2, L3)
     if pairs > guard and not bits:
         raise ResourceGuardError(
@@ -181,8 +187,8 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int, bits: bool = False
     slice_cols = [list(zip(*s.data)) for s in slices]
     for l2_rows in l2_choices:
         left = [_product(l2_rows, cols, q) for cols in slice_cols]  # L2 S_i, once per L2
-        if n1 == r:
-            allowed = [_kernel_rows(rows3, [m[b] for m in left for b in range(r) if b != c], n3, q)
+        if n1 < 2 * r - 1:
+            allowed = [_filtered_rows(rows3, [[m[b] for m in left] for b in range(r) if b != c], n1 - r, n3, q)
                        for c in range(r)]
             l3_visit = (l3 for l3 in itertools.product(*allowed) if l3 in full_rank_l3)
         else:
@@ -262,7 +268,7 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
         # the maps are checked; Matrix maps are built only for the certificate
         return Restriction(tuple(Matrix(f, [_gf2.bit_row(b, n) for b in rows], cols=n)
                                  for rows, n in zip(maps, t.dims)))
-    res = _unit_restriction_generic(t, r, guard, _bit_format(f, t.dims, r))
+    res = _unit_restriction_generic(t, r, guard)
     if res is not None and not verify_restriction(res, t, unit(f, r)):
         raise VerificationFailedError("unit restriction failed to verify")  # pragma: no cover
     return res
@@ -277,8 +283,8 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     lane-table GF(2) search and the generic one visit the map pairs only up
     to row scaling and a shared row order (`_gf2.unit_pair_candidates`; see
     `_unit_restriction_generic`), which finds the same first witness.  When
-    n1 = r the generic search also visits only the L3s whose rows lie in the
-    kernel that a diagonal L2 S_i L3^T forces, which keeps that witness.
+    n1 < 2r - 1 the generic search also visits only the L3s whose rows pass
+    the rank test an accepted pair forces, which keeps that witness.
     Both build their candidate lists once per format and r, on first use.
     On a bit format (`_bit_format`) both visit GF(2) rows in word order and
     no guard is checked; elsewhere `guard` bounds the count of all full-rank
@@ -322,10 +328,10 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     the direction-1 slices S_r of ann(V1) * T are formed once.  The rest of
     the slice rank is the cover number of those slices, the smallest
     dim V2 + dim W with W the row span of ann(V2) * S_r, which
-    `spans._min_cover` searches below the best total left.  V1 and its
-    annihilator come from the cached layers of `spans._subspace_layer`.  The
-    guard counts the (V1, V2) subspace pairs; it and the refusal over Q come
-    first.
+    `spans._cover_walk` searches below the best total left (only the total is
+    read).  V1 and its annihilator come from the cached layers of
+    `spans._subspace_layer`.  The guard counts the (V1, V2) subspace pairs;
+    it and the refusal over Q come first.
 
     The slice rank is at most every flattening rank, so the search starts
     from the smallest.  A nonzero tensor has slice rank 1 exactly when a
@@ -347,7 +353,7 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
             break
         for _, ann in _subspace_layer(q, n1, a1):
             s_cols = [[row[k::n3] for k in range(n3)] for row in _product(ann, fibers, q)]
-            cover = _min_cover(f, s_cols, n2, n3, best - a1)
+            cover = _cover_walk(f, s_cols, n2, n3, best - a1, 0)
             if cover is not None:
                 best = a1 + cover[0]
     return best
@@ -641,10 +647,19 @@ def _matmul_form_tensor(field: Field, direction: int, r: int) -> Tensor3:
                    {tuple(0 if d == direction else k for d in legs): field.one() for k in range(r)})
 
 
+def _check_form_input(t: Tensor3, direction: int, witness: MaxRankWitness) -> None:
+    """Refuse a direction outside 1-3, or a witness whose coefficient count is not that direction's slice count."""
+    if direction not in (1, 2, 3):
+        raise BadParamsError(f"direction {direction} is not 1, 2 or 3")
+    if len(witness.coeffs) != t.dims[direction - 1]:
+        raise WitnessInvalidError(f"witness has {len(witness.coeffs)} coefficients for {t.dims[direction - 1]} slices")
+
+
 def matmul_form_restriction(t: Tensor3, direction: int, witness: MaxRankWitness,
                             r: Optional[int] = None) -> Restriction:
     """Restriction of t onto the rank-r single-direction matmul form, from a
     slice-span witness of rank >= r in the given direction."""
+    _check_form_input(t, direction, witness)
     rd, cd = [x for x in (1, 2, 3) if x != direction]
     return _matmul_form(t, direction, witness, witness.rank if r is None else r, slice_span(t, rd, cd))
 
@@ -683,6 +698,8 @@ def two_direction_square(t: Tensor3, i: int, j: int,
         r = min(wit_i.rank, wit_j.rank)
     if r < 1:
         raise WitnessInvalidError("witness ranks must be positive")
+    _check_form_input(t, i, wit_i)
+    _check_form_input(t, j, wit_j)
     return _square_of_forms(t, i, j, matmul_form_restriction(t, i, wit_i, r),
                             matmul_form_restriction(t, j, wit_j, r), r)
 
@@ -740,8 +757,7 @@ def compute_n_threshold(c: int) -> int:
     return c ** (4 * c + 2) * 3 ** (c - 1)
 
 
-def narrow_certificate(t: Tensor3, m: int, *,
-                       entry_guard: int = 1 << 24) -> SubrankCertificate:
+def narrow_certificate(t: Tensor3, m: int) -> SubrankCertificate:
     """Verified restriction of the m-th Kronecker power onto a unit tensor
     of size at least ceil(c^m / 2), for concise tensors of format
     (n1, n2, c) with a large enough wide dimension.
@@ -749,7 +765,7 @@ def narrow_certificate(t: Tensor3, m: int, *,
     Composes the min-rank pipeline with the mixed Kronecker products and the
     elimination construction, checking every intermediate bound.  For c >= 2
     the threshold needs max(n1, n2) >= c^(4c+2) * 3^(c-1) (3072 at c = 2) and
-    m >= 8c, so (n1 * n2)^m is far above the default `entry_guard` of 2^24
+    m >= 8c, so (n1 * n2)^m is far above `tensor.KRON_ENTRY_GUARD` (2^24)
     and every input past the threshold is refused by the guard: only c = 1
     yields a certificate.  `_narrow_certificate_inner` runs the composition
     itself on toy tensors below the threshold.
@@ -781,20 +797,20 @@ def narrow_certificate(t: Tensor3, m: int, *,
         raise BadParamsError(f"narrow pipeline needs power m >= {8 * c}")
     ell = -(-m // (2 * c))
     size_y = mixed_kron_count(1, c, m, ell)  # lower bound with b = 1
-    if size_y * (n1 * n2) ** m > entry_guard or c**m > entry_guard:
+    if size_y * (n1 * n2) ** m > KRON_ENTRY_GUARD or c**m > KRON_ENTRY_GUARD:
         raise ResourceGuardError(
             f"narrow pipeline at power {m} needs about {c ** m} slices of "
-            f"shape {n1 ** m} x {n2 ** m}; exceeds guard {entry_guard}"
+            f"shape {n1 ** m} x {n2 ** m}; exceeds guard {KRON_ENTRY_GUARD}"
         )
-    return _narrow_certificate_inner(t, m, ell, entry_guard)
+    return _narrow_certificate_inner(t, m, ell)
 
 
-def _narrow_certificate_inner(t: Tensor3, m: int, ell: int, entry_guard: int):
+def _narrow_certificate_inner(t: Tensor3, m: int, ell: int):
     f = t.field
     n1, n2, c = t.dims
     span = slice_span(t, 1, 2)
     dm = minrk_diag_pipeline(span)
-    y = mixed_kron_set(dm.diag_basis, dm.zero_basis, m, ell, entry_guard=entry_guard)
+    y = mixed_kron_set(dm.diag_basis, dm.zero_basis, m, ell)
     need = -(-(c**m) // 2)
     if len(y) < need:
         raise VerificationFailedError(f"|Y| = {len(y)} below {need}")

@@ -94,13 +94,13 @@ class LaurentMatrix:
         self.entries = clean
 
     @classmethod
-    def from_matrix(cls, m: Matrix, exponent: int = 0) -> "LaurentMatrix":
+    def from_matrix(cls, m: Matrix) -> "LaurentMatrix":
         ent = {}
         for i in range(m.rows):
             for j in range(m.cols):
                 v = m[i, j]
                 if not m.field.is_zero(v):
-                    ent[(i, j)] = {exponent: v}
+                    ent[(i, j)] = {0: v}
         return cls(m.field, m.rows, m.cols, ent)
 
     def scale_rows(self, exponents: Sequence[int]) -> "LaurentMatrix":

@@ -269,31 +269,23 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
 # -- pivot-matched tensors and the sqrt(n) certificate ---------------------------
 
 
-def pivot_maps(t: Tensor3):
-    """Pivot maps of the 1-slice span (rows = direction 2) and the 3-slice
-    span (rows = direction 1), from their rref pivot bases."""
-    a_mats, a_piv = pivot_basis(slice_span(t, 2, 3))
-    b_mats, b_piv = pivot_basis(slice_span(t, 1, 2))
-    return (a_mats, a_piv), (b_mats, b_piv)
-
-
 def is_pivot_matched(t: Tensor3):
     """Identity-representative pivot-matched test: the multisets of pivot
     rows of the normalized 1-slice and 3-slice bases must agree.
 
     This is a sufficient condition; a False only means "not pivot-matched
-    in the given basis".  Returns (flag, pivot map A, pivot map B).
+    in the given basis".  Returns (flag, pivots of the 1-slice span, pivots
+    of the 3-slice span), read by `_pivot_set`: no pivot basis is built.
     """
     n1, n2, n3 = t.dims
     if not (n1 == n2 == n3):
         raise NotCubicalError("pivot matching needs a cubical tensor")
-    n = n1
-    if t.flattening_rank(1) != n or t.flattening_rank(3) != n:
+    if not n1:
+        raise ZeroSpanError("a span needs at least one generator")
+    a_piv, b_piv = _pivot_set(t, 2, 3), _pivot_set(t, 1, 2)  # as many as the flattening ranks 1 and 3
+    if len(a_piv) != n1 or len(b_piv) != n1:
         raise DegenerateSpanError("pivot maps need full slice span dimensions")
-    (a_mats, a_piv), (b_mats, b_piv) = pivot_maps(t)
-    rows_a = sorted(p[0] for p in a_piv)
-    rows_b = sorted(p[0] for p in b_piv)
-    return rows_a == rows_b, a_piv, b_piv
+    return sorted(p[0] for p in a_piv) == sorted(p[0] for p in b_piv), a_piv, b_piv
 
 
 def sqrt_certificate(t: Tensor3) -> Degeneration:

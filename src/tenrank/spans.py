@@ -30,7 +30,7 @@ from .errors import (
 from .fields import Elem, Field, PrimeField
 from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _kron_rows, _product, _rref_annihilator,
                      _work_rows, _Working, column_basis, concat_cols, rank, rank_of_rows, rref, solve)
-from .tensor import Tensor3
+from .tensor import KRON_ENTRY_GUARD, Tensor3
 
 PROJECTIVE_GUARD = 10_000_000
 SUBSPACE_PAIR_GUARD = 1_000_000
@@ -411,9 +411,15 @@ def _bit_layer(n: int, dim: int):
 
 
 def _cover_walk(f: PrimeField, columns, n: int, m: int, bound: int, floor: int):
-    """The search of `_min_cover`, returning (total, rows of V, rows spanning
-    W) as the walk holds them (int rows over GF(p), bit rows over GF(2)), or
-    None.  Callers that want only the total build nothing more.
+    """The first subspace V of F^n, in order of increasing dimension, whose
+    total dim V + dim W is least and below `bound`, with W the row span of
+    the matrices ann(V) * M (each n x m matrix M given as its m columns).
+    Returns (total, rows of V, rows spanning W) as the walk holds them (int
+    rows over GF(p), bit rows over GF(2)), or None when no total is below
+    `bound`.  It stops once dim V alone reaches the best total, and at the
+    first V whose total equals `floor`, a lower bound the caller knows; the
+    best is replaced only on a strict improvement, so V is the one the whole
+    search would return.
 
     The kernels are picked once, before the walk.  Over GF(p), p > 2, it
     reads `_subspace_layer`, forms ann(V) * M by `_product` and ranks W by
@@ -449,41 +455,16 @@ def _cover_walk(f: PrimeField, columns, n: int, m: int, bound: int, floor: int):
     return best
 
 
-def _min_cover(f: PrimeField, columns, n: int, m: int, bound: int, floor: int = 0):
-    """The first subspace V of F^n, in order of increasing dimension, whose
-    total dim V + dim W is least and below `bound`, with W the row span of
-    the matrices ann(V) * M (each n x m matrix M given as its m columns).
-    Returns (total, V, rows spanning W), or None when no total is below
-    `bound`.  The search stops once dim V alone reaches the best total, so
-    also at the first V with W = 0, and at the first V whose total equals
-    `floor`, a lower bound on every total the caller knows: the best is
-    replaced only on a strict improvement, so that V is the one the whole
-    search would return.
-
-    The walk is `_cover_walk`.  It reads the (V, ann V) pairs of each
-    dimension from the layers `_subspace_layer` caches per (q, n, dim), over
-    GF(2) as bit rows, in the same order and with the same result for every
-    p.  The Matrix of V and the int rows of W are built here, only for the
-    cover returned."""
-    found = _cover_walk(f, columns, n, m, bound, floor)
-    if found is None:
-        return None
-    total, v, w = found
-    if f.p == 2:
-        v, w = [_gf2.bit_row(x, n) for x in v], [list(_gf2.bit_row(y, m)) for y in w]
-    return total, Matrix(f, v, cols=n), w
-
-
-def _mincov(span: SliceSpan, guard: int, walk):
-    """`mincov_exhaustive`'s refusals, zero span and floor, then `walk`
-    (`_min_cover`, or `_cover_walk` for the value alone) from F^n1 with the
-    generators as the matrices M: (value, V1, rows spanning V2)."""
+def _mincov(span: SliceSpan, guard: int):
+    """`mincov_exhaustive`'s refusals, zero span and floor, then
+    `_cover_walk` from F^n1 with the generators as the matrices M: (value,
+    rows of V1, rows spanning V2), as the walk holds them."""
     f = span.field
     if not isinstance(f, PrimeField):
         raise InfiniteFieldError("mincov enumeration needs a finite field")
     n1, n2 = span.shape
     if all(m.is_zero() for m in span.basis):
-        return 0, Matrix.zeros(f, 0, n1), []
+        return 0, (), []
     total_pairs = subspace_pair_count(f.p, n1, n2)
     if total_pairs > guard:
         raise ResourceGuardError(
@@ -494,14 +475,14 @@ def _mincov(span: SliceSpan, guard: int, walk):
         floor = max(_gf2.gf2_rank(list(map(_gf2.pack, m.data))) for m in span.basis)
     else:
         floor = max(rank(m) for m in span.basis)
-    return walk(f, columns, n1, n2, n1 + n2 + 1, floor)
+    return _cover_walk(f, columns, n1, n2, n1 + n2 + 1, floor)
 
 
 def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     """Smallest dim V1 + dim V2 with the span inside V1 (x) F + F (x) V2.
 
     Returns (value, (V1 basis matrix, V2 basis matrix)).  Only V1 is
-    enumerated (`_min_cover`): for a fixed V1 the smallest valid V2 is the
+    enumerated (`_cover_walk`): for a fixed V1 the smallest valid V2 is the
     row span W of the matrices ann(V1) * M, so the best total with that V1
     is dim V1 + dim W, and V2 is the rref basis of W.  The first V1 reaching
     the minimum wins, which gives the same pair as a search over (V1, V2) in
@@ -514,9 +495,11 @@ def mincov_exhaustive(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD):
     is computed after the refusals, from the generators alone, so it does
     not depend on the max-rank search.
     """
-    f, n2 = span.field, span.shape[1]
-    best, v1, w = _mincov(span, guard, _min_cover)
-    return best, (v1, Matrix(f, _reduce_rows(f, w, n2), cols=n2))
+    f, (n1, n2) = span.field, span.shape
+    best, v1, w = _mincov(span, guard)
+    if f.p == 2:
+        v1, w = [_gf2.bit_row(x, n1) for x in v1], [_gf2.bit_row(y, n2) for y in w]
+    return best, (Matrix(f, v1, cols=n1), Matrix(f, _reduce_rows(f, w, n2), cols=n2))
 
 
 def verify_cover(span: SliceSpan, v1: Matrix, v2: Matrix) -> bool:
@@ -547,14 +530,13 @@ def flanders_check(span: SliceSpan, *, guard: int = SUBSPACE_PAIR_GUARD) -> Flan
 
     Only the two values are computed, with the refusals of
     `max_rank_exhaustive` and `mincov_exhaustive`: the max-rank search runs
-    without its witness lift, and the cover walk builds no V1 Matrix and no
-    V2 basis.  The two searches stay independent: mincov's floor comes from
-    the generators."""
+    without its witness lift, and only the cover walk's total is read.  The
+    two searches stay independent: mincov's floor comes from the generators."""
     mr, _ = _enumerate_ranks(span, minimize=False, guard=PROJECTIVE_GUARD, lift=False)
     f = span.field
     two_sided = f.size() is not None and f.size() > mr
     try:
-        mc = _mincov(span, guard, _cover_walk)[0]
+        mc = _mincov(span, guard)[0]
     except ResourceGuardError:
         return FlandersReport(mr, None, (mr, 4 * mr), two_sided, True, True, None)
     return FlandersReport(
@@ -1058,10 +1040,9 @@ def mixed_kron_count(b: int, c: int, m: int, l: int) -> int:
     return sum(comb(m, t) * b**t * (c - b) ** (m - t) for t in range(l, m + 1))
 
 
-def mixed_kron_set(b_mats: Sequence[Matrix], c_mats: Sequence[Matrix], m: int, l: int,
-                   *, entry_guard: int = 1 << 24):
+def mixed_kron_set(b_mats: Sequence[Matrix], c_mats: Sequence[Matrix], m: int, l: int):
     """All order-m Kronecker products of the given matrices with at least l
-    factors drawn from b_mats, in lexicographic factor order."""
+    factors drawn from b_mats, in lexicographic factor order, within `KRON_ENTRY_GUARD` entries."""
     if not (m >= l >= 1):
         raise BadParamsError("mixed_kron_set needs m >= l >= 1")
     all_mats = list(b_mats) + list(c_mats)
@@ -1071,7 +1052,7 @@ def mixed_kron_set(b_mats: Sequence[Matrix], c_mats: Sequence[Matrix], m: int, l
         raise ZeroSpanError("no factors")
     count = mixed_kron_count(b, c, m, l)
     rows, cols = all_mats[0].rows, all_mats[0].cols
-    if count * (rows * cols) ** m > entry_guard:
+    if count * (rows * cols) ** m > KRON_ENTRY_GUARD:
         raise ResourceGuardError(
             f"mixed kron set of {count} matrices of shape {rows**m}x{cols**m} exceeds guard"
         )

@@ -664,7 +664,7 @@ def kron_corpus():
         t = Tensor3(GF(7), (8, 8, 2), ent)
         for m, ell in ((2, 1), (2, 2)):
             record(f"narrow inner {k} {m} {ell}",
-                   lambda: _maps_text(_narrow_certificate_inner(t, m, ell, 1 << 24).restriction.maps))
+                   lambda: _maps_text(_narrow_certificate_inner(t, m, ell).restriction.maps))
     for f in (GF(3), QQ):
         mats = [Matrix(f, [[_elem(f, rng) for _ in range(2)] for _ in range(2)]) for _ in range(3)]
         for m, ell in ((1, 1), (2, 1), (3, 2)):

@@ -23,6 +23,7 @@ from tenrank.errors import (
     PreconditionFailedError,
     ResourceGuardError,
     VerificationFailedError,
+    WitnessInvalidError,
 )
 from tenrank.fields import GF, QQ
 from tenrank import _gf2, engine
@@ -127,13 +128,15 @@ def _brute_subrank_gf2_222(t):
 
 def ref_unit_restriction_pairs(t, r):
     """The (L2, L3) loop _unit_restriction_generic replaced, kept as the
-    reference: every pair of full-rank maps in itertools.product row order,
-    L2 major, solving for each of L1's rows."""
+    reference: every pair of full-rank maps in the search's row order
+    (itertools.product order, or word order on a bit format), L2 major,
+    solving for each of L1's rows."""
     f = t.field
     n1, n2, n3 = t.dims
+    bits = engine._bit_format(f, t.dims, r)
 
     def full_rank_maps(n):
-        vectors = list(itertools.product(range(f.p), repeat=n))
+        vectors = [_gf2.bit_row(b, n) for b in range(1 << n)] if bits else list(itertools.product(range(f.p), repeat=n))
         for rows in itertools.product(vectors, repeat=r):
             if rank_of_rows(f, rows, n) == r:
                 yield Matrix(f, rows, cols=n)
@@ -223,19 +226,21 @@ def test_unit_restriction_matches_pair_loop(t):
 
 
 def ref_unit_restriction_generic(t, r, guard):
-    """_unit_restriction_generic before the kernel filter, kept as the
+    """_unit_restriction_generic before its row filters, kept as the
     reference: every candidate pair of `_gf2.unit_pair_candidates`, in
-    order, each decided by `_units_in_span`."""
+    order, each decided by `_units_in_span`.  On a bit format the rows run
+    in word order and no guard is checked, as in the search."""
     f = t.field
     _, n2, n3 = t.dims
     q = f.p
+    bits = engine._bit_format(f, t.dims, r)
     pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)
-    if pairs > guard:
+    if pairs > guard and not bits:
         raise ResourceGuardError(f"unit-restriction search over {pairs} map pairs exceeds guard {guard}")
     slices = t.slices(1)
     l2_choices, l3_choices = _gf2.unit_pair_candidates(
-        engine._leading_one_rows(q, n2), engine._leading_one_rows(q, n3), r,
-        lambda rows: rank_of_rows(f, rows, len(rows[0])),
+        *([_gf2.bit_row(b, n) for b in range(1, 1 << n)] if bits else engine._leading_one_rows(q, n) for n in (n2, n3)),
+        r, lambda rows: rank_of_rows(f, rows, len(rows[0])),
     )
     slice_cols = [list(zip(*s.data)) for s in slices]
     for l2_rows in l2_choices:
@@ -317,6 +322,68 @@ def test_kernel_filter_ranks_fewer_pairs(monkeypatch):
     calls.clear()
     assert _unit_restriction_generic(w_tensor(GF(3)), 2, PAIR_GUARD) is None
     assert len(calls) < 72
+
+
+# formats with r < n1 < 2r - 1 at r = 3, where the rank filter, not the kernel
+# test, cuts the L3 rows; none has a lane table at r = 3
+_RANK_FILTER_FORMATS = [(4, 3, 3), (4, 4, 3), (4, 3, 4)]
+# a 4x3x3 support with no size-3 unit restriction over GF(2) or GF(3)
+_NO_UNIT_433 = {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (2, 2, 2): 1, (3, 1, 2): 1}
+
+
+@st.composite
+def rank_filter_tensors(draw):
+    """The size-3 unit tensor over GF(2) on a rank-filter format, under maps
+    of rank 3 (an identity block moved by row additions and a row
+    permutation), plus at most one noise entry.  The search mostly hits,
+    where a filter that dropped a row of the first witness would show; on a
+    miss the unfiltered loop ranks every candidate pair, which is slow."""
+    dims = draw(st.sampled_from(_RANK_FILTER_FORMATS))
+    legs = []
+    for n in dims:
+        rows = [[int(i == a) for a in range(3)] for i in range(n)]
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)):
+            if i != j:
+                rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[j])]
+        legs.append(draw(st.permutations(rows)))
+    noise = draw(st.sets(st.integers(0, dims[0] * dims[1] * dims[2] - 1), max_size=1))
+    ent = [(sum(legs[0][i][a] * legs[1][j][a] * legs[2][k][a] for a in range(3)) + (idx in noise)) % 2
+           for idx, (i, j, k) in enumerate(itertools.product(*map(range, dims)))]
+    return Tensor3(GF(2), dims, ent)
+
+
+@settings(max_examples=12, deadline=None)
+@given(rank_filter_tensors())
+def test_rank_filter_keeps_the_witness_on_gf2_tensors(t):
+    assert not engine.packed_applies(t.field, t.dims, 3)
+    assert _generic_maps(_unit_restriction_generic, t, 3) == _generic_maps(ref_unit_restriction_generic, t, 3)
+
+
+def test_rank_filter_keeps_the_witness_on_two_gf3_tensors():
+    """Two fixed 4x3x3 tensors over GF(3) at r = 3, the guard lifted: the
+    rank-filtered search gives the unfiltered loop's maps, and None with it."""
+    f, guard = GF(3), 10 ** 12
+    hit = Tensor3(f, (4, 3, 3), [int(c) for c in "002010000100000002100110001000000002"])
+    miss = Tensor3(f, (4, 3, 3), _NO_UNIT_433)
+    found = [_generic_maps(_unit_restriction_generic, t, 3, guard) for t in (hit, miss)]
+    assert found == [_generic_maps(ref_unit_restriction_generic, t, 3, guard) for t in (hit, miss)]
+    assert found[0] is not None and found[1] is None
+
+
+def test_rank_filter_ranks_fewer_pairs(monkeypatch):
+    """On a fixed 4x3x3 GF(2) tensor at r = 3 no pair is accepted; the
+    unfiltered loop ranks all 28 * 168 candidate pairs, the rank-filtered
+    search fewer."""
+    t = Tensor3(GF(2), (4, 3, 3), _NO_UNIT_433)
+    calls = []
+    ranks = engine._units_in_span
+    monkeypatch.setattr(engine, "_units_in_span", lambda vecs, r, p: calls.append(r) or ranks(vecs, r, p))
+    assert _candidate_pairs(2, 3, 3, 3) == 28 * 168
+    assert ref_unit_restriction_generic(t, 3, PAIR_GUARD) is None
+    assert len(calls) == 28 * 168
+    calls.clear()
+    assert _unit_restriction_generic(t, 3, PAIR_GUARD) is None
+    assert len(calls) < 28 * 168
 
 
 def test_search_constants_are_built_on_first_use():
@@ -757,13 +824,13 @@ def test_slicerank_matches_pair_loop(t):
 def _count_min_cover(monkeypatch):
     """Count slicerank_exact's calls of the cover search."""
     calls = []
-    inner = tenrank.engine._min_cover
+    inner = tenrank.engine._cover_walk
 
     def counting(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(tenrank.engine, "_min_cover", counting)
+    monkeypatch.setattr(tenrank.engine, "_cover_walk", counting)
     return calls
 
 
@@ -1052,6 +1119,29 @@ def test_two_direction_square_from_staircase():
     assert cert.verify(t)
 
 
+def test_matmul_form_entry_points_refuse_bad_directions_and_witnesses(monkeypatch):
+    """On null_algebra 3 over GF(5): a direction outside 1-3 is a
+    BadParamsError, and a witness whose coefficient count is not the slice
+    count of its direction a WitnessInvalidError, both before any form is
+    built."""
+    t = null_algebra(GF(5), 3)
+    _, wit = max_rank_exhaustive(slice_span(t, 2, 3))
+    short = MaxRankWitness((1,), 1)
+    built = []
+    monkeypatch.setattr(engine, "_matmul_form", lambda *args: built.append(args))
+    with pytest.raises(BadParamsError, match="^direction 4 is not 1, 2 or 3$"):
+        two_direction_square(t, 1, 4, wit, wit)
+    for d in (0, 4):
+        with pytest.raises(BadParamsError, match=f"^direction {d} is not 1, 2 or 3$"):
+            matmul_form_restriction(t, d, wit)
+    bad_count = "^witness has 1 coefficients for 3 slices$"
+    with pytest.raises(WitnessInvalidError, match=bad_count):
+        matmul_form_restriction(t, 1, short)
+    with pytest.raises(WitnessInvalidError, match=bad_count):
+        two_direction_square(t, 2, 1, wit, short)
+    assert built == []
+
+
 def test_mamu_cube_unit():
     t = unit(GF(5), 2)
     wits = []
@@ -1169,7 +1259,7 @@ def _narrow_inner_outcomes():
         t = Tensor3(GF(7), (8, 8, 2), ent)
         for m, ell in ((2, 1), (2, 2)):
             try:
-                cert = _narrow_certificate_inner(t, m, ell, 1 << 24)
+                cert = _narrow_certificate_inner(t, m, ell)
             except VerificationFailedError as exc:
                 out.append((k, m, ell, "refused", str(exc)))
                 continue

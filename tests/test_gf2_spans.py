@@ -1,6 +1,6 @@
 """The GF(2) arms of the span searches run on bit rows.
 
-`_enumerate_ranks` (max-rank and min-rank) and `_min_cover` (minimal covers,
+`_enumerate_ranks` (max-rank and min-rank) and `_cover_walk` (minimal covers,
 also inside `slicerank_exact`) take packed arms over GF(2).  The generic
 bodies they replaced over GF(2) are kept here as `ref_enumerate_ranks`,
 `ref_min_cover` and `ref_mincov_exhaustive`; values, witnesses, refusals
@@ -30,7 +30,7 @@ from tenrank.spans import (
     _BATCH_THRESHOLD,
     _enumerate_ranks,
     _enumerate_ranks_batched,
-    _min_cover,
+    _cover_walk,
     _reduce_rows,
     _term_rank,
     SliceSpan,
@@ -90,9 +90,9 @@ def ref_enumerate_ranks(span, *, minimize, guard):
 
 
 def ref_min_cover(f, columns, n, m, bound, floor=0):
-    """`spans._min_cover` before its GF(2) arm: V from `subspaces`, ann(V)
-    from `_rref_annihilator`, ann(V) * M by `_product`, dim W by
-    `rank_of_rows`."""
+    """The cover walk before its GF(2) arm, returning V as a `Matrix`: V
+    from `subspaces`, ann(V) from `_rref_annihilator`, ann(V) * M by
+    `_product`, dim W by `rank_of_rows`."""
     q = f.p
     best = None
     for a in range(n + 1):
@@ -233,8 +233,8 @@ def test_gf2_arms_match_the_generic_bodies(span, rank_guard, pair_guard):
     """Max-rank, min-rank and mincov on the GF(2) arms against the generic
     bodies, at the default guards and at small ones: the same values and
     witnesses, or the same error class and message (the zero span's
-    ZeroSpanError, the guards' ResourceGuardError).  `_min_cover` is also
-    compared at every bound and floor."""
+    ZeroSpanError, the guards' ResourceGuardError).  `_cover_walk` is also
+    compared at every bound and floor, its bit rows read as matrix rows."""
     for minimize in (False, True):
         for guard in (tenrank.spans.PROJECTIVE_GUARD, rank_guard):
             got = outcome(_enumerate_ranks, span, minimize=minimize, guard=guard)
@@ -255,12 +255,14 @@ def test_gf2_arms_match_the_generic_bodies(span, rank_guard, pair_guard):
     columns = [list(zip(*mat.data)) for mat in span.basis]
     for bound in range(n + m + 2):
         for floor in (0, 1, 2, n + m + 1):
-            got = _min_cover(F2, columns, n, m, bound, floor=floor)
+            got = _cover_walk(F2, columns, n, m, bound, floor)
             want = ref_min_cover(F2, columns, n, m, bound, floor=floor)
             if want is None:
                 assert got is None
             else:
-                assert (got[0], matrix_key(got[1]), got[2]) == (want[0], matrix_key(want[1]), want[2])
+                v = Matrix(F2, [_gf2.bit_row(x, n) for x in got[1]], cols=n)
+                w = [list(_gf2.bit_row(y, m)) for y in got[2]]
+                assert (got[0], matrix_key(v), w) == (want[0], matrix_key(want[1]), want[2])
 
 
 def test_batched_arm_over_gf2_keeps_its_witnesses(monkeypatch):

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from tenrank.errors import (
     BadParamsError,
+    DegenerateSpanError,
     NotConciseError,
     NotCubicalError,
+    TenrankError,
     ZeroMatrixError,
+    ZeroSpanError,
     ZeroTensorError,
 )
 from tenrank.fields import GF, QQ
@@ -344,6 +347,45 @@ def test_pivot_matched_counterexample_found_by_scan():
             break
     assert found is not None
     assert not is_pivot_matched(found)[0]
+
+
+def ref_is_pivot_matched(t):
+    """`is_pivot_matched` on the pivot bases of the two slice spans, the
+    route it replaced, kept as the reference."""
+    n1, n2, n3 = t.dims
+    if not (n1 == n2 == n3):
+        raise NotCubicalError("pivot matching needs a cubical tensor")
+    if t.flattening_rank(1) != n1 or t.flattening_rank(3) != n1:
+        raise DegenerateSpanError("pivot maps need full slice span dimensions")
+    _, a_piv = pivot_basis(slice_span(t, 2, 3))
+    _, b_piv = pivot_basis(slice_span(t, 1, 2))
+    return sorted(p[0] for p in a_piv) == sorted(p[0] for p in b_piv), a_piv, b_piv
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t)
+    except TenrankError as exc:
+        return type(exc), str(exc)
+
+
+def test_is_pivot_matched_reads_the_pivot_basis_pivots():
+    """On seeded cubical tensors over GF(2), GF(3), GF(7) and Q, dense and
+    sparse (so concise and not), plus the empty and a non-cubical tensor:
+    the same flag and pivots as the pivot-basis route, or the same refusal."""
+    rng = random.Random(43)
+    cases = [Tensor3.zeros(GF(2), (0, 0, 0)), Tensor3.zeros(GF(3), (2, 2, 3))]
+    for f in (GF(2), GF(3), GF(7), QQ):
+        values = range(-2, 3) if f is QQ else range(f.p)
+        for n in (1, 2, 3, 4):
+            for density in (1.0, 0.3) * 4:
+                cases.append(Tensor3(f, (n, n, n), [rng.choice(values) if rng.random() < density else 0
+                                                    for _ in range(n ** 3)]))
+    got = [_outcome(is_pivot_matched, t) for t in cases]
+    assert got == [_outcome(ref_is_pivot_matched, t) for t in cases]
+    flags = [g[0] for g in got if isinstance(g[0], bool)]
+    assert True in flags and False in flags
+    assert {g[0] for g in got if not isinstance(g[0], bool)} == {ZeroSpanError, NotCubicalError, DegenerateSpanError}
 
 
 def test_not_cubical_raises():

@@ -28,7 +28,7 @@ from tenrank.spans import (
     FlandersReport,
     _annihilator,
     _covered,
-    _min_cover,
+    _cover_walk,
     _subspace_layer,
     basis_extension,
     combine,
@@ -481,9 +481,9 @@ def test_min_cover_stops_only_at_a_total_equal_to_the_floor():
     span = FLOOR_AT_DIM_1
     f, (n1, n2) = span.field, span.shape
     columns = [list(zip(*m.data)) for m in span.basis]
-    whole = _min_cover(f, columns, n1, n2, n1 + n2 + 1)
-    assert whole[0] == 2 and whole[1].data == ((0, 0, 1),)
-    assert _min_cover(f, columns, n1, n2, n1 + n2 + 1, floor=n1 + n2 + 1) == whole
+    whole = _cover_walk(f, columns, n1, n2, n1 + n2 + 1, 0)
+    assert whole[0] == 2 and whole[1] == (0b100,)  # V = span{(0, 0, 1)}, as a bit row
+    assert _cover_walk(f, columns, n1, n2, n1 + n2 + 1, n1 + n2 + 1) == whole
 
 
 def test_spans_has_no_assert_statements():
