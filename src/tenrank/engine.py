@@ -29,6 +29,7 @@ from .errors import (
     WitnessInvalidError,
     ZeroSpanError,
     ZeroTensorError,
+    refuse_over,
 )
 from .fields import Field, PrimeField
 from .laurent import Degeneration, verify_degeneration
@@ -49,7 +50,7 @@ from .spans import (
     mixed_kron_set,
     slice_span,
     span_of,
-    subspace_pair_count,
+    subspace_pair_guard,
 )
 from .tensor import (
     KRON_ENTRY_GUARD,
@@ -177,11 +178,9 @@ def _unit_restriction_generic(t: Tensor3, r: int, guard: int) -> Optional[Restri
     n1, n2, n3 = t.dims
     q = f.p
     bits = _bit_format(f, t.dims, r)
-    pairs = _count_full_rank(q, r, n2) * _count_full_rank(q, r, n3)  # full-rank (L2, L3)
-    if pairs > guard and not bits:
-        raise ResourceGuardError(
-            f"unit-restriction search over {pairs} map pairs exceeds guard {guard}"
-        )
+    if not bits:  # the guard counts every full-rank (L2, L3)
+        refuse_over(_count_full_rank(q, r, n2) * _count_full_rank(q, r, n3), guard,
+                    "unit-restriction search over {count} map pairs exceeds guard {guard}")
     slices = t.slices(1)
     l2_choices, l3_choices, full_rank_l3, rows3 = _generic_candidates(f, n2, n3, r, bits)
     slice_cols = [list(zip(*s.data)) for s in slices]
@@ -311,11 +310,7 @@ def _slicerank_settled(f: Field, dims, zero: bool, ranks, guard: int) -> Optiona
         raise InfiniteFieldError("exhaustive slice rank needs a finite field")
     if zero:
         return 0
-    pair_total = subspace_pair_count(f.p, dims[0], dims[1])
-    if pair_total > guard:
-        raise ResourceGuardError(
-            f"subspace-pair enumeration of {pair_total} pairs exceeds guard {guard}"
-        )
+    subspace_pair_guard(f.p, dims[0], dims[1], guard)
     best = min(ranks())
     return best if best <= 2 else None
 

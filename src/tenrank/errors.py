@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and `refuse_over`, the one
+check through which the resource guards refuse.
 
 Every failure mode has its own class so callers (and the CLI exit-code
 mapping) can distinguish parse errors, resource guards, field-size
@@ -103,3 +104,14 @@ class ParseError(TenrankError):
 
 class RetryBudgetError(TenrankError):
     """A randomized-with-retry procedure exhausted its retry cap."""
+
+
+def refuse_over(count: int, guard: int, message: str) -> None:
+    """Raise ResourceGuardError with `message` when count > guard.  The
+    message's {count} field prints a count below 10^30 exactly and a larger
+    one as "more than 10^k", k from its bit length in integer arithmetic
+    (30102/100000 < log10 2, so 10^k < count): no count is too large to
+    print."""
+    if count > guard:
+        shown = count if count < 10**30 else f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
+        raise ResourceGuardError(message.format(count=shown, guard=guard))

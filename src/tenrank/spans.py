@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import comb
+from math import comb, prod
 from operator import or_, xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -26,6 +26,7 @@ from .errors import (
     RetryBudgetError,
     VerificationFailedError,
     ZeroSpanError,
+    refuse_over,
 )
 from .fields import Elem, Field, PrimeField
 from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _kron_rows, _product, _rref_annihilator,
@@ -35,6 +36,7 @@ from .tensor import KRON_ENTRY_GUARD, Tensor3
 PROJECTIVE_GUARD = 10_000_000
 SUBSPACE_PAIR_GUARD = 1_000_000
 EXHAUSTIVE_U_GUARD = 100_000
+_STAIRCASE_TRIES = 32
 _BATCH_THRESHOLD = 256
 
 
@@ -220,10 +222,7 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool 
             raise ZeroSpanError("min-rank of the zero span")
         return 0, tuple(f.zero() for _ in span.basis) if lift else None
     count = projective_count(q, c)
-    if count > guard:
-        raise ResourceGuardError(
-            f"projective enumeration of {count} combinations exceeds guard {guard}"
-        )
+    refuse_over(count, guard, "projective enumeration of {count} combinations exceeds guard {guard}")
     stop = 1 if minimize else term_rank()  # no combination can do better
     top = None if minimize or stop >= q else stop
     if top is not None:
@@ -372,9 +371,18 @@ def subspace_count(q: int, n: int, dim: int) -> int:
 
 @lru_cache(maxsize=None)
 def subspace_pair_count(q: int, n1: int, n2: int) -> int:
-    """Number of pairs (V1, V2) of subspaces of GF(q)^n1 and GF(q)^n2."""
-    return sum(subspace_count(q, n1, a) * subspace_count(q, n2, b)
-               for a in range(n1 + 1) for b in range(n2 + 1))
+    """Number of pairs (V1, V2) of subspaces of GF(q)^n1 and GF(q)^n2: the
+    number of subspaces of each, multiplied."""
+    return prod(sum(subspace_count(q, n, dim) for dim in range(n + 1)) for n in (n1, n2))
+
+
+@lru_cache(maxsize=None)
+def subspace_pair_guard(q: int, n1: int, n2: int, guard: int) -> None:
+    """Refuse a search over the subspace pairs of GF(q)^n1 x GF(q)^n2 past
+    `guard` pairs; a check that passes is kept, so a repeated one costs a
+    lookup."""
+    refuse_over(subspace_pair_count(q, n1, n2), guard,
+                "subspace-pair enumeration of {count} pairs exceeds guard {guard}")
 
 
 def _annihilator(basis: Matrix) -> Matrix:
@@ -465,11 +473,7 @@ def _mincov(span: SliceSpan, guard: int):
     n1, n2 = span.shape
     if all(m.is_zero() for m in span.basis):
         return 0, (), []
-    total_pairs = subspace_pair_count(f.p, n1, n2)
-    if total_pairs > guard:
-        raise ResourceGuardError(
-            f"subspace-pair enumeration of {total_pairs} pairs exceeds guard {guard}"
-        )
+    subspace_pair_guard(f.p, n1, n2, guard)
     columns = [list(zip(*m.data)) for m in span.basis]
     if f.p == 2:
         floor = max(_gf2.gf2_rank(list(map(_gf2.pack, m.data))) for m in span.basis)
@@ -563,7 +567,7 @@ class StaircaseResult:
     coeffs2: Tuple[Elem, ...]
 
 
-def staircase(t: Tensor3, *, seed: int = 0, retries: int = 32) -> StaircaseResult:
+def staircase(t: Tensor3, *, seed: int = 0) -> StaircaseResult:
     """Find U making the left-flushed column prefixes of the transformed
     3-slices jointly independent; yields witnesses with
     witness3.rank * witness2.rank >= n1.
@@ -592,7 +596,7 @@ def staircase(t: Tensor3, *, seed: int = 0, retries: int = 32) -> StaircaseResul
         return not prefix_cols and n1 == 0
 
     u = None
-    for _ in range(retries):
+    for _ in range(_STAIRCASE_TRIES):
         if isinstance(f, PrimeField):
             cand = Matrix(f, [[rng.randrange(f.p) for _ in range(n2)] for _ in range(n2)])
         else:
@@ -610,7 +614,7 @@ def staircase(t: Tensor3, *, seed: int = 0, retries: int = 32) -> StaircaseResul
                     u = cand
                     break
     if u is None:
-        raise RetryBudgetError(f"no staircase matrix found in {retries} random tries")
+        raise RetryBudgetError(f"no staircase matrix found in {_STAIRCASE_TRIES} random tries")
 
     i_star = max(range(n3), key=lambda i: s[i])
     w3_rank = rank(slices[i_star])
@@ -736,15 +740,14 @@ def _supp(vec) -> frozenset:
     return frozenset(i for i, x in enumerate(vec) if x != 0 and x != Fraction(0))
 
 
-def _span_vectors(field: Field, basis: Sequence[tuple], *, guard: int = PROJECTIVE_GUARD):
+def _span_vectors(field: Field, basis: Sequence[tuple]):
     """Projective enumeration of a vector subspace given by (possibly
     dependent) generators, over a finite field."""
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("cannot enumerate a subspace over the rationals")
     n = len(basis[0])
     rows = _reduce_rows(field, basis, n)
-    if projective_count(field.p, len(rows)) > guard:
-        raise ResourceGuardError("subspace enumeration exceeds guard")
+    refuse_over(projective_count(field.p, len(rows)), PROJECTIVE_GUARD, "subspace enumeration exceeds guard")
     terms = [(row,) for row in rows]
     for coeffs in projective_vectors(field.p, len(rows)):
         yield tuple(_combination(field, coeffs, terms)[0])
@@ -927,8 +930,7 @@ def rank_normal_form(a: Matrix):
     return res.transform, q_t.transpose(), res.rank
 
 
-def minrk_diag_pipeline(span: SliceSpan, *, trials: int = 64, seed: int = 0,
-                        guard: int = PROJECTIVE_GUARD) -> DiagMinrankResult:
+def minrk_diag_pipeline(span: SliceSpan, *, seed: int = 0) -> DiagMinrankResult:
     """Base changes U, V, an index set J and a split basis such that the
     basis restricted to J x J is diagonal with min-rank at least
     epsilon(c) * maxrank (and the rest restrict to zero)."""
@@ -941,12 +943,12 @@ def minrk_diag_pipeline(span: SliceSpan, *, trials: int = 64, seed: int = 0,
     exact = False
     if isinstance(f, PrimeField):
         try:
-            k_val, wit = max_rank_exhaustive(red_span, guard=guard)
+            k_val, wit = max_rank_exhaustive(red_span)
             exact = True
         except ResourceGuardError:
-            k_val, wit = max_rank_randomized(red_span, trials, seed)
+            k_val, wit = max_rank_randomized(red_span, 64, seed)
     else:
-        k_val, wit = max_rank_randomized(red_span, trials, seed)
+        k_val, wit = max_rank_randomized(red_span, 64, seed)
     a_star = combine(red_span, wit.coeffs)
     p, q, k = rank_normal_form(a_star)
     if k != k_val:

@@ -31,14 +31,15 @@ from .errors import (
     BadParamsError,
     IndexOutOfRangeError,
     MixedFieldsError,
-    ResourceGuardError,
     ShapeMismatchError,
+    refuse_over,
 )
 from .fields import Elem, Field, PrimeField
 from .matrix import Matrix, column_basis, rank
 
 # Dense tensors beyond this entry count are refused rather than thrashed.
 KRON_ENTRY_GUARD = 1 << 24
+_KRON_ENTRIES = "kronecker product would have {count} entries (guard {guard})"
 
 
 class Tensor3:
@@ -190,7 +191,7 @@ class Tensor3:
         if self.field != other.field:
             raise MixedFieldsError("kronecker product over mixed fields")
         d = tuple(a * b for a, b in zip(self.dims, other.dims))
-        _guard_entries(d[0] * d[1] * d[2])
+        refuse_over(d[0] * d[1] * d[2], KRON_ENTRY_GUARD, _KRON_ENTRIES)
         f = self.field
         m1, m2, m3 = other.dims
         out: Dict[tuple, Elem] = {}
@@ -207,27 +208,15 @@ class Tensor3:
         return acc
 
 
-def _guard_entries(total: int) -> None:
-    if total > KRON_ENTRY_GUARD:
-        raise ResourceGuardError(
-            f"kronecker product would have {total} entries (guard {KRON_ENTRY_GUARD})"
-        )
-
-
 def guard_dims(dims: Tuple[int, int, int], what: str = "tensor") -> None:
     """Refuse a format from outside before anything is built: its dense
     entries n1*n2*n3 and each flattening width n_i*n_j are bounded by
     KRON_ENTRY_GUARD.  The widths matter when a dimension is 0: there are no
     entries, but a flattening still has one row or column per pair."""
     n1, n2, n3 = dims
-    entries = n1 * n2 * n3
-    if entries > KRON_ENTRY_GUARD:
-        raise ResourceGuardError(f"{what} would have {entries} entries (guard {KRON_ENTRY_GUARD})")
-    width = max(n1 * n2, n1 * n3, n2 * n3)
-    if width > KRON_ENTRY_GUARD:
-        raise ResourceGuardError(
-            f"{what} would have a flattening of width {width} (guard {KRON_ENTRY_GUARD})"
-        )
+    refuse_over(n1 * n2 * n3, KRON_ENTRY_GUARD, what + " would have {count} entries (guard {guard})")
+    refuse_over(max(n1 * n2, n1 * n3, n2 * n3), KRON_ENTRY_GUARD,
+                what + " would have a flattening of width {count} (guard {guard})")
 
 
 def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
@@ -243,9 +232,8 @@ def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
     total = size
     for _ in range(min(m, limit + 1) - 1):
         total *= size
-        _guard_entries(total)
-    if m > limit:
-        raise ResourceGuardError(f"kronecker power {m} exceeds the power limit {limit}")
+        refuse_over(total, KRON_ENTRY_GUARD, _KRON_ENTRIES)
+    refuse_over(m, limit, "kronecker power {count} exceeds the power limit {guard}")
     return tuple(n**m for n in t.dims)
 
 

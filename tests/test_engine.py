@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -246,7 +247,7 @@ def ref_unit_restriction_generic(t, r, guard):
     for l2_rows in l2_choices:
         left = [_product(l2_rows, cols, q) for cols in slice_cols]
         for l3_rows in l3_choices:
-            vecs = [[sum(a * b for a, b in zip(x, y)) % q for x in m for y in l3_rows] for m in left]
+            vecs = [[sum(map(mul, x, y)) % q for x in m for y in l3_rows] for m in left]
             if engine._units_in_span(vecs, r, q):
                 l2, l3 = Matrix(f, l2_rows, cols=n2), Matrix(f, l3_rows, cols=n3)
                 return engine._solve_first_leg(f, slices, l2, l3, r)

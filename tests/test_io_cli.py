@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tenrank
 from tenrank.cli import main, scan_format
-from tenrank.errors import BadParamsError, ParseError, ResourceGuardError
+from tenrank.errors import BadParamsError, ParseError, ResourceGuardError, refuse_over
 from tenrank.fields import GF, QQ
 from tenrank.io import (
     certificate_of_restriction,
@@ -580,6 +580,34 @@ def test_power_limit_leaves_the_entry_guard_message():
     for m in (25, 10**12):
         with pytest.raises(ResourceGuardError, match="^kronecker product would have 33554432 entries"):
             power_dims(two, m)
+
+
+def test_refuse_over_prints_a_count_past_10_30_as_a_power_of_ten():
+    refuse_over(5, 5, "{count} over {guard}")
+    with pytest.raises(ResourceGuardError, match=f"^{10**30 - 1} over 5$"):
+        refuse_over(10**30 - 1, 5, "{count} over {guard}")
+    with pytest.raises(ResourceGuardError, match=r"^more than 10\^29 over 5$"):
+        refuse_over(10**30, 5, "{count} over {guard}")
+    count = 7**20000  # more digits than Python converts to a string by default
+    with pytest.raises(ResourceGuardError, match=r"^search of more than 10\^\d+ pairs exceeds guard 9$") as err:
+        refuse_over(count, 9, "search of {count} pairs exceeds guard {guard}")
+    k = int(str(err.value).split("^")[1].split()[0])
+    assert 10**k < count < 10**(k + 2)
+
+
+@pytest.mark.parametrize("dims", [(51, 51, 51), (150, 150, 2)])
+def test_guards_refuse_huge_counts_in_short_messages(dims, tmp_path, capsys):
+    """The map pairs of 51x51x51 and the subspace pairs of 150x150x2 are
+    counts of more than 4,300 digits, the other two of hundreds or more: the
+    searches end in exit code 3 with a short message, and `bounds` skips
+    them."""
+    tpath = tmp_path / "sparse.tensor"
+    tpath.write_text("tensor v1\nfield gf:7\ndims {} {} {}\n1 1 1 3\n2 2 2 1\n".format(*dims))
+    for argv in (["subrank"], ["certify", "subrank"], ["slicerank"]):
+        assert run_cli(*argv, str(tpath)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource guard: ") and "more than 10^" in err and len(err) < 200
+    assert run_cli("bounds", str(tpath)) == 0
 
 
 # -- parsers and `verify` on any text ---------------------------------------------

@@ -232,6 +232,15 @@ def test_subspace_enumeration_counts():
             assert got == subspace_count(q, n, d)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_subspace_pair_count_is_the_product_of_the_subspace_totals(q):
+    """The count is (sum_a [n1, a]_q) * (sum_b [n2, b]_q), O(n) Gaussian
+    binomials; the double sum over (a, b) it replaced is kept here."""
+    for n1, n2 in itertools.product(range(7), repeat=2):
+        assert subspace_pair_count(q, n1, n2) == sum(subspace_count(q, n1, a) * subspace_count(q, n2, b)
+                                                     for a in range(n1 + 1) for b in range(n2 + 1))
+
+
 @pytest.mark.parametrize("n, dim", [(3, -1), (-1, 0), (-2, -1)])
 def test_subspaces_refuse_negative_dimensions(n, dim):
     with pytest.raises(BadParamsError, match="n >= 0 and dim >= 0"):
