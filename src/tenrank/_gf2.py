@@ -108,12 +108,13 @@ def unit_pair_candidates(rows2, rows3, r: int, rank):
     Given each leg's candidate rows in the search's row order and a rank
     function on tuples of rows: L2 runs over the full-rank increasing r-subsets
     of rows2 (itertools.combinations order), L3 over the full-rank r-tuples of
-    rows3 (itertools.product order), L2 major.  Returns (an iterator over L2,
-    the list of L3).  Why the first witness lies among these pairs is argued
-    in `engine._unit_restriction_generic`.
+    rows3 (itertools.product order), L2 major.  Returns an iterator over L2
+    and one over L3, so a caller builds only the lists it reads.  Why the
+    first witness lies among these pairs is argued in
+    `engine._unit_restriction_generic`.
     """
-    l3s = [rows for rows in itertools.product(rows3, repeat=r) if rank(rows) == r]
-    return (rows for rows in itertools.combinations(rows2, r) if rank(rows) == r), l3s
+    return ((rows for rows in itertools.combinations(rows2, r) if rank(rows) == r),
+            (rows for rows in itertools.product(rows3, repeat=r) if rank(rows) == r))
 
 
 _TABLE_COST_CAP = 2_000_000
@@ -132,8 +133,7 @@ def _lane_table(n2: int, n3: int, r: int):
     exhaustive-format workloads); otherwise table and lows are None and the
     generic search in `engine` runs instead.
     """
-    l2s, l3s = unit_pair_candidates(range(1, 1 << n2), range(1, 1 << n3), r, gf2_rank)
-    l2s = tuple(l2s)
+    l2s, l3s = map(tuple, unit_pair_candidates(range(1, 1 << n2), range(1, 1 << n3), r, gf2_rank))
     width = n2 * n3
     if width > 12 or len(l2s) * len(l3s) * (1 << width) > _TABLE_COST_CAP:
         return l2s, l3s, None, None

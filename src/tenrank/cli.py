@@ -20,6 +20,7 @@ from .errors import (
     ResourceGuardError,
     TenrankError,
     VerificationFailedError,
+    shown,
 )
 from .fields import PrimeField, parse_field
 from .io import (
@@ -102,7 +103,7 @@ def _parse_orient(text: str) -> Tuple[int, int]:
     try:
         i, j = (int(x) for x in text.split(","))
     except ValueError as exc:
-        raise ParseError(f"bad orientation {text!r}, expected 'i,j'") from exc
+        raise ParseError(f"bad orientation {shown(text)}, expected 'i,j'") from exc
     return i, j
 
 
@@ -154,7 +155,7 @@ def cmd_certify(args) -> int:
         cert = engine.subrank_c2(t)
         d = certificate_of_restriction(cert.restriction, cert.r, cert.power)
     else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown certificate kind {kind!r}")
+        raise ParseError(f"unknown certificate kind {shown(kind)}")
     text = serialize_certificate(d, t.field)
     _emit(text, args.out)
     if not args.out:
@@ -187,7 +188,7 @@ def cmd_catalog(args) -> int:
     try:
         params = [int(x) for x in args.params]
     except ValueError as exc:
-        raise ParseError(f"non-integer catalog parameters {args.params}") from exc
+        raise ParseError(f"non-integer catalog parameters {shown(args.params)}") from exc
     if args.expect:
         entry = catalog_entry(args.name, *params)
         lines = [f"dims {entry.dims}", f"flattening_ranks {entry.flattening_ranks}"]
@@ -290,7 +291,7 @@ def cmd_scan(args) -> int:
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
     except ValueError as exc:
-        raise ParseError(f"non-integer --dims {args.dims!r}") from exc
+        raise ParseError(f"non-integer --dims {shown(args.dims)}") from exc
     if len(dims) != 3 or min(dims) < 0:
         raise ParseError("scan needs --dims a,b,c of non-negative integers")
     counts, scanned = scan_format(

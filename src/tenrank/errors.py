@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all modules, and `refuse_over`, the one
-check through which the resource guards refuse.
+"""Exception hierarchy shared by all modules; `shown`, the one way a
+message quotes a count or a piece of input; and `refuse_over`, the one check
+through which the resource guards refuse, with `capped_power` for counts that
+are powers.
 
 Every failure mode has its own class so callers (and the CLI exit-code
 mapping) can distinguish parse errors, resource guards, field-size
@@ -106,12 +108,37 @@ class RetryBudgetError(TenrankError):
     """A randomized-with-retry procedure exhausted its retry cap."""
 
 
+def shown(value) -> str:
+    """How a message quotes a count or a piece of input, in a few dozen
+    characters whatever its size.  An integer below 10^30 in absolute value
+    prints exactly, a larger one as "more than 10^k" ("less than -10^k"), k
+    from its bit length in integer arithmetic (30102/100000 < log10 2, so
+    10^k < |value|): no integer is too large to print.  A tuple prints item by
+    item.  Anything else prints as its repr, cut after 40 characters and
+    followed by its length when the repr is over 60.  Messages call it only
+    when they are raised, so input that parses pays nothing for it."""
+    if isinstance(value, int):
+        if -10**30 < value < 10**30:
+            return str(value)
+        k = (abs(value).bit_length() - 1) * 30102 // 100000
+        return f"more than 10^{k}" if value > 0 else f"less than -10^{k}"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(shown, value))})"
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(str(value))} characters)"
+
+
 def refuse_over(count: int, guard: int, message: str) -> None:
-    """Raise ResourceGuardError with `message` when count > guard.  The
-    message's {count} field prints a count below 10^30 exactly and a larger
-    one as "more than 10^k", k from its bit length in integer arithmetic
-    (30102/100000 < log10 2, so 10^k < count): no count is too large to
-    print."""
+    """Raise ResourceGuardError with `message` when count > guard; the
+    message's {count} field prints the count through `shown`."""
     if count > guard:
-        shown = count if count < 10**30 else f"more than 10^{(count.bit_length() - 1) * 30102 // 100000}"
-        raise ResourceGuardError(message.format(count=shown, guard=guard))
+        raise ResourceGuardError(message.format(count=shown(count), guard=guard))
+
+
+def capped_power(base: int, exp: int, guard: int) -> int:
+    """base**exp when it is at most guard, else guard + 1: a guard compares a
+    power without forming it (for base > 1, an exp past guard's bit length
+    is past the guard)."""
+    if base > 1 and exp > guard.bit_length():
+        return guard + 1
+    return min(base**exp, guard + 1)

@@ -9,10 +9,11 @@ checked at the matrix/tensor level, where it can actually occur.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import BadParamsError, DivisionByZeroError, InfiniteFieldError
+from .errors import BadParamsError, DivisionByZeroError, InfiniteFieldError, ResourceGuardError, shown
 
 Elem = Union[int, Fraction]
 
@@ -99,7 +100,7 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not (2 <= p < 2**31):
-            raise BadParamsError(f"prime field modulus out of range: {p!r}")
+            raise BadParamsError(f"prime field modulus out of range: {shown(p)}")
         if not is_prime(p):
             raise BadParamsError(f"{p} is not prime")
         self.p = p
@@ -223,9 +224,9 @@ def parse_field(tag: str) -> Field:
         try:
             p = int(tag[3:])
         except ValueError as exc:
-            raise BadParamsError(f"bad field tag {tag!r}") from exc
+            raise BadParamsError(f"bad field tag {shown(tag)}") from exc
         return PrimeField(p)
-    raise BadParamsError(f"bad field tag {tag!r} (expected 'gf:<p>' or 'q')")
+    raise BadParamsError(f"bad field tag {shown(tag)} (expected 'gf:<p>' or 'q')")
 
 
 def parse_value(field: Field, text: str) -> Elem:
@@ -235,20 +236,22 @@ def parse_value(field: Field, text: str) -> Elem:
         try:
             return field.normalize(int(text))
         except ValueError as exc:
-            raise BadParamsError(f"bad GF value {text!r}") from exc
+            raise BadParamsError(f"bad GF value {shown(text)}") from exc
     try:
         if "/" in text:
             num, den = text.split("/")
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise BadParamsError(f"bad rational value {text!r}") from exc
+        raise BadParamsError(f"bad rational value {shown(text)}") from exc
 
 
 def format_value(value: Elem) -> str:
-    """Serialize one scalar in file syntax."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+    """Serialize one scalar in file syntax.  A numerator or denominator of
+    more digits than `int` converts (sys.get_int_max_str_digits(), 4,300 by
+    default) is refused with ResourceGuardError: no parser could read it back."""
+    try:
+        return str(value)  # a Fraction prints as 'num/den', or as 'num' when den = 1
+    except ValueError as exc:
+        digits = sys.get_int_max_str_digits()
+        raise ResourceGuardError(f"a value of more than {digits} digits cannot be written") from exc

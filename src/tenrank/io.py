@@ -1,15 +1,16 @@
 """Text file formats: tensors, certificates, scan reports.
 
 All formats are line-oriented UTF-8, diffable, and round-trip bit-exactly:
-parse(serialize(x)) == x.
+parse(serialize(x)) == x.  Both parsers read through one reader, `_read`,
+and every message quotes input through `errors.shown`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import partial
 
-from .errors import BadParamsError, ParseError
-from .fields import Elem, Field, format_value, parse_field, parse_value
+from .errors import BadParamsError, ParseError, shown
+from .fields import Field, format_value, parse_field, parse_value
 from .laurent import Degeneration, LaurentMatrix
 from .tensor import Restriction, Tensor3, guard_dims
 
@@ -28,69 +29,89 @@ def serialize_tensor(t: Tensor3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field_line(parts, ln: str) -> Field:
-    if len(parts) != 2:
-        raise ParseError(f"bad field line {ln!r}")
-    try:
-        return parse_field(parts[1])
-    except BadParamsError as exc:
-        raise ParseError(f"bad field line {ln!r}: {exc}") from exc
-
-
 def _ints(words, ln: str, lowest: int) -> list:
     """The integers spelled by `words` of line `ln`, each at least `lowest`."""
     try:
         values = [int(w) for w in words]
     except ValueError as exc:
-        raise ParseError(f"non-integer value in {ln!r}") from exc
+        raise ParseError(f"non-integer value in {shown(ln)}") from exc
     if any(v < lowest for v in values):
-        raise ParseError(f"value below {lowest} in {ln!r}")
+        raise ParseError(f"value below {lowest} in {shown(ln)}")
     return values
 
 
-def _value(field: Field, word: str, ln: str) -> Elem:
-    """The scalar spelled by `word` of line `ln`."""
-    try:
-        return parse_value(field, word)
-    except BadParamsError as exc:
-        raise ParseError(f"bad value in {ln!r}: {exc}") from exc
+def _read(text: str, header: str, heads: dict, block: str):
+    """Read a v1 file: the reader both formats share.
+
+    The first line that is not blank and does not start with '#' must be
+    `header`; the rest of those lines are read in order.  A `field` line sets
+    the field.  A line whose first word is a key of `heads` goes to that
+    function of (words, line), and the last value of each key is kept; a
+    `block` line's value, a shape, also starts a block of entries.  Every
+    other line is an entry of the latest block: four words, the first three
+    integers, of which the first len(shape) are one-based indices within the
+    shape, kept zero-based (a certificate's exponent is the free third), and a
+    nonzero value; a key appears at most once per block.  Returns (field or
+    None, values by key, [(shape, {key: value}), ...]).
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0] != header:
+        raise ParseError(f"expected '{header}' header")
+    field, values, blocks = None, {}, []
+    for ln in lines[1:]:
+        parts = ln.split()
+        word = parts[0]
+        if word == "field":
+            if len(parts) != 2:
+                raise ParseError(f"bad field line {shown(ln)}")
+            try:
+                field = parse_field(parts[1])
+            except BadParamsError as exc:
+                raise ParseError(f"bad field line: {exc}") from exc
+        elif word in heads:
+            values[word] = heads[word](parts, ln)
+            if word == block:
+                blocks.append((values[word], {}))
+        elif field is None or not blocks:
+            raise ParseError(f"entry line before the field and {block} lines: {shown(ln)}")
+        else:
+            shape, entries = blocks[-1]
+            if len(parts) != 4:
+                raise ParseError(f"bad entry line {shown(ln)}")
+            try:
+                key = [int(w) for w in parts[:3]]
+            except ValueError as exc:
+                raise ParseError(f"non-integer index in {shown(ln)}") from exc
+            for a, n in enumerate(shape):
+                key[a] -= 1
+                if not 0 <= key[a] < n:
+                    raise ParseError(f"index outside its {'x'.join(map(shown, shape))} block in {shown(ln)}")
+            key = tuple(key)
+            if key in entries:
+                raise ParseError(f"duplicate entry in {shown(ln)}")
+            try:
+                v = parse_value(field, parts[3])
+            except BadParamsError as exc:
+                raise ParseError(f"{exc} in {shown(ln)}") from exc
+            if field.is_zero(v):
+                raise ParseError(f"explicit zero entry in {shown(ln)}")
+            entries[key] = v
+    return field, values, blocks
+
+
+def _dims_line(parts, ln: str) -> tuple:
+    if len(parts) != 4:
+        raise ParseError(f"bad dims line {shown(ln)}")
+    dims = tuple(_ints(parts[1:], ln, 0))
+    guard_dims(dims)
+    return dims
 
 
 def parse_tensor(text: str) -> Tensor3:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != TENSOR_HEADER:
-        raise ParseError(f"expected '{TENSOR_HEADER}' header")
-    field = None
-    dims = None
-    entries: Dict[Tuple[int, int, int], object] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "field":
-            field = _field_line(parts, ln)
-        elif parts[0] == "dims":
-            if len(parts) != 4:
-                raise ParseError(f"bad dims line: {ln!r}")
-            dims = tuple(_ints(parts[1:], ln, 0))
-            guard_dims(dims)
-        else:
-            if field is None or dims is None:
-                raise ParseError("entry line before field/dims header")
-            if len(parts) != 4:
-                raise ParseError(f"bad entry line: {ln!r}")
-            try:
-                i, j, k = (int(x) - 1 for x in parts[:3])
-            except ValueError as exc:
-                raise ParseError(f"bad index in {ln!r}") from exc
-            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-                raise ParseError(f"index out of range in {ln!r}")
-            if (i, j, k) in entries:
-                raise ParseError(f"duplicate coordinate in {ln!r}")
-            v = _value(field, parts[3], ln)
-            if field.is_zero(v):
-                raise ParseError(f"explicit zero entry in {ln!r}")
-            entries[(i, j, k)] = v
-    if field is None or dims is None:
-        raise ParseError("missing field or dims header")
+    field, _, blocks = _read(text, TENSOR_HEADER, {"dims": _dims_line}, "dims")
+    if field is None or len(blocks) != 1:
+        raise ParseError("a tensor needs one field line and one dims line")
+    dims, entries = blocks[0]
     return Tensor3(field, dims, entries)
 
 
@@ -111,62 +132,33 @@ def serialize_certificate(d: Degeneration, field: Field) -> str:
 
 
 def _count_line(parts, ln: str, lowest: int) -> int:
-    """The single integer argument of a `power` or `r` line, at least `lowest`."""
+    """The one integer of a `power` or `r` line, at least `lowest`."""
     if len(parts) != 2:
-        raise ParseError(f"bad {parts[0]} line {ln!r}")
+        raise ParseError(f"bad {parts[0]} line {shown(ln)}")
     return _ints(parts[1:], ln, lowest)[0]
+
+
+def _map_line(parts, ln: str) -> tuple:
+    if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
+        raise ParseError(f"bad map header {shown(ln)}")
+    return tuple(_ints((parts[3], parts[5]), ln, 0))
+
+
+_CERT_LINES = {"power": partial(_count_line, lowest=1), "r": partial(_count_line, lowest=0), "map": _map_line}
 
 
 def parse_certificate(text: str):
     """Returns (Degeneration, Field)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != CERT_HEADER:
-        raise ParseError(f"expected '{CERT_HEADER}' header")
-    field = None
-    power = None
-    r = None
-    maps = []
-    cur = None  # (rows, cols, entries)
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "field":
-            field = _field_line(parts, ln)
-        elif parts[0] == "power":
-            power = _count_line(parts, ln, 1)
-        elif parts[0] == "r":
-            r = _count_line(parts, ln, 0)
-        elif parts[0] == "map":
-            if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
-                raise ParseError(f"bad map header {ln!r}")
-            if cur is not None:
-                maps.append(cur)
-            rows, cols = _ints((parts[3], parts[5]), ln, 0)
-            cur = (rows, cols, {})
-        else:
-            if cur is None or field is None:
-                raise ParseError(f"entry line outside a map block: {ln!r}")
-            if len(parts) != 4:
-                raise ParseError(f"bad quadruple {ln!r}")
-            try:
-                i, j = int(parts[0]) - 1, int(parts[1]) - 1
-                e = int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad quadruple {ln!r}") from exc
-            if not (0 <= i < cur[0] and 0 <= j < cur[1]):
-                raise ParseError(f"quadruple outside its {cur[0]}x{cur[1]} map in {ln!r}")
-            poly = cur[2].setdefault((i, j), {})
-            if e in poly:
-                raise ParseError(f"duplicate quadruple in {ln!r}")
-            v = _value(field, parts[3], ln)
-            if field.is_zero(v):
-                raise ParseError(f"explicit zero quadruple in {ln!r}")
-            poly[e] = v
-    if cur is not None:
-        maps.append(cur)
-    if field is None or power is None or r is None or len(maps) != 3:
+    field, values, maps = _read(text, CERT_HEADER, _CERT_LINES, "map")
+    if field is None or "power" not in values or "r" not in values or len(maps) != 3:
         raise ParseError("certificate missing field/power/r or map blocks")
-    lms = tuple(LaurentMatrix(field, rows, cols, ent) for rows, cols, ent in maps)
-    return Degeneration(lms, claimed_r=r, power=power), field
+    lms = []
+    for (rows, cols), quads in maps:
+        ent = {}
+        for (i, j, e), v in quads.items():
+            ent.setdefault((i, j), {})[e] = v
+        lms.append(LaurentMatrix(field, rows, cols, ent))
+    return Degeneration(tuple(lms), claimed_r=values["r"], power=values["power"]), field
 
 
 def certificate_of_restriction(res: Restriction, r: int, power: int) -> Degeneration:

@@ -17,6 +17,7 @@ from .errors import (
     FieldTooSmallError,
     ShapeMismatchError,
     VerificationFailedError,
+    shown,
 )
 from .fields import Elem, Field, PrimeField
 from .matrix import Matrix, _combination, rank
@@ -26,6 +27,7 @@ from .tensor import (
     Tensor3,
     apply_restriction,
     contract,
+    matrix_terms,
     power_dims,
     unit,
 )
@@ -95,12 +97,7 @@ class LaurentMatrix:
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "LaurentMatrix":
-        ent = {}
-        for i in range(m.rows):
-            for j in range(m.cols):
-                v = m[i, j]
-                if not m.field.is_zero(v):
-                    ent[(i, j)] = {0: v}
+        ent = {(a, j): {0: v} for j, col in enumerate(matrix_terms(m)) for a, _, v in col}
         return cls(m.field, m.rows, m.cols, ent)
 
     def scale_rows(self, exponents: Sequence[int]) -> "LaurentMatrix":
@@ -196,15 +193,15 @@ def _degeneration_failure(d: Degeneration, t: Tensor3, power: int) -> str:
     if d.claimed_r > min(dims):
         # a degeneration onto the unit tensor of size r needs r <= every
         # flattening rank, so a larger claim fails before anything is built
-        return f"claimed r {d.claimed_r} exceeds the smallest dimension {min(dims)}"
+        return f"claimed r {shown(d.claimed_r)} exceeds the smallest dimension {min(dims)}"
     if d.target_dims != (d.claimed_r,) * 3:
-        return f"target dims {d.target_dims} != unit dims"
+        return f"target dims {shown(d.target_dims)} != unit dims"
     if src != dims:
-        return f"source dims {src} != tensor dims {dims}"
+        return f"source dims {shown(src)} != tensor dims {dims}"
     terms = apply_degeneration(d, t, power=power)
     neg = [e for e in terms if e < 0]
     if neg:
-        return f"negative exponent {min(neg)} present"
+        return f"negative exponent {shown(min(neg))} present"
     if terms.get(0, Tensor3.zeros(t.field, d.target_dims)) != unit(t.field, d.claimed_r):
         return "exponent-0 coefficient is not the unit tensor"
     return ""

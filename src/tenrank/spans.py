@@ -26,7 +26,9 @@ from .errors import (
     RetryBudgetError,
     VerificationFailedError,
     ZeroSpanError,
+    capped_power,
     refuse_over,
+    shown,
 )
 from .fields import Elem, Field, PrimeField
 from .matrix import (_COL, _ROW, Matrix, _combination, _eliminate, _kron_rows, _product, _rref_annihilator,
@@ -1044,7 +1046,8 @@ def mixed_kron_count(b: int, c: int, m: int, l: int) -> int:
 
 def mixed_kron_set(b_mats: Sequence[Matrix], c_mats: Sequence[Matrix], m: int, l: int):
     """All order-m Kronecker products of the given matrices with at least l
-    factors drawn from b_mats, in lexicographic factor order, within `KRON_ENTRY_GUARD` entries."""
+    factors drawn from b_mats, in lexicographic factor order.  Refused when the
+    c^m products it visits, or the entries of those it keeps, pass `KRON_ENTRY_GUARD`."""
     if not (m >= l >= 1):
         raise BadParamsError("mixed_kron_set needs m >= l >= 1")
     all_mats = list(b_mats) + list(c_mats)
@@ -1052,12 +1055,13 @@ def mixed_kron_set(b_mats: Sequence[Matrix], c_mats: Sequence[Matrix], m: int, l
     c = len(all_mats)
     if c == 0:
         raise ZeroSpanError("no factors")
+    # the loop visits c^m products, so past the guard no count is formed
+    refuse_over(capped_power(c, m, KRON_ENTRY_GUARD), KRON_ENTRY_GUARD,
+                f"mixed kron set of {c} matrices at power {shown(m)} visits more than {{guard}} products")
     count = mixed_kron_count(b, c, m, l)
     rows, cols = all_mats[0].rows, all_mats[0].cols
-    if count * (rows * cols) ** m > KRON_ENTRY_GUARD:
-        raise ResourceGuardError(
-            f"mixed kron set of {count} matrices of shape {rows**m}x{cols**m} exceeds guard"
-        )
+    refuse_over(count * capped_power(rows * cols, m, KRON_ENTRY_GUARD), KRON_ENTRY_GUARD,
+                f"mixed kron set of {count} matrices of shape {rows}^{m}x{cols}^{m} exceeds guard {{guard}}")
     out = []
     for combo in itertools.product(range(c), repeat=m):
         if sum(1 for i in combo if i < b) >= l:

@@ -33,6 +33,7 @@ from .errors import (
     MixedFieldsError,
     ShapeMismatchError,
     refuse_over,
+    shown,
 )
 from .fields import Elem, Field, PrimeField
 from .matrix import Matrix, column_basis, rank
@@ -660,7 +661,7 @@ def catalog_dims(name: str, *params: int) -> Tuple[int, int, int]:
     number of parameters and their values, which are refused as the
     constructor refuses them, without building anything."""
     if name not in CATALOG:
-        raise BadParamsError(f"unknown catalog tensor {name!r} (have {sorted(CATALOG)})")
+        raise BadParamsError(f"unknown catalog tensor {shown(name)} (have {sorted(CATALOG)})")
     _, argnames, dims_of = CATALOG[name]
     if len(params) != len(argnames):
         raise BadParamsError(f"{name} expects parameters {argnames}, got {params}")
@@ -724,4 +725,4 @@ def catalog_entry(name: str, *params: int) -> CatalogEntry:
     if name == "w_tensor":
         return CatalogEntry(name, params, (2, 2, 2), (2, 2, 2),
                             {1: 2, 2: 2, 3: 2}, {}, {}, subrank=1, slicerank=2)
-    raise BadParamsError(f"no catalog expectations for {name!r}")
+    raise BadParamsError(f"no catalog expectations for {shown(name)}")

@@ -243,6 +243,7 @@ def ref_unit_restriction_generic(t, r, guard):
         *([_gf2.bit_row(b, n) for b in range(1, 1 << n)] if bits else engine._leading_one_rows(q, n) for n in (n2, n3)),
         r, lambda rows: rank_of_rows(f, rows, len(rows[0])),
     )
+    l3_choices = tuple(l3_choices)
     slice_cols = [list(zip(*s.data)) for s in slices]
     for l2_rows in l2_choices:
         left = [_product(l2_rows, cols, q) for cols in slice_cols]
@@ -387,32 +388,57 @@ def test_rank_filter_ranks_fewer_pairs(monkeypatch):
     assert len(calls) < 28 * 168
 
 
+def test_filtered_search_builds_no_l3_list(monkeypatch):
+    """With n1 < 2r - 1 the rank filter cuts L3's rows, and the search ranks
+    only the filtered tuples: on 20 seeded 2x3x4 tensors over GF(5) at r = 2,
+    the guard lifted, far fewer than the 156^2 = 24,336 tuples of the full L3
+    list, which it never builds.  The GF(11) format takes 2,141,832."""
+    f = GF(5)
+    engine._generic_candidates.cache_clear()
+    engine._unfiltered_l3s.cache_clear()
+    calls = []
+    ranks = engine.rank_of_rows
+    monkeypatch.setattr(engine, "rank_of_rows", lambda g, rows, n: calls.append(n) or ranks(g, rows, n))
+    rng = random.Random(5)
+    found = 0
+    for _ in range(20):
+        t = Tensor3(f, (2, 3, 4), [rng.randrange(5) for _ in range(24)])
+        res = _unit_restriction_generic(t, 2, 10 ** 12)
+        found += res is not None and verify_restriction(res, t, unit(f, 2))
+    assert found == 20
+    assert 0 < calls.count(4) < 1000
+    assert engine._unfiltered_l3s.cache_info().currsize == 0
+
+
 def test_search_constants_are_built_on_first_use():
     """No candidate list exists after import; a search refused by its guard
-    builds none; a search that passes builds one entry, of tuples; the
-    witness check's column cache is bounded."""
+    builds none; a search that passes builds one entry, of tuples, and no L3
+    list when the rank filter applies (n1 = 2 < 2r - 1); the witness check's
+    column cache is bounded."""
     code = (
         "from tenrank import _gf2, engine\n"
         "from tenrank.errors import ResourceGuardError\n"
         "from tenrank.fields import GF\n"
         "from tenrank.tensor import unit\n"
-        "print(engine._generic_candidates.cache_info().currsize)\n"
+        "caches = (engine._generic_candidates, engine._unfiltered_l3s)\n"
+        "sizes = lambda: print(*(c.cache_info().currsize for c in caches))\n"
+        "sizes()\n"
         "try:\n"
         "    engine.exists_unit_restriction(unit(GF(3), 2), 2, guard=2303)\n"
         "except ResourceGuardError:\n"
         "    print('refused')\n"
-        "print(engine._generic_candidates.cache_info().currsize)\n"
+        "sizes()\n"
         "engine.exists_unit_restriction(unit(GF(3), 2), 2, guard=2304)\n"
-        "print(engine._generic_candidates.cache_info().currsize)\n"
-        "l2s, l3s, l3_set, rows3 = engine._generic_candidates(GF(3), 2, 2, 2)\n"
-        "print(all(isinstance(x, tuple) for x in (l2s, l3s, rows3, *l2s, *l3s, *rows3)),\n"
-        "      type(l3_set).__name__, l3_set == set(l3s))\n"
+        "sizes()\n"
+        "l2s, rows3 = engine._generic_candidates(GF(3), 2, 2, 2)\n"
+        "l3s = engine._unfiltered_l3s(GF(3), 2, 2, 2)\n"
+        "print(all(isinstance(x, tuple) for x in (l2s, l3s, rows3, *l2s, *l3s, *rows3)))\n"
         "print(_gf2._bit_columns.cache_info().maxsize)\n"
     )
     src = str(Path(engine.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["0", "refused", "0", "1", "True", "frozenset", "True", "4096"]
+    assert out.stdout.split() == ["0", "0", "refused", "0", "0", "1", "0", "True", "4096"]
 
 
 @lru_cache(maxsize=None)

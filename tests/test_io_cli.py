@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -758,3 +759,119 @@ def test_every_tensor_command_ends_in_an_exit_code(tmp_path_factory, argv, text)
     with contextlib.redirect_stdout(_stdio.StringIO()), contextlib.redirect_stderr(_stdio.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4, 5)
+
+
+# -- long words and long legs: every command ends in a short message ---------------
+
+def _probe_files(tmp_path):
+    """The W tensor and its subrank certificate, with one word replaced by
+    thousands of digits: the tensor's value or field tag (5,000 digits, past
+    what `int` reads), or the certificate's r or map-1 rows (4,000, within it)."""
+    t, cert = _w_certificate_text()
+    header = next(ln for ln in cert.splitlines() if ln.startswith("map 1 "))
+    files = {
+        "w.tensor": serialize_tensor(t),
+        "value.tensor": "tensor v1\nfield gf:7\ndims 2 2 2\n1 1 1 " + "9" * 5000 + "\n",
+        "tag.tensor": "tensor v1\nfield gf:" + "9" * 5000 + "\ndims 2 2 2\n1 1 1 1\n",
+        "r.cert": cert.replace("\nr 1\n", "\nr " + "9" * 4000 + "\n"),
+        "map.cert": cert.replace(header, "map 1 rows " + "9" * 4000 + " cols " + header.split()[5]),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return {name: str(tmp_path / name) for name in files}
+
+
+def _run_quietly(argv):
+    """main(argv)'s exit code and stderr, with stdout dropped."""
+    err = _stdio.StringIO()
+    with contextlib.redirect_stdout(_stdio.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_long_words_in_files_end_in_short_messages(tmp_path):
+    """A tensor whose value or field tag has 5,000 digits exits 2, and a
+    certificate whose r or map rows has 4,000 exits 5, each with a message
+    that quotes the long word cut, and its length."""
+    path = _probe_files(tmp_path)
+    cases = [(["info", path["value.tensor"]], 2), (["subrank", path["value.tensor"]], 2),
+             (["info", path["tag.tensor"]], 2), (["subrank", path["tag.tensor"]], 2),
+             (["verify", path["r.cert"], path["w.tensor"]], 5), (["verify", path["map.cert"], path["w.tensor"]], 5)]
+    for argv, want in cases:
+        code, err = _run_quietly(argv)
+        assert (code, "Traceback" in err) == (want, False), err[:300]
+        assert len(err.encode()) < 200, err[:300]
+    assert "(5000 characters)" in _run_quietly(["info", path["value.tensor"]])[1]
+    assert "more than 10^3999" in _run_quietly(["verify", path["r.cert"], path["w.tensor"]])[1]
+
+
+_DIGITS = st.builds(lambda n, d, sign: sign + d * n, st.integers(1000, 4000), st.sampled_from("123456789"),
+                    st.sampled_from(["", "", "-"]))
+_FILE_COMMANDS = ["info", "bounds", "pivots", "maxrank", "minrank", "slicerank", "subrank",
+                  "certify rho", "certify sqrt", "certify c2", "certify subrank", "power", "verify"]
+# where the long word goes: (line kind, file, word slots of that line); in
+# about a quarter of the cases every word stays short
+_PLACES = [("none", "tensor", [])] * 3 + [
+    ("field", "tensor", [1]), ("field", "cert", [1]), ("dims", "tensor", [1, 2, 3]), ("entry", "tensor", [0, 1, 2]),
+    ("entry", "cert", [0, 1, 2]), ("entry", "tensor", [3]), ("entry", "cert", [3]), ("power", "cert", [1]),
+    ("r", "cert", [1]), ("map", "cert", [1, 3, 5])]
+
+
+@st.composite
+def long_word_files(draw):
+    """A sparse tensor file with one leg of up to 200 and one to four
+    nonzero entries, a certificate for it (a restriction onto <1> through its
+    first entry), and, in most cases, one word of 1,000-4,000 digits put into
+    a field, dims, index, value, power, r or map line of one of the two.
+    Returns (tensor text, certificate text, whether the word is in the
+    certificate)."""
+    tag = draw(st.sampled_from(["gf:2", "gf:3", "gf:7", "q"]))
+    dims = [draw(st.integers(1, 3)) for _ in range(3)]
+    dims[draw(st.integers(0, 2))] = draw(st.integers(1, 200))
+    cells = draw(st.lists(st.tuples(*(st.integers(1, n) for n in dims)), min_size=1, max_size=4, unique=True))
+    values = ["1", "-1", "1/2"] if tag == "q" else [str(v) for v in range(1, int(tag[3:]))]
+    first = draw(st.sampled_from(values))
+    files = {"tensor": ["tensor v1", f"field {tag}", "dims {} {} {}".format(*dims)]
+             + ["{} {} {} {}".format(*cells[0], first)]
+             + ["{} {} {} {}".format(*cell, draw(st.sampled_from(values))) for cell in cells[1:]],
+             "cert": ["certificate v1", f"field {tag}", "power 1", "r 1"]}
+    inverse = "1/" + first if tag == "q" else str(pow(int(first), -1, int(tag[3:])))
+    for leg, n in enumerate(dims):
+        files["cert"] += [f"map {leg + 1} rows 1 cols {n}", f"1 {cells[0][leg]} 0 {inverse if leg == 0 else 1}"]
+    kind, name, slots = draw(st.sampled_from(_PLACES))
+    lines = files[name]
+    at = [k for k, ln in enumerate(lines) if ("entry" if ln[0].isdigit() else ln.split()[0]) == kind]
+    if at:
+        at = draw(st.sampled_from(at))
+        words = lines[at].split()
+        word = draw(_DIGITS)
+        if kind == "field" and draw(st.booleans()):
+            word = "gf:" + word
+        elif slots == [3] and tag == "q" and draw(st.booleans()):
+            word = "1/" + word
+        words[draw(st.sampled_from(slots))] = word
+        lines[at] = " ".join(words)
+    return "\n".join(files["tensor"]) + "\n", "\n".join(files["cert"]) + "\n", name == "cert"
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_word_files(), st.sampled_from(_FILE_COMMANDS), st.sampled_from(["-1", "0", "1", "3"]))
+def test_every_command_ends_in_a_short_message_on_long_words(tmp_path_factory, case, cmd, power):
+    """Each command, `verify` included, ends in one of the README's exit
+    codes within 5 s, with under 200 bytes on stderr and no traceback, on
+    sparse files with a long leg and, mostly, one word of thousands of
+    digits."""
+    tensor, cert, in_cert = case
+    base = tmp_path_factory.mktemp("long")
+    tpath, cpath = base / "t.tensor", base / "c.cert"
+    tpath.write_text(tensor, encoding="utf-8")
+    cpath.write_text(cert, encoding="utf-8")
+    cmd = "verify" if in_cert else cmd
+    args = cmd.split()
+    argv = {"certify": args + [str(tpath)], "power": args + [str(tpath), power],
+            "verify": args + [str(cpath), str(tpath)]}.get(args[0], args + [str(tpath)])
+    start = time.perf_counter()
+    code, err = _run_quietly(argv)
+    assert time.perf_counter() - start < 5, argv
+    assert code in (0, 1, 2, 3, 4, 5)
+    assert len(err.encode()) < 200 and "Traceback" not in err, err[:300]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -851,6 +852,18 @@ def test_mixed_kron_set():
     c = Matrix.from_entries(f, 2, 2, {(0, 1): 1})
     ys = mixed_kron_set([b], [c], 2, 1)
     assert len(ys) == 3 == mixed_kron_count(1, 2, 2, 1)
+
+
+def test_mixed_kron_set_refuses_a_huge_power_at_once():
+    """2^20000 products of 4^20000 entries each: refused through `refuse_over`
+    before any count is formed, not after summing the 20,000 terms of
+    `mixed_kron_count` into a number too long to print."""
+    i2 = Matrix.identity(GF(3), 2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError,
+                       match="^mixed kron set of 2 matrices at power 20000 visits more than 16777216 products$"):
+        mixed_kron_set([i2], [i2], 20000, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_mixed_kron_minrank_power_bound():
