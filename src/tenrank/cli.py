@@ -24,6 +24,7 @@ from .errors import (
 )
 from .fields import PrimeField, parse_field
 from .io import (
+    _ints,
     certificate_of_restriction,
     parse_certificate,
     parse_tensor,
@@ -99,19 +100,26 @@ def cmd_slicerank(args) -> int:
     return 0
 
 
-def _parse_orient(text: str) -> Tuple[int, int]:
-    try:
-        i, j = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad orientation {shown(text)}, expected 'i,j'") from exc
-    return i, j
+def _int(word: str) -> int:
+    """argparse's `type` for every integer option and argument.  It raises
+    ParseError, which argparse does not catch, so `main` reports a bad word
+    as a parse error quoted through `shown`."""
+    return _ints([word], word)[0]
+
+
+def _int_list(text: str, count: int, lowest: Optional[int] = None) -> Tuple[int, ...]:
+    """The `count` comma-separated integers of an option such as `--orient 1,2`."""
+    values = _ints(text.split(","), text, lowest)
+    if len(values) != count:
+        raise ParseError(f"expected {count} comma-separated integers, got {shown(text)}")
+    return tuple(values)
 
 
 def cmd_maxrank(args) -> int:
     if args.trials < 0:
-        raise BadParamsError(f"--trials {args.trials} must not be negative")
+        raise BadParamsError(f"--trials {shown(args.trials)} must not be negative")
     t = _read_tensor(args.tensor)
-    i, j = _parse_orient(args.orient)
+    i, j = _int_list(args.orient, 2)
     span = slice_span(t, i, j)
     if args.trials:
         value, wit = max_rank_randomized(span, args.trials, args.seed)
@@ -125,7 +133,7 @@ def cmd_maxrank(args) -> int:
 
 def cmd_minrank(args) -> int:
     t = _read_tensor(args.tensor)
-    i, j = _parse_orient(args.orient)
+    i, j = _int_list(args.orient, 2)
     value, _ = min_rank_exhaustive(slice_span(t, i, j), **_guard_kw(args))
     _emit(f"minrank {value}", args.out)
     return 0
@@ -144,7 +152,7 @@ def cmd_certify(args) -> int:
     t = _read_tensor(args.tensor)
     kind = args.kind
     if kind == "rho":
-        i, j = _parse_orient(args.orient)
+        i, j = _int_list(args.orient, 2)
         d = pivots.rho_degeneration(t, i, j)
     elif kind == "sqrt":
         d = pivots.sqrt_certificate(t)
@@ -185,10 +193,7 @@ def cmd_power(args) -> int:
 
 def cmd_catalog(args) -> int:
     field = parse_field(args.field)
-    try:
-        params = [int(x) for x in args.params]
-    except ValueError as exc:
-        raise ParseError(f"non-integer catalog parameters {shown(args.params)}") from exc
+    params = _ints(args.params, " ".join(args.params))
     if args.expect:
         entry = catalog_entry(args.name, *params)
         lines = [f"dims {entry.dims}", f"flattening_ranks {entry.flattening_ranks}"]
@@ -236,37 +241,32 @@ def _tensor_from_index(index: int, dims, field) -> Tensor3:
     return Tensor3(field, dims, digits)
 
 
-def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None,
-                workers: int = 1, cap: int = SCAN_CAP):
+def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None, cap: int = SCAN_CAP):
     """Exhaustively scan all tensors of a format over GF(q).
 
     Returns (counts, scanned) where counts maps
     (subrank, slicerank, flattening ranks, concise) to a tally.  The index
-    range [offset, offset+limit) supports resumable chunked scans.  `workers`
-    only splits the range into interleaved chunks, visited one after another
-    in this process; the tally is a commutative merge, so it does not depend
-    on the value.  GF(2) items of formats the packed search takes run on
-    their packed word, with no `Tensor3` or `Matrix`, unless the slice rank
-    needs a search (`_scan_one`).
+    range [offset, offset+limit) supports resumable chunked scans, whose
+    tallies merge to the whole format's.  GF(2) items of formats the packed
+    search takes run on their packed word, with no `Tensor3` or `Matrix`,
+    unless the slice rank needs a search (`_scan_one`).
     """
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("scan needs a finite field")
     if offset < 0 or (limit is not None and limit < 0):
-        raise BadParamsError(f"scan offset {offset} and limit {limit} must not be negative")
+        raise BadParamsError(f"scan offset {shown(offset)} and limit {shown(limit)} must not be negative")
     guard_dims(dims, "scan format")
     n = dims[0] * dims[1] * dims[2]
     if n >= cap.bit_length() or field.p**n > cap:  # p^n > cap once n reaches cap's bit length
-        raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {cap}")
+        raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {shown(cap)}")
     total = field.p**n
     if offset > total:
-        raise BadParamsError(f"scan offset {offset} is past the end of the {total} tensors of the format")
+        raise BadParamsError(f"scan offset {shown(offset)} is past the end of the {shown(total)} tensors of the format")
     end = total if limit is None else min(total, offset + limit)
     counts: Dict[tuple, int] = {}
-    # deterministic commutative aggregation over worker chunks
-    for w in range(max(1, workers)):
-        for idx in range(offset + w, end, max(1, workers)):
-            key = _scan_one(idx, dims, field)
-            counts[key] = counts.get(key, 0) + 1
+    for idx in range(offset, end):
+        key = _scan_one(idx, dims, field)
+        counts[key] = counts.get(key, 0) + 1
     return counts, end - offset
 
 
@@ -288,12 +288,7 @@ def format_scan_report(field, dims, counts: Dict[tuple, int], scanned: int) -> s
 
 def cmd_scan(args) -> int:
     field = parse_field(args.field)
-    try:
-        dims = tuple(int(x) for x in args.dims.split(","))
-    except ValueError as exc:
-        raise ParseError(f"non-integer --dims {shown(args.dims)}") from exc
-    if len(dims) != 3 or min(dims) < 0:
-        raise ParseError("scan needs --dims a,b,c of non-negative integers")
+    dims = _int_list(args.dims, 3, 0)
     counts, scanned = scan_format(
         field, dims, offset=args.offset, limit=args.limit,
         cap=SCAN_CAP if args.guard is None else args.guard,
@@ -317,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("tensor", help="tensor file")
         sp.add_argument("--out", default=None, help="write output to a file")
         if guard:
-            sp.add_argument("--guard", type=int, default=None, help="resource guard override")
+            sp.add_argument("--guard", type=_int, default=None, help="resource guard override")
 
     sp = sub.add_parser("info", help="dimensions, field, ranks, conciseness")
     common(sp)
@@ -335,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("maxrank", help="max-rank of an oriented slice span")
     common(sp, guard=True)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     sp.add_argument("--orient", default="1,2", help="row,col directions")
-    sp.add_argument("--trials", type=int, default=0, help="randomized trials (0 = exhaustive)")
+    sp.add_argument("--trials", type=_int, default=0, help="randomized trials (0 = exhaustive)")
 
     sp = sub.add_parser("minrank", help="min-rank of an oriented slice span")
     common(sp, guard=True)
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("power", help="write a Kronecker power of a tensor")
     common(sp)
-    sp.add_argument("m", type=int)
+    sp.add_argument("m", type=_int)
 
     sp = sub.add_parser("catalog", help="write a named catalog tensor")
     sp.add_argument("name", choices=sorted(CATALOG))
@@ -370,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="exhaustive scan of a whole format")
     sp.add_argument("--dims", required=True)
     sp.add_argument("--field", required=True)
-    sp.add_argument("--offset", type=int, default=0)
-    sp.add_argument("--limit", type=int, default=None)
-    sp.add_argument("--guard", type=int, default=None)
+    sp.add_argument("--offset", type=_int, default=0)
+    sp.add_argument("--limit", type=_int, default=None)
+    sp.add_argument("--guard", type=_int, default=None)
     sp.add_argument("--out", default=None)
 
     return p
@@ -382,10 +377,10 @@ _parser = lru_cache(maxsize=None)(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if getattr(args, "guard", None) is not None and args.guard < 1:
-            raise BadParamsError(f"--guard {args.guard} must be at least 1")
+            raise BadParamsError(f"--guard {shown(args.guard)} must be at least 1")
         # looked up per call, so a patched or wrapped command is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:

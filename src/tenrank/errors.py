@@ -114,25 +114,26 @@ def shown(value) -> str:
     prints exactly, a larger one as "more than 10^k" ("less than -10^k"), k
     from its bit length in integer arithmetic (30102/100000 < log10 2, so
     10^k < |value|): no integer is too large to print.  A tuple prints item by
-    item.  Anything else prints as its repr, cut after 40 characters and
-    followed by its length when the repr is over 60.  Messages call it only
-    when they are raised, so input that parses pays nothing for it."""
+    item, as its repr would.  Anything else prints as its repr, cut after 40
+    characters and followed by its length when the repr is over 60.  Messages
+    call it only when they are raised, so input that parses pays nothing for
+    it."""
     if isinstance(value, int):
         if -10**30 < value < 10**30:
             return str(value)
         k = (abs(value).bit_length() - 1) * 30102 // 100000
         return f"more than 10^{k}" if value > 0 else f"less than -10^{k}"
     if isinstance(value, tuple):
-        return f"({', '.join(map(shown, value))})"
+        return f"({', '.join(map(shown, value))}{',' * (len(value) == 1)})"
     text = repr(value)
     return text if len(text) <= 60 else f"{text[:40]}... ({len(str(value))} characters)"
 
 
 def refuse_over(count: int, guard: int, message: str) -> None:
     """Raise ResourceGuardError with `message` when count > guard; the
-    message's {count} field prints the count through `shown`."""
+    message's {count} and {guard} fields print through `shown`."""
     if count > guard:
-        raise ResourceGuardError(message.format(count=shown(count), guard=guard))
+        raise ResourceGuardError(message.format(count=shown(count), guard=shown(guard)))
 
 
 def capped_power(base: int, exp: int, guard: int) -> int:

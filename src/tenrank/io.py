@@ -29,13 +29,16 @@ def serialize_tensor(t: Tensor3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ints(words, ln: str, lowest: int) -> list:
-    """The integers spelled by `words` of line `ln`, each at least `lowest`."""
+def _ints(words, ln: str, lowest: int | None = None) -> list:
+    """The integers spelled by `words` of line `ln`, each at least `lowest`
+    when one is given: the one reader of integers in files and on the command
+    line.  A word that is not an integer, or has more digits than `int`
+    converts, is a ParseError that quotes `ln` through `shown`."""
     try:
         values = [int(w) for w in words]
     except ValueError as exc:
         raise ParseError(f"non-integer value in {shown(ln)}") from exc
-    if any(v < lowest for v in values):
+    if lowest is not None and any(v < lowest for v in values):
         raise ParseError(f"value below {lowest} in {shown(ln)}")
     return values
 

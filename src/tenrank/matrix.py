@@ -107,29 +107,21 @@ class Matrix:
         if self.field != other.field:
             raise MixedFieldsError("matrices over different fields")
 
-    def add(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", c: int, what: str) -> "Matrix":
+        """self + c·other, for c = ±1, through the combination kernel."""
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("matrix addition shape mismatch")
-        f = self.field
-        return Matrix(f, [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ], cols=self.cols)
+            raise ShapeMismatchError(f"matrix {what} shape mismatch")
+        return Matrix(self.field, _combination(self.field, (1, c), (self.data, other.data)), cols=self.cols)
+
+    def add(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1, "addition")
 
     def sub(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatchError("matrix subtraction shape mismatch")
-        f = self.field
-        return Matrix(f, [
-            [f.sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ], cols=self.cols)
+        return self._plus(other, -1, "subtraction")
 
     def scale(self, c: Elem) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data], cols=self.cols)
+        return Matrix(self.field, _combination(self.field, (c,), (self.data,)), cols=self.cols)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check(other)

@@ -19,6 +19,7 @@ from .errors import (
     ZeroMatrixError,
     ZeroSpanError,
     ZeroTensorError,
+    shown,
 )
 from .laurent import Degeneration, LaurentMatrix, verify_degeneration
 from .matrix import _COL, _ROW, _SLICE, Matrix, _eliminate, _kron_rows, _work_rows, _Working, rref
@@ -148,7 +149,7 @@ def _pivot_set(t: Tensor3, i: int, j: int) -> List[Tuple[int, int]]:
     elimination and the reduced echelon form pivot on the same columns (the
     first column of each rank increase), so the sets agree."""
     if i == j or not {i, j} <= {1, 2, 3}:
-        raise BadParamsError(f"bad orientation ({i}, {j})")
+        raise BadParamsError(f"bad orientation {shown((i, j))}")
     d, cols = 6 - i - j, t.dims[j - 1]
     a, p = _work_rows(t.field, [chain.from_iterable(t._slice_rows(d, k, i)) for k in range(t.dims[d - 1])])
     return [divmod(pc, cols) for pc in _eliminate(a, t.dims[i - 1] * cols, p, False)]

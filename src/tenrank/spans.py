@@ -78,7 +78,7 @@ def slice_span(t: Tensor3, row_dir: int, col_dir: int) -> SliceSpan:
     tensor's entries.  A direction of size 0 has no slices and raises
     ZeroSpanError, as `span_of` does."""
     if row_dir == col_dir or not {row_dir, col_dir} <= {1, 2, 3}:
-        raise BadParamsError(f"bad orientation ({row_dir}, {col_dir})")
+        raise BadParamsError(f"bad orientation {shown((row_dir, col_dir))}")
     d, cols = 6 - row_dir - col_dir, t.dims[col_dir - 1]
     mats = [Matrix(t.field, t._slice_rows(d, i, row_dir), cols=cols) for i in range(t.dims[d - 1])]
     return span_of(t.field, mats, (row_dir, col_dir))
@@ -308,7 +308,7 @@ def max_rank_randomized(span: SliceSpan, trials: int, seed: int = 0):
     attaining the best value, the one all `trials` trials return.
     """
     if trials < 1:
-        raise BadParamsError(f"randomized max-rank needs trials >= 1, have {trials}")
+        raise BadParamsError(f"randomized max-rank needs trials >= 1, have {shown(trials)}")
     f = span.field
     rng = random.Random(seed)
     n = len(span.basis)
@@ -361,21 +361,27 @@ def subspaces(field: Field, n: int, dim: int):
             yield Matrix.from_entries(field, dim, n, ent)
 
 
+def _gaussian_binomials(q: int, n: int) -> List[int]:
+    """[n, 0]_q, ..., [n, n]_q by the ratio recurrence
+    [n, a]_q = [n, a-1]_q * (q^(n-a+1) - 1) / (q^a - 1), each division exact:
+    n small divisions instead of a product of n factors per entry."""
+    row = [1]
+    for a in range(1, n + 1):
+        row.append(row[-1] * (q ** (n - a + 1) - 1) // (q**a - 1))
+    return row
+
+
 def subspace_count(q: int, n: int, dim: int) -> int:
-    """Gaussian binomial [n choose dim]_q."""
+    """Gaussian binomial [n choose dim]_q, 0 for dim > n."""
     _check_dims(n, dim)
-    num = den = 1
-    for i in range(dim):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
+    return _gaussian_binomials(q, n)[dim] if dim <= n else 0
 
 
 @lru_cache(maxsize=None)
 def subspace_pair_count(q: int, n1: int, n2: int) -> int:
     """Number of pairs (V1, V2) of subspaces of GF(q)^n1 and GF(q)^n2: the
     number of subspaces of each, multiplied."""
-    return prod(sum(subspace_count(q, n, dim) for dim in range(n + 1)) for n in (n1, n2))
+    return prod(sum(_gaussian_binomials(q, n)) for n in (n1, n2))
 
 
 @lru_cache(maxsize=None)

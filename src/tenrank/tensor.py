@@ -664,7 +664,7 @@ def catalog_dims(name: str, *params: int) -> Tuple[int, int, int]:
         raise BadParamsError(f"unknown catalog tensor {shown(name)} (have {sorted(CATALOG)})")
     _, argnames, dims_of = CATALOG[name]
     if len(params) != len(argnames):
-        raise BadParamsError(f"{name} expects parameters {argnames}, got {params}")
+        raise BadParamsError(f"{name} expects parameters {argnames}, got {shown(params)}")
     _check_params(name, *params)
     return dims_of(*params)
 

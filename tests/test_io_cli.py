@@ -334,14 +334,6 @@ def test_cli_power(tmp_path):
     assert parse_tensor(out.read_text()) == unit(GF(3), 4)
 
 
-def test_scan_deterministic_across_workers():
-    f = GF(2)
-    c1, n1 = scan_format(f, (2, 2, 2), workers=1)
-    c2, n2 = scan_format(f, (2, 2, 2), workers=3)
-    assert c1 == c2 and n1 == n2 == 256
-    assert sum(c1.values()) == 256
-
-
 def test_scan_resumable_chunks():
     f = GF(2)
     full, _ = scan_format(f, (2, 2, 2))
@@ -805,6 +797,51 @@ def test_long_words_in_files_end_in_short_messages(tmp_path):
     assert "more than 10^3999" in _run_quietly(["verify", path["r.cert"], path["w.tensor"]])[1]
 
 
+_N, _M = "9" * 5000, "9" * 4200  # past what `int` reads, and within it
+_SCAN = ["scan", "--dims", "2,2,1", "--field", "gf:2"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param(["maxrank", "W", "--trials", _N], 2, id="trials-N"),
+    pytest.param(["maxrank", "W", "--seed", _N, "--trials", "2"], 2, id="seed-N"),
+    pytest.param(["subrank", "W", "--guard", _N], 2, id="guard-N"),
+    pytest.param(_SCAN + ["--limit", _N], 2, id="scan-limit-N"),
+    pytest.param(["power", "W", _N], 2, id="power-N"),
+    pytest.param(["subrank", "W", "--guard", "-" + _M], 1, id="guard-minus-M"),
+    pytest.param(["maxrank", "W", "--trials", "-" + _M], 1, id="trials-minus-M"),
+    pytest.param(_SCAN + ["--offset", _M], 1, id="scan-offset-M"),
+    pytest.param(_SCAN + ["--offset", "-" + _M, "--limit", "-" + _M], 1, id="scan-offset-limit-minus-M"),
+    pytest.param(_SCAN + ["--guard", "-" + _M], 1, id="scan-guard-minus-M"),
+    pytest.param(["catalog", "unit", "1", _M], 1, id="catalog-unit-1-M"),
+    pytest.param(["maxrank", "W", "--orient", "1," + _M], 1, id="orient-1-M"),
+])
+def test_long_integers_on_the_command_line_end_in_short_messages(argv, want, tmp_path):
+    """An integer of thousands of digits in any option, argument or list
+    ends in the README's exit code with a short message and no traceback:
+    one past what `int` reads is a parse error (exit 2), and one it reads
+    is refused as its size is (exit 1), quoted through `shown`.  W stands
+    for the W tensor's file."""
+    path = tmp_path / "w.tensor"
+    path.write_text(serialize_tensor(w_tensor(GF(2))))
+    code, err = _run_quietly([str(path) if word == "W" else word for word in argv])
+    assert (code, "Traceback" in err) == (want, False), err[:300]
+    assert len(err.encode()) < 200, err[:300]
+    assert ("more than 10^4199" in err or "less than -10^4199" in err) if want == 1 else "(5000 characters)" in err
+
+
+def test_slicerank_guard_counts_a_huge_field_at_once(tmp_path):
+    """The subspace pairs of 200x200 over GF(2^31 - 1) number more than
+    10^186000: their count, by the ratio recurrence of the Gaussian
+    binomials, is refused within 5 s."""
+    path = tmp_path / "sparse.tensor"
+    path.write_text("tensor v1\nfield gf:2147483647\ndims 200 200 2\n1 1 1 3\n2 2 2 1\n")
+    start = time.perf_counter()
+    code, err = _run_quietly(["slicerank", str(path)])
+    assert time.perf_counter() - start < 5
+    assert code == 3 and err.startswith("resource guard: subspace-pair enumeration of more than 10^"), err
+    assert len(err.encode()) < 200
+
+
 _DIGITS = st.builds(lambda n, d, sign: sign + d * n, st.integers(1000, 4000), st.sampled_from("123456789"),
                     st.sampled_from(["", "", "-"]))
 _FILE_COMMANDS = ["info", "bounds", "pivots", "maxrank", "minrank", "slicerank", "subrank",
@@ -854,13 +891,50 @@ def long_word_files(draw):
     return "\n".join(files["tensor"]) + "\n", "\n".join(files["cert"]) + "\n", name == "cert"
 
 
-@settings(max_examples=200, deadline=None)
-@given(long_word_files(), st.sampled_from(_FILE_COMMANDS), st.sampled_from(["-1", "0", "1", "3"]))
-def test_every_command_ends_in_a_short_message_on_long_words(tmp_path_factory, case, cmd, power):
+@st.composite
+def bad_cli_integers(draw):
+    """An argument list with one bad integer on the command line, T standing
+    for the tensor file: a word that is no integer (one of 4,301-5,000
+    digits, past what `int` reads, or no number), or one below its option's
+    lower bound, or an offset past the end of the format; in an option, in
+    the power m, in an --orient or --dims list, or in the catalog
+    parameters.  Returns (argv, whether the word is no integer).  Huge valid
+    --guard and --trials values, which lift a bound, are not drawn."""
+    long = "9" * draw(st.integers(4301, 5000))
+    big = "9" * draw(st.integers(31, 4300))
+    scan = ["scan", "--dims", "2,2,1", "--field", "gf:2"]
+    below = {  # where -> (argv with {} for the word, words below the bound or past the end)
+        "--guard": (draw(st.sampled_from([["subrank", "T"], ["slicerank", "T"], ["minrank", "T"],
+                                          ["certify", "subrank", "T"], scan])) + ["--guard", "{}"],
+                    ["0", "-1", "-" + big]),
+        "--seed": (["maxrank", "T", "--trials", "2", "--seed", "{}"], []),
+        "--trials": (["maxrank", "T", "--trials", "{}"], ["-1", "-" + big]),
+        "--offset": (scan + ["--offset", "{}"], ["-1", "-" + big, "17", big]),
+        "--limit": (scan + ["--limit", "{}"], ["-1", "-" + big]),
+        "m": (["power", "T", "{}"], ["0", "-1", "-" + big]),
+        "--orient": (draw(st.sampled_from([["maxrank", "T"], ["minrank", "T"], ["certify", "rho", "T"]]))
+                     + ["--orient=" + draw(st.sampled_from(["1,{}", "{},2"]))], ["0", "4", big, "-" + big]),
+        "--dims": (["scan", "--dims=" + draw(st.sampled_from(["{},1,1", "2,{},1"])), "--field", "gf:2"],
+                   ["-1", "-" + big]),
+        "catalog": (["catalog"] + draw(st.sampled_from([["unit", "{}"], ["matmul", "1", "{}", "1"],
+                                                         ["null_algebra", "{}"], ["unit", "1", "{}"]])),
+                    ["0", "-1", "-" + big]),
+    }
+    argv, words = below[draw(st.sampled_from(sorted(below)))]
+    not_int = ["x", "", "1.5", "0x10", long, "-" + long]
+    word = draw(st.sampled_from(not_int + words))
+    return [a.format(word) if "{}" in a else a for a in argv], word in not_int
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_word_files(), st.sampled_from(_FILE_COMMANDS), st.sampled_from(["-1", "0", "1", "3"]),
+       st.one_of(st.none(), bad_cli_integers()))
+def test_every_command_ends_in_a_short_message_on_long_words(tmp_path_factory, case, cmd, power, cli):
     """Each command, `verify` included, ends in one of the README's exit
     codes within 5 s, with under 200 bytes on stderr and no traceback, on
     sparse files with a long leg and, mostly, one word of thousands of
-    digits."""
+    digits, or with one bad integer on the command line, which is a parse
+    error (exit 2) when it is no integer."""
     tensor, cert, in_cert = case
     base = tmp_path_factory.mktemp("long")
     tpath, cpath = base / "t.tensor", base / "c.cert"
@@ -870,8 +944,10 @@ def test_every_command_ends_in_a_short_message_on_long_words(tmp_path_factory, c
     args = cmd.split()
     argv = {"certify": args + [str(tpath)], "power": args + [str(tpath), power],
             "verify": args + [str(cpath), str(tpath)]}.get(args[0], args + [str(tpath)])
+    if cli is not None:
+        argv = [str(tpath) if a == "T" else a for a in cli[0]]
     start = time.perf_counter()
     code, err = _run_quietly(argv)
     assert time.perf_counter() - start < 5, argv
-    assert code in (0, 1, 2, 3, 4, 5)
+    assert code in ((2,) if cli is not None and cli[1] else (0, 1, 2, 3, 4, 5)), err[:300]
     assert len(err.encode()) < 200 and "Traceback" not in err, err[:300]

@@ -242,6 +242,26 @@ def test_subspace_pair_count_is_the_product_of_the_subspace_totals(q):
                                                      for a in range(n1 + 1) for b in range(n2 + 1))
 
 
+def _gaussian_product(q, n, dim):
+    """[n, dim]_q as one product divided by another, the form the counts
+    had before the ratio recurrence; 0 for dim > n."""
+    num = den = 1
+    for i in range(dim):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 11])
+def test_subspace_counts_equal_the_product_form(q):
+    for n in range(9):
+        assert [subspace_count(q, n, dim) for dim in range(n + 3)] == [_gaussian_product(q, n, dim)
+                                                                      for dim in range(n + 3)]
+    for n1, n2 in itertools.product(range(9), repeat=2):
+        assert subspace_pair_count(q, n1, n2) == sum(_gaussian_product(q, n1, a) * _gaussian_product(q, n2, b)
+                                                     for a in range(n1 + 1) for b in range(n2 + 1))
+
+
 @pytest.mark.parametrize("n, dim", [(3, -1), (-1, 0), (-2, -1)])
 def test_subspaces_refuse_negative_dimensions(n, dim):
     with pytest.raises(BadParamsError, match="n >= 0 and dim >= 0"):
