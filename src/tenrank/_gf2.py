@@ -8,11 +8,13 @@ The packed unit-restriction search visits the map pairs that
 `unit_pair_candidates` defines, the rule the generic search in `engine`
 shares, with rows in word order, on a cached lane table only: it holds every
 pair's image of each packed slice in one int, one lane per pair, so one pass
-over the slices' XOR span tests all pairs at once.  The lane tables and the
-unit targets are built once per format or r, on first use.  Its witnesses are
-checked by `apply_bit_maps`, which uses none of the search's tables or
-helpers; its own bounded cache of map columns (`_bit_columns`) is keyed
-by the map's rows alone and holds no search data.
+over the slices' XOR span tests all pairs at once.  The lane tables, with
+the unit targets spread over every lane, are built once per format and r, on
+first use.  At r = 1 the search's first pair is read off the slices instead
+(`_first_unit_pair`).  Its witnesses, at every r, are checked by
+`apply_bit_maps`, which uses none of the search's tables or helpers; its own
+bounded cache of map columns (`_bit_columns`) is keyed by the map's rows
+alone and holds no search data.
 
 The span searches in `spans` pick these kernels over GF(2): `pack` packs a
 span's matrices, `gf2_rref` reduces its basis, `gf2_rank` ranks each
@@ -89,13 +91,19 @@ def split_rows(word: int, rows: int, cols: int) -> List[int]:
 
 def flattening_ranks(word: int, dims) -> Tuple[int, int, int]:
     n1, n2, n3 = dims
-    s1 = split_rows(word, n1, n2 * n3)
-    mask = (1 << n3) - 1
-    # row j of the direction-2 flattening joins row j of every 1-slice
-    rows2 = [sum(((s >> (j * n3)) & mask) << (i * n3) for i, s in enumerate(s1)) for j in range(n2)]
     # the direction-3 flattening has the rank of its transpose, whose rows
     # are the word's consecutive n3-bit fibres
-    return (gf2_rank(s1), gf2_rank(rows2), gf2_rank(split_rows(word, n1 * n2, n3)))
+    fibres = split_rows(word, n1 * n2, n3)
+    # row j of the direction-2 flattening joins fibre (i, j) of every 1-slice
+    # i at bit i*n3, built in one pass over the fibres
+    rows2 = [0] * n2
+    j = shift = 0
+    for fibre in fibres:
+        rows2[j] |= fibre << shift
+        j += 1
+        if j == n2:
+            j, shift = 0, shift + n3
+    return (gf2_rank(split_rows(word, n1, n2 * n3)), gf2_rank(rows2), gf2_rank(fibres))
 
 
 def is_concise(word: int, dims) -> bool:
@@ -122,21 +130,22 @@ _TABLE_COST_CAP = 2_000_000
 
 @lru_cache(maxsize=None)
 def _lane_table(n2: int, n3: int, r: int):
-    """The packed search's candidate pairs as (L2s, L3s, table, lows).
+    """The packed search's candidate pairs as (L2s, L3s, table, lows, spreads).
 
     table[S] packs L2 S L3^T for every pair, L2 major, as one int: pair p
     takes lane p, r*r data bits (row-major) and one zero guard bit above
-    them; lows has bit 0 of every lane set.  S -> table[S] is linear, so
+    them; lows has bit 0 of every lane set, and spreads[a] = E_aa * lows
+    holds the unit target E_aa in every lane.  S -> table[S] is linear, so
     each entry is the XOR of the entries of S's set bits; the entry of the
     single bit (j, k) holds, at bit b*r + c of a lane, L2[b][j] * L3[c][k].
     The table is built only when pairs * 2^(n2*n3) is small (the
-    exhaustive-format workloads); otherwise table and lows are None and the
-    generic search in `engine` runs instead.
+    exhaustive-format workloads); otherwise table, lows and spreads are None
+    and the generic search in `engine` runs instead.
     """
     l2s, l3s = map(tuple, unit_pair_candidates(range(1, 1 << n2), range(1, 1 << n3), r, gf2_rank))
     width = n2 * n3
     if width > 12 or len(l2s) * len(l3s) * (1 << width) > _TABLE_COST_CAP:
-        return l2s, l3s, None, None
+        return l2s, l3s, None, None, None
     lane = r * r + 1
     units = [0] * width
     for p, (l2, l3) in enumerate(itertools.product(l2s, l3s)):
@@ -150,7 +159,8 @@ def _lane_table(n2: int, n3: int, r: int):
         low = s & -s
         table[s] = table[s ^ low] ^ units[low.bit_length() - 1]
     pairs = len(l2s) * len(l3s)
-    return l2s, l3s, table, ((1 << pairs * lane) - 1) // ((1 << lane) - 1)
+    lows = ((1 << pairs * lane) - 1) // ((1 << lane) - 1)
+    return l2s, l3s, table, lows, tuple(tgt * lows for tgt in _unit_targets(r))
 
 
 @lru_cache(maxsize=None)
@@ -219,26 +229,59 @@ def _span(trans) -> List[int]:
 
 def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
     """Decide whether the packed tensor restricts to the size-r unit tensor,
-    on a lane table (`engine.packed_applies`).
+    on a lane table (`engine.packed_applies`).  Returns (l1_rows, l2_rows,
+    l3_rows) as bit-row tuples, or None: the first accepted pair of
+    `_lane_search`, which at r = 1 is read off the slices (`_first_unit_pair`).
+    """
+    if r == 1:
+        return _first_unit_pair(word, dims)
+    return _lane_search(word, dims, r)
+
+
+def _first_unit_pair(word: int, dims) -> Optional[tuple]:
+    """`_lane_search`'s answer at r = 1, read off the 1-slices S_i.
+
+    L2 runs over the nonzero y2 in word order, and the first with some
+    y2^T S_i nonzero is 1 << j for the first row j that is nonzero in some
+    slice, since smaller y2 combine rows below j only.  The first y3 that
+    meets one of those rows oddly is the lowest set bit of their OR, since
+    every smaller y3 lies below it.  L1 then solves y2^T S_i y3 = 1 in the
+    slices' span, first in word order at 1 << i for the first slice i whose
+    row j has that bit.
+    """
+    n1, n2, n3 = dims
+    width, mask = n2 * n3, (1 << n3) - 1
+    for j in range(n2):
+        seen = 0
+        for i in range(n1):
+            seen |= word >> (i * width + j * n3)
+        seen &= mask
+        if seen:
+            low = seen & -seen
+            bit = j * n3 + low.bit_length() - 1
+            i0 = next(i for i in range(n1) if (word >> (i * width + bit)) & 1)
+            return ((1 << i0,), (1 << j,), (low,))
+    return None
+
+
+def _lane_search(word: int, dims, r: int) -> Optional[tuple]:
+    """The lane-table search of `exists_unit_restriction_gf2`.
 
     Visits the map pairs of `unit_pair_candidates` with rows in word order
     (range(1, 1 << n)) and solves for leg 1 row by row in the XOR span of
     the transformed 1-slices, all pairs at once: the span is formed lane-wise,
     a lane stays in the running for E_aa if some span element equals E_aa
     there, and the lowest lane left after all r targets is the first
-    accepted pair.  Returns (l1_rows, l2_rows, l3_rows) as bit-row tuples,
-    or None.
+    accepted pair.
     """
     n1, n2, n3 = dims
-    l2s, l3s, table, lows = _lane_table(n2, n3, r)
+    l2s, l3s, table, lows, spreads = _lane_table(n2, n3, r)
     guards = lows << (r * r)
     vals = _span([table[s] for s in split_rows(word, n1, n2 * n3)])
-    targets = _unit_targets(r)
     accepted = guards
-    for tgt in targets:
-        spread = tgt * lows
+    for spread in spreads:
         # a lane's guard bit survives the subtraction unless the lane is 0,
-        # that is unless the span element equals tgt there
+        # that is unless the span element equals the target there
         missed = guards
         for v in vals:
             missed &= ((v ^ spread) | guards) - lows
@@ -249,4 +292,4 @@ def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
     p = ((accepted & -accepted).bit_length() - 1) // lane
     mask, shift = (1 << (r * r)) - 1, p * lane
     lanes = [(v >> shift) & mask for v in vals]
-    return (tuple(lanes.index(tgt) for tgt in targets), l2s[p // len(l3s)], l3s[p % len(l3s)])
+    return (tuple(lanes.index(tgt) for tgt in _unit_targets(r)), l2s[p // len(l3s)], l3s[p % len(l3s)])

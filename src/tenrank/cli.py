@@ -22,7 +22,7 @@ from .errors import (
     VerificationFailedError,
     shown,
 )
-from .fields import PrimeField, parse_field
+from .fields import PrimeField, format_value, parse_field
 from .io import (
     _ints,
     certificate_of_restriction,
@@ -196,17 +196,19 @@ def cmd_catalog(args) -> int:
     params = _ints(args.params, " ".join(args.params))
     if args.expect:
         entry = catalog_entry(args.name, *params)
-        lines = [f"dims {entry.dims}", f"flattening_ranks {entry.flattening_ranks}"]
+        # every integer through format_value, which refuses one too long to print
+        lines = [f"{name} ({', '.join(map(format_value, dims))})"
+                 for name, dims in (("dims", entry.dims), ("flattening_ranks", entry.flattening_ranks))]
         for d, v in sorted(entry.q_exact.items()):
-            lines.append(f"q{d} {v}")
+            lines.append(f"q{d} {format_value(v)}")
         for d, v in sorted(entry.q_lower.items()):
-            lines.append(f"q{d} >= {v}")
+            lines.append(f"q{d} >= {format_value(v)}")
         for d, v in sorted(entry.q_upper.items()):
-            lines.append(f"q{d} <= {v}")
+            lines.append(f"q{d} <= {format_value(v)}")
         if entry.subrank is not None:
-            lines.append(f"subrank {entry.subrank}")
+            lines.append(f"subrank {format_value(entry.subrank)}")
         if entry.slicerank is not None:
-            lines.append(f"slicerank {entry.slicerank}")
+            lines.append(f"slicerank {format_value(entry.slicerank)}")
         for a in entry.annotations:
             lines.append(f"note: {a}")
         _emit("\n".join(lines), args.out)
@@ -241,6 +243,18 @@ def _tensor_from_index(index: int, dims, field) -> Tensor3:
     return Tensor3(field, dims, digits)
 
 
+@lru_cache(maxsize=64)
+def _scan_total(field: PrimeField, dims: Tuple[int, int, int], cap: int) -> int:
+    """The number of tensors of a scan format, p^(n1*n2*n3), once the format
+    passes `guard_dims` and the cap: checked once per (field, dims, cap).  A
+    refusal raises, so it is never cached."""
+    guard_dims(dims, "scan format")
+    n = dims[0] * dims[1] * dims[2]
+    if n >= cap.bit_length() or field.p**n > cap:  # p^n > cap once n reaches cap's bit length
+        raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {shown(cap)}")
+    return field.p**n
+
+
 def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None, cap: int = SCAN_CAP):
     """Exhaustively scan all tensors of a format over GF(q).
 
@@ -255,11 +269,7 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None, ca
         raise InfiniteFieldError("scan needs a finite field")
     if offset < 0 or (limit is not None and limit < 0):
         raise BadParamsError(f"scan offset {shown(offset)} and limit {shown(limit)} must not be negative")
-    guard_dims(dims, "scan format")
-    n = dims[0] * dims[1] * dims[2]
-    if n >= cap.bit_length() or field.p**n > cap:  # p^n > cap once n reaches cap's bit length
-        raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {shown(cap)}")
-    total = field.p**n
+    total = _scan_total(field, tuple(dims), cap)
     if offset > total:
         raise BadParamsError(f"scan offset {shown(offset)} is past the end of the {shown(total)} tensors of the format")
     end = total if limit is None else min(total, offset + limit)

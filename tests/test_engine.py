@@ -584,11 +584,12 @@ def test_table_less_unit_search_matches_full_pair_loop_on_random_words(case):
 def test_lane_tables_match_the_per_pair_tables():
     """Every lane table with n2, n3 <= 3: for every slice, lane p (r*r data
     bits and a zero guard bit above them) is pair p's reference table entry,
-    pairs in the search's order, and nothing lies past the last lane."""
+    pairs in the search's order, and nothing lies past the last lane; each
+    spread holds its unit target E_aa in every lane."""
     built = []
     for n2, n3 in itertools.product(range(1, 4), repeat=2):
         for r in range(1, min(n2, n3) + 1):
-            l2s, l3s, table, lows = _gf2._lane_table(n2, n3, r)
+            l2s, l3s, table, lows, spreads = _gf2._lane_table(n2, n3, r)
             if table is None:
                 continue
             built.append((n2, n3, r))
@@ -596,6 +597,7 @@ def test_lane_tables_match_the_per_pair_tables():
             pairs = list(itertools.product(l2s, l3s))
             lane = r * r + 1
             assert lows == sum(1 << (p * lane) for p in range(len(pairs)))
+            assert spreads == tuple(sum(1 << (p * lane + a * r + a) for p in range(len(pairs))) for a in range(r))
             for s, entry in enumerate(table):
                 assert entry >> (len(pairs) * lane) == 0
                 for p, pair in enumerate(pairs):
@@ -611,6 +613,25 @@ def test_lane_search_witnesses_on_3x3x2_are_pinned():
         for r in (1, 2):
             h.update(repr((word, r, _gf2.exists_unit_restriction_gf2(word, (3, 3, 2), r))).encode())
     assert h.hexdigest() == "636d5cdf15d59fd21978f800bda363523c078dce584b5452496312ed9b892f9c"
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 3, 2), (2, 3, 3), (3, 2, 3), (1, 3, 4),
+                                  (4, 2, 2)], ids=lambda dims: "x".join(map(str, dims)))
+def test_unit_pair_read_off_the_slices_is_the_lane_search_pair(dims):
+    """At r = 1 the packed search reads its pair off the slices; on every
+    word of each format it is the lane-table search's first accepted pair."""
+    for word in range(1 << math.prod(dims)):
+        assert _gf2.exists_unit_restriction_gf2(word, dims, 1) == _gf2._lane_search(word, dims, 1), word
+
+
+def test_unit_pair_witnesses_at_r1_are_pinned():
+    """The packed search's r = 1 result on every 2x2x3 and every 16th 3x3x2
+    word, hashed as recorded while the lane table answered r = 1."""
+    h = hashlib.sha256()
+    for dims, step in (((2, 2, 3), 1), ((3, 3, 2), 16)):
+        for word in range(0, 1 << math.prod(dims), step):
+            h.update(repr((word, _gf2.exists_unit_restriction_gf2(word, dims, 1))).encode())
+    assert h.hexdigest() == "e9edeb56f7cebf1a94b9eb95e05f2cbbe40ac2d1f89ec95cb43ab58232bb1d75"
 
 
 # -- the packed witness check ---------------------------------------------------

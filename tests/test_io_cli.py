@@ -365,6 +365,29 @@ def test_scan_offset_past_the_format_is_refused(capsys):
     assert "total 0\n" in capsys.readouterr().out
 
 
+def test_scan_refusals_are_not_cached_and_a_passing_format_is():
+    """scan_format checks a format once per (field, dims, cap), in a cache
+    that keeps passing formats only: each refusal fires again, with the same
+    message, on a second identical call."""
+    cases = [
+        ({"dims": (4096, 0, 4097)}, ResourceGuardError),  # the format guard
+        ({"dims": (2, 2, 3), "cap": 4095}, ResourceGuardError),
+        ({"dims": (2, 2, 3), "offset": 4097, "limit": 3}, BadParamsError),
+        ({"dims": (2, 2, 3), "limit": -1}, BadParamsError),
+    ]
+    for kw, exc in cases:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(exc) as info:
+                scan_format(GF(2), **kw)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1], kw
+    scan_format(GF(2), (2, 1, 2), offset=3, limit=1)
+    hits = tenrank.cli._scan_total.cache_info().hits
+    assert scan_format(GF(2), (2, 1, 2), offset=5, limit=1)[1] == 1
+    assert tenrank.cli._scan_total.cache_info().hits == hits + 1
+
+
 def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
     """main reuses one parser: a --guard given to one call does not reach
     the next, and a command patched after the first call is the one run."""
@@ -814,19 +837,23 @@ _SCAN = ["scan", "--dims", "2,2,1", "--field", "gf:2"]
     pytest.param(_SCAN + ["--guard", "-" + _M], 1, id="scan-guard-minus-M"),
     pytest.param(["catalog", "unit", "1", _M], 1, id="catalog-unit-1-M"),
     pytest.param(["maxrank", "W", "--orient", "1," + _M], 1, id="orient-1-M"),
+    pytest.param(["catalog", "matmul", _M, _M, _M, "--expect"], 3, id="catalog-matmul-M-expect"),
 ])
 def test_long_integers_on_the_command_line_end_in_short_messages(argv, want, tmp_path):
     """An integer of thousands of digits in any option, argument or list
     ends in the README's exit code with a short message and no traceback:
     one past what `int` reads is a parse error (exit 2), and one it reads
-    is refused as its size is (exit 1), quoted through `shown`.  W stands
-    for the W tensor's file."""
+    is refused as its size is (exit 1), quoted through `shown`.  A value
+    computed from such integers that is too long to print is refused as a
+    resource guard (exit 3).  W stands for the W tensor's file."""
     path = tmp_path / "w.tensor"
     path.write_text(serialize_tensor(w_tensor(GF(2))))
     code, err = _run_quietly([str(path) if word == "W" else word for word in argv])
     assert (code, "Traceback" in err) == (want, False), err[:300]
     assert len(err.encode()) < 200, err[:300]
-    assert ("more than 10^4199" in err or "less than -10^4199" in err) if want == 1 else "(5000 characters)" in err
+    assert {1: "more than 10^4199" in err or "less than -10^4199" in err,
+            2: "(5000 characters)" in err,
+            3: "cannot be written" in err}[want], err
 
 
 def test_slicerank_guard_counts_a_huge_field_at_once(tmp_path):

@@ -93,8 +93,18 @@ def gf2_tensors(draw):
     return Tensor3(GF(2), dims, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(gf2_tensors())
+@st.composite
+def sparse_gf2_tensors(draw):
+    """A GF(2) tensor with one leg of up to 40, the others up to 4, and one
+    to six nonzero entries: rows and fibres wider than any scan format's."""
+    dims = [draw(st.integers(1, 4)) for _ in range(3)]
+    dims[draw(st.integers(0, 2))] = draw(st.integers(1, 40))
+    support = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in dims)), min_size=1, max_size=6, unique=True))
+    return Tensor3(GF(2), tuple(dims), {idx: 1 for idx in support})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(gf2_tensors(), sparse_gf2_tensors()))
 def test_packed_gf2_flattening_ranks_match_generic(t):
     ranks = _generic_ranks(t)
     assert t.flattening_ranks() == ranks
