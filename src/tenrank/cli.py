@@ -118,8 +118,8 @@ def _int_list(text: str, count: int, lowest: Optional[int] = None) -> Tuple[int,
 def cmd_maxrank(args) -> int:
     if args.trials < 0:
         raise BadParamsError(f"--trials {shown(args.trials)} must not be negative")
-    t = _read_tensor(args.tensor)
     i, j = _int_list(args.orient, 2)
+    t = _read_tensor(args.tensor)
     span = slice_span(t, i, j)
     if args.trials:
         value, wit = max_rank_randomized(span, args.trials, args.seed)
@@ -132,8 +132,8 @@ def cmd_maxrank(args) -> int:
 
 
 def cmd_minrank(args) -> int:
-    t = _read_tensor(args.tensor)
     i, j = _int_list(args.orient, 2)
+    t = _read_tensor(args.tensor)
     value, _ = min_rank_exhaustive(slice_span(t, i, j), **_guard_kw(args))
     _emit(f"minrank {value}", args.out)
     return 0
@@ -149,11 +149,11 @@ def cmd_pivots(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    t = _read_tensor(args.tensor)
     kind = args.kind
+    orient = _int_list(args.orient, 2) if kind == "rho" else None
+    t = _read_tensor(args.tensor)
     if kind == "rho":
-        i, j = _int_list(args.orient, 2)
-        d = pivots.rho_degeneration(t, i, j)
+        d = pivots.rho_degeneration(t, *orient)
     elif kind == "sqrt":
         d = pivots.sqrt_certificate(t)
     elif kind == "subrank":

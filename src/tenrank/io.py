@@ -47,21 +47,22 @@ def _read(text: str, header: str, heads: dict, block: str):
     """Read a v1 file: the reader both formats share.
 
     The first line that is not blank and does not start with '#' must be
-    `header`; the rest of those lines are read in order.  A `field` line sets
-    the field.  A line whose first word is a key of `heads` goes to that
-    function of (words, line), and the last value of each key is kept; a
-    `block` line's value, a shape, also starts a block of entries.  Every
-    other line is an entry of the latest block: four words, the first three
-    integers, of which the first len(shape) are one-based indices within the
-    shape, kept zero-based (a certificate's exponent is the free third), and a
-    nonzero value; a key appears at most once per block.  Returns (field or
-    None, values by key, [(shape, {key: value}), ...]).
+    `header`; the rest of those lines are read in order, each in one pass.  A
+    `field` line sets the field.  A line whose first word is a key of `heads`
+    goes to that function of (words, line), and the last value of each key is
+    kept; a `block` line's value, a shape of two or three counts, also starts
+    a block of entries.  Every other line is an entry of the latest block:
+    four words, the first three integers, of which the first len(shape) are
+    one-based indices within the shape, kept zero-based (a certificate's
+    exponent is the free third), and a nonzero value; a key appears at most
+    once per block.  Returns (field or None, values by key, [(shape, {key:
+    value}), ...]).
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != header:
+    lines = filter(None, (ln.strip() for ln in text.splitlines() if not ln.startswith("#")))
+    if next(lines, None) != header:
         raise ParseError(f"expected '{header}' header")
     field, values, blocks = None, {}, []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         word = parts[0]
         if word == "field":
@@ -74,22 +75,24 @@ def _read(text: str, header: str, heads: dict, block: str):
         elif word in heads:
             values[word] = heads[word](parts, ln)
             if word == block:
-                blocks.append((values[word], {}))
+                # the block's bounds, bound once for all its entries
+                shape = values[word]
+                n1, n2 = shape[0], shape[1]
+                n3 = shape[2] if len(shape) == 3 else None
+                entries = {}
+                blocks.append((shape, entries))
         elif field is None or not blocks:
             raise ParseError(f"entry line before the field and {block} lines: {shown(ln)}")
         else:
-            shape, entries = blocks[-1]
             if len(parts) != 4:
                 raise ParseError(f"bad entry line {shown(ln)}")
             try:
-                key = [int(w) for w in parts[:3]]
+                i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ParseError(f"non-integer index in {shown(ln)}") from exc
-            for a, n in enumerate(shape):
-                key[a] -= 1
-                if not 0 <= key[a] < n:
-                    raise ParseError(f"index outside its {'x'.join(map(shown, shape))} block in {shown(ln)}")
-            key = tuple(key)
+            if not (0 < i <= n1 and 0 < j <= n2 and (n3 is None or 0 < k <= n3)):
+                raise ParseError(f"index outside its {'x'.join(map(shown, shape))} block in {shown(ln)}")
+            key = (i - 1, j - 1, k if n3 is None else k - 1)
             if key in entries:
                 raise ParseError(f"duplicate entry in {shown(ln)}")
             try:
@@ -127,10 +130,8 @@ def serialize_certificate(d: Degeneration, field: Field) -> str:
     ]
     for leg, m in enumerate(d.maps, start=1):
         lines.append(f"map {leg} rows {m.rows} cols {m.cols}")
-        for (i, j) in sorted(m.entries):
-            for e in sorted(m.entries[(i, j)]):
-                v = m.entries[(i, j)][e]
-                lines.append(f"{i + 1} {j + 1} {e} {format_value(v)}")
+        # (i, j, e) is unique, so the sort never compares coefficients
+        lines += [f"{i + 1} {j + 1} {e} {format_value(v)}" for i, j, e, v in sorted(m.terms())]
     return "\n".join(lines) + "\n"
 
 
@@ -157,10 +158,12 @@ def parse_certificate(text: str):
         raise ParseError("certificate missing field/power/r or map blocks")
     lms = []
     for (rows, cols), quads in maps:
-        ent = {}
+        # the reader checked every index and refused zeros and repeats, so
+        # the terms go to their columns as they are
+        columns = {}
         for (i, j, e), v in quads.items():
-            ent.setdefault((i, j), {})[e] = v
-        lms.append(LaurentMatrix(field, rows, cols, ent))
+            columns.setdefault(j, []).append((i, e, v))
+        lms.append(LaurentMatrix._of_columns(field, rows, cols, columns))
     return Degeneration(tuple(lms), claimed_r=values["r"], power=values["power"]), field
 
 

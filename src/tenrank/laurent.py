@@ -78,34 +78,54 @@ def _power(field: Field, x: Elem, e: int) -> Elem:
 
 
 class LaurentMatrix:
-    """Sparse matrix whose entries are Laurent polynomials in one variable."""
+    """Sparse matrix whose entries are Laurent polynomials in one variable.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    It is held as its column terms, the form `tensor.contract` takes: for
+    each column with a nonzero entry, the (row, exponent, coefficient) terms
+    of that column, each (row, exponent) once and every coefficient nonzero.
+    A map keeps this one form from the moment it is built until it is
+    replayed; `entries` spells it out as polynomials."""
+
+    __slots__ = ("field", "rows", "cols", "_columns")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Dict[Tuple[int, int], LaurentPoly]):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        clean = {}
+        """From {(i, j): {exponent: coefficient}}: every (i, j) in range,
+        zero coefficients dropped."""
+        columns: Dict[int, list] = {}
         for (i, j), poly in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ShapeMismatchError(f"laurent entry {(i, j)} out of range")
-            poly = {e: v for e, v in poly.items() if not field.is_zero(v)}
-            if poly:
-                clean[(i, j)] = poly
-        self.entries = clean
+            terms = [(i, e, v) for e, v in poly.items() if not field.is_zero(v)]
+            if terms:
+                columns.setdefault(j, []).extend(terms)
+        self.field, self.rows, self.cols, self._columns = field, rows, cols, columns
+
+    @classmethod
+    def _of_columns(cls, field: Field, rows: int, cols: int, columns: Dict[int, list]) -> "LaurentMatrix":
+        """From {column: terms} that already hold the invariant: only
+        nonempty columns, each (row, exponent) once, nonzero coefficients."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m.cols, m._columns = field, rows, cols, columns
+        return m
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "LaurentMatrix":
-        ent = {(a, j): {0: v} for j, col in enumerate(matrix_terms(m)) for a, _, v in col}
-        return cls(m.field, m.rows, m.cols, ent)
+        columns = {j: col for j, col in enumerate(matrix_terms(m)) if col}
+        return cls._of_columns(m.field, m.rows, m.cols, columns)
+
+    @property
+    def entries(self) -> Dict[Tuple[int, int], LaurentPoly]:
+        """{(i, j): {exponent: coefficient}} over the nonzero entries."""
+        out: Dict[Tuple[int, int], LaurentPoly] = {}
+        for j, col in self._columns.items():
+            for i, e, v in col:
+                out.setdefault((i, j), {})[e] = v
+        return out
 
     def scale_rows(self, exponents: Sequence[int]) -> "LaurentMatrix":
         """Multiply row i by e^exponents[i]."""
-        ent = {}
-        for (i, j), poly in self.entries.items():
-            ent[(i, j)] = {e + exponents[i]: v for e, v in poly.items()}
-        return LaurentMatrix(self.field, self.rows, self.cols, ent)
+        columns = {j: [(i, e + exponents[i], v) for i, e, v in col] for j, col in self._columns.items()}
+        return LaurentMatrix._of_columns(self.field, self.rows, self.cols, columns)
 
     def mul(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
@@ -138,10 +158,12 @@ class LaurentMatrix:
     def column_terms(self):
         """Per column, its (row, exponent, coefficient) terms, in the form
         `tensor.contract` takes."""
-        cols = [[] for _ in range(self.cols)]
-        for (i, j), poly in self.entries.items():
-            cols[j].extend((i, e, v) for e, v in poly.items())
-        return cols
+        get = self._columns.get
+        return [get(j, []) for j in range(self.cols)]
+
+    def terms(self):
+        """Every term as (row, column, exponent, coefficient)."""
+        return [(i, j, e, v) for j, col in self._columns.items() for i, e, v in col]
 
 
 @dataclass(frozen=True)

@@ -248,10 +248,11 @@ def contract(t: Tensor3, legs, *, power: int = 1):
     power the sparsest map goes first.
 
     Each row of the partial result over the last leg is one Python int,
-    sum_K v_K * 2^(w*K) (Kronecker substitution).  The slot width w holds
-    max|t|^power times each map's sum of |coefficient| (1 for None), the
-    largest |sum| any step can form, plus a sign bit, so slots never
-    interfere.
+    sum_K v_K * 2^(w*K) (Kronecker substitution).  Every packed sum at every
+    stage adds up terms from one output row of each map, so the slot width w
+    holds max|t|^power times, per map, its largest row sum of |coefficient|
+    (1 for None): the largest |sum| any step can form.  With a sign bit
+    beside it, slots never interfere.
 
     The first leg's flattening of the power is the power-fold Kronecker
     product of t's, so the first map is applied one factor of t at a time,
@@ -274,8 +275,6 @@ def contract(t: Tensor3, legs, *, power: int = 1):
         raise BadParamsError(f"contract needs power >= 1, got {power}")
     p = t.field.p if isinstance(t.field, PrimeField) else None
     vals = t.entries
-    if not any(vals):
-        return {}
     s = 0
     if power > 1:
         # start at the leg whose map has the fewest terms per source index,
@@ -293,7 +292,7 @@ def contract(t: Tensor3, legs, *, power: int = 1):
         scale = _denominator_lcm(v for v in vals if v)
         vals = [_times(v, scale) if v else 0 for v in vals]
         scale **= power
-    top = max(max(vals), -min(vals)) ** power
+    top = max(map(abs, vals), default=0) ** power
     maps = []
     for terms, n in zip(legs, dims):
         if terms is None:
@@ -303,12 +302,10 @@ def contract(t: Tensor3, legs, *, power: int = 1):
         if p is None:
             terms, leg_scale = _integer_terms(terms)
             scale *= leg_scale
-        total = 0
-        for col in terms:
-            for _, _, c in col:
-                total += abs(c)
-        top *= total
+        top *= _largest_row_sum(terms)
         maps.append(terms)
+    if not top:
+        return {}  # t or a map is zero, so is every sum
     first, second, third = maps
     w = top.bit_length() + 1
     # the first leg, innermost factor first: the key (e, row, j) carries in
@@ -397,13 +394,26 @@ def _packed_slices(vals, dims, stride, xs, js, shift: int):
         out[x] = factor = []
         for j in js:
             start = x * st1 + j * st2
-            row = vals[start: start + n3 * st3: st3]
-            if any(row):
-                packed = 0
-                for v in reversed(row):
-                    packed = (packed << shift) + v
+            packed = 0
+            for v in reversed(vals[start: start + n3 * st3: st3]):
+                packed = (packed << shift) + v
+            if packed:  # the slots hold their values apart, so 0 means a zero row
                 factor.append((j, packed))
     return out
+
+
+def _largest_row_sum(terms) -> int:
+    """The largest sum of |coefficient| over the terms of one row of a map."""
+    last = 0
+    for col in terms:
+        for a, _, _ in col:
+            if a > last:
+                last = a
+    sums = [0] * (last + 1)
+    for col in terms:
+        for a, _, c in col:
+            sums[a] += abs(c)
+    return max(sums)
 
 
 def _terms_per_index(terms) -> float:
@@ -693,6 +703,18 @@ class CatalogEntry:
     annotations: Tuple[str, ...] = ()
 
 
+def _twice_root(m: int) -> str:
+    """2*sqrt(m) to four places: through a float while m converts to one,
+    past that in integers, rounded to nearest (sqrt(x) is never a half)."""
+    try:
+        return f"{2 * m ** 0.5:.4f}"
+    except OverflowError:
+        x = 4 * 10**8 * m  # (10^4 * 2*sqrt(m))^2
+        s = math.isqrt(x)
+        s += x > s * s + s  # sqrt(x) >= s + 1/2
+        return f"{s // 10**4}.{s % 10**4:04d}"
+
+
 def catalog_entry(name: str, *params: int) -> CatalogEntry:
     """Expected invariants for a catalog tensor (see CatalogEntry).  The
     parameters are checked as `catalog_dims` checks them."""
@@ -710,7 +732,7 @@ def catalog_entry(name: str, *params: int) -> CatalogEntry:
         (n,) = params
         ann = ()
         if n >= 5:
-            ann = (f"literature: asymptotic value 2*sqrt({n}-1) = {2 * (n - 1) ** 0.5:.4f}",)
+            ann = (f"literature: asymptotic value 2*sqrt({n}-1) = {_twice_root(n - 1)}",)
         return CatalogEntry(name, params, (n, n, n), (n, n, n),
                             {1: n, 2: 2, 3: n}, {}, {}, annotations=ann)
     if name == "gen_null_algebra":

@@ -420,12 +420,30 @@ def test_contract_matches_dict_kernel(case):
 def test_slots_hold_the_largest_sum(f, value, coef, m):
     """Every value of t and every coefficient of one-row maps at its widest:
     the one output entry is the largest |sum| the slot width is chosen for,
-    max|t|^m times each leg's sum of |coefficient|."""
+    max|t|^m times each leg's largest row sum of |coefficient| (here the
+    one row's)."""
     t = Tensor3(f, (2, 2, 2), [value] * 8, normalize=True)
     legs = [[[(0, 0, f.normalize(coef))] for _ in range(2**m)] for _ in range(3)]
     got = assert_same_contraction(t, legs, m, ref=ref_contract_dict)
     want = f.normalize(Fraction(value) ** m * Fraction(coef) ** 3 * 8**m)
     assert got == {0: {(0, 0, 0): want}}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("f, value, coef", [(GF(7), 6, 6), (GF(2**31 - 1), 2**31 - 2, 2**31 - 2),
+                                            (QQ, Fraction(-97, 89), Fraction(-5, 3))],
+                         ids=["GF7", "GF(2^31-1)", "QQ"])
+def test_slots_hold_the_heaviest_row(f, value, coef, m):
+    """Maps of many rows, one of which carries all the weight: every column
+    has the widest coefficient in row 3 and a unit at exponent 1 in a light
+    row of its own.  The slots are sized by the heavy row's sum, far below
+    the map's total, and the heavy output entry reaches it."""
+    t = Tensor3(f, (2, 2, 2), [value] * 8, normalize=True)
+    c = f.normalize(coef)
+    legs = [[[(5 + col, 1, f.one()), (3, 0, c)] for col in range(2**m)] for _ in range(3)]
+    got = assert_same_contraction(t, legs, m, ref=ref_contract_dict)
+    assert got[0] == {(3, 3, 3): f.normalize(Fraction(value) ** m * Fraction(coef) ** 3 * 8**m)}
+    assert len(got[3]) == 8**m  # one entry per triple of light rows
 
 
 @pytest.mark.parametrize("power", [0, -1])

@@ -452,6 +452,27 @@ def test_cli_catalog_expect(capsys):
     assert "q2 2" in out and "literature" in out
 
 
+@pytest.mark.parametrize("n", [5, 6, 17, 101, 10**6, 10**15 + 37, 10**300, 2**1023])
+def test_catalog_literature_value_reads_as_the_float_did(n):
+    """While n - 1 converts to a float, the note is the float's text."""
+    want = f"literature: asymptotic value 2*sqrt({n}-1) = {2 * (n - 1) ** 0.5:.4f}"
+    assert catalog_entry("null_algebra", n).annotations == (want,)
+
+
+@pytest.mark.parametrize("n", [2**1024 + 1, int("9" * 400), int("9" * 4200)])
+def test_catalog_literature_value_past_the_float_range(n, capsys):
+    """Past the float range the note is computed in integers, rounded to
+    nearest, and the report is written: a 4,200-digit n used to end in an
+    OverflowError traceback."""
+    assert run_cli("catalog", "null_algebra", str(n), "--expect") == 0
+    note = capsys.readouterr().out.splitlines()[-1]
+    assert note.startswith(f"note: literature: asymptotic value 2*sqrt({n}-1) = ")
+    whole, places = note.rsplit(" = ", 1)[1].split(".")
+    scaled = int(whole + places)  # 10^4 * 2*sqrt(n - 1), rounded
+    assert len(places) == 4
+    assert (2 * scaled - 1) ** 2 <= 4 * 4 * 10**8 * (n - 1) < (2 * scaled + 1) ** 2
+
+
 def test_cli_catalog_expect_does_not_build(capsys):
     assert run_cli("catalog", "unit", "257", "--expect") == 0
     assert "dims (257, 257, 257)" in capsys.readouterr().out
@@ -838,6 +859,7 @@ _SCAN = ["scan", "--dims", "2,2,1", "--field", "gf:2"]
     pytest.param(["catalog", "unit", "1", _M], 1, id="catalog-unit-1-M"),
     pytest.param(["maxrank", "W", "--orient", "1," + _M], 1, id="orient-1-M"),
     pytest.param(["catalog", "matmul", _M, _M, _M, "--expect"], 3, id="catalog-matmul-M-expect"),
+    pytest.param(["catalog", "null_algebra", _M, "--expect"], 0, id="catalog-null-algebra-M-expect"),
 ])
 def test_long_integers_on_the_command_line_end_in_short_messages(argv, want, tmp_path):
     """An integer of thousands of digits in any option, argument or list
@@ -845,15 +867,28 @@ def test_long_integers_on_the_command_line_end_in_short_messages(argv, want, tmp
     one past what `int` reads is a parse error (exit 2), and one it reads
     is refused as its size is (exit 1), quoted through `shown`.  A value
     computed from such integers that is too long to print is refused as a
-    resource guard (exit 3).  W stands for the W tensor's file."""
+    resource guard (exit 3); one past the float range is computed in
+    integers, and its report is written (exit 0).  W stands for the W
+    tensor's file."""
     path = tmp_path / "w.tensor"
     path.write_text(serialize_tensor(w_tensor(GF(2))))
     code, err = _run_quietly([str(path) if word == "W" else word for word in argv])
     assert (code, "Traceback" in err) == (want, False), err[:300]
     assert len(err.encode()) < 200, err[:300]
-    assert {1: "more than 10^4199" in err or "less than -10^4199" in err,
+    assert {0: not err,
+            1: "more than 10^4199" in err or "less than -10^4199" in err,
             2: "(5000 characters)" in err,
             3: "cannot be written" in err}[want], err
+
+
+@pytest.mark.parametrize("cmd", [["maxrank"], ["minrank"], ["certify", "rho"]])
+def test_a_bad_orient_word_is_named_before_the_file_is_read(cmd, tmp_path):
+    """A word in --orient that is no integer is a parse error (exit 2) even
+    when the tensor file would be refused by a resource guard (exit 3)."""
+    path = tmp_path / "huge.tensor"
+    path.write_text("tensor v1\nfield gf:2\ndims " + "1" * 1000 + " 1 1\n1 1 1 1\n")
+    assert _run_quietly(cmd + [str(path), "--orient=1,x"]) == (2, "parse error: non-integer value in '1,x'\n")
+    assert _run_quietly(cmd + [str(path)])[0] == 3
 
 
 def test_slicerank_guard_counts_a_huge_field_at_once(tmp_path):
