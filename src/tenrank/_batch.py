@@ -7,10 +7,18 @@ span-enumeration operations when the batch is large enough to amortize the
 numpy overhead; the pure-Python paths in matrix.py/spans.py remain the
 reference implementation.
 
-numpy is imported only when an exhaustive rank search ranks 256 or more
-combinations over GF(p), p <= 2^15.  The functions that use it import it
-when called, so importing this module for `MAX_BATCH_PRIME`,
-`projective_vectors` and `projective_count` does not load numpy.
+The exhaustive rank searches walk the projective order one combination at
+a time and come here in two cases only: a min-rank search of 256 or more
+combinations over GF(p), p <= 2^15, from its start, and a max-rank walk
+over GF(p), 2 < p <= 2^15, that has ranked 256 combinations without
+reaching its end, from the first combination it has not visited
+(`projective_chunks`' start index).  Before that point the max-rank walk
+skips every subtree of the order whose support's term rank cannot beat its
+best rank, so most max-rank searches end first; one that cannot be cut,
+such as the odd skew-symmetric 5x5 span, keeps this arm's speed.  numpy is
+imported only then: the functions that use it import it when called, so
+importing this module for `MAX_BATCH_PRIME`, `projective_vectors` and
+`projective_count` does not load numpy.
 """
 
 from __future__ import annotations
@@ -90,8 +98,9 @@ def projective_count(q: int, dim: int) -> int:
     return (q**dim - 1) // (q - 1)
 
 
-def projective_chunks(q: int, dim: int, top: Optional[int] = None):
-    """projective_vectors(q, dim, top) as consecutive (n, dim) int64 blocks, in the same order.
+def projective_chunks(q: int, dim: int, top: Optional[int] = None, start: int = 0):
+    """projective_vectors(q, dim, top) from index `start` on, as consecutive
+    (n, dim) int64 blocks, in the same order.
 
     Each row is computed from its index: the block with leading 1 at
     position `lead` lists the numbers b^k .. 2b^k - 1 (k = dim - lead - 1)
@@ -108,7 +117,7 @@ def projective_chunks(q: int, dim: int, top: Optional[int] = None):
     place = base ** np.arange(dim - 1, -1, -1, dtype=np.int64)  # b^k for lead = 0 .. dim - 1
     count = base ** (dim - 1) if top is not None and dim else projective_count(q, dim)
     starts = np.cumsum(place) - place  # index of each lead's first row
-    lo, size = 0, 64
+    lo, size = start, 64
     while lo < count:
         idx = np.arange(lo, min(count, lo + size), dtype=np.int64)
         lead = np.searchsorted(starts, idx, side="right") - 1

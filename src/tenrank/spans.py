@@ -156,13 +156,42 @@ def _term_rank(span: SliceSpan) -> int:
     of rows to columns among the positions nonzero in some generator.  By
     Konig's theorem it is also the least number of rows and columns covering
     that support, so no matrix of the span has a larger rank."""
-    return _term_rank_of([m.data for m in span.basis])
+    rows, cols = span.shape
+    support = reduce(or_, (1 << (i * cols + j) for m in span.basis for i, row in enumerate(m.data)
+                           for j, x in enumerate(row) if x), 0)
+    return _support_matching(support, rows, cols).bit_count()
 
 
-def _term_rank_of(mats) -> int:
-    """`_term_rank` of matrices given as their rows."""
-    support = ((i, j) for i, row in enumerate(zip(*mats)) for j, xs in enumerate(zip(*row)) if any(xs))
-    return len(_max_matching(support))
+def _support_matching(support: int, rows: int, cols: int) -> int:
+    """A largest matching of rows to columns in the rows x cols support
+    whose position (i, j) is bit i*cols + j of `support`, as the int of its
+    positions; their number is the term rank.  Grown from each row in turn
+    by a breadth-first augmenting path over the bit rows, with no
+    recursion."""
+    adj = [(support >> (i * cols)) & ((1 << cols) - 1) for i in range(rows)]
+    owner = {}  # a matched column's bit -> its row
+    col_of = {}  # a matched row -> its column's bit
+    for root, bits in enumerate(adj):
+        if not bits:
+            continue
+        queue, came, seen, free = [root], {}, 0, 0
+        for row in queue:
+            new = adj[row] & ~seen
+            seen |= new
+            while new and not free:
+                col = new & -new
+                new ^= col
+                came[col] = row
+                if col in owner:
+                    queue.append(owner[col])
+                else:
+                    free = col
+            if free:
+                break
+        while free:  # augment: each row on the path takes the column it was reached by
+            row = came[free]
+            owner[free], col_of[row], free = row, free, col_of.get(row, 0)
+    return sum(col << (row * cols) for row, col in col_of.items())
 
 
 def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool = True):
@@ -172,18 +201,24 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool 
     term rank T of the reduced basis; when T < p it ranks only the grid
     {1} x {0..T}^(c-1) of `projective_vectors`, which holds the max-rank
     and the first combination attaining it (see `max_rank_exhaustive`).
-    Searches that rank `_BATCH_THRESHOLD` or more combinations take the
-    batched arm when p <= MAX_BATCH_PRIME, over GF(2) only for min-rank.
+    `_walk_ranks` ranks that order depth first, and on max-rank skips every
+    subtree that cannot beat the best.  A min-rank search of
+    `_BATCH_THRESHOLD` or more combinations takes the batched arm from the
+    start when p <= MAX_BATCH_PRIME; a max-rank walk over GF(p),
+    2 < p <= MAX_BATCH_PRIME, that has ranked `_BATCH_THRESHOLD`
+    combinations hands the rest of the order to it.
 
-    The kernels are picked once, before the loop.  Over GF(p), p > 2, a
-    matrix is its int rows: [V | I] is reduced by `independent_basis` and a
-    combination is a `_combination` ranked by `rank_of_rows`.  Over GF(2) a
-    matrix is one int (`_gf2.pack`): [V | I] is reduced by `_gf2.gf2_rref`
-    (the reduced echelon form is unique, so the reduced basis and the
-    coefficients lifting it are `independent_basis`'s), the term rank reads
-    the OR of the reduced rows, and a combination is the XOR of its
-    generators ranked by `_gf2.gf2_rank`.  The order, refusals and witnesses
-    are the same for every p.
+    The kernels are picked once, before the walk.  Over GF(p), p > 2, a
+    matrix is the row-major list of its ints: [V | I] is reduced by
+    `independent_basis`, a partial sum takes one axpy mod p per generator
+    and is ranked by `rank_of_rows`.  Over GF(2) a matrix is one int
+    (`_gf2.pack`): [V | I] is reduced by `_gf2.gf2_rref` (the reduced
+    echelon form is unique, so the reduced basis and the coefficients
+    lifting it are `independent_basis`'s), a partial sum takes one XOR per
+    generator and is ranked by `_gf2.gf2_rank`.  A generator's support is
+    the int of its nonzero positions, and the term rank of a support is
+    read off those bits.  The order, refusals and witnesses are the same
+    for every p.
 
     Returns (value, coefficients over span.basis).  Without `lift` only the
     value is wanted: V alone is reduced, with no [V | I] bookkeeping, and
@@ -198,12 +233,13 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool 
     if q == 2:
         # with `lift`, bit width + k of a row records generator k; rows with no
         # bit below width (pivot in the bookkeeping block) span nothing.  The
-        # support, the ranks and the batched arm read only the bits below width.
+        # supports, the ranks and the batched arm read only the bits below width.
         red = [w for w in _gf2.gf2_rref([_gf2.pack(itertools.chain.from_iterable(m.data)) | lift << (width + k)
                                          for k, m in enumerate(span.basis)]) if w & ((1 << width) - 1)]
-        support = reduce(or_, red, 0)
-        term_rank = lambda: len(_max_matching(divmod(b, cols) for b in range(width) if (support >> b) & 1))
-        rank_at = lambda vec: _gf2.gf2_rank(_gf2.split_rows(reduce(xor, itertools.compress(red, vec)), rows, cols))
+        gens = red
+        supports = [w & ((1 << width) - 1) for w in red]
+        add = lambda acc, k, x: acc ^ red[k]
+        rank_of = lambda w: _gf2.gf2_rank(_gf2.split_rows(w, rows, cols))
         int_rows = lambda: [[_gf2.bit_row(r, cols) for r in _gf2.split_rows(w, rows, cols)] for w in red]
         lifted = lambda vec: _gf2.bit_row(reduce(xor, itertools.compress(red, vec)) >> width, len(span.basis))
     else:
@@ -213,8 +249,10 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool 
         else:
             red = [[v[i * cols:(i + 1) * cols] for i in range(rows)]
                    for v in _reduce_rows(f, [m.vectorize() for m in span.basis], width)]
-        term_rank = lambda: _term_rank_of(red)
-        rank_at = lambda vec: rank_of_rows(f, _combination(f, vec, red), cols)
+        gens = [list(itertools.chain.from_iterable(m)) for m in red]
+        supports = [sum(1 << b for b, x in enumerate(v) if x) for v in gens]
+        add = lambda acc, k, x: [(a + x * y) % q for a, y in zip(acc, gens[k])]
+        rank_of = lambda v: rank_of_rows(f, [v[i:i + cols] for i in range(0, width, cols)], cols)
         int_rows = lambda: red
         # coefficients over the reduced basis -> coefficients over span.basis
         lifted = lambda vec: tuple(_combination(f, vec, [(row,) for row in reduction.data])[0])
@@ -225,40 +263,110 @@ def _enumerate_ranks(span: SliceSpan, *, minimize: bool, guard: int, lift: bool 
         return 0, tuple(f.zero() for _ in span.basis) if lift else None
     count = projective_count(q, c)
     refuse_over(count, guard, "projective enumeration of {count} combinations exceeds guard {guard}")
-    stop = 1 if minimize else term_rank()  # no combination can do better
+    matching = lambda support: _support_matching(support, rows, cols)
+    stop = 1 if minimize else matching(reduce(or_, supports)).bit_count()  # no combination can do better
     top = None if minimize or stop >= q else stop
     if top is not None:
         count = (top + 1) ** (c - 1)
     # over GF(2) the batched arm wins only on full min-rank walks of many
-    # combinations; on random 4x4 spans of 9-12 generators the loop ran
-    # max-rank ~4x faster
-    if count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME and (minimize or q > 2):
-        red_span = SliceSpan(f, tuple(Matrix(f, m, cols=cols) for m in int_rows()))
-        best, best_vec = _enumerate_ranks_batched(red_span, q, c, minimize, stop, top)
+    # combinations (on random 4x4 spans of 9-12 generators the scalar search
+    # ran max-rank ~4x faster), so a GF(2) max-rank walk never hands off
+    if minimize and count >= _BATCH_THRESHOLD and q <= MAX_BATCH_PRIME:
+        best, best_vec, start = None, None, 0
     else:
-        best = None
-        best_vec = None
-        for vec in projective_vectors(q, c, top):
-            r = rank_at(vec)
-            if best is None or (r < best if minimize else r > best):
-                best, best_vec = r, vec
-                if best == stop:
-                    break
+        best, best_vec, start = _walk_ranks(
+            gens, supports, add, rank_of, q if top is None else top + 1, c if top is None else 1, minimize, stop,
+            None if minimize else matching, _BATCH_THRESHOLD if not minimize and 2 < q <= MAX_BATCH_PRIME else None)
+    if start is not None:
+        red_span = SliceSpan(f, tuple(Matrix(f, m, cols=cols) for m in int_rows()))
+        best, best_vec = _enumerate_ranks_batched(red_span, q, c, minimize, stop, top, start, best, best_vec)
     return best, lifted(best_vec) if lift else None
 
 
-def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int, top: Optional[int]):
+def _walk_ranks(gens, supports, add, rank_of, base: int, leads: int, minimize: bool, stop: int, matching=None,
+                handoff: Optional[int] = None):
+    """Rank `projective_vectors` in order, depth first: for each lead < `leads`
+    the vectors with a leading 1 there and base-`base` digits after it.
+
+    A node of the walk fixes a prefix of the coefficients and holds their
+    partial sum; a child takes one `add` of the next generator to its
+    parent's sum, none for a zero digit, so no leaf forms its combination
+    from scratch.  With `matching` (max-rank), a node of more than one leaf
+    is skipped when the term rank of its live support, the union of the
+    supports of the lead, the nonzero fixed coefficients and every unfixed
+    one, is at most the best rank so far: every leaf below is a combination
+    of those generators, so its rank is at most that term rank and cannot
+    beat the best.  A largest matching is memoized per support.  The best
+    changes only on a strict improvement, so the value and the first vector
+    attaining it are the full walk's.
+
+    Returns (best rank, its vector, None), or, when `handoff` combinations
+    have been ranked before the walk ends, the best so far, its vector and
+    the index in the order of the first vector not yet visited.
+    """
+    c = len(gens)
+    suffix = [0] * (c + 1)  # suffix[k]: the union support of generators k..c-1
+    for k in range(c - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | supports[k]
+    matched: Dict[int, int] = {}  # support -> the positions of a largest matching in it
+    vec = [0] * c
+    # acc[k], live[k]: partial sum and live support of the positions below k
+    acc = [None] * (c + 1)
+    live = [0] * (c + 1)
+    best = best_vec = None
+    ranked = index = 0
+    for lead in range(leads):
+        vec[lead] = 1
+        pos, acc[lead + 1], live[lead + 1] = lead + 1, gens[lead], supports[lead]
+        while True:  # enter the node whose positions below pos are fixed
+            if pos < c:
+                m = None
+                if matching is not None and best is not None:
+                    support = live[pos] | suffix[pos]
+                    m = matched.get(support)
+                    if m is None:
+                        m = matched[support] = matching(support)
+                if m is None or m.bit_count() > best:  # descend to the first child, digit 0
+                    acc[pos + 1], live[pos + 1] = acc[pos], live[pos]
+                    pos += 1
+                    continue
+                index += base ** (c - pos)
+            else:
+                if ranked == handoff:
+                    return best, best_vec, index
+                r = rank_of(acc[c])
+                ranked += 1
+                index += 1
+                if best is None or (r < best if minimize else r > best):
+                    best, best_vec = r, tuple(vec)
+                    if best == stop:
+                        return best, best_vec, None
+            # on to the next sibling: the last digit below base - 1 goes up by one
+            pos -= 1
+            while pos > lead and vec[pos] == base - 1:
+                vec[pos] = 0
+                pos -= 1
+            if pos == lead:
+                break
+            vec[pos] += 1
+            acc[pos + 1], live[pos + 1] = add(acc[pos], pos, vec[pos]), live[pos] | supports[pos]
+            pos += 1
+        vec[lead] = 0
+    return best, best_vec, None
+
+
+def _enumerate_ranks_batched(red: SliceSpan, q: int, c: int, minimize: bool, stop: int, top: Optional[int],
+                             start: int = 0, best: Optional[int] = None, best_vec: Optional[tuple] = None):
     """(best rank, the first vector of projective_chunks(q, c, top) attaining
-    it, as ints), stopping once a block reaches `stop`."""
+    it, as ints), stopping once a block reaches `stop`.  A walk handed over
+    at index `start` passes its best so far and that best's vector."""
     import numpy as np
 
     from ._batch import batched_rank_mod_p, projective_chunks
 
     rows, cols = red.shape
     basis = np.array([m.data for m in red.basis], dtype=np.int64).reshape(c, rows * cols)
-    best = None
-    best_vec = None
-    for part in projective_chunks(q, c, top):
+    for part in projective_chunks(q, c, top, start):
         mats = (part @ basis % q).reshape(-1, rows, cols)
         ranks = batched_rank_mod_p(mats, q)
         i = int(np.argmin(ranks) if minimize else np.argmax(ranks))
@@ -285,6 +393,15 @@ def max_rank_exhaustive(span: SliceSpan, *, guard: int = PROJECTIVE_GUARD):
     holds the max-rank and its first witness.  The guard still
     counts every projective combination, and the witness is the first
     combination attaining the max-rank, the one the full search returns.
+
+    The order is walked depth first (`_walk_ranks`).  A subtree is skipped
+    when the term rank of the union support of the generators still live
+    in it (the lead, the nonzero fixed coefficients and every unfixed one)
+    is at most the best rank so far: no combination below can exceed that
+    term rank, so none would replace the best.  A walk over GF(p),
+    2 < p <= MAX_BATCH_PRIME, that has ranked `_BATCH_THRESHOLD`
+    combinations hands the rest of the order, from its first unvisited
+    combination, to the batched arm, which ranks all of it.
     """
     value, coeffs = _enumerate_ranks(span, minimize=False, guard=guard)
     return value, MaxRankWitness(coeffs, value)

@@ -269,7 +269,11 @@ def test_projective_array_matches_generator(q):
 @pytest.mark.parametrize("q, dim", [(2, 0), (2, 1), (2, 9), (3, 7), (11, 6)])
 def test_projective_chunks_list_every_vector_once(q, dim):
     """The blocks grow 64, 256, 1024, then stay at 4096 rows, and joined they
-    are projective_vectors in order, each vector once."""
+    are projective_vectors in order, each vector once.  From a start index
+    they are the tail of that order from there, in blocks growing the same
+    way: every start is checked for each `top` whose order has at most
+    1,100 vectors, and the starts around block edges for the longer ones,
+    whose first three blocks and last block are compared."""
     from tenrank._batch import projective_chunks, projective_count, projective_vectors
 
     chunks = list(projective_chunks(q, dim))
@@ -280,6 +284,18 @@ def test_projective_chunks_list_every_vector_once(q, dim):
     rows = [tuple(row) for c in chunks for row in c.tolist()]
     assert rows == list(projective_vectors(q, dim))
     assert len(set(rows)) == count
+    for top in (None, *range(1, q)):
+        order = list(projective_vectors(q, dim, top))
+        n = len(order)
+        edges = {0, 1, 63, 64, 65, 319, 320, 1343, 1344, 5439, 5440, n - 1}
+        for start in range(n + 1) if n <= 1100 else sorted(e for e in edges if 0 <= e < n) + [n]:
+            tail = list(projective_chunks(q, dim, top, start))
+            sizes = [len(c) for c in tail]
+            assert sum(sizes) == n - start and all(sizes)
+            assert sizes[:-1] == [min(64 * 4**i, 4096) for i in range(len(sizes) - 1)]
+            head = [tuple(row) for c in tail[:3] for row in c.tolist()]
+            assert head == order[start:start + len(head)]
+            assert not tail or [tuple(row) for row in tail[-1].tolist()] == order[n - sizes[-1]:]
 
 
 # -- the four row-reduction loops that `matrix._eliminate` replaced -------------

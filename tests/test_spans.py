@@ -406,22 +406,32 @@ for p in (3, 5, 11):
 engine.asymptotic_bounds(null_algebra(GF(11), 4))
 engine.asymptotic_bounds(w_tensor(QQ))
 loaded("bounds")
+engine.asymptotic_bounds(gen_null_algebra(GF(11), 6, 2))
+loaded("bounds gen_null_algebra")
 work = Path(sys.argv[1])
 if cli.main(["verify", str(work / "rho.cert"), str(work / "t.tensor")]) != 0:
     raise SystemExit("verify failed")
 loaded("verify")
 value, wit = spans.max_rank_exhaustive(spans.slice_span(gen_null_algebra(GF(11), 6, 2), 1, 3))
 print(value, *wit.coeffs)
+loaded("grid")
+f = GF(3)
+skew = spans.span_of(f, [Matrix.from_entries(f, 5, 5, {(i, j): 1, (j, i): 2}) for i in range(5) for j in range(i + 1, 5)])
+value, wit = spans.max_rank_exhaustive(skew)
+print(value, *wit.coeffs)
 loaded("batched")
 """
 
 
 def test_numpy_is_imported_only_by_the_batched_arm(tmp_path):
-    """A process that runs no rank search of 256 or more combinations never
+    """A process that ranks fewer than 256 combinations in one search never
     imports numpy: not at import, not in small searches over GF(2), GF(3),
-    GF(5) or GF(11), not in `asymptotic_bounds` without a batched search,
-    and not in `tenrank verify`.  A search over a grid of 4^5 combinations
-    takes the batched arm, loads numpy and keeps its value and witness."""
+    GF(5) or GF(11), not in `asymptotic_bounds` (gen_null_algebra(6, 2)
+    included, whose grids of up to 5^5 combinations the walk cuts to a few
+    leaves) and not in `tenrank verify`.  The odd skew-symmetric 5x5 span
+    over GF(3) (29,524 combinations, max-rank 4 below its term rank 5) is
+    handed to the batched arm, loads numpy and keeps the value and witness
+    recorded before the walk."""
     tensor, cert = str(tmp_path / "t.tensor"), str(tmp_path / "rho.cert")
     assert cli.main(["catalog", "balanced_pivot", "4", "--field", "gf:7", "--out", tensor]) == 0
     assert cli.main(["certify", "rho", tensor, "--out", cert]) == 0
@@ -430,8 +440,38 @@ def test_numpy_is_imported_only_by_the_batched_arm(tmp_path):
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.splitlines() == [
         "import False", "flanders gf:2 False", "flanders gf:5 False", "ranks gf:3 False", "ranks gf:5 False",
-        "ranks gf:11 False", "bounds False", "verified r=2 power=1", "verify False", "3 6 0 1 0 0 0", "batched True",
+        "ranks gf:11 False", "bounds False", "bounds gen_null_algebra False", "verified r=2 power=1", "verify False",
+        "3 6 0 1 0 0 0", "grid False", "4 1 0 0 0 0 0 0 0 0 1", "batched True",
     ]
+
+
+_BOUNDS_POOL_OUT = """
+import json
+import sys
+from pathlib import Path
+
+perfbench = Path(sys.argv[1])
+sys.path.insert(0, str(perfbench))
+import workloads
+from tenrank import engine
+
+ref = json.loads((perfbench / "reference.json").read_text())["bounds"]
+keys = workloads.bounds_pool_keys()
+moved = [k for k in keys if workloads.digest(engine.asymptotic_bounds(workloads.bounds_tensor(k)).to_kv()) != ref[k]]
+print(len(keys), moved, "numpy" in sys.modules)
+"""
+
+
+def test_bounds_pool_loads_no_numpy():
+    """`asymptotic_bounds` on all 135 tensors of the benchmark's `bounds` pool
+    gives the digests recorded in perfbench/reference.json and never imports
+    numpy: every max-rank walk there ends before it has ranked 256
+    combinations."""
+    src = str(Path(tenrank.spans.__file__).parents[1])
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    out = subprocess.run([sys.executable, "-c", _BOUNDS_POOL_OUT, perfbench], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split("\n")[0] == "135 [] False"
 
 
 def test_batched_and_scalar_rank_search_agree(monkeypatch):
