@@ -229,9 +229,10 @@ def _span(trans) -> List[int]:
 
 def exists_unit_restriction_gf2(word: int, dims, r: int) -> Optional[tuple]:
     """Decide whether the packed tensor restricts to the size-r unit tensor,
-    on a lane table (`engine.packed_applies`).  Returns (l1_rows, l2_rows,
-    l3_rows) as bit-row tuples, or None: the first accepted pair of
-    `_lane_search`, which at r = 1 is read off the slices (`_first_unit_pair`).
+    on a lane table at r >= 2, and at r = 1 on any bit format with no table
+    (`engine.packed_applies`).  Returns (l1_rows, l2_rows, l3_rows) as
+    bit-row tuples, or None: the first accepted pair of `_lane_search`,
+    which at r = 1 is read off the slices (`_first_unit_pair`).
     """
     if r == 1:
         return _first_unit_pair(word, dims)

@@ -241,9 +241,11 @@ def _bit_format(f: PrimeField, dims, r: int) -> bool:
 
 def packed_applies(f: PrimeField, dims, r: int) -> bool:
     """Whether the size-r unit-restriction search on this format runs on the
-    packed GF(2) word (`packed_unit_restriction`): a bit format with a lane
-    table at r (none is built at r = 0).  It does for every r below as well."""
-    return _bit_format(f, dims, r) and (r == 0 or _gf2._lane_table(dims[1], dims[2], r)[2] is not None)
+    packed GF(2) word (`packed_unit_restriction`): a bit format, with a lane
+    table at r when r >= 2.  At r <= 1 no table is built: r = 1 reads its
+    pair off the slices (`_gf2._first_unit_pair`).  It does for every r
+    below as well."""
+    return _bit_format(f, dims, r) and (r <= 1 or _gf2._lane_table(dims[1], dims[2], r)[2] is not None)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from tenrank.errors import (
 )
 from tenrank.fields import GF, QQ
 from tenrank import _gf2, engine
-from tenrank.cli import _scan_one
+from tenrank.cli import _scan_one, scan_format
 from tenrank.engine import (
     PAIR_GUARD,
     _count_full_rank,
@@ -632,6 +632,49 @@ def test_unit_pair_witnesses_at_r1_are_pinned():
         for word in range(0, 1 << math.prod(dims), step):
             h.update(repr((word, _gf2.exists_unit_restriction_gf2(word, dims, 1))).encode())
     assert h.hexdigest() == "e9edeb56f7cebf1a94b9eb95e05f2cbbe40ac2d1f89ec95cb43ab58232bb1d75"
+
+
+# bit formats with n2*n3 > 12: no lane table fits them at any r, so only the
+# table-free r = 1 search runs packed on them
+_WIDE_BIT_FORMATS = [(1, 4, 4), (2, 4, 4), (1, 3, 5), (3, 4, 4), (4, 5, 3), (16, 12, 12)]
+
+
+@pytest.mark.parametrize("dims", _WIDE_BIT_FORMATS, ids=lambda dims: "x".join(map(str, dims)))
+def test_packed_r1_maps_are_the_generic_maps_on_wide_bit_formats(dims):
+    """At r = 1 the packed search takes every bit format; its maps are those
+    of the generic search, or None with it, on random words of densities
+    1/2, 1/8 and 1/64 (100 of each, 20 on 16x12x12)."""
+    assert engine.packed_applies(GF(2), dims, 1)
+    n = math.prod(dims)
+    rng = random.Random(n)
+    for density in (2, 8, 64):
+        for _ in range(20 if n > 100 else 100):
+            word = sum(1 << b for b in range(n) if rng.randrange(density) == 0)
+            t = Tensor3(GF(2), dims, _gf2.unpack_entries(word, dims))
+            res = exists_unit_restriction(t, 1)
+            assert (None if res is None else [m.data for m in res.maps]) == \
+                _generic_maps(_unit_restriction_generic, t, 1), word
+
+
+def test_no_lane_table_is_asked_for_at_r1(monkeypatch):
+    """r = 1 reads its pair off the slices, so `_gf2._lane_table` is never
+    called with r = 1: not by `packed_applies`, not by the unit search, not
+    by `subrank_exact` or a scan.  It is called at r = 2 and 3."""
+    asked = []
+    table = _gf2._lane_table
+    monkeypatch.setattr(_gf2, "_lane_table", lambda n2, n3, r: asked.append(r) or table(n2, n3, r))
+    f = GF(2)
+    for dims in [(2, 2, 3), (3, 3, 2), (1, 3, 4), (1, 4, 4), (3, 3, 3), (16, 12, 12)]:
+        engine.packed_applies(f, dims, 1)
+        rng = random.Random(math.prod(dims))
+        for _ in range(4):
+            t = Tensor3(f, dims, [rng.randrange(2) for _ in range(math.prod(dims))])
+            exists_unit_restriction(t, 1)
+            if max(dims) <= 3:
+                subrank_exact(t)
+    for dims in [(2, 2, 3), (1, 3, 4), (1, 4, 4)]:
+        scan_format(f, dims, limit=64)
+    assert 1 not in asked and {2, 3} <= set(asked)
 
 
 # -- the packed witness check ---------------------------------------------------

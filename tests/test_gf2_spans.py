@@ -161,30 +161,34 @@ def concise_3x3x3(count, seed):
 
 
 # recorded on the generic bodies: 8,790 spans (every 5th of 43,946), and 200
-# concise 3x3x3 tensors with seed 27
+# concise 3x3x3 tensors with seed 27; and recorded over all 43,946 spans
 SPANS_EVERY_5TH_SHA256 = "fd9946e81e4307b487427e6fe6a167936913d9f721d5ccf6d239a802675fa1e5"
 SLICERANK_3X3X3_SHA256 = "e1c79c79a17a1afc8b13923f22eaa57cffabc1b5878b9e01dac87445d709f68b"
+SPANS_ALL_SHA256 = "cca3bd2d35c92452538201c28694bd4f417405867bd7f44ab8f16be3197c5cdb"
 
 
 def test_criterion_6_span_witnesses_are_pinned():
     """Value and witness of max-rank, min-rank and mincov, with (V1, V2), on
-    every 5th span of criterion 6's GF(2) range hash to the recorded sha256.
-    Each witness is also checked without the packed kernels: a max-rank or
-    min-rank witness, rebuilt with `combine`, has its value as its generic
-    `matrix.rank`, and the cover passes `verify_cover`."""
-    h = hashlib.sha256()
+    every span of criterion 6's GF(2) range hash to the recorded sha256, and
+    on every 5th span to the one recorded on the generic bodies.  Each
+    witness of every 5th span is also checked without the packed kernels: a
+    max-rank or min-rank witness, rebuilt with `combine`, has its value as
+    its generic `matrix.rank`, and the cover passes `verify_cover`."""
+    every, fifth = hashlib.sha256(), hashlib.sha256()
     n = 0
-    for b, sp in criterion_6_spans(5):
+    for b, sp in criterion_6_spans(1):
         mr, w1 = max_rank_exhaustive(sp)
         nr, w2 = min_rank_exhaustive(sp)
         mc, (v1, v2) = mincov_exhaustive(sp)
-        h.update(f"{b.data} {mr} {w1.coeffs} {nr} {w2.coeffs} {mc} {v1.data} {v1.cols} {v2.data} {v2.cols}\n"
-                 .encode())
+        line = f"{b.data} {mr} {w1.coeffs} {nr} {w2.coeffs} {mc} {v1.data} {v1.cols} {v2.data} {v2.cols}\n".encode()
+        every.update(line)
+        if n % 5 == 0:
+            fifth.update(line)
+            assert rank(combine(sp, w1.coeffs)) == mr == w1.rank
+            assert rank(combine(sp, w2.coeffs)) == nr == w2.rank and nr > 0
+            assert verify_cover(sp, v1, v2) and v1.rows + v2.rows == mc
         n += 1
-        assert rank(combine(sp, w1.coeffs)) == mr == w1.rank
-        assert rank(combine(sp, w2.coeffs)) == nr == w2.rank and nr > 0
-        assert verify_cover(sp, v1, v2) and v1.rows + v2.rows == mc
-    assert (n, h.hexdigest()) == (8790, SPANS_EVERY_5TH_SHA256)
+    assert (n, every.hexdigest(), fifth.hexdigest()) == (43946, SPANS_ALL_SHA256, SPANS_EVERY_5TH_SHA256)
 
 
 def test_slicerank_of_concise_3x3x3_is_pinned():

@@ -392,6 +392,10 @@ def loaded(step):
 
 
 loaded("import")
+work = Path(sys.argv[1])
+if cli.main(["maxrank", str(work / "na4.tensor")]) != 0:
+    raise SystemExit("maxrank failed")
+loaded("maxrank")
 for p in (2, 5):
     f = GF(p)
     spans.flanders_check(spans.span_of(f, [Matrix.identity(f, 3), Matrix(f, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])]))
@@ -408,7 +412,6 @@ engine.asymptotic_bounds(w_tensor(QQ))
 loaded("bounds")
 engine.asymptotic_bounds(gen_null_algebra(GF(11), 6, 2))
 loaded("bounds gen_null_algebra")
-work = Path(sys.argv[1])
 if cli.main(["verify", str(work / "rho.cert"), str(work / "t.tensor")]) != 0:
     raise SystemExit("verify failed")
 loaded("verify")
@@ -422,27 +425,47 @@ print(value, *wit.coeffs)
 loaded("batched")
 """
 
+_MINRANK_LOADS_NUMPY = """
+import sys
+
+from tenrank import cli
+
+print("import", "numpy" in sys.modules)
+print("exit", cli.main(["minrank", sys.argv[1]]), "numpy" in sys.modules)
+"""
+
 
 def test_numpy_is_imported_only_by_the_batched_arm(tmp_path):
     """A process that ranks fewer than 256 combinations in one search never
-    imports numpy: not at import, not in small searches over GF(2), GF(3),
+    imports numpy: not at import, not in `tenrank maxrank` on null_algebra 4
+    over GF(5) (a 125-point grid), not in small searches over GF(2), GF(3),
     GF(5) or GF(11), not in `asymptotic_bounds` (gen_null_algebra(6, 2)
     included, whose grids of up to 5^5 combinations the walk cuts to a few
     leaves) and not in `tenrank verify`.  The odd skew-symmetric 5x5 span
     over GF(3) (29,524 combinations, max-rank 4 below its term rank 5) is
     handed to the batched arm, loads numpy and keeps the value and witness
-    recorded before the walk."""
+    recorded before the walk.  In a fresh process, `tenrank minrank` on
+    null_algebra 5 over GF(11) (16,105 combinations) takes the batched arm
+    and loads numpy."""
     tensor, cert = str(tmp_path / "t.tensor"), str(tmp_path / "rho.cert")
     assert cli.main(["catalog", "balanced_pivot", "4", "--field", "gf:7", "--out", tensor]) == 0
     assert cli.main(["certify", "rho", tensor, "--out", cert]) == 0
+    for n, field in (("4", "gf:5"), ("5", "gf:11")):
+        assert cli.main(["catalog", "null_algebra", n, "--field", field, "--out", str(tmp_path / f"na{n}.tensor")]) == 0
     src = str(Path(tenrank.spans.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", _NUMPY_STAYS_OUT, str(tmp_path)], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.splitlines() == [
-        "import False", "flanders gf:2 False", "flanders gf:5 False", "ranks gf:3 False", "ranks gf:5 False",
-        "ranks gf:11 False", "bounds False", "bounds gen_null_algebra False", "verified r=2 power=1", "verify False",
+
+    def stdout_lines(script, arg):
+        return subprocess.run([sys.executable, "-c", script, arg], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src}).stdout.splitlines()
+
+    assert stdout_lines(_NUMPY_STAYS_OUT, str(tmp_path)) == [
+        "import False", "maxrank 4 (exhaustive)", "maxrank False", "flanders gf:2 False", "flanders gf:5 False",
+        "ranks gf:3 False", "ranks gf:5 False", "ranks gf:11 False", "bounds False",
+        "bounds gen_null_algebra False", "verified r=2 power=1", "verify False",
         "3 6 0 1 0 0 0", "grid False", "4 1 0 0 0 0 0 0 0 0 1", "batched True",
     ]
+    assert stdout_lines(_MINRANK_LOADS_NUMPY, str(tmp_path / "na5.tensor")) == [
+        "import False", "minrank 1", "exit 0 True"]
 
 
 _BOUNDS_POOL_OUT = """
@@ -562,6 +585,27 @@ def test_spans_has_no_assert_statements():
     for path in sorted(Path(tenrank.spans.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [(path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports():
+    """Every name a module of the package or of the tests imports is used in
+    it, as a name or as an entry of its `__all__`; `__future__` imports
+    are exempt."""
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted([*(root / "src" / "tenrank").glob("*.py"), *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__"
+                                                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                found += [f"{path.relative_to(root)}:{node.lineno}: {name}"
+                          for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                          if name not in used]
     assert found == []
 
 
