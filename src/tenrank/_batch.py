@@ -72,9 +72,8 @@ def batched_rank_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
             break
         # rows without a pivot get factor 0: they have no free nonzero entry
         factors = np.where(free, colv, 0) * inv[colv[at, first]][:, None] % p
-        rest = a[:, :, col + 1:]
-        rest -= factors[:, :, None] * a[at, first, col + 1:][:, None, :]
-        rest %= p
+        a[:, :, col + 1:] -= factors[:, :, None] * a[at, first, col + 1:][:, None, :]
+        a[:, :, col + 1:] %= p
     return m - free.sum(axis=1)
 
 

@@ -29,11 +29,12 @@ from .io import (
     parse_certificate,
     parse_tensor,
     serialize_certificate,
+    serialize_items,
     serialize_tensor,
 )
 from .laurent import verify_degeneration
 from .spans import max_rank_exhaustive, max_rank_randomized, min_rank_exhaustive, slice_span
-from .tensor import CATALOG, Tensor3, catalog, catalog_entry, guard_dims
+from .tensor import CATALOG, Tensor3, catalog, catalog_entry, guard_dims, power_items
 from . import engine, pivots
 
 DEFAULT_SEED = 2024
@@ -122,10 +123,10 @@ def cmd_maxrank(args) -> int:
     t = _read_tensor(args.tensor)
     span = slice_span(t, i, j)
     if args.trials:
-        value, wit = max_rank_randomized(span, args.trials, args.seed)
+        value, _ = max_rank_randomized(span, args.trials, args.seed)
         how = f"randomized lower bound ({args.trials} trials)"
     else:
-        value, wit = max_rank_exhaustive(span, **_guard_kw(args))
+        value, _ = max_rank_exhaustive(span, **_guard_kw(args))
         how = "exhaustive"
     _emit(f"maxrank {value} ({how})", args.out)
     return 0
@@ -187,7 +188,7 @@ def cmd_verify(args) -> int:
 
 def cmd_power(args) -> int:
     t = _read_tensor(args.tensor)
-    _emit(serialize_tensor(t.kron_power(args.m)), args.out)
+    _emit(serialize_items(t.field, *power_items(t, args.m)), args.out)
     return 0
 
 

@@ -437,56 +437,30 @@ def subrank_from_minrank(t: Tensor3, slice_indices: Sequence[int], *,
         raise PreconditionFailedError(msg)
 
     for i in range(c):
-        found = None
-        for a in range(i, len(rows)):
-            for b in range(i, len(cols)):
-                if not f.is_zero(x[i][a][b]):
-                    found = (a, b)
-                    break
-            if found:
-                break
+        found = w.find(i, range(i, len(rows)), range(i, len(cols)))
         if found is None:
             fail(f"slice {i} vanished during elimination")
         w.swap(_ROW, i, found[0])
         w.swap(_COL, i, found[1])
         w.scale(_SLICE, i, f.inv(x[i][i][i]))
-        for a in range(i + 1, len(rows)):
-            v = x[i][a][i]
-            if not f.is_zero(v):
-                w.addmul(_ROW, a, i, f.neg(v))
-        for b in range(i + 1, len(cols)):
-            v = x[i][i][b]
-            if not f.is_zero(v):
-                w.addmul(_COL, b, i, f.neg(v))
+        w.clear(_ROW, i, i, i, range(i + 1, len(rows)))
+        w.clear(_COL, i, i, i, range(i + 1, len(cols)))
         for s in range(c):
             if s == i:
                 continue
             v = x[s][i][i]
             if not f.is_zero(v):
                 w.addmul(_SLICE, s, i, f.neg(v))
-            # clear row i of slice s, then remove the helper column
-            helper = None
-            for b in range(i + 1, len(cols)):
-                if not f.is_zero(x[s][i][b]):
-                    helper = b
-                    break
+            # clear row i of slice s with a helper column, then remove it;
+            # the same for column i with a helper row
+            helper = w.find(s, [i], range(i + 1, len(cols)))
             if helper is not None:
-                hv = x[s][i][helper]
-                for b in range(i + 1, len(cols)):
-                    if b != helper and not f.is_zero(x[s][i][b]):
-                        w.addmul(_COL, b, helper, f.neg(f.div(x[s][i][b], hv)))
-                w.delete(_COL, helper)
-            helper = None
-            for a in range(i + 1, len(rows)):
-                if not f.is_zero(x[s][a][i]):
-                    helper = a
-                    break
+                w.clear(_COL, s, i, helper[1], range(i + 1, len(cols)))
+                w.delete(_COL, helper[1])
+            helper = w.find(s, range(i + 1, len(rows)), [i])
             if helper is not None:
-                hv = x[s][helper][i]
-                for a in range(i + 1, len(rows)):
-                    if a != helper and not f.is_zero(x[s][a][i]):
-                        w.addmul(_ROW, a, helper, f.neg(f.div(x[s][a][i], hv)))
-                w.delete(_ROW, helper)
+                w.clear(_ROW, s, i, helper[0], range(i + 1, len(rows)))
+                w.delete(_ROW, helper[0])
         if len(rows) < c or len(cols) < c:
             fail("ran out of rows or columns during elimination")
     w.take(_ROW, range(c))
@@ -512,39 +486,28 @@ def subrank_c2(t: Tensor3) -> SubrankCertificate:
         raise NotConciseError("the dimension-2 construction needs a concise tensor")
     f = t.field
     w = _Working(f, t.slices(3))
-    x, rows, cols = w.slices, w.maps[_ROW], w.maps[_COL]
+    x = w.slices
 
     if rank_of_rows(f, x[0], n2) == 1:
         w.swap(_SLICE, 0, 1)
     # diagonalize slice 0 to [[Id_r, 0], [0, 0]]
-    r_ = 0
+    r = 0
     for col in range(n2):
-        sel = None
-        for a in range(r_, n1):
-            if not f.is_zero(x[0][a][col]):
-                sel = a
-                break
+        sel = w.find(0, range(r, n1), [col])
         if sel is None:
             continue
-        w.swap(_ROW, r_, sel)
-        w.scale(_ROW, r_, f.inv(x[0][r_][col]))
-        for a in range(n1):
-            if a != r_ and not f.is_zero(x[0][a][col]):
-                w.addmul(_ROW, a, r_, f.neg(x[0][a][col]))
-        r_ += 1
-        if r_ == n1:
+        w.swap(_ROW, r, sel[0])
+        w.scale(_ROW, r, f.inv(x[0][r][col]))
+        w.clear(_ROW, 0, col, r, range(n1))
+        r += 1
+        if r == n1:
             break
     # clear non-pivot columns, then move pivots onto the diagonal
-    for a in range(r_):
-        pc = next(b for b in range(n2) if not f.is_zero(x[0][a][b]))
-        for b in range(n2):
-            if b != pc and not f.is_zero(x[0][a][b]):
-                w.addmul(_COL, b, pc, f.neg(x[0][a][b]))
-    for a in range(r_):
-        pc = next(b for b in range(n2) if not f.is_zero(x[0][a][b]))
-        w.swap(_COL, a, pc)
+    for a in range(r):
+        w.clear(_COL, 0, a, w.find(0, [a], range(n2))[1], range(n2))
+    for a in range(r):
+        w.swap(_COL, a, w.find(0, [a], range(n2))[1])
 
-    r = r_
     if 1 < r < min(n1, n2):
         _c2_case_middle_rank(w, r)
     elif r == min(n1, n2):
@@ -562,33 +525,23 @@ def _c2_case_middle_rank(w: _Working, r: int):
     f, x = w.f, w.slices
     n1, n2 = len(w.maps[_ROW]), len(w.maps[_COL])
 
-    def find():
-        for a in range(r, n1):
-            for b in range(n2):
-                if b != r - 1 and not f.is_zero(x[1][a][b]):
-                    return a, b
-        return None
-
-    spot = find()
+    below, cols = range(r, n1), [b for b in range(n2) if b != r - 1]
+    spot = w.find(1, below, cols)
     if spot is None:
         # all bottom support sits in column r-1: swap it with another
         # diagonal index (rows and columns together keep slice 0 intact)
         w.swap(_ROW, 0, r - 1)
         w.swap(_COL, 0, r - 1)
-        spot = find()
+        spot = w.find(1, below, cols)
         if spot is None:
             raise VerificationFailedError("no usable entry below the diagonal block")  # pragma: no cover
     a, b = spot
     w.scale(_ROW, a, f.inv(x[1][a][b]))
-    v = x[1][r - 1][b]
-    if not f.is_zero(v):
-        w.addmul(_ROW, r - 1, a, f.neg(v))
+    w.clear(_ROW, 1, b, a, [r - 1])
     w.take(_ROW, [r - 1, a])
     w.take(_COL, [r - 1, b])
     # slices now [[1,0],[0,0]] and [[t,0],[s,1]]
-    s_val = x[1][1][0]
-    if not f.is_zero(s_val):
-        w.addmul(_COL, 0, 1, f.neg(s_val))
+    w.clear(_COL, 1, 1, 1, [0])
     t_val = x[1][0][0]
     if not f.is_zero(t_val):
         w.addmul(_SLICE, 1, 0, f.neg(t_val))
@@ -617,12 +570,8 @@ def _c2_case_full_rank(w: _Working, r: int):
         w.swap(_COL, 0, 1)
         # slices: [[1,0],[0,0]] and [[*,*],[*,t]]
         w.scale(_SLICE, 1, f.inv(t_val))
-        s_val = x[1][1][0]
-        if not f.is_zero(s_val):
-            w.addmul(_COL, 0, 1, f.neg(s_val))
-        u_val = x[1][0][1]
-        if not f.is_zero(u_val):
-            w.addmul(_ROW, 0, 1, f.neg(u_val))
+        w.clear(_COL, 1, 1, 1, [0])
+        w.clear(_ROW, 1, 1, 1, [0])
         rem = x[1][0][0]
         if not f.is_zero(rem):
             w.addmul(_SLICE, 1, 0, f.neg(rem))
@@ -820,7 +769,7 @@ def narrow_certificate(t: Tensor3, m: int) -> SubrankCertificate:
 
 def _narrow_certificate_inner(t: Tensor3, m: int, ell: int):
     f = t.field
-    n1, n2, c = t.dims
+    c = t.dims[2]
     span = slice_span(t, 1, 2)
     dm = minrk_diag_pipeline(span)
     y = mixed_kron_set(dm.diag_basis, dm.zero_basis, m, ell)

@@ -19,13 +19,14 @@ CERT_HEADER = "certificate v1"
 
 
 def serialize_tensor(t: Tensor3) -> str:
-    lines = [
-        TENSOR_HEADER,
-        f"field {t.field.tag}",
-        f"dims {t.dims[0]} {t.dims[1]} {t.dims[2]}",
-    ]
-    for (i, j, k), v in t.nonzero_items():
-        lines.append(f"{i + 1} {j + 1} {k + 1} {format_value(v)}")
+    return serialize_items(t.field, t.dims, t.nonzero_items())
+
+
+def serialize_items(field: Field, dims, items) -> str:
+    """The tensor file of the nonzero items ((i, j, k), v), in the order
+    given: the one writer of tensor files."""
+    lines = [TENSOR_HEADER, f"field {field.tag}", f"dims {dims[0]} {dims[1]} {dims[2]}"]
+    lines += [f"{i + 1} {j + 1} {k + 1} {format_value(v)}" for (i, j, k), v in items]
     return "\n".join(lines) + "\n"
 
 

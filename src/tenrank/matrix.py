@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRangeError,
@@ -456,6 +456,29 @@ class _Working:
         """Add c times index `src` to index `dst`."""
         for lst in self._along(axis):
             lst[dst] = _axpy(lst[dst], lst[src], c, self.p)
+
+    def find(self, s: int, rows: Iterable[int], cols: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """The first (a, b) of rows x cols, rows major, where slice s is
+        nonzero, or None."""
+        x, f = self.slices[s], self.f
+        for a in rows:
+            for b in cols:
+                if not f.is_zero(x[a][b]):
+                    return a, b
+        return None
+
+    def clear(self, axis: int, s: int, line: int, src: int, idxs: Iterable[int]):
+        """Zero slice s on `line` at each of the distinct indices `idxs` but
+        `src`, by adding -entry/pivot times index `src` along `axis`; zero
+        entries are skipped.  Along `_ROW`, `line` is a column; along `_COL`,
+        it is a row.  Each add changes only its own index, so the entries
+        read before the first one stay current."""
+        f, x = self.f, self.slices[s]
+        vals = [row[line] for row in x] if axis == _ROW else list(x[line])
+        inv = f.inv(vals[src])
+        for k in idxs:
+            if k != src and not f.is_zero(vals[k]):
+                self.addmul(axis, k, src, f.neg(f.mul(vals[k], inv)))
 
     def delete(self, axis: int, a: int):
         for lst in self._along(axis):

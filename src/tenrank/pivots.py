@@ -239,12 +239,9 @@ def rho_degeneration(t: Tensor3, i: int, j: int) -> Degeneration:
     # pivot column value; column operations use the pivot column only
     x = w.slices
     for s in sorted(range(r), key=lambda s: -matched[s][1]):
-        piv = x[s][s][s]
-        if f.is_zero(piv):
+        if f.is_zero(x[s][s][s]):
             raise VerificationFailedError("zero pivot on the matched diagonal")  # pragma: no cover
-        for u in range(r):
-            if u != s and not f.is_zero(x[s][s][u]):
-                w.addmul(_COL, u, s, f.neg(f.div(x[s][s][u], piv)))
+        w.clear(_COL, s, s, s, range(r))
     # sanity: slice s now has pivot row s equal to e_s and zero rows above;
     # scale each slice so its pivot value is 1
     for s in range(r):

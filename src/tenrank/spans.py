@@ -794,31 +794,20 @@ def _diagonalize(w: _Working, s: int, kept: List[int]) -> List[int]:
     Each step takes the first active index h, clears row h with one column j
     and column h with one row i (i != j), and drops i and j.
     """
-    f, a = w.f, w.slices[s]
     active = list(kept)
     prefix = []
     while active:
         h, rest = active[0], active[1:]
-        drops = set()
-        xs = [l for l in rest if not f.is_zero(a[h][l])]
-        j = None
-        if xs:
-            j = xs[0]
-            inv = f.inv(a[h][j])
-            for l in xs[1:]:
-                w.addmul(_COL, l, j, f.neg(f.mul(inv, a[h][l])))
-            drops.add(j)
-        ys = [l for l in rest if not f.is_zero(a[l][h])]
-        ys_p = [l for l in ys if l != j]
-        if ys_p:
-            i = ys_p[0]
-            inv = f.inv(a[i][h])
-            for l in ys:
-                if l not in (i, j):
-                    w.addmul(_ROW, l, i, f.neg(f.mul(inv, a[l][h])))
-            drops.add(i)
+        hit = w.find(s, [h], rest)
+        if hit is not None:
+            w.clear(_COL, s, h, hit[1], rest)
+            rest.remove(hit[1])
+        hit = w.find(s, rest, [h])
+        if hit is not None:
+            w.clear(_ROW, s, h, hit[0], rest)
+            rest.remove(hit[0])
         prefix.append(h)
-        active = [l for l in rest if l not in drops]
+        active = rest
     if len(prefix) < -(-len(kept) // 3):
         raise VerificationFailedError("diagonalization kept fewer than d/3 indices")  # pragma: no cover
     return sorted(prefix)
@@ -1044,11 +1033,8 @@ def rank_normal_form(a: Matrix):
     f = a.field
     res = rref(a)
     w = _Working(f, [res.rref])
-    x = w.slices[0]
     for r, pc in enumerate(res.pivot_cols):
-        for c in range(a.cols):
-            if c != pc and not f.is_zero(x[r][c]):
-                w.addmul(_COL, c, pc, f.neg(x[r][c]))
+        w.clear(_COL, 0, r, pc, range(a.cols))
     # pivot columns first, in row order, then the free columns
     w.take(_COL, [*res.pivot_cols, *(c for c in range(a.cols) if c not in res.pivot_cols)])
     (q_t,) = w.matrices((_COL,))

@@ -202,11 +202,8 @@ class Tensor3:
         return Tensor3(f, d, out)
 
     def kron_power(self, m: int) -> "Tensor3":
-        power_dims(self, m)  # refuses what the loop below would refuse, first
-        acc = self
-        for _ in range(m - 1):
-            acc = acc.kron(self)
-        return acc
+        dims, items = power_items(self, m)
+        return Tensor3(self.field, dims, dict(items))
 
 
 def guard_dims(dims: Tuple[int, int, int], what: str = "tensor") -> None:
@@ -236,6 +233,23 @@ def power_dims(t: Tensor3, m: int) -> Tuple[int, int, int]:
         refuse_over(total, KRON_ENTRY_GUARD, _KRON_ENTRIES)
     refuse_over(m, limit, "kronecker power {count} exceeds the power limit {guard}")
     return tuple(n**m for n in t.dims)
+
+
+def power_items(t: Tensor3, m: int):
+    """(dims, nonzero items) of t^(x)m, the items ((i, j, k), v) sorted by
+    index, with no dense entry built.  Refused first, as `power_dims`
+    refuses.  Each item is the product of m nonzeros of t, with the index
+    pairing of `Tensor3.kron` (outer * n + inner) and its values multiplied
+    in kron's order, outer times inner."""
+    dims = power_dims(t, m)
+    f, (n1, n2, n3) = t.field, t.dims
+    base = list(t.nonzero_items())
+    items = base
+    for _ in range(m - 1):
+        items = [((i * n1 + a, j * n2 + b, k * n3 + c), f.mul(v, w))
+                 for (i, j, k), v in items for (a, b, c), w in base]
+    items.sort()
+    return dims, items
 
 
 def contract(t: Tensor3, legs, *, power: int = 1):
@@ -387,7 +401,7 @@ def _packed_slices(vals, dims, stride, xs, js, shift: int):
     """{x: rows} for the slices x in xs of the first leg, t's legs rotated
     to dims and stride: the nonzero rows j in js, each (j, sum_k v_k *
     2^(shift*k)) over the last leg."""
-    _, n2, n3 = dims
+    n3 = dims[2]
     st1, st2, st3 = stride
     out = {}
     for x in xs:

@@ -343,6 +343,22 @@ class RefWorking(_Working):
         for lst in self._along(axis):
             lst[dst] = ref_axpy(lst[dst], lst[src], c, self.p)
 
+    def find(self, s, rows, cols):
+        f, x = self.f, self.slices[s]
+        for a in rows:
+            for b in cols:
+                if not f.is_zero(x[a][b]):
+                    return a, b
+        return None
+
+    def clear(self, axis, s, line, src, idxs):
+        f, x = self.f, self.slices[s]
+        for k in idxs:
+            v = x[k][line] if axis == _ROW else x[line][k]
+            if k != src and not f.is_zero(v):
+                piv = x[src][line] if axis == _ROW else x[line][src]
+                self.addmul(axis, k, src, f.neg(f.div(v, piv)))
+
     def slice_transform(self, coeffs):
         f, p = self.f, self.p
         for lst in self._along(_SLICE):
@@ -467,9 +483,18 @@ def test_tracker_matches_ref_tracker(data):
         axis = data.draw(st.sampled_from([_ROW, _COL, _SLICE]))
         size = len(w.maps[axis])
         index = st.integers(0, size - 1)
-        op = data.draw(st.sampled_from(["swap", "scale", "addmul", "delete", "take", "transform"]))
+        op = data.draw(st.sampled_from(["swap", "scale", "addmul", "delete", "take", "transform", "find", "clear"]))
         if op == "swap":
             args = (axis, data.draw(index), data.draw(index))
+        elif op == "find":
+            rows, cols = (st.integers(0, len(w.maps[a]) - 1) for a in (_ROW, _COL))
+            args = (data.draw(st.integers(0, len(w.slices) - 1)), data.draw(st.lists(rows)), data.draw(st.lists(cols)))
+        elif op == "clear" and axis != _SLICE:
+            s, src = data.draw(st.integers(0, len(w.slices) - 1)), data.draw(index)
+            line = data.draw(st.integers(0, len(w.maps[_COL if axis == _ROW else _ROW]) - 1))
+            if f.is_zero(w.slices[s][src][line] if axis == _ROW else w.slices[s][line][src]):
+                continue
+            args = (axis, s, line, src, data.draw(st.lists(index, unique=True)))
         elif op == "scale":
             args = (axis, data.draw(index), data.draw(values))
         elif op == "addmul":
@@ -483,8 +508,7 @@ def test_tracker_matches_ref_tracker(data):
         else:
             continue
         name = "slice_transform" if op == "transform" else op
-        getattr(w, name)(*args)
-        getattr(ref, name)(*args)
+        assert getattr(w, name)(*args) == getattr(ref, name)(*args)
         _same_tracker(w, ref)
 
 

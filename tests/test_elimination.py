@@ -161,9 +161,25 @@ def test_tracker_keeps_its_invariant(data):
         axis = data.draw(st.sampled_from([_ROW, _COL, _SLICE]))
         size = len(w.maps[axis])
         index = st.integers(0, size - 1)
-        op = data.draw(st.sampled_from(["swap", "scale", "addmul", "delete", "take", "transform"]))
+        op = data.draw(st.sampled_from(["swap", "scale", "addmul", "delete", "take", "transform", "find", "clear"]))
+        s = data.draw(st.integers(0, len(w.slices) - 1))
+        x = w.slices[s]
         if op == "swap":
             w.swap(axis, data.draw(index), data.draw(index))
+        elif op == "find":
+            rows, cols = (data.draw(st.lists(st.integers(0, len(w.maps[a]) - 1))) for a in (_ROW, _COL))
+            hit = w.find(s, rows, cols)
+            nonzero = [(a, b) for a in rows for b in cols if not f.is_zero(x[a][b])]
+            assert hit == (nonzero[0] if nonzero else None)
+        elif op == "clear" and axis != _SLICE:
+            src = data.draw(index)
+            line = data.draw(st.integers(0, len(w.maps[_COL if axis == _ROW else _ROW]) - 1))
+            entry = (lambda k: x[k][line]) if axis == _ROW else (lambda k: x[line][k])
+            if f.is_zero(entry(src)):
+                continue
+            idxs = data.draw(st.lists(index, unique=True))
+            w.clear(axis, s, line, src, idxs)
+            assert all(f.is_zero(entry(k)) for k in idxs if k != src) and not f.is_zero(entry(src))
         elif op == "scale":
             w.scale(axis, data.draw(index), data.draw(values))
         elif op == "addmul":

@@ -333,6 +333,44 @@ def test_cli_power(tmp_path):
     assert parse_tensor(out.read_text()) == unit(GF(3), 4)
 
 
+def test_cli_power_writes_the_kron_chain(tmp_path, cli_run):
+    """`power` writes byte for byte what serializing the Kronecker chain
+    T (x) T (x) ... writes, and `kron_power` equals that chain, on small
+    sparse tensors over GF(2), GF(7) and Q."""
+    rng = random.Random(43)
+    tpath = tmp_path / "t.tensor"
+    for f in (GF(2), GF(7), QQ):
+        values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9)] if f is QQ else range(f.p)
+        for _ in range(4):
+            dims = tuple(rng.randint(1, 3) for _ in range(3))
+            n = dims[0] * dims[1] * dims[2]
+            t = Tensor3(f, dims, [rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(n)],
+                        normalize=True)
+            tpath.write_text(serialize_tensor(t))
+            chain = t
+            for m in (1, 2, 3):
+                out, _ = cli_run(["power", str(tpath), str(m)])
+                assert out == serialize_tensor(chain), (f, dims, m)
+                assert t.kron_power(m) == chain
+                chain = chain.kron(t)
+
+
+@pytest.mark.parametrize("text, dims, first, count", [
+    ("field gf:7\ndims 199 1 1\n5 1 1 3\n", "7880599 1 1", "159205 1 1 6", 1),
+    ("field q\ndims 199 1 1\n5 1 1 1/2\n", "7880599 1 1", "159205 1 1 1/8", 1),
+    ("field gf:3\ndims 76 1 3\n1 1 1 1\n2 1 3 2\n40 1 2 1\n76 1 3 2\n", "438976 1 27", "1 1 1 1", 4**3),
+], ids=["gf7-199x1x1", "q-199x1x1", "gf3-76x1x3"])
+def test_cli_power_of_a_sparse_tensor_is_quick(text, dims, first, count, tmp_path, cli_run):
+    """T^(x)3 of a long sparse tensor is written from the products of its
+    nonzeros, in well under a second: its millions of dense entries are
+    never built."""
+    tpath = tmp_path / "sparse.tensor"
+    tpath.write_text("tensor v1\n" + text)
+    out, _ = cli_run(["power", str(tpath), "3"], seconds=1)
+    lines = out.splitlines()
+    assert (lines[2], lines[3], len(lines) - 3) == (f"dims {dims}", first, count)
+
+
 def test_scan_resumable_chunks():
     f = GF(2)
     full, _ = scan_format(f, (2, 2, 2))

@@ -609,6 +609,27 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_unused_locals():
+    """No function of the package assigns a name, alone or in a tuple
+    target, that it never reads, itself or in a nested function; names
+    starting with `_` are exempt."""
+    root = Path(__file__).resolve().parents[1]
+    found = set()
+    for path in sorted((root / "src" / "tenrank").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(fn))
+            read = {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            read |= {name for n in nodes if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
+            targets = [t for n in nodes if isinstance(n, ast.Assign) for t in n.targets]
+            targets += [n.target for n in nodes if isinstance(n, ast.AnnAssign)]
+            stored = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            found |= {f"{path.name}: {fn.name}: {name}" for name in stored - read if not name.startswith("_")}
+    assert sorted(found) == []
+
+
 def test_mincov_matches_brute_force():
     rng = random.Random(17)
     f = GF(2)
