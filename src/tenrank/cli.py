@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     BadParamsError,
@@ -218,22 +218,6 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _scan_one(word: int, dims, field) -> Tuple[int, int, Tuple[int, int, int], bool]:
-    """The tally key of the tensor with scan index `word`.  Over GF(2) the
-    index is the packed word, and when the packed unit-restriction search
-    takes the format (`engine.packed_applies` at r = min(dims)) the item runs
-    on the word alone (`engine.word_oracles`); its witnesses are checked in
-    `engine.packed_unit_restriction`.  Other items decode a `Tensor3`."""
-    if engine.packed_applies(field, dims, min(dims)):
-        q_val, sr_val, ranks = engine.word_oracles(field, word, dims)
-        return q_val, sr_val, ranks, ranks == dims
-    t = _tensor_from_index(word, dims, field)
-    ranks = t.flattening_ranks()  # kept on t, so the oracles below reuse it
-    q_val, _ = engine.subrank_exact(t)
-    sr_val = engine.slicerank_exact(t)
-    return q_val, sr_val, ranks, ranks == dims
-
-
 def _tensor_from_index(index: int, dims, field) -> Tensor3:
     q = field.p
     n = dims[0] * dims[1] * dims[2]
@@ -244,16 +228,41 @@ def _tensor_from_index(index: int, dims, field) -> Tensor3:
     return Tensor3(field, dims, digits)
 
 
+class _ScanPlan(NamedTuple):
+    """What a scan format decides once (`_scan_plan`)."""
+
+    total: int  # the format's tensor count, p^(n1*n2*n3)
+    field: PrimeField
+    dims: Tuple[int, int, int]
+    # when the format's items run on the packed word, the slice-rank guard's
+    # outcome for them (`engine.slicerank_guard`); None when they decode a Tensor3
+    word_guard: Optional[Callable[[], None]]
+
+    def oracles(self, index: int) -> Tuple[int, int, Tuple[int, int, int]]:
+        """(subrank, slice rank, flattening ranks) of the tensor with scan index `index`."""
+        if self.word_guard:
+            return engine.word_oracles(self.field, self.dims, self.word_guard, index)
+        t = _tensor_from_index(index, self.dims, self.field)
+        ranks = t.flattening_ranks()  # kept on t, so the oracles below reuse it
+        return engine.subrank_exact(t)[0], engine.slicerank_exact(t), ranks
+
+
 @lru_cache(maxsize=64)
-def _scan_total(field: PrimeField, dims: Tuple[int, int, int], cap: int) -> int:
-    """The number of tensors of a scan format, p^(n1*n2*n3), once the format
-    passes `guard_dims` and the cap: checked once per (field, dims, cap).  A
-    refusal raises, so it is never cached."""
+def _scan_plan(p: int, dims: Tuple[int, int, int], cap: int) -> _ScanPlan:
+    """The plan of a scan format over GF(p), once the format passes
+    `guard_dims` and the cap: built once per (p, dims, cap).  A refusal
+    raises, so it is never cached.  Over GF(2), when the packed
+    unit-restriction search takes the format (`engine.packed_applies` at
+    r = min(dims)), an index is the packed word and runs on the word alone
+    (`engine.word_oracles`); its witnesses are checked in
+    `engine.packed_unit_restriction`.  Other formats decode a `Tensor3`."""
     guard_dims(dims, "scan format")
     n = dims[0] * dims[1] * dims[2]
-    if n >= cap.bit_length() or field.p**n > cap:  # p^n > cap once n reaches cap's bit length
-        raise ResourceGuardError(f"scan of {field.p}^{n} tensors exceeds cap {shown(cap)}")
-    return field.p**n
+    if n >= cap.bit_length() or p**n > cap:  # p^n > cap once n reaches cap's bit length
+        raise ResourceGuardError(f"scan of {p}^{n} tensors exceeds cap {shown(cap)}")
+    field = PrimeField(p)
+    packed = engine.packed_applies(field, dims, min(dims))
+    return _ScanPlan(p**n, field, dims, engine.slicerank_guard(p, dims) if packed else None)
 
 
 def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None, cap: int = SCAN_CAP):
@@ -262,21 +271,22 @@ def scan_format(field, dims, *, offset: int = 0, limit: Optional[int] = None, ca
     Returns (counts, scanned) where counts maps
     (subrank, slicerank, flattening ranks, concise) to a tally.  The index
     range [offset, offset+limit) supports resumable chunked scans, whose
-    tallies merge to the whole format's.  GF(2) items of formats the packed
-    search takes run on their packed word, with no `Tensor3` or `Matrix`,
-    unless the slice rank needs a search (`_scan_one`).
+    tallies merge to the whole format's.  What depends on the format alone
+    is looked up in its cached plan (`_scan_plan`), once per call.
     """
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("scan needs a finite field")
     if offset < 0 or (limit is not None and limit < 0):
         raise BadParamsError(f"scan offset {shown(offset)} and limit {shown(limit)} must not be negative")
-    total = _scan_total(field, tuple(dims), cap)
-    if offset > total:
-        raise BadParamsError(f"scan offset {shown(offset)} is past the end of the {shown(total)} tensors of the format")
-    end = total if limit is None else min(total, offset + limit)
+    dims = tuple(dims)
+    plan = _scan_plan(field.p, dims, cap)
+    if offset > plan.total:
+        raise BadParamsError(f"scan offset {shown(offset)} is past the end of the {shown(plan.total)} tensors of the format")
+    end = plan.total if limit is None else min(plan.total, offset + limit)
     counts: Dict[tuple, int] = {}
     for idx in range(offset, end):
-        key = _scan_one(idx, dims, field)
+        q_val, sr_val, ranks = plan.oracles(idx)
+        key = (q_val, sr_val, ranks, ranks == dims)
         counts[key] = counts.get(key, 0) + 1
     return counts, end - offset
 
@@ -387,9 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
+def _glued(argv: List[str]) -> List[str]:
+    """argv with each list option (`--orient`, `--dims`: `_int_list` reads
+    their values) joined to the word after it, `--orient -1,2` as
+    `--orient=-1,2` and a last `--orient` as `--orient=`.  argparse takes a
+    separate word that begins with '-' for an option, so only the joined
+    spelling hands a negative first entry to `_int_list`.  Words after a
+    bare `--` are left alone."""
+    out, words = [], iter(argv)
+    for word in words:
+        if word == "--":
+            return out + [word, *words]
+        out.append(f"{word}={next(words, '')}" if word in ("--orient", "--dims") else word)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
         if getattr(args, "guard", None) is not None and args.guard < 1:
             raise BadParamsError(f"--guard {shown(args.guard)} must be at least 1")
         # looked up per call, so a patched or wrapped command is the one that runs

@@ -11,9 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import _gf2
 from .errors import (
@@ -320,19 +320,33 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     raise VerificationFailedError("nonzero tensor without a unit restriction")  # pragma: no cover
 
 
-def _slicerank_settled(f: Field, dims, zero: bool, ranks, guard: int) -> Optional[int]:
-    """The steps of `slicerank_exact` before any search, in order: the
-    refusal over Q, the zero test, the subspace-pair guard, then the
-    flattening shortcut.  `ranks()` gives the flattening ranks; it is called
-    only past the guard.  Returns the slice rank when these steps settle it,
-    else None."""
-    if not isinstance(f, PrimeField):
-        raise InfiniteFieldError("exhaustive slice rank needs a finite field")
+def _slicerank_settled(zero: bool, guard: Callable[[], None], ranks: Iterable[int]) -> Optional[int]:
+    """The steps of `slicerank_exact` before any search, in order: the zero
+    test, the subspace-pair guard (`guard()` raises when it refuses), then
+    the flattening shortcut on `ranks`, which is read only past the guard.
+    Returns the slice rank when these steps settle it, else None."""
     if zero:
         return 0
-    subspace_pair_guard(f.p, dims[0], dims[1], guard)
-    best = min(ranks())
+    guard()
+    best = min(ranks)
     return best if best <= 2 else None
+
+
+def _ranks_when_read(t: Tensor3):
+    """t's flattening ranks, computed when first read."""
+    yield from t.flattening_ranks()
+
+
+def slicerank_guard(p: int, dims) -> Callable[[], None]:
+    """`slicerank_exact`'s subspace-pair guard at its default on a GF(p)
+    format, decided once: a no-op when it passes, else the check, which
+    raises the refusal each time it is called."""
+    check = partial(subspace_pair_guard, p, dims[0], dims[1], SLICERANK_GUARD)
+    try:
+        check()
+    except ResourceGuardError:
+        return check
+    return lambda: None
 
 
 def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
@@ -352,14 +366,17 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     from the smallest.  A nonzero tensor has slice rank 1 exactly when a
     flattening has rank 1 (T = u (x) M on that leg), so when the smallest
     flattening rank is at most 2 it is the slice rank and nothing is searched.
-    These first steps are `_slicerank_settled`, which `word_oracles` shares.
+    These first steps, after the refusal over Q, are `_slicerank_settled`,
+    which `word_oracles` shares.
     """
     f = t.field
-    settled = _slicerank_settled(f, t.dims, t.is_zero(), t.flattening_ranks, guard)
-    if settled is not None:
-        return settled
+    if not isinstance(f, PrimeField):
+        raise InfiniteFieldError("exhaustive slice rank needs a finite field")
     n1, n2, n3 = t.dims
     q = f.p
+    settled = _slicerank_settled(t.is_zero(), partial(subspace_pair_guard, q, n1, n2, guard), _ranks_when_read(t))
+    if settled is not None:
+        return settled
     best = min(t.flattening_ranks())
     # the columns of the n1 x (n2 * n3) flattening, so ann(V1) * T is one _product call
     fibers = list(zip(*t.flattening(1).data))
@@ -374,10 +391,11 @@ def slicerank_exact(t: Tensor3, *, guard: int = SLICERANK_GUARD) -> int:
     return best
 
 
-def word_oracles(f: PrimeField, word: int, dims) -> Tuple[int, int, Tuple[int, int, int]]:
+def word_oracles(f: PrimeField, dims, guard: Callable[[], None], word: int) -> Tuple[int, int, Tuple[int, int, int]]:
     """(subrank, slice rank, flattening ranks) of a packed GF(2) tensor, for
     a format with packed_applies(f, dims, min(dims)): the values
-    `subrank_exact` and `slicerank_exact` give on its `Tensor3`.
+    `subrank_exact` and `slicerank_exact` give on its `Tensor3`.  `guard` is
+    the format's `slicerank_guard`.
 
     The flattening ranks come from `_gf2.flattening_ranks`.  A restriction
     cannot raise a flattening rank, and those of the size-r unit tensor are
@@ -387,11 +405,12 @@ def word_oracles(f: PrimeField, word: int, dims) -> Tuple[int, int, Tuple[int, i
     `Tensor3` built, for `slicerank_exact`.  No `Matrix` is built otherwise.
     """
     ranks = _gf2.flattening_ranks(word, dims)
-    found = (r for r in range(min(ranks), 0, -1) if packed_unit_restriction(word, dims, r) is not None)
-    sub = next(found, 0)
+    sub = min(ranks)
+    while sub and packed_unit_restriction(word, dims, sub) is None:
+        sub -= 1
     if word and not sub:
         raise VerificationFailedError("nonzero tensor without a unit restriction")  # pragma: no cover
-    sr = _slicerank_settled(f, dims, not word, lambda: ranks, SLICERANK_GUARD)
+    sr = _slicerank_settled(not word, guard, ranks)
     if sr is None:
         sr = slicerank_exact(Tensor3(f, dims, _gf2.unpack_entries(word, dims)))
     return sub, sr, ranks

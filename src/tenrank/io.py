@@ -119,7 +119,13 @@ def parse_tensor(text: str) -> Tensor3:
     if field is None or len(blocks) != 1:
         raise ParseError("a tensor needs one field line and one dims line")
     dims, entries = blocks[0]
-    return Tensor3(field, dims, entries)
+    # the reader checked every index and refused zeros and repeats, and
+    # parse_value made every value canonical, so each goes to its place as it is
+    n1, n2, n3 = dims
+    flat = [field.zero()] * (n1 * n2 * n3)
+    for (i, j, k), v in entries.items():
+        flat[(i * n2 + j) * n3 + k] = v
+    return Tensor3(field, dims, flat)
 
 
 def serialize_certificate(d: Degeneration, field: Field) -> str:

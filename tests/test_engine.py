@@ -28,7 +28,7 @@ from tenrank.errors import (
 )
 from tenrank.fields import GF, QQ
 from tenrank import _gf2, engine
-from tenrank.cli import _scan_one, scan_format
+from tenrank.cli import _scan_plan, scan_format
 from tenrank.engine import (
     PAIR_GUARD,
     _count_full_rank,
@@ -752,18 +752,22 @@ def test_single_bit_flips_of_packed_witnesses_are_judged_alike_by_both_checks():
 def test_packed_branch_refuses_a_bad_witness(monkeypatch, change, caller):
     """Both users of the packed search, exists_unit_restriction and a GF(2)
     scan item, check its witness before they use it: a search that hands
-    back a broken witness is refused."""
+    back a broken witness is refused.  A scan item is run from its format's
+    plan and through a one-index `scan_format` window."""
     t = Tensor3(GF(2), (2, 2, 3), {(0, 0, 0): 1, (1, 1, 1): 1, (0, 1, 2): 1})
     word = _gf2.pack(t.entries)
     assert min(t.flattening_ranks()) == 2  # so the scan item searches r = 2 first
     rows1, rows2, rows3 = _gf2.exists_unit_restriction_gf2(word, t.dims, 2)
     bad = (rows1, rows2, (rows3[0], rows3[1] ^ 2)) if change == "flip" else (rows1, rows2, rows3[:1])
     monkeypatch.setattr(_gf2, "exists_unit_restriction_gf2", lambda word, dims, r: bad)
-    with pytest.raises(VerificationFailedError, match="^unit restriction failed to verify$"):
-        if caller == "scan_item":
-            _scan_one(word, t.dims, GF(2))
-        else:
-            exists_unit_restriction(t, 2)
+    runs = {
+        "exists_unit_restriction": [lambda: exists_unit_restriction(t, 2)],
+        "scan_item": [lambda: _scan_plan(2, t.dims, 1 << 12).oracles(word),
+                      lambda: scan_format(GF(2), t.dims, offset=word, limit=1)],
+    }
+    for run in runs[caller]:
+        with pytest.raises(VerificationFailedError, match="^unit restriction failed to verify$"):
+            run()
 
 
 def test_packed_subrank_witnesses_are_pinned():

@@ -1,5 +1,6 @@
 import contextlib
 import io as _stdio
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import tenrank
 from tenrank.cli import main, scan_format
-from tenrank.errors import BadParamsError, ParseError, ResourceGuardError, refuse_over
+from tenrank.errors import BadParamsError, ParseError, ResourceGuardError, TenrankError, refuse_over
 from tenrank.fields import GF, QQ
 from tenrank.io import (
     certificate_of_restriction,
@@ -57,6 +58,56 @@ def test_tensor_parse_errors():
         parse_tensor(base + "1 1 1 0\n")  # explicit zero
     with pytest.raises(ParseError):
         parse_tensor(base + "1 1 1\n")  # short line
+
+
+def _dict_parse_tensor(text):
+    """parse_tensor as it was before it placed the entries itself: the
+    reader's {key: value} block, normalized again by `Tensor3`."""
+    field, _, blocks = tenrank.io._read(text, "tensor v1", {"dims": tenrank.io._dims_line}, "dims")
+    if field is None or len(blocks) != 1:
+        raise ParseError("a tensor needs one field line and one dims line")
+    return Tensor3(field, *blocks[0])
+
+
+def _parsed(parse, text):
+    """parse(text) with its entries' types, or its error's class and message."""
+    try:
+        t = parse(text)
+    except TenrankError as exc:
+        return type(exc), str(exc)
+    return t, tuple(map(type, t.entries))
+
+
+def test_parse_tensor_places_canonical_values_as_the_dict_path_did():
+    """parse_tensor gives the tensor, entry types included, or the error the
+    dict path gave: on round trips over GF(2), GF(7), GF(11) and Q, and on
+    non-canonical spellings, with 7 over gf:7 refused as an explicit zero."""
+    rng = random.Random(44)
+    texts = []
+    for field in (GF(2), GF(7), GF(11)):
+        for dims in ((3, 2, 4), (1, 1, 1), (2, 0, 3)):
+            texts.append(serialize_tensor(rand_tensor(field, dims, rng)))
+    for _ in range(5):
+        entries = {(i, j, k): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                   for i, j, k in itertools.product(range(2), range(3), range(2)) if rng.randrange(2)}
+        texts.append(serialize_tensor(Tensor3(QQ, (2, 3, 2), entries)))
+    gf7 = "tensor v1\nfield gf:7\ndims 2 1 2\n"
+    texts += [
+        gf7 + "1 1 1 -1\n2 1 2 15\n",
+        gf7 + "1 1 2 -13\n2 1 1 8\n",
+        "tensor v1\nfield q\ndims 1 2 1\n1 1 1 2/4\n1 2 1 -6/3\n",
+        gf7 + "1 1 1 7\n",
+        gf7 + "1 1 1 -14\n",
+        "tensor v1\nfield q\ndims 1 1 1\n1 1 1 0/5\n",
+        gf7 + "1 1 1 1\n1 1 1 2\n",
+        gf7 + "3 1 1 1\n",
+    ]
+    for text in texts:
+        assert _parsed(parse_tensor, text) == _parsed(_dict_parse_tensor, text), text
+    t, _ = _parsed(parse_tensor, gf7 + "1 1 1 -1\n2 1 2 15\n")
+    assert t.entries == (6, 0, 0, 1)
+    assert _parsed(parse_tensor, "tensor v1\nfield q\ndims 1 1 1\n1 1 1 2/4\n")[0].entries == (Fraction(1, 2),)
+    assert _parsed(parse_tensor, gf7 + "1 1 1 7\n") == (ParseError, "explicit zero entry in '1 1 1 7'")
 
 
 def test_certificate_roundtrip():
@@ -420,9 +471,67 @@ def test_scan_refusals_are_not_cached_and_a_passing_format_is():
             messages.append(str(info.value))
         assert messages[0] == messages[1], kw
     scan_format(GF(2), (2, 1, 2), offset=3, limit=1)
-    hits = tenrank.cli._scan_total.cache_info().hits
+    hits = tenrank.cli._scan_plan.cache_info().hits
     assert scan_format(GF(2), (2, 1, 2), offset=5, limit=1)[1] == 1
-    assert tenrank.cli._scan_total.cache_info().hits == hits + 1
+    assert tenrank.cli._scan_plan.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("field, dims", [(GF(2), (2, 2, 3)), (GF(3), (2, 2, 1)), (GF(2), (3, 3, 3))],
+                         ids=["packed", "gf3", "gf2_tensor3"])
+def test_scan_plan_is_built_once_and_looked_up_once_per_call(monkeypatch, field, dims):
+    """A passing format's plan is built on the first scan_format call and
+    looked up once by every later call, however many indices it scans.  On
+    a packed format nothing else asks the packed condition, so it is asked
+    once, not once per index; on the others the subrank search asks it."""
+    asked = []
+    packed_applies = tenrank.engine.packed_applies
+    monkeypatch.setattr(tenrank.engine, "packed_applies", lambda *a: asked.append(a) or packed_applies(*a))
+    tenrank.cli._scan_plan.cache_clear()
+    windows = [(0, 5), (7, 1), (2, 0), (3, 30)]
+    for offset, limit in windows:
+        scan_format(field, list(dims), offset=offset, limit=limit, cap=1 << 27)
+    info = tenrank.cli._scan_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, len(windows) - 1, 1)
+    assert asked[0] == (field, dims, min(dims))
+    assert (len(asked) == 1) == (field.p == 2 and dims == (2, 2, 3))
+
+
+def test_scan_dims_given_as_a_list_tally_as_a_tuple():
+    """The concise column compares the flattening ranks with the dims as a
+    tuple, so dims given as a list give the same tally, concise tensors
+    included."""
+    counts, _ = scan_format(GF(2), [2, 2, 2])
+    assert (counts, 256) == scan_format(GF(2), (2, 2, 2))
+    assert sum(cnt for key, cnt in counts.items() if key[3]) > 0
+
+
+def test_a_refused_format_refuses_on_every_call():
+    """A format the cap or the format guard refuses builds no plan and is
+    refused again, with the same message, on every call."""
+    tenrank.cli._scan_plan.cache_clear()
+    for kw, message in [({"dims": (2, 2, 3), "cap": 4095}, "^scan of 2\\^12 tensors exceeds cap 4095$"),
+                        ({"dims": (4096, 0, 4097)},
+                         "^scan format would have a flattening of width 16781312 \\(guard 16777216\\)$")]:
+        for _ in range(3):
+            with pytest.raises(ResourceGuardError, match=message):
+                scan_format(GF(2), **kw)
+    assert tenrank.cli._scan_plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("dims", ["10,2,1", "16,1,1"])
+def test_a_packed_format_whose_slice_rank_guard_refuses(dims, cli_run):
+    """Both formats take the packed path, and the slice-rank guard refuses
+    their subspace pairs: the zero word is tallied (its slice rank is 0 with
+    no search), while every nonzero word is refused with the guard's message,
+    on every call."""
+    n1, n2, n3 = map(int, dims.split(","))
+    assert tenrank.engine.packed_applies(GF(2), (n1, n2, n3), 1)
+    pairs = tenrank.spans.subspace_pair_count(2, n1, n2)
+    for _ in range(2):
+        out, _ = cli_run(["scan", "--dims", dims, "--field", "gf:2", "--offset", "0", "--limit", "1"], 0)
+        assert "row 0 0 0 0 0 0 1\ntotal 1\nchain_violations 0\n" in out
+        _, err = cli_run(["scan", "--dims", dims, "--field", "gf:2", "--offset", "1", "--limit", "1"], 3)
+        assert err == f"resource guard: subspace-pair enumeration of {pairs} pairs exceeds guard 2000000\n"
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
@@ -435,6 +544,35 @@ def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
     assert tenrank.cli._parser() is parser
     monkeypatch.setattr(tenrank.cli, "cmd_scan", lambda args: 7)
     assert run_cli("scan", "--dims", "2,2,1", "--field", "gf:2") == 7
+
+
+@pytest.mark.parametrize("cmd, option, value, want", [
+    (["maxrank", "W"], "--orient", "-1,2", (1, "error: BadParamsError: bad orientation (-1, 2)\n")),
+    (["minrank", "W"], "--orient", "-1,2", (1, "error: BadParamsError: bad orientation (-1, 2)\n")),
+    (["certify", "rho", "W"], "--orient", "-1,2", (1, "error: BadParamsError: bad orientation (-1, 2)\n")),
+    (["maxrank", "W"], "--orient", "-x", (2, "parse error: non-integer value in '-x'\n")),
+    (["scan", "--field", "gf:2"], "--dims", "-1,2,2", (2, "parse error: value below 0 in '-1,2,2'\n")),
+    (["scan", "--field", "gf:2"], "--dims", "-2", (2, "parse error: value below 0 in '-2'\n")),
+])
+def test_a_list_option_value_that_begins_with_a_minus_is_read_in_either_spelling(cmd, option, value, want,
+                                                                                 tmp_path, cli_run):
+    """`--orient -1,2` ends as `--orient=-1,2` does, for every list option:
+    argparse would take the separate word for an option and print its
+    usage, which names no bad word."""
+    path = tmp_path / "w.tensor"
+    path.write_text(serialize_tensor(w_tensor(GF(2))))
+    cmd = [str(path) if word == "W" else word for word in cmd]
+    for argv in (cmd + [option, value], cmd + [f"{option}={value}"], [*cmd[:1], option, value, *cmd[1:]]):
+        assert cli_run(argv, want[0])[1] == want[1], argv
+
+
+def test_words_after_a_bare_double_dash_are_not_joined(tmp_path, monkeypatch, cli_run):
+    """After `--` every word is a positional one, so `--orient` there names
+    the tensor file, as argparse reads it."""
+    path = tmp_path / "--orient"
+    path.write_text(serialize_tensor(w_tensor(GF(2))))
+    monkeypatch.chdir(tmp_path)
+    assert cli_run(["info", "--", "--orient"])[0].startswith("dims 2 2 2\n")
 
 
 @pytest.mark.parametrize("dims", ["a,2,2", "2,2", "2,-1,2"])

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenrank import _gf2, engine
-from tenrank.cli import _scan_one, _tensor_from_index
+from tenrank.cli import _scan_plan, _tensor_from_index, scan_format
 from tenrank.engine import slicerank_exact, subrank_exact
 from tenrank.errors import BadParamsError, IndexOutOfRangeError, ResourceGuardError, TenrankError, ZeroSpanError
 from tenrank.fields import GF, QQ
@@ -131,9 +132,10 @@ def test_scan_item_computes_each_flattening_rank_once(monkeypatch):
     monkeypatch.setattr(Tensor3, "flattening_rank", counted)
     dims = (2, 2, 2)
     for word in (1, 5, 1234, 3**8 - 1):
-        calls.clear()
-        q_val, sr_val, ranks, concise = _scan_one(word, dims, GF(3))
-        assert sorted(calls) == [1, 2, 3]
+        for scan_key in (_plan_key, _window_key):
+            calls.clear()
+            q_val, sr_val, ranks, concise = scan_key(word, dims, GF(3))
+            assert sorted(calls) == [1, 2, 3]
         t = _tensor_from_index(word, dims, GF(3))
         assert (sr_val, ranks) == (slicerank_exact(t), _generic_ranks(t))
 
@@ -150,9 +152,25 @@ def test_scan_decoding_of_gf2_words_is_the_packed_one():
         assert all(type(x) is int for x in entries)
 
 
+def _plan_key(word, dims, field):
+    """A scan item's tally key from its format's plan (`cli._scan_plan`),
+    called directly."""
+    q_val, sr_val, ranks = _scan_plan(field.p, dims, field.p ** math.prod(dims)).oracles(word)
+    return q_val, sr_val, ranks, ranks == dims
+
+
+def _window_key(word, dims, field):
+    """The same key through the one-index window of `scan_format`, the path
+    `tenrank scan` and the benchmark take."""
+    counts, scanned = scan_format(field, dims, offset=word, limit=1, cap=field.p ** math.prod(dims))
+    (key,) = counts
+    assert scanned == counts[key] == 1
+    return key
+
+
 def _generic_scan_key(word, dims, field):
     """A scan item's key through `Tensor3` and the two oracles: the path
-    `_scan_one` takes for GF(3) and outside the packed condition."""
+    a scan takes for GF(3) and outside the packed condition."""
     t = _tensor_from_index(word, dims, field)
     ranks = t.flattening_ranks()
     return subrank_exact(t)[0], slicerank_exact(t), ranks, ranks == dims
@@ -193,7 +211,8 @@ def test_scan_word_path_equals_the_generic_path(dims, words, packed):
     f = GF(2)
     assert engine.packed_applies(f, dims, min(dims)) == packed
     for word in words:
-        assert _outcome(_scan_one, word, dims, f) == _outcome(_generic_scan_key, word, dims, f), word
+        want = _outcome(_generic_scan_key, word, dims, f)
+        assert _outcome(_plan_key, word, dims, f) == _outcome(_window_key, word, dims, f) == want, word
 
 
 def test_scan_word_path_builds_no_tensor_or_matrix(monkeypatch):
@@ -210,12 +229,15 @@ def test_scan_word_path_builds_no_tensor_or_matrix(monkeypatch):
     dims = (2, 2, 3)
     for word in range(1 << 12):
         assert min(_gf2.flattening_ranks(word, dims)) <= 2
-        _scan_one(word, dims, GF(2))
+        _plan_key(word, dims, GF(2))
+        _window_key(word, dims, GF(2))
     assert built == []
     assert not engine.packed_applies(GF(2), (3, 3, 3), 3)
-    key = _scan_one(unit_word, (3, 3, 3), GF(2))
-    assert built[0] == "Tensor3"
-    assert key == _generic_scan_key(unit_word, (3, 3, 3), GF(2)) == (3, 3, (3, 3, 3), True)
+    for scan_key in (_plan_key, _window_key):
+        built.clear()
+        key = scan_key(unit_word, (3, 3, 3), GF(2))
+        assert built[0] == "Tensor3"
+        assert key == _generic_scan_key(unit_word, (3, 3, 3), GF(2)) == (3, 3, (3, 3, 3), True)
 
 
 # -- the strided slice reader against the per-direction bodies it replaced ------
