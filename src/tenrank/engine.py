@@ -60,7 +60,6 @@ from .tensor import (
     apply_restriction,
     matmul_tensor,
     power_dims,
-    unit,
     verify_restriction,
 )
 
@@ -86,12 +85,13 @@ class SubrankCertificate:
     degeneration: Optional[Degeneration] = None
 
     def verify(self, t: Tensor3) -> bool:
-        """Re-check the certificate against the base tensor.  Raises
-        ResourceGuardError when the dense power would exceed the Kronecker
-        entry guard: too large to check is not the same as invalid."""
-        if self.kind == "restriction":
-            return verify_restriction(self.restriction, t, unit(t.field, self.r), power=self.power)
-        return verify_degeneration(self.degeneration, t, power=self.power)
+        """Re-check the certificate against the base tensor through the one
+        check `tenrank verify` replays, a restriction as its exponent-0
+        degeneration.  Raises ResourceGuardError when the dense power would
+        exceed the Kronecker entry guard: too large to check is not the same
+        as invalid."""
+        d = self.degeneration or Degeneration.from_restriction(self.restriction, self.r, self.power)
+        return verify_degeneration(d, t, power=self.power)
 
 
 def _count_full_rank(q: int, r: int, n: int) -> int:
@@ -288,7 +288,7 @@ def exists_unit_restriction(t: Tensor3, r: int, *, guard: int = PAIR_GUARD) -> O
         return Restriction(tuple(Matrix(f, [_gf2.bit_row(b, n) for b in rows], cols=n)
                                  for rows, n in zip(maps, t.dims)))
     res = _unit_restriction_generic(t, r, guard)
-    if res is not None and not verify_restriction(res, t, unit(f, r)):
+    if res is not None and not verify_degeneration(Degeneration.from_restriction(res, r), t):
         raise VerificationFailedError("unit restriction failed to verify")  # pragma: no cover
     return res
 
@@ -309,7 +309,7 @@ def subrank_exact(t: Tensor3, *, guard: int = PAIR_GUARD):
     no guard is checked; elsewhere `guard` bounds the count of all full-rank
     pairs, before anything is built.  Lane-table witnesses are checked in
     `packed_unit_restriction`, which `word_oracles` (the GF(2) items of
-    `tenrank scan`) calls too, generic ones by `verify_restriction`.
+    `tenrank scan`) calls too, generic ones by `verify_degeneration`.
     """
     if t.is_zero():
         return 0, SubrankCertificate("restriction", 0, 1, restriction=exists_unit_restriction(t, 0))
@@ -484,10 +484,10 @@ def subrank_from_minrank(t: Tensor3, slice_indices: Sequence[int], *,
             fail("ran out of rows or columns during elimination")
     w.take(_ROW, range(c))
     w.take(_COL, range(c))
-    res = Restriction(w.matrices((_ROW, _COL, _SLICE)))
-    if not verify_restriction(res, t, unit(f, c)):
+    cert = SubrankCertificate("restriction", c, 1, restriction=Restriction(w.matrices((_ROW, _COL, _SLICE))))
+    if not cert.verify(t):
         fail("eliminated slices do not form the unit tensor")
-    return SubrankCertificate("restriction", c, 1, restriction=res)
+    return cert
 
 
 def subrank_c2(t: Tensor3) -> SubrankCertificate:
@@ -533,10 +533,10 @@ def subrank_c2(t: Tensor3) -> SubrankCertificate:
         _c2_case_full_rank(w, r)
     else:
         raise VerificationFailedError(f"unexpected first-slice rank {r}")  # pragma: no cover
-    res = Restriction(w.matrices((_ROW, _COL, _SLICE)))
-    if not verify_restriction(res, t, unit(f, 2)):
+    cert = SubrankCertificate("restriction", 2, 1, restriction=Restriction(w.matrices((_ROW, _COL, _SLICE))))
+    if not cert.verify(t):
         raise VerificationFailedError("dimension-2 construction failed to verify")
-    return SubrankCertificate("restriction", 2, 1, restriction=res)
+    return cert
 
 
 def _c2_case_middle_rank(w: _Working, r: int):

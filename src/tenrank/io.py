@@ -49,15 +49,15 @@ def _read(text: str, header: str, heads: dict, block: str):
 
     The first line that is not blank and does not start with '#' must be
     `header`; the rest of those lines are read in order, each in one pass.  A
-    `field` line sets the field.  A line whose first word is a key of `heads`
-    goes to that function of (words, line), and the last value of each key is
-    kept; a `block` line's value, a shape of two or three counts, also starts
-    a block of entries.  Every other line is an entry of the latest block:
-    four words, the first three integers, of which the first len(shape) are
-    one-based indices within the shape, kept zero-based (a certificate's
-    exponent is the free third), and a nonzero value; a key appears at most
-    once per block.  Returns (field or None, values by key, [(shape, {key:
-    value}), ...]).
+    `field` line sets the field, and a second one is refused.  A line whose
+    first word is a key of `heads` goes to that function of (words, line), and
+    the last value of each key is kept; a `block` line's value, a shape of two
+    or three counts, also starts a block of entries.  Every other line is an
+    entry of the latest block: four words, the first three integers, of which
+    the first len(shape) are one-based indices within the shape, kept
+    zero-based (a certificate's exponent is the free third), and a nonzero
+    value; a key appears at most once per block.  Returns (field or None,
+    values by key, [(shape, {key: value}), ...]).
     """
     lines = filter(None, (ln.strip() for ln in text.splitlines() if not ln.startswith("#")))
     if next(lines, None) != header:
@@ -69,6 +69,9 @@ def _read(text: str, header: str, heads: dict, block: str):
         if word == "field":
             if len(parts) != 2:
                 raise ParseError(f"bad field line {shown(ln)}")
+            if field is not None:
+                # entries already read were typed by the first field line
+                raise ParseError(f"second field line {shown(ln)}")
             try:
                 field = parse_field(parts[1])
             except BadParamsError as exc:
@@ -149,18 +152,24 @@ def _count_line(parts, ln: str, lowest: int) -> int:
     return _ints(parts[1:], ln, lowest)[0]
 
 
-def _map_line(parts, ln: str) -> tuple:
-    if len(parts) != 6 or parts[2] != "rows" or parts[4] != "cols":
+def _map_line(parts, ln: str, legs) -> tuple:
+    """The (rows, cols) of a `map` line, whose leg word must be the next of
+    `legs`."""
+    if len(parts) != 6 or parts[1] != next(legs, None) or parts[2] != "rows" or parts[4] != "cols":
         raise ParseError(f"bad map header {shown(ln)}")
     return tuple(_ints((parts[3], parts[5]), ln, 0))
 
 
-_CERT_LINES = {"power": partial(_count_line, lowest=1), "r": partial(_count_line, lowest=0), "map": _map_line}
+def _cert_lines() -> dict:
+    """The head lines of one certificate file, for `_read`: `power`, `r`,
+    and `map 1`, `map 2` and `map 3`, in that order."""
+    return {"power": partial(_count_line, lowest=1), "r": partial(_count_line, lowest=0),
+            "map": partial(_map_line, legs=iter("123"))}
 
 
 def parse_certificate(text: str):
     """Returns (Degeneration, Field)."""
-    field, values, maps = _read(text, CERT_HEADER, _CERT_LINES, "map")
+    field, values, maps = _read(text, CERT_HEADER, _cert_lines(), "map")
     if field is None or "power" not in values or "r" not in values or len(maps) != 3:
         raise ParseError("certificate missing field/power/r or map blocks")
     lms = []

@@ -29,52 +29,9 @@ from .tensor import (
     contract,
     matrix_terms,
     power_dims,
-    unit,
 )
 
 LaurentPoly = Dict[int, Elem]  # exponent -> nonzero coefficient
-
-
-def poly_add(field: Field, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out = dict(a)
-    for e, v in b.items():
-        s = field.add(out.get(e, field.zero()), v)
-        if field.is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def poly_mul(field: Field, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out: LaurentPoly = {}
-    for ea, va in a.items():
-        for eb, vb in b.items():
-            e = ea + eb
-            s = field.add(out.get(e, field.zero()), field.mul(va, vb))
-            if field.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
-
-
-def poly_eval(field: Field, a: LaurentPoly, x: Elem) -> Elem:
-    """Evaluate at a field point; x must be nonzero if negative exponents occur."""
-    acc = field.zero()
-    for e, v in a.items():
-        if e >= 0:
-            acc = field.add(acc, field.mul(v, _power(field, x, e)))
-        else:
-            acc = field.add(acc, field.mul(v, _power(field, field.inv(x), -e)))
-    return acc
-
-
-def _power(field: Field, x: Elem, e: int) -> Elem:
-    acc = field.one()
-    for _ in range(e):
-        acc = field.mul(acc, x)
-    return acc
 
 
 class LaurentMatrix:
@@ -128,32 +85,35 @@ class LaurentMatrix:
         return LaurentMatrix._of_columns(self.field, self.rows, self.cols, columns)
 
     def mul(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """The product, on column terms: a term (i, e, u) of column k times
+        a term (k, d, v) of column j adds u*v at (i, j, e + d)."""
         if self.cols != other.rows:
             raise ShapeMismatchError("laurent matmul shape mismatch")
         f = self.field
-        by_row: Dict[int, list] = {}
-        for (i, k), poly in self.entries.items():
-            by_row.setdefault(i, []).append((k, poly))
-        by_k: Dict[int, list] = {}
-        for (k, j), poly in other.entries.items():
-            by_k.setdefault(k, []).append((j, poly))
-        out: Dict[Tuple[int, int], LaurentPoly] = {}
-        for i, left in by_row.items():
-            for k, pa in left:
-                for j, pb in by_k.get(k, ()):
-                    prod = poly_mul(f, pa, pb)
-                    key = (i, j)
-                    out[key] = poly_add(f, out.get(key, {}), prod)
-        return LaurentMatrix(f, self.rows, other.cols, out)
+        zero = f.zero()
+        columns: Dict[int, list] = {}
+        for j, col in other._columns.items():
+            sums: Dict[Tuple[int, int], Elem] = {}
+            for k, d, v in col:
+                for i, e, u in self._columns.get(k, ()):
+                    sums[i, e + d] = f.add(sums.get((i, e + d), zero), f.mul(u, v))
+            terms = [(i, e, v) for (i, e), v in sums.items() if not f.is_zero(v)]
+            if terms:
+                columns[j] = terms
+        return LaurentMatrix._of_columns(f, self.rows, other.cols, columns)
 
     def evaluate(self, x: Elem) -> Matrix:
+        """The matrix at e = x; x must be nonzero if a negative exponent occurs."""
         f = self.field
-        ent = {}
-        for key, poly in self.entries.items():
-            v = poly_eval(f, poly, x)
-            if not f.is_zero(v):
-                ent[key] = v
-        return Matrix.from_entries(f, self.rows, self.cols, ent)
+        zero = f.zero()
+        sums: Dict[Tuple[int, int], Elem] = {}
+        for j, col in self._columns.items():
+            for i, e, v in col:
+                step = x if e >= 0 else f.inv(x)
+                for _ in range(abs(e)):
+                    v = f.mul(v, step)
+                sums[i, j] = f.add(sums.get((i, j), zero), v)
+        return Matrix.from_entries(f, self.rows, self.cols, {k: v for k, v in sums.items() if not f.is_zero(v)})
 
     def column_terms(self):
         """Per column, its (row, exponent, coefficient) terms, in the form
@@ -220,11 +180,13 @@ def _degeneration_failure(d: Degeneration, t: Tensor3, power: int) -> str:
         return f"target dims {shown(d.target_dims)} != unit dims"
     if src != dims:
         return f"source dims {shown(src)} != tensor dims {dims}"
-    terms = apply_degeneration(d, t, power=power)
-    neg = [e for e in terms if e < 0]
-    if neg:
-        return f"negative exponent {shown(min(neg))} present"
-    if terms.get(0, Tensor3.zeros(t.field, d.target_dims)) != unit(t.field, d.claimed_r):
+    # contract's {exponent: {(a, b, c): nonzero value}} is read as it is
+    terms = contract(t, [m.column_terms() for m in d.maps], power=power)
+    low = min(terms, default=0)
+    if low < 0:
+        return f"negative exponent {shown(low)} present"
+    one = t.field.one()
+    if terms.get(0, {}) != {(a, a, a): one for a in range(d.claimed_r)}:
         return "exponent-0 coefficient is not the unit tensor"
     return ""
 

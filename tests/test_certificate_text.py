@@ -1,18 +1,31 @@
 """Certificate and tensor text: the one-pass reader against the reader it
-replaced, and a pinned corpus of certificates that must write byte for byte
-as before, parse back to the same column terms and write again unchanged."""
+replaced, a pinned corpus of certificates that must write byte for byte
+as before, parse back to the same column terms and write again unchanged,
+and the one certificate check against the check it replaced, on the
+corpus's single-line mutants and restrictions."""
 
 import hashlib
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenrank import engine, io, pivots, spans
-from tenrank.errors import BadParamsError, ParseError, shown
-from tenrank.fields import GF, QQ, parse_field, parse_value
-from tenrank.tensor import Tensor3, balanced_pivot
+from tenrank.errors import BadParamsError, ParseError, ResourceGuardError, shown
+from tenrank.fields import GF, QQ, format_value, parse_field, parse_value
+from tenrank.laurent import Degeneration, apply_degeneration, verify_degeneration
+from tenrank.matrix import Matrix
+from tenrank.tensor import (
+    Restriction,
+    Tensor3,
+    balanced_pivot,
+    power_dims,
+    unit,
+    verify_restriction,
+    w_tensor,
+)
 
 # -- the reader before it read each entry line in one pass, kept as the reference --
 
@@ -86,7 +99,13 @@ def outcome(read, text, header, heads, block):
 
 
 TENSOR_READ = (io.TENSOR_HEADER, {"dims": io._dims_line}, "dims")
-CERT_READ = (io.CERT_HEADER, io._CERT_LINES, "map")
+
+
+def cert_read():
+    """The certificate reader's arguments, with the head lines of one file:
+    the `map` lines' leg words are read in order, so each read needs its own."""
+    return io.CERT_HEADER, io._cert_lines(), "map"
+
 
 # mostly well formed, so that most texts reach the entry lines and the later
 # checks: duplicates, zeros and values
@@ -166,7 +185,7 @@ def test_reader_matches_the_reference_on_tensor_texts(text):
 @settings(max_examples=600, deadline=None)
 @given(CERT_TEXTS)
 def test_reader_matches_the_reference_on_certificate_texts(text):
-    assert outcome(io._read, text, *CERT_READ) == outcome(ref_read, text, *CERT_READ)
+    assert outcome(io._read, text, *cert_read()) == outcome(ref_read, text, *cert_read())
 
 
 def test_reader_cases_reach_every_refusal():
@@ -190,8 +209,8 @@ def test_reader_cases_reach_every_refusal():
     }
     seen = {}
     for name, text in cases.items():
-        got = outcome(io._read, text, *CERT_READ)
-        assert got == outcome(ref_read, text, *CERT_READ), name
+        got = outcome(io._read, text, *cert_read())
+        assert got == outcome(ref_read, text, *cert_read()), name
         seen[name] = got[2] if got[0] == "error" else "ok"
     assert seen["bad index"] == "index outside its 2x2 block in '3 1 0 1'"
     assert seen["duplicate"] == "duplicate entry in '1 1 0 2'"
@@ -225,23 +244,27 @@ def _square(t, seed):
 
 
 def certificate_corpus():
-    """(name, certificate, field): rho certificates in all six orientations
+    """(name, certificate, tensor): rho certificates in all six orientations
     and sqrt certificates (negative exponents), Kronecker squares and c2
     certificates over GF(2), GF(7), GF(11) and Q, and exact subrank
-    certificates over GF(2) and GF(3)."""
+    certificates over GF(2) and GF(3).  Each verifies on its tensor's power."""
     out = []
     for f in (GF(2), GF(7), GF(11), QQ):
         t = _concise(f, (3, 4, 2), 1)
         for o in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-            out.append((f"rho {f.tag} {o}", pivots.rho_degeneration(t, *o), f))
+            out.append((f"rho {f.tag} {o}", pivots.rho_degeneration(t, *o), t))
         for n in (4, 9):
-            out.append((f"sqrt {f.tag} {n}", pivots.sqrt_certificate(balanced_pivot(f, n)), f))
-        out.append((f"square {f.tag}", _square(_concise(f, (3, 3, 3), 2), 3), f))
-        cert = engine.subrank_c2(_concise(f, (3, 3, 2), 4))
-        out.append((f"c2 {f.tag}", io.certificate_of_restriction(cert.restriction, cert.r, cert.power), f))
+            pivot = balanced_pivot(f, n)
+            out.append((f"sqrt {f.tag} {n}", pivots.sqrt_certificate(pivot), pivot))
+        t = _concise(f, (3, 3, 3), 2)
+        out.append((f"square {f.tag}", _square(t, 3), t))
+        t = _concise(f, (3, 3, 2), 4)
+        cert = engine.subrank_c2(t)
+        out.append((f"c2 {f.tag}", io.certificate_of_restriction(cert.restriction, cert.r, cert.power), t))
     for f, dims in ((GF(2), (2, 3, 3)), (GF(3), (2, 2, 2))):
-        _, cert = engine.subrank_exact(_concise(f, dims, 5))
-        out.append((f"subrank {f.tag}", io.certificate_of_restriction(cert.restriction, cert.r, cert.power), f))
+        t = _concise(f, dims, 5)
+        _, cert = engine.subrank_exact(t)
+        out.append((f"subrank {f.tag}", io.certificate_of_restriction(cert.restriction, cert.r, cert.power), t))
     return out
 
 
@@ -253,14 +276,139 @@ CORPUS_SHA256 = "04fcbff741b1860b422d9e2eb600a10bccf8053da14f8435233e3b097fe5a9b
 def test_corpus_writes_as_recorded_and_round_trips():
     corpus = certificate_corpus()
     assert len(corpus) == 42
-    texts = [io.serialize_certificate(d, f) for _, d, f in corpus]
+    texts = [io.serialize_certificate(d, t.field) for _, d, t in corpus]
     assert any(" -" in line for text in texts for line in text.splitlines() if line[:1].isdigit())
     joined = "".join(f"{name}\n{text}" for (name, _, _), text in zip(corpus, texts))
     assert hashlib.sha256(joined.encode()).hexdigest() == CORPUS_SHA256
-    for (name, d, f), text in zip(corpus, texts):
+    for (name, d, t), text in zip(corpus, texts):
         back, field = io.parse_certificate(text)
-        assert field == f, name
+        assert field == t.field, name
         assert io.serialize_certificate(back, field) == text, name
         assert (back.claimed_r, back.power) == (d.claimed_r, d.power), name
         assert [m.column_terms() for m in back.maps] == [m.column_terms() for m in d.maps], name
         assert [m.entries for m in back.maps] == [m.entries for m in d.maps], name
+
+
+# -- the check before it read `contract`'s output as it is, kept as the reference --
+
+
+def ref_degeneration_failure(d: Degeneration, t: Tensor3, power: int) -> str:
+    """Why d does not verify on t^(x)power, or "" when it does."""
+    dims = power_dims(t, power)  # the power guard trips before any other check
+    src = tuple(m.cols for m in d.maps)
+    if d.claimed_r > min(dims):
+        # a degeneration onto the unit tensor of size r needs r <= every
+        # flattening rank, so a larger claim fails before anything is built
+        return f"claimed r {shown(d.claimed_r)} exceeds the smallest dimension {min(dims)}"
+    if d.target_dims != (d.claimed_r,) * 3:
+        return f"target dims {shown(d.target_dims)} != unit dims"
+    if src != dims:
+        return f"source dims {shown(src)} != tensor dims {dims}"
+    terms = apply_degeneration(d, t, power=power)
+    neg = [e for e in terms if e < 0]
+    if neg:
+        return f"negative exponent {shown(min(neg))} present"
+    if terms.get(0, Tensor3.zeros(t.field, d.target_dims)) != unit(t.field, d.claimed_r):
+        return "exponent-0 coefficient is not the unit tensor"
+    return ""
+
+
+def _verdict(check, d: Degeneration, t: Tensor3):
+    """(verified, reason) of a check on d at its power, or the type and text
+    of what the check raised."""
+    try:
+        if check is ref_degeneration_failure:
+            reason = check(d, t, d.power)
+            return not reason, reason
+        report = check(d, t, power=d.power, explain=True)
+        return report.ok, report.reason
+    except Exception as exc:  # every error must match
+        return type(exc), str(exc)
+
+
+def _single_line_mutants(text: str, field):
+    """Each text that differs from `text` in one line: the line deleted, or
+    the exponent or coefficient of an entry line, or a `power` or `r` count,
+    moved by +1 or -1."""
+    lines = text.splitlines()
+    for n, ln in enumerate(lines):
+        edits = [None]
+        words = ln.split()
+        if ln[:1].isdigit():
+            i, j, e, v = words
+            for step in (1, -1):
+                edits.append(f"{i} {j} {int(e) + step} {v}")
+                edits.append(f"{i} {j} {e} {format_value(field.add(parse_value(field, v), step))}")
+        elif words[0] in ("power", "r"):
+            edits += [f"{words[0]} {int(words[1]) + step}" for step in (1, -1)]
+        for edit in edits:
+            yield "\n".join(lines[:n] + ([] if edit is None else [edit]) + lines[n + 1:]) + "\n"
+
+
+def test_single_line_mutants_get_the_reference_verdict():
+    """Every single-line mutant of the corpus that parses gets the verdict
+    and reason of the check it replaced, from `verify_degeneration` as
+    `tenrank verify` calls it."""
+    seen = set()
+    for name, d, t in certificate_corpus():
+        for text in _single_line_mutants(io.serialize_certificate(d, t.field), t.field):
+            try:
+                back, _ = io.parse_certificate(text)
+            except ParseError:
+                continue
+            want = _verdict(ref_degeneration_failure, back, t)
+            assert _verdict(verify_degeneration, back, t) == want, (name, text)
+            seen.add(want[1] if want[0] in (True, False) else want[0].__name__)
+    # the mutants reach every reason, the power guard, and "" (some mutants
+    # still verify)
+    reasons = {"", "claimed", "target", "source", "negative", "exponent-0", "ResourceGuardError"}
+    assert {r.split(" ")[0] for r in seen} == reasons, seen
+
+
+def _corpus_restrictions():
+    """(name, restriction, r, power, tensor) of each exponent-0 certificate of
+    the corpus: its maps are the restriction's, at any point."""
+    for name, d, t in certificate_corpus():
+        if name.split()[0] in ("square", "c2", "subrank"):
+            res = Restriction(tuple(m.evaluate(t.field.one()) for m in d.maps))
+            yield name, res, d.claimed_r, d.power, t
+
+
+def test_restriction_certificates_verify_as_verify_restriction_checks_them():
+    """A restriction-kind `SubrankCertificate.verify` agrees with
+    `verify_restriction` onto the unit tensor, on each corpus restriction and
+    on each of them with one map entry moved by +1."""
+    for name, res, r, power, t in _corpus_restrictions():
+        f = t.field
+        variants = [res]
+        for leg, m in enumerate(res.maps):
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    rows = [list(row) for row in m.data]
+                    rows[i][j] = f.add(rows[i][j], f.one())
+                    maps = list(res.maps)
+                    maps[leg] = Matrix(f, rows, cols=m.cols)
+                    variants.append(Restriction(tuple(maps)))
+        verdicts = []
+        for v in variants:
+            got = engine.SubrankCertificate("restriction", r, power, restriction=v).verify(t)
+            assert got == verify_restriction(v, t, unit(f, r), power=power), name
+            verdicts.append(got)
+        assert verdicts[0] and not all(verdicts), name
+
+
+def test_restriction_checks_the_power_guard_before_its_target_dims():
+    """The two inputs on which the one check differs from `verify_restriction`
+    onto the unit tensor.  A restriction whose target dims are not (r, r, r)
+    is refused by the power guard first, as every certificate is, where
+    `verify_restriction` answered False before the guard; and a negative r
+    is an unverified claim where `unit` refused to build its target."""
+    f = GF(2)
+    t = w_tensor(f)
+    res = Restriction.identity(f, t.dims)
+    assert not verify_restriction(res, t, unit(f, 1), power=25)
+    with pytest.raises(ResourceGuardError):
+        engine.SubrankCertificate("restriction", 1, 25, restriction=res).verify(t)
+    with pytest.raises(BadParamsError):
+        verify_restriction(res, t, unit(f, -1))
+    assert not engine.SubrankCertificate("restriction", -1, 1, restriction=res).verify(t)

@@ -25,8 +25,8 @@ from tenrank.io import serialize_certificate, serialize_tensor
 from tenrank.laurent import (
     Degeneration,
     LaurentMatrix,
+    LaurentPoly,
     apply_degeneration,
-    poly_mul,
     verify_degeneration,
 )
 from tenrank.matrix import Matrix
@@ -72,6 +72,22 @@ def ref_apply_restriction(r: Restriction, t: Tensor3) -> Tensor3:
                     out[key] = f.mul(vab, vc) if cur is None else f.add(cur, f.mul(vab, vc))
     out = {k: v for k, v in out.items() if not f.is_zero(v)}
     return Tensor3(f, r.target_dims, out)
+
+
+def poly_mul(field, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The product of two {exponent: coefficient} polynomials, zero
+    coefficients dropped, as `laurent` computed it before its maps were
+    column terms only."""
+    out: LaurentPoly = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            s = field.add(out.get(e, field.zero()), field.mul(va, vb))
+            if field.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
 
 
 def ref_apply_degeneration(d: Degeneration, t: Tensor3) -> Dict[int, Tensor3]:

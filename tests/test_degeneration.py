@@ -1,18 +1,20 @@
 import random
+from fractions import Fraction
+from typing import Dict, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tenrank.errors import BadParamsError, FieldTooSmallError
-from tenrank.fields import GF
+from tenrank.errors import BadParamsError, FieldTooSmallError, ShapeMismatchError
+from tenrank.fields import GF, QQ, Elem, Field
 from tenrank.laurent import (
     Degeneration,
     LaurentMatrix,
+    LaurentPoly,
     apply_degeneration,
     border_le_qi_extract,
     mamu_border_lb,
-    poly_add,
-    poly_eval,
-    poly_mul,
     verify_degeneration,
 )
 from tenrank.matrix import Matrix
@@ -26,14 +28,140 @@ def rand_tensor(field, dims, rng):
     return Tensor3(field, dims, [rng.randrange(field.p) for _ in range(n)])
 
 
-def test_poly_arithmetic():
-    f = GF(5)
-    a = {0: 1, 2: 3}
-    b = {-1: 2}
-    assert poly_mul(f, a, b) == {-1: 2, 1: 1}
-    assert poly_add(f, a, {0: 4}) == {2: 3}
-    assert poly_eval(f, {0: 1, 1: 3}, 2) == 2  # 1 + 6 mod 5
-    assert poly_eval(f, {-1: 1}, 2) == 3  # inverse of 2 mod 5
+# -- the polynomial-dict product and evaluation that column terms replaced, kept
+# as the reference --
+
+
+def poly_add(field: Field, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    out = dict(a)
+    for e, v in b.items():
+        s = field.add(out.get(e, field.zero()), v)
+        if field.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def poly_mul(field: Field, a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    out: LaurentPoly = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            e = ea + eb
+            s = field.add(out.get(e, field.zero()), field.mul(va, vb))
+            if field.is_zero(s):
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def poly_eval(field: Field, a: LaurentPoly, x: Elem) -> Elem:
+    """Evaluate at a field point; x must be nonzero if negative exponents occur."""
+    acc = field.zero()
+    for e, v in a.items():
+        if e >= 0:
+            acc = field.add(acc, field.mul(v, _power(field, x, e)))
+        else:
+            acc = field.add(acc, field.mul(v, _power(field, field.inv(x), -e)))
+    return acc
+
+
+def _power(field: Field, x: Elem, e: int) -> Elem:
+    acc = field.one()
+    for _ in range(e):
+        acc = field.mul(acc, x)
+    return acc
+
+
+def ref_mul(self: LaurentMatrix, other: LaurentMatrix) -> LaurentMatrix:
+    if self.cols != other.rows:
+        raise ShapeMismatchError("laurent matmul shape mismatch")
+    f = self.field
+    by_row: Dict[int, list] = {}
+    for (i, k), poly in self.entries.items():
+        by_row.setdefault(i, []).append((k, poly))
+    by_k: Dict[int, list] = {}
+    for (k, j), poly in other.entries.items():
+        by_k.setdefault(k, []).append((j, poly))
+    out: Dict[Tuple[int, int], LaurentPoly] = {}
+    for i, left in by_row.items():
+        for k, pa in left:
+            for j, pb in by_k.get(k, ()):
+                prod = poly_mul(f, pa, pb)
+                key = (i, j)
+                out[key] = poly_add(f, out.get(key, {}), prod)
+    return LaurentMatrix(f, self.rows, other.cols, out)
+
+
+def ref_evaluate(self: LaurentMatrix, x: Elem) -> Matrix:
+    f = self.field
+    ent = {}
+    for key, poly in self.entries.items():
+        v = poly_eval(f, poly, x)
+        if not f.is_zero(v):
+            ent[key] = v
+    return Matrix.from_entries(f, self.rows, self.cols, ent)
+
+
+_COEFFICIENTS = {
+    GF(2): st.integers(0, 1),
+    GF(7): st.integers(0, 6),
+    QQ: st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction),
+}
+
+
+@st.composite
+def laurent_products(draw):
+    """(f, A, B, x): Laurent maps A (n x k) and B (k x m) over GF(2), GF(7)
+    or Q with exponents -3..3, some entries, rows and columns empty, and a
+    point x of the field (0 too).  Half the time column 1 of A repeats
+    column 0 and row 1 of B is minus row 0, so their products cancel."""
+    f = draw(st.sampled_from(sorted(_COEFFICIENTS, key=str)))
+    n, k, m = draw(st.integers(0, 3)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    polys = st.dictionaries(st.integers(-3, 3), _COEFFICIENTS[f], max_size=3)
+
+    def entries(rows, cols):
+        return {(i, j): draw(polys) for i in range(rows) for j in range(cols) if draw(st.booleans())}
+
+    a, b = entries(n, k), entries(k, m)
+    if k >= 2 and draw(st.booleans()):
+        for i in range(n):
+            a.pop((i, 1), None)
+            if (i, 0) in a:
+                a[i, 1] = a[i, 0]
+        for j in range(m):
+            b.pop((1, j), None)
+            if (0, j) in b:
+                b[1, j] = {e: f.neg(v) for e, v in b[0, j].items()}
+    x = draw(st.sampled_from([0, 1, 3, 6]) if f == GF(7) else _COEFFICIENTS[f])
+    return f, LaurentMatrix(f, n, k, a), LaurentMatrix(f, k, m, b), x
+
+
+def outcome(fn):
+    """fn()'s result, or the type and text of what it raised."""
+    try:
+        return "ok", fn()
+    except Exception as exc:  # every error must match
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(laurent_products())
+def test_column_term_product_and_evaluation_match_the_polynomial_dicts(case):
+    f, a, b, x = case
+    assert a.mul(b).entries == ref_mul(a, b).entries
+    for m in (a, b, a.mul(b)):
+        got = outcome(lambda: m.evaluate(x).data)
+        assert got == outcome(lambda: ref_evaluate(m, x).data)
+
+
+def test_cancelling_product_is_the_zero_map():
+    f = GF(7)
+    a = LaurentMatrix(f, 1, 2, {(0, 0): {-1: 2, 1: 3}, (0, 1): {-1: 2, 1: 3}})
+    b = LaurentMatrix(f, 2, 1, {(0, 0): {2: 1}, (1, 0): {2: 6}})
+    assert a.mul(b).entries == ref_mul(a, b).entries == {}
+    assert a.mul(b).column_terms() == [[]]
 
 
 def test_laurent_matrix_mul_and_eval():

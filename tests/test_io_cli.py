@@ -186,11 +186,15 @@ _BAD_CERTIFICATE_EDITS = {
     "bad quadruple value": lambda text, header, first, rows: text.replace(
         first, first.rsplit(" ", 1)[0] + " x", 1),
     "zero quadruple": lambda text, header, first, rows: text.replace(first, first + "\n1 1 9 0", 1),
+    "second field line": lambda text, header, first, rows: text.replace(first, first + "\nfield gf:3", 1),
+    "map legs out of order": lambda text, header, first, rows: text.replace("map 1 ", "map banana ").replace(
+        "map 3 ", "map 1 "),
 }
 _BAD_TENSOR_EDITS = {
     "bare field": ("field gf:2\n", "field\n"),
     "non-integer dims": ("dims 2 2 2\n", "dims x 1 1\n"),
     "bad entry value": ("1 2 2 1\n", "1 2 2 x\n"),
+    "second field line": ("1 2 2 1\n", "1 2 2 1\nfield gf:3\n"),
 }
 
 
@@ -225,6 +229,14 @@ def test_malformed_tensor_is_a_parse_error(case, tmp_path, capsys):
     cpath.write_text(cert)
     assert run_cli("verify", str(cpath), str(tpath)) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_second_field_line_is_refused_before_any_bound(tmp_path, cli_run):
+    """Entries read under a first field line are not re-typed by a second:
+    the file is refused, where `bounds` used to end in a verification failure."""
+    tpath = tmp_path / "two-fields.tensor"
+    tpath.write_text("tensor v1\nfield gf:3\ndims 2 2 2\n1 1 1 2\n2 2 2 2\nfield gf:2\n")
+    assert cli_run(["bounds", str(tpath)], 2)[1] == "parse error: second field line 'field gf:2'\n"
 
 
 @pytest.mark.parametrize("value", ["x", "1/0", "1/x", "1.5"])
